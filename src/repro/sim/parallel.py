@@ -1,24 +1,32 @@
 """Parallel sweep / comparison runners built on ``ProcessPoolExecutor``.
 
 The unit of work is one (trace, policy-factory) simulation — or, for the
-multi-core grid, one (mix, policy-factory) shared-LLC run. Traces are
-written once to packed payloads in the native compressed format
-(:meth:`Trace.save` / ``.trz``) and workers load each at most once per
-process (a module-level memo), so a 32-point PD sweep ships the trace a
-handful of times instead of re-pickling it per task. A
-:class:`repro.traces.stream.TraceStream` source (an external trace file
-opened via :func:`repro.traces.formats.open_trace`) is stream-copied to
-the payload once and each worker re-opens it as a chunked stream, so the
-parallel path never materializes a huge trace either. Factories must be
-picklable — module-level callables, classes, or ``functools.partial`` of
-those; lambdas and closures trigger the serial fallback.
+multi-core grid, one (mix, policy-factory) shared-LLC run. The grid's
+inputs — the :class:`Trace`, the
+:class:`repro.traces.stream.TraceStream`, or every mix's per-thread
+traces — reach each worker once, through the pool's initializer
+(:func:`_install_grid`). Under the ``fork`` start method (the default
+where available) workers inherit them copy-on-write at no cost; under
+any other start method they are pickled once per worker. Tasks carry
+only the cell key, its policy factory and a few small arguments, so a
+32-point PD sweep neither writes nor re-ships the trace. A stream
+source (an external trace file opened via
+:func:`repro.traces.formats.open_trace`) stays a chunked stream inside
+every worker, so the parallel path never materializes a huge trace
+either.
+
+Everything that crosses into a worker must pickle. Factories always do
+— module-level callables, classes, or ``functools.partial`` of those;
+lambdas and closures trigger the serial fallback. The inputs must pickle
+only when the pool does not fork; a stream from ``open_trace`` holds a
+closure, so off fork a stream-sourced grid runs serially.
 
 Worker count resolution (``resolve_max_workers``): an explicit
 ``max_workers`` argument wins, then the ``REPRO_MAX_WORKERS`` environment
 variable, then ``os.cpu_count()``. A resolved count of 1 — or any failure
-to stand up the pool (unpicklable payloads, sandboxed environments
-without process support) — falls back to running serially in-process, so
-these entry points are always safe to call. The fallback is *loud*: it
+to stand up the pool (unpicklable factories or inputs, sandboxed
+environments without process support) — falls back to running serially
+in-process, so these entry points are always safe to call. The fallback is *loud*: it
 raises a :class:`RuntimeWarning`, emits a ``warning`` progress event
 through the grid observer, and the sweep manifest records
 ``workers_requested`` vs ``workers_effective`` so a degraded sweep is
@@ -42,7 +50,7 @@ rendered by ``repro obs trace``; the sweep manifest embeds the metrics
 snapshot when the registry is enabled.
 
 Failure semantics: only *infrastructure* failures fall back to the serial
-path — payload-directory / pool setup errors and a broken pool
+path — pool setup errors and a broken pool
 (``BrokenProcessPool``: a worker process died). An exception raised by
 the simulation itself inside a worker (a policy bug surfacing as
 ``RuntimeError``, ``ValueError``, ...) propagates to the caller; it is
@@ -56,7 +64,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import tempfile
 import warnings
 from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -89,9 +96,16 @@ from repro.traces.trace import Trace
 #: Environment variable overriding the default worker count.
 ENV_MAX_WORKERS = "REPRO_MAX_WORKERS"
 
-#: Per-worker-process memo of loaded trace payloads (path -> Trace or
-#: re-iterable TraceStream).
-_WORKER_TRACES: dict[str, Trace | TraceStream] = {}
+#: Inside a pool worker, the running grid's inputs as published by
+#: :func:`_install_grid`: the trace (or stream) of a ``run_matrix`` grid,
+#: or the ``{mix_key: thread traces}`` of a ``run_mix_matrix`` one.
+_GRID_INPUTS = None
+
+
+def _install_grid(inputs) -> None:
+    """Pool initializer: publish the grid's inputs to this worker."""
+    global _GRID_INPUTS
+    _GRID_INPUTS = inputs
 
 
 def resolve_max_workers(max_workers: int | None = None) -> int:
@@ -112,30 +126,30 @@ def resolve_max_workers(max_workers: int | None = None) -> int:
 
 
 def _pool_context():
-    """Fork where available (cheap, inherits the interpreter); the
-    default start method elsewhere."""
+    """Fork where available (cheap, inherits the interpreter and the
+    grid's inputs); the default start method elsewhere."""
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
-    return None
+    return multiprocessing.get_context()
 
 
-def _load_packed_trace(path: str, as_stream: bool = False) -> Trace | TraceStream:
-    """Load (and per-process memoize) one packed trace payload.
+def _unpicklable(factories: list, inputs) -> str | None:
+    """Why a grid cannot cross into pool workers, or None if it can.
 
-    ``as_stream=True`` opens the payload as a re-iterable chunked
-    :class:`TraceStream` instead of materializing it — the worker-side
-    half of the streaming parallel path.
+    Factories travel pickled with every task. The inputs travel pickled
+    (once per worker) only when the pool does not fork — a forked worker
+    inherits them — so only then must they pickle.
     """
-    trace = _WORKER_TRACES.get(path)
-    if trace is None:
-        if as_stream:
-            from repro.traces.formats import open_trace
-
-            trace = open_trace(path, format="native")
-        else:
-            trace = Trace.load(path)
-        _WORKER_TRACES[path] = trace
-    return trace
+    try:
+        pickle.dumps(factories)
+    except Exception as exc:
+        return f"policy factories are not picklable ({type(exc).__name__}: {exc})"
+    if _pool_context().get_start_method() != "fork":
+        try:
+            pickle.dumps(inputs)
+        except Exception as exc:
+            return f"grid inputs are not picklable ({type(exc).__name__}: {exc})"
+    return None
 
 
 def _task_obs_begin() -> float:
@@ -159,41 +173,56 @@ def _task_obs_finish(start: float) -> dict:
     """The worker's observability payload for the task just run.
 
     ``{"telemetry": snapshot-or-None, "metrics": snapshot-or-None,
-    "runtime_s": in-worker seconds}`` — shipped back with the result so
-    the parent merges both sinks losslessly and can split wall time into
-    queue wait vs runtime.
+    "runtime_s": in-worker seconds, "fingerprint": digest-or-None}`` —
+    shipped back with the result so the parent merges both sinks
+    losslessly and can split wall time into queue wait vs runtime. The
+    fingerprint is this worker's digest of a stream source once one of
+    its passes completed (see :class:`_FingerprintingStream`); the
+    parent never iterates a pooled stream itself, so it adopts the
+    workers' digest for the sweep manifest.
     """
     return {
         "telemetry": TELEMETRY.snapshot() if TELEMETRY.enabled else None,
         "metrics": METRICS.snapshot() if METRICS.enabled else None,
         "runtime_s": perf_counter() - start,
+        "fingerprint": (
+            _GRID_INPUTS.fingerprint
+            if isinstance(_GRID_INPUTS, _FingerprintingStream)
+            else None
+        ),
     }
 
 
-def _run_packed_task(
-    trace_path: str,
+def _pool_task(cell: Callable, key, args: tuple):
+    """Worker entry: ``cell(inputs, key, *args)`` against the inputs
+    :func:`_install_grid` published, in a clean observability scope;
+    returns ``(key, result, obs_payload)``."""
+    start = _task_obs_begin()
+    result = cell(_GRID_INPUTS, key, *args)
+    return key, result, _task_obs_finish(start)
+
+
+def _matrix_cell(
+    trace: Trace | TraceStream,
     key,
     factory: Callable[[], object],
+    shard_spec: tuple[int, int, int] | None,
     geometry: CacheGeometry,
     timing: TimingModel | None,
     engine: str,
     manifest_dir: str | None,
-    as_stream: bool = False,
-    shard_spec: tuple[int, int, int] | None = None,
-    window_size: int | None = None,
+    window_size: int | None,
 ):
-    """Worker entry: one simulation against the shared packed trace.
+    """One ``run_matrix`` task: simulate ``trace`` under ``factory()``.
 
     With ``shard_spec=(shard, num_shards, total_length)`` the task runs
     only the sets assigned to that shard (vector engine, no per-cell
     manifest) and returns a part dict for :func:`merge_shard_parts`
     instead of a :class:`SingleCoreResult`.
     """
-    start = _task_obs_begin()
-    trace = _load_packed_trace(trace_path, as_stream=as_stream)
     if shard_spec is not None:
         shard, num_shards, total_length = shard_spec
-        part = run_llc_shard(
+        return run_llc_shard(
             trace,
             factory(),
             geometry,
@@ -202,8 +231,7 @@ def _run_packed_task(
             total_length,
             window_size=window_size,
         )
-        return key, part, _task_obs_finish(start)
-    result = run_llc(
+    return run_llc(
         trace,
         factory(),
         geometry,
@@ -213,35 +241,32 @@ def _run_packed_task(
         run_label=str(key),
         window_size=window_size,
     )
-    return key, result, _task_obs_finish(start)
 
 
-def _run_shared_task(
-    trace_paths: list[str],
-    key,
+def _mix_cell(
+    mixes: dict[str, list[Trace]],
+    key: tuple[str, str],
     factory: Callable[[], object],
     geometry: CacheGeometry,
     timing: TimingModel | None,
     singles: list[float] | None,
-    name: str,
     engine: str,
     manifest_dir: str | None,
-):
-    """Worker entry: one shared-LLC mix run against packed thread traces."""
-    start = _task_obs_begin()
-    traces = [_load_packed_trace(path) for path in trace_paths]
-    result = run_shared_llc(
-        traces,
+) -> MultiCoreResult:
+    """One ``run_mix_matrix`` task: the shared-LLC run of cell
+    ``key = (mix_key, policy_key)`` over ``mixes[mix_key]``."""
+    mix_key = key[0]
+    return run_shared_llc(
+        mixes[mix_key],
         factory(),
         geometry,
         timing=timing,
         singles=singles,
-        name=name,
+        name=mix_key,
         engine=engine,
         manifest_dir=manifest_dir,
         run_label=str(key),
     )
-    return key, result, _task_obs_finish(start)
 
 
 class _FingerprintingStream(TraceStream):
@@ -250,12 +275,13 @@ class _FingerprintingStream(TraceStream):
 
     ``run_matrix`` wraps stream sources in one of these so the sweep
     manifest can carry a real, chunk-size-invariant trace fingerprint —
-    the grid already iterates the stream at least once (payload copy on
-    the pooled path, per-cell simulation on the serial path), so the
+    the grid already iterates the stream at least once per cell, so the
     digest comes for free instead of needing a second scan of the file.
-    Only a pass that ran to exhaustion finalizes the digest; an aborted
-    iteration (a failing cell) leaves the accumulator to retry on the
-    next pass.
+    On the pooled path each worker iterates its own copy; the digest
+    travels back in the task's observability payload and the parent
+    takes it via :meth:`adopt`. Only a pass that ran to exhaustion
+    finalizes the digest; an aborted iteration (a failing cell) leaves
+    the accumulator to retry on the next pass.
     """
 
     def __init__(self, inner: TraceStream) -> None:
@@ -286,6 +312,12 @@ class _FingerprintingStream(TraceStream):
         """The digest of one full pass, or None if no pass completed."""
         return self._digest
 
+    def adopt(self, digest: str) -> None:
+        """Take the digest a pool worker's copy of this stream computed,
+        unless this copy already has one."""
+        if self._digest is None:
+            self._digest = digest
+
 
 def _warn_serial_fallback(
     observer: "_GridObserver | None", label: str, requested: int, reason: str
@@ -302,7 +334,9 @@ def _warn_serial_fallback(
         f"{label}: requested {requested} workers but running serially — "
         f"{reason}"
     )
-    warnings.warn(message, RuntimeWarning, stacklevel=3)
+    # Attribute the warning to the caller of run_matrix/run_mix_matrix
+    # (this function <- _run_grid <- the runner <- the caller).
+    warnings.warn(message, RuntimeWarning, stacklevel=4)
     if observer is not None:
         observer.warning("serial-fallback", message)
 
@@ -428,8 +462,9 @@ class _GridObserver:
             self._log.close()
 
 
-def _run_serial_tasks(run_one, items, observer: _GridObserver | None):
-    """Run ``run_one(key, value)`` for each item in-process.
+def _run_serial_tasks(cell: Callable, inputs, tasks, observer: _GridObserver | None):
+    """Run ``cell(inputs, key, *args)`` for each ``(key, args)`` task
+    in-process.
 
     Returns ``(results, failures)`` where failures are ``(key, exc)``
     pairs; the grid keeps going past a failed task so every cell's
@@ -437,12 +472,12 @@ def _run_serial_tasks(run_one, items, observer: _GridObserver | None):
     """
     results: dict = {}
     failures: list[tuple] = []
-    for key, value in items:
+    for key, args in tasks:
         if observer is not None:
             observer.started(key)
         start = perf_counter()
         try:
-            results[key] = run_one(key, value)
+            results[key] = cell(inputs, key, *args)
         except Exception as exc:  # noqa: BLE001 — recorded, then re-raised
             failures.append((key, exc))
             if observer is not None:
@@ -453,74 +488,97 @@ def _run_serial_tasks(run_one, items, observer: _GridObserver | None):
     return results, failures
 
 
-def _run_pooled(worker_fn, workers: int, write_payloads, serial_fallback, observer):
-    """Fan ``worker_fn`` tasks over a process pool.
+def _run_pooled(cell: Callable, inputs, tasks, workers: int, observer):
+    """Fan the ``(key, args)`` tasks over a process pool.
 
-    ``write_payloads(payload_dir)`` persists shared payloads and returns
-    one argument tuple per task (the task key at index 1, the contract
-    of both worker entries). Returns ``(results, failures)``.
-    Infrastructure failures (payload dir / pool setup, a broken pool)
-    invoke ``serial_fallback``; exceptions raised *by a task* are
-    collected as failures for the caller to record and re-raise.
-    Worker tasks return ``(key, result, obs_payload)`` where the payload
-    carries the worker's telemetry and metrics snapshots plus its
-    in-worker runtime (:func:`_task_obs_finish`); non-None snapshots are
-    merged into this process's :data:`TELEMETRY` / :data:`METRICS` sinks
-    as each future completes, so counters recorded inside workers are
-    not lost (the serial path records into the sinks directly), and the
-    runtime feeds the observer's queue-wait/runtime split.
+    The pool's initializer publishes ``inputs`` to every worker
+    (:func:`_install_grid`) and each task runs :func:`_pool_task`.
+    Returns ``(results, failures)``, or None on an infrastructure
+    failure (pool setup, a broken pool) so the caller can re-run the
+    grid serially; exceptions raised *by a task* are collected as
+    failures for the caller to record and re-raise. Each task's
+    observability payload (:func:`_task_obs_finish`) is folded in as its
+    future completes: non-None telemetry and metrics snapshots merge
+    into this process's :data:`TELEMETRY` / :data:`METRICS` sinks, so
+    counters recorded inside workers are not lost (the serial path
+    records into the sinks directly); the runtime feeds the observer's
+    queue-wait/runtime split; and a stream digest is adopted by the
+    parent's :class:`_FingerprintingStream`.
     """
     try:
-        payload_dir = tempfile.TemporaryDirectory(prefix="repro-trace-")
-    except (OSError, PermissionError):
-        return serial_fallback()
-    try:
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=_pool_context(),
+            initializer=_install_grid,
+            initargs=(inputs,),
+        )
+    except (OSError, RuntimeError, PermissionError):
+        # No usable process pool (restricted sandbox, missing /dev/shm,
+        # exhausted pids, ...): run in-process.
+        return None
+    results: dict = {}
+    failures: list[tuple] = []
+    with pool:
+        future_keys = {}
+        for key, args in tasks:
+            if observer is not None:
+                observer.started(key)
+            future_keys[pool.submit(_pool_task, cell, key, args)] = key
         try:
-            tasks = write_payloads(Path(payload_dir.name))
-            pool = ProcessPoolExecutor(
-                max_workers=workers, mp_context=_pool_context()
-            )
-        except (OSError, RuntimeError, PermissionError):
-            # No usable payload dir or process pool (restricted sandbox,
-            # missing /dev/shm, exhausted pids, ...): run in-process.
-            return serial_fallback()
-        results: dict = {}
-        failures: list[tuple] = []
-        with pool:
-            future_keys = {}
-            for task in tasks:
-                key = task[1]
-                if observer is not None:
-                    observer.started(key)
-                future_keys[pool.submit(worker_fn, *task)] = key
-            try:
-                for future in as_completed(future_keys):
-                    key = future_keys[future]
-                    try:
-                        result_key, result, obs_payload = future.result()
-                    except BrokenProcessPool:
-                        raise
-                    except Exception as exc:  # noqa: BLE001 — see docstring
-                        failures.append((key, exc))
-                        if observer is not None:
-                            observer.failed(key, exc)
-                    else:
-                        results[result_key] = result
-                        if obs_payload["telemetry"] is not None:
-                            TELEMETRY.merge_snapshot(obs_payload["telemetry"])
-                        if obs_payload["metrics"] is not None:
-                            METRICS.merge_snapshot(obs_payload["metrics"])
-                        if observer is not None:
-                            observer.finished(
-                                key, runtime_s=obs_payload["runtime_s"]
-                            )
-            except BrokenProcessPool:
-                # A worker *process* died (OOM-kill, sandbox teardown) —
-                # infrastructure, not a simulation error: retry serially.
-                return serial_fallback()
-        return results, failures
-    finally:
-        payload_dir.cleanup()
+            for future in as_completed(future_keys):
+                key = future_keys[future]
+                try:
+                    result_key, result, obs_payload = future.result()
+                except BrokenProcessPool:
+                    raise
+                except Exception as exc:  # noqa: BLE001 — see docstring
+                    failures.append((key, exc))
+                    if observer is not None:
+                        observer.failed(key, exc)
+                else:
+                    results[result_key] = result
+                    if obs_payload["telemetry"] is not None:
+                        TELEMETRY.merge_snapshot(obs_payload["telemetry"])
+                    if obs_payload["metrics"] is not None:
+                        METRICS.merge_snapshot(obs_payload["metrics"])
+                    if obs_payload["fingerprint"] is not None:
+                        inputs.adopt(obs_payload["fingerprint"])
+                    if observer is not None:
+                        observer.finished(key, runtime_s=obs_payload["runtime_s"])
+        except BrokenProcessPool:
+            # A worker *process* died (OOM-kill, sandbox teardown) —
+            # infrastructure, not a simulation error.
+            return None
+    return results, failures
+
+
+def _run_grid(
+    label: str,
+    cell: Callable,
+    inputs,
+    tasks: list[tuple],
+    factories: list,
+    workers: int,
+    observer: _GridObserver | None,
+):
+    """Run the grid's ``(key, args)`` tasks — each ``cell(inputs, key,
+    *args)`` — over a process pool when one can help, else serially.
+
+    The serial path runs when one worker or one task is requested, and
+    — loudly, see :func:`_warn_serial_fallback` — when the factories or
+    inputs cannot reach the workers or the pool fails as infrastructure.
+    Returns ``(results, failures, workers_effective)``.
+    """
+    if workers > 1 and len(tasks) > 1:
+        reason = _unpicklable(factories, inputs)
+        if reason is None:
+            effective = min(workers, len(tasks))
+            pooled = _run_pooled(cell, inputs, tasks, effective, observer)
+            if pooled is not None:
+                return (*pooled, effective)
+            reason = "process pool unavailable (infrastructure failure)"
+        _warn_serial_fallback(observer, label, workers, reason)
+    return (*_run_serial_tasks(cell, inputs, tasks, observer), 1)
 
 
 def _finish_grid(
@@ -560,9 +618,9 @@ def run_matrix(
     Args:
         trace: the access stream every task simulates — an in-memory
             :class:`Trace`, or a chunked :class:`TraceStream` (e.g. an
-            external trace file): the stream is copied once to a native
-            payload and every worker re-opens it chunked, so even the
-            parallel path stays O(chunk) per process.
+            external trace file): every worker iterates the stream
+            chunked, so even the parallel path stays O(chunk) per
+            process.
         factories: {key: zero-arg policy factory}; keys are preserved in
             the result dict, insertion order retained.
         geometry / timing / engine: forwarded to :func:`run_llc`.
@@ -605,9 +663,10 @@ def run_matrix(
     items = list(factories.items())
     stream_source = isinstance(trace, TraceStream)
     if stream_source:
-        # Fingerprint the stream on its first full pass (payload copy or
-        # first serial cell) so the sweep manifest can identify the
-        # trace — resume matching needs it (see repro.service.scheduler).
+        # Fingerprint the stream on its first full pass (the first cell,
+        # here or in a pool worker) so the sweep manifest can identify
+        # the trace — resume matching needs it (see
+        # repro.service.scheduler).
         trace = _FingerprintingStream(trace)
     partitions = 0
     if set_partitions is not None:
@@ -636,20 +695,21 @@ def run_matrix(
     }
     total_length = 0 if stream_source else len(trace)
 
-    # Task list: plain cells keyed by their factory key; sharded cells
-    # expand to (key, shard) tasks whose parts merge after the grid.
+    manifest_out = Path(manifest_dir) if manifest_dir is not None else None
+    manifest_arg = str(manifest_out) if manifest_out is not None else None
+    # Task list of (key, _matrix_cell args): plain cells keyed by their
+    # factory key; sharded cells expand to (key, shard) tasks whose
+    # parts merge after the grid.
+    cell_args = (geometry, timing, engine, manifest_arg, window_size)
     task_items: list[tuple] = []
     for key, factory in items:
         if key in sharded:
             for shard in range(partitions):
-                task_items.append(
-                    ((key, shard), (factory, (shard, partitions, total_length)))
-                )
+                shard_spec = (shard, partitions, total_length)
+                task_items.append(((key, shard), (factory, shard_spec, *cell_args)))
         else:
-            task_items.append((key, (factory, None)))
+            task_items.append((key, (factory, None, *cell_args)))
 
-    manifest_out = Path(manifest_dir) if manifest_dir is not None else None
-    manifest_arg = str(manifest_out) if manifest_out is not None else None
     observer = None
     if manifest_out is not None or on_event is not None:
         observer = _GridObserver(
@@ -660,91 +720,16 @@ def run_matrix(
             failure_context=lambda key: (str(key), trace.name),
         )
 
-    def run_one(key, value):
-        factory, shard_spec = value
-        if shard_spec is not None:
-            shard, num_shards, length = shard_spec
-            return run_llc_shard(
-                trace,
-                factory(),
-                geometry,
-                shard,
-                num_shards,
-                length,
-                window_size=window_size,
-            )
-        return run_llc(
-            trace,
-            factory(),
-            geometry,
-            timing=timing,
-            engine=engine,
-            manifest_dir=manifest_arg,
-            run_label=str(key),
-            window_size=window_size,
-        )
-
-    serial = partial(_run_serial_tasks, run_one, task_items, observer)
     start = perf_counter()
-    effective = {"workers": 1}
-    use_pool = workers > 1 and len(task_items) > 1
-    if use_pool:
-        try:
-            pickle.dumps([factory for _, factory in items])
-        except Exception as exc:
-            use_pool = False
-            _warn_serial_fallback(
-                observer,
-                "matrix",
-                workers,
-                f"policy factories are not picklable ({type(exc).__name__}: {exc})",
-            )
-    if use_pool:
-        effective["workers"] = min(workers, len(task_items))
-
-        def serial_after_pool_failure():
-            effective["workers"] = 1
-            _warn_serial_fallback(
-                observer,
-                "matrix",
-                workers,
-                "process pool unavailable (infrastructure failure)",
-            )
-            return serial()
-
-        def write_payloads(payload_dir: Path) -> list[tuple]:
-            trace_path = str(payload_dir / "trace.trz")
-            if stream_source:
-                from repro.traces.formats import write_stream
-
-                write_stream(trace, trace_path, format="native")
-            else:
-                trace.save(trace_path)
-            return [
-                (
-                    trace_path,
-                    key,
-                    factory,
-                    geometry,
-                    timing,
-                    engine,
-                    manifest_arg,
-                    stream_source,
-                    shard_spec,
-                    window_size,
-                )
-                for key, (factory, shard_spec) in task_items
-            ]
-
-        results, failures = _run_pooled(
-            _run_packed_task,
-            min(workers, len(task_items)),
-            write_payloads,
-            serial_after_pool_failure,
-            observer,
-        )
-    else:
-        results, failures = serial()
+    results, failures, workers_effective = _run_grid(
+        "matrix",
+        _matrix_cell,
+        trace,
+        task_items,
+        [factory for _, factory in items],
+        workers,
+        observer,
+    )
 
     # Merge shard parts back into one SingleCoreResult per sharded cell.
     # A cell with any failed shard is left out of `results` (its failure
@@ -775,7 +760,7 @@ def run_matrix(
             "line_size": geometry.line_size,
             "workers": workers,
             "workers_requested": workers,
-            "workers_effective": effective["workers"],
+            "workers_effective": workers_effective,
         }
         if sharded:
             config["set_partitions"] = partitions
@@ -815,10 +800,10 @@ def run_mix_matrix(
     """Run a (mix x policy-factory) grid of shared-LLC runs in parallel.
 
     The multi-core counterpart of :func:`run_matrix`: each task is one
-    :func:`repro.sim.multi_core.run_shared_llc` call. Per-thread traces
-    are written once per mix as packed native payloads and memoized per
-    worker process, so an 80-mix x 4-policy Fig. 12 grid ships each trace
-    a handful of times rather than 4x80 times.
+    :func:`repro.sim.multi_core.run_shared_llc` call. Every mix's
+    per-thread traces reach each worker once, through the pool
+    initializer, so an 80-mix x 4-policy Fig. 12 grid never ships a
+    trace per task.
 
     Args:
         mixes: {mix_key: per-thread traces} (private address spaces, as
@@ -860,83 +845,30 @@ def run_mix_matrix(
             failure_context=lambda key: (str(key[1]), str(key[0])),
         )
 
-    def run_one(key, _value):
-        mix_key, policy_key = key
-        return run_shared_llc(
-            mixes[mix_key],
-            factories[policy_key](),
-            geometry,
-            timing=timing,
-            singles=None if singles is None else singles[mix_key],
-            name=mix_key,
-            engine=engine,
-            manifest_dir=manifest_arg,
-            run_label=str(key),
+    tasks = [
+        (
+            (mix_key, policy_key),
+            (
+                factories[policy_key],
+                geometry,
+                timing,
+                None if singles is None else singles[mix_key],
+                engine,
+                manifest_arg,
+            ),
         )
-
-    serial = partial(
-        _run_serial_tasks, run_one, [(key, None) for key in grid], observer
-    )
+        for mix_key, policy_key in grid
+    ]
     start = perf_counter()
-    effective = {"workers": 1}
-    use_pool = workers > 1 and len(grid) > 1
-    if use_pool:
-        try:
-            pickle.dumps(list(factories.values()))
-        except Exception as exc:
-            use_pool = False
-            _warn_serial_fallback(
-                observer,
-                "mix-matrix",
-                workers,
-                f"policy factories are not picklable ({type(exc).__name__}: {exc})",
-            )
-    if use_pool:
-        effective["workers"] = min(workers, len(grid))
-
-        def serial_after_pool_failure():
-            effective["workers"] = 1
-            _warn_serial_fallback(
-                observer,
-                "mix-matrix",
-                workers,
-                "process pool unavailable (infrastructure failure)",
-            )
-            return serial()
-
-        def write_payloads(payload_dir: Path) -> list[tuple]:
-            mix_paths: dict[str, list[str]] = {}
-            for slot, (mix_key, traces) in enumerate(mixes.items()):
-                paths = []
-                for thread, trace in enumerate(traces):
-                    path = str(payload_dir / f"mix{slot}-t{thread}.trz")
-                    trace.save(path)
-                    paths.append(path)
-                mix_paths[mix_key] = paths
-            return [
-                (
-                    mix_paths[mix_key],
-                    (mix_key, policy_key),
-                    factories[policy_key],
-                    geometry,
-                    timing,
-                    None if singles is None else singles[mix_key],
-                    mix_key,
-                    engine,
-                    manifest_arg,
-                )
-                for mix_key, policy_key in grid
-            ]
-
-        results, failures = _run_pooled(
-            _run_shared_task,
-            min(workers, len(grid)),
-            write_payloads,
-            serial_after_pool_failure,
-            observer,
-        )
-    else:
-        results, failures = serial()
+    results, failures, workers_effective = _run_grid(
+        "mix-matrix",
+        _mix_cell,
+        mixes,
+        tasks,
+        list(factories.values()),
+        workers,
+        observer,
+    )
 
     def sweep_manifest(obs: _GridObserver) -> Manifest:
         wall = perf_counter() - start
@@ -954,7 +886,7 @@ def run_mix_matrix(
                 "line_size": geometry.line_size,
                 "workers": workers,
                 "workers_requested": workers,
-                "workers_effective": effective["workers"],
+                "workers_effective": workers_effective,
                 "mixes": len(mixes),
             },
             git_sha=_git_sha(),

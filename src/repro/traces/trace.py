@@ -127,8 +127,8 @@ class Trace:
 
     def save(self, path) -> None:
         """Write this trace to ``path`` in the native compressed format
-        (shared by the workload cache and the parallel runner's packed
-        payloads — see :mod:`repro.traces.formats.native`)."""
+        (shared with the workload cache — see
+        :mod:`repro.traces.formats.native`)."""
         from repro.traces.io import save_trace
 
         save_trace(self, path)

@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import CacheGeometry
 from repro.policies.lru import LRUPolicy
 from repro.policies.rrip import DRRIPPolicy
@@ -71,8 +72,8 @@ def test_parallel_sweep_matches_serial(trace):
 
 def test_parallel_sweep_accepts_trace_stream(trace, tmp_path):
     """A chunked TraceStream source sweeps identically to the in-memory
-    trace: the parent stream-copies it to a native payload once and the
-    workers re-open it chunked (O(chunk) per process)."""
+    trace: every worker iterates the stream it inherited chunked
+    (O(chunk) per process)."""
     from repro.traces.formats import open_trace, write_stream
     from repro.traces.stream import as_stream
 
@@ -144,23 +145,132 @@ def test_pooled_matrix_records_effective_workers(trace, tmp_path):
     assert sweep.config["workers_effective"] == 2  # capped by 2 cells
 
 
-def test_stream_sweep_manifest_records_fingerprint(trace, tmp_path):
+@pytest.mark.parametrize("max_workers", [1, 2])
+def test_stream_sweep_manifest_records_fingerprint(trace, tmp_path, max_workers):
     """The fingerprint-hole bug: a stream-sourced sweep manifest must
     carry the chunk-size-invariant trace fingerprint, equal to the
-    in-memory trace's digest, not None."""
+    in-memory trace's digest, not None — also when pool workers make
+    every pass over the stream and the parent never iterates it."""
     from repro.obs.manifest import load_manifests, trace_fingerprint
     from repro.traces.formats import open_trace, write_stream
     from repro.traces.stream import as_stream
 
-    path = tmp_path / "payload.trz"
+    path = tmp_path / "source.trz"
     write_stream(as_stream(trace), path)
     out = tmp_path / "manifests"
     run_matrix(
-        open_trace(path), {"lru": LRUPolicy}, GEOMETRY,
-        max_workers=1, manifest_dir=out,
+        open_trace(path), {"lru": LRUPolicy, "drrip": DRRIPPolicy}, GEOMETRY,
+        max_workers=max_workers, manifest_dir=out,
     )
     sweep = [m for m in load_manifests(out) if m.kind == "matrix"][0]
+    assert sweep.config["workers_effective"] == max_workers
     assert sweep.trace_fingerprint == trace_fingerprint(trace)
+
+
+def test_pooled_stream_matrix_resubmit_skips_every_cell(trace, tmp_path):
+    """Resume matching over a pooled stream grid: the resubmitted matrix
+    finds every cell's manifest and runs none of them."""
+    from repro.service.scheduler import run_resumable_matrix
+    from repro.traces.formats import open_trace, write_stream
+    from repro.traces.stream import as_stream
+
+    path = tmp_path / "source.trz"
+    write_stream(as_stream(trace), path)
+    out = tmp_path / "manifests"
+    factories = {"lru": LRUPolicy, "drrip": DRRIPPolicy}
+    first, plan1 = run_resumable_matrix(
+        open_trace(path), factories, GEOMETRY, out, max_workers=2
+    )
+    second, plan2 = run_resumable_matrix(
+        open_trace(path), factories, GEOMETRY, out, max_workers=2
+    )
+    assert plan1.to_run == list(factories) and not plan1.skipped
+    assert not plan2.to_run and len(plan2.skipped) == len(factories)
+    assert _summaries(second) == _summaries(first)
+
+
+def _fields(results):
+    """Every result field a cell reports, windows included, bitwise."""
+    return {
+        key: (
+            r.name, r.accesses, r.hits, r.misses, r.bypasses,
+            r.instructions, r.ipc, r.evictions, r.extra.get("timeseries"),
+        )
+        for key, r in results.items()
+    }
+
+
+def test_pooled_grids_write_no_trace_payload(trace, monkeypatch):
+    """Pool workers receive the grid's inputs through the pool
+    initializer, not through trace files: with ``Trace.save`` broken,
+    pooled plain, set-partitioned and mix grids still run on the pool
+    (no fallback warning) and match serial bit-identically."""
+    import warnings
+
+    def refuse_save(self, path):
+        raise AssertionError("a pooled grid wrote a trace payload")
+
+    monkeypatch.setattr(Trace, "save", refuse_save)
+    factories = {
+        "lru": LRUPolicy,
+        "drrip": DRRIPPolicy,
+        "spdp": partial(PDPPolicy, static_pd=64),
+    }
+    mix_factories = {
+        "lru": LRUPolicy,
+        "ta-drrip": partial(TADRRIPPolicy, num_threads=2),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for extra in ({}, {"set_partitions": 2}):
+            serial = run_matrix(
+                trace, factories, GEOMETRY, max_workers=1, window_size=1_000, **extra
+            )
+            pooled = run_matrix(
+                trace, factories, GEOMETRY, max_workers=2, window_size=1_000, **extra
+            )
+            assert _fields(pooled) == _fields(serial)
+        serial_mix = run_mix_matrix(_mixes(), mix_factories, GEOMETRY, max_workers=1)
+        pooled_mix = run_mix_matrix(_mixes(), mix_factories, GEOMETRY, max_workers=2)
+    assert _mix_summaries(pooled_mix) == _mix_summaries(serial_mix)
+
+
+def test_spawn_pool_pickles_inputs_or_falls_back_loudly(trace, tmp_path, monkeypatch):
+    """Off fork the inputs are pickled once per worker: an in-memory
+    trace grid still pools and matches serial, while a file-backed
+    stream (its chunk factory is a closure) takes the loud serial
+    fallback up front instead of crashing at submit."""
+    import multiprocessing
+    import warnings
+
+    import repro.sim.parallel as parallel
+    from repro.obs.manifest import load_manifests
+    from repro.traces.formats import open_trace, write_stream
+    from repro.traces.stream import as_stream
+
+    monkeypatch.setattr(
+        parallel, "_pool_context", lambda: multiprocessing.get_context("spawn")
+    )
+    factories = {"lru": LRUPolicy, "drrip": DRRIPPolicy}
+    serial = compare_policies(trace, factories, GEOMETRY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pooled = run_matrix(trace, factories, GEOMETRY, max_workers=2)
+    assert _summaries(pooled) == _summaries(serial)
+
+    path = tmp_path / "source.trz"
+    write_stream(as_stream(trace), path)
+    out = tmp_path / "manifests"
+    events = []
+    with pytest.warns(RuntimeWarning, match="grid inputs are not picklable"):
+        streamed = run_matrix(
+            open_trace(path), factories, GEOMETRY, max_workers=2,
+            manifest_dir=out, on_event=events.append,
+        )
+    assert _summaries(streamed) == _summaries(serial)
+    assert [e.kind for e in events].count("warning") == 1
+    sweep = [m for m in load_manifests(out) if m.kind == "matrix"][0]
+    assert sweep.config["workers_effective"] == 1
 
 
 def test_runner_delegates_to_parallel(trace):
