@@ -45,7 +45,6 @@ from repro.core.pdp_policy import PDPPolicy  # noqa: E402
 from repro.experiments.common import EXPERIMENT_GEOMETRY, TIMING  # noqa: E402
 from repro.obs.bench import append_trajectory, canonical_record  # noqa: E402
 from repro.policies.lru import LRUPolicy  # noqa: E402
-from repro.sim.parallel import parallel_sweep_static_pd  # noqa: E402
 from repro.sim.runner import sweep_static_pd  # noqa: E402
 from repro.sim.single_core import run_llc  # noqa: E402
 from repro.workloads.spec_like import make_benchmark_trace  # noqa: E402
@@ -89,8 +88,8 @@ def _engine_pair(trace, factory, repeats: int) -> dict:
 
 
 def _sweep_triple(trace, workers: int, repeats: int) -> dict:
-    """The 8-point PD sweep: serial per engine vs the parallel runner
-    (which defaults to the vector engine)."""
+    """The 8-point PD sweep: serial per engine vs ``workers`` pool
+    processes (both default to the vector engine)."""
     serial_ref = serial_fast = serial_vector = parallel = float("inf")
     for _ in range(repeats):
         _, t = _timed(
@@ -104,7 +103,7 @@ def _sweep_triple(trace, workers: int, repeats: int) -> dict:
         _, t = _timed(sweep_static_pd, trace, EXPERIMENT_GEOMETRY, PD_GRID)
         serial_vector = min(serial_vector, t)
         _, t = _timed(
-            parallel_sweep_static_pd,
+            sweep_static_pd,
             trace,
             EXPERIMENT_GEOMETRY,
             PD_GRID,

@@ -38,10 +38,8 @@ from repro.core import (
     find_pd_vector,
 )
 from repro.obs import (
-    TELEMETRY,
     Manifest,
     ProgressReporter,
-    Telemetry,
     load_manifests,
     scan_manifests,
     summarize_manifests,
@@ -119,8 +117,6 @@ __all__ = [
     "SetAssociativeCache",
     "StreamPrefetcher",
     "TADRRIPPolicy",
-    "TELEMETRY",
-    "Telemetry",
     "TimingModel",
     "Trace",
     "UCPPolicy",

@@ -67,7 +67,6 @@ from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import SetAssociativeCache, log2_int
 from repro.memory.fastpath import run_trace
 from repro.obs.metrics import METRICS
-from repro.obs.telemetry import TELEMETRY
 from repro.policies.fifo import FIFOPolicy
 from repro.policies.lru import LRUPolicy, MRUPolicy
 from repro.policies.rrip import SRRIPPolicy
@@ -145,8 +144,8 @@ class _SetBatchKernel:
         n = len(trace)
         if n == 0:
             return
-        obs_enabled = TELEMETRY.enabled or METRICS.enabled
-        telemetry_start = perf_counter() if obs_enabled else 0.0
+        obs_enabled = METRICS.enabled
+        obs_start = perf_counter() if obs_enabled else 0.0
         addresses = trace.addresses
         set_ids = addresses & self.set_mask
         tags = addresses >> self.set_shift
@@ -168,10 +167,7 @@ class _SetBatchKernel:
         stats.fills += misses - self.bypasses
         self._sync()
         if obs_enabled:
-            elapsed = perf_counter() - telemetry_start
-            TELEMETRY.record("columnar.run_trace", elapsed)
-            TELEMETRY.count("columnar.accesses", n)
-            METRICS.observe("columnar.run_trace_s", elapsed)
+            METRICS.observe("columnar.run_trace_s", perf_counter() - obs_start)
             METRICS.inc("columnar.accesses", n)
 
     def _drive(self, set_ids, tags, tids, lo, hi, set_order) -> None:

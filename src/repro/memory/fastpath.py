@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.memory.cache import log2_int
 from repro.obs.metrics import METRICS
-from repro.obs.telemetry import TELEMETRY
 from repro.policies.base import ReplacementPolicy
 from repro.types import AccessType
 
@@ -82,15 +81,14 @@ def _hook_or_none(policy, name: str):
 def run_trace(cache, trace) -> None:
     """Drive every access of ``trace`` through ``cache``, batched.
 
-    Telemetry: when the process-wide sink is enabled this records one
-    ``fastpath.run_trace`` timer entry and a ``fastpath.accesses``
-    counter per call — the check is per *run*, so the disabled mode adds
-    no per-access work (the 2%-overhead budget of BENCH_engine.json).
-    The live metrics registry gets the same pair (an access counter and
-    a run-time histogram observation) under the same per-run gating.
+    Metrics: when the process-wide registry is enabled this records one
+    ``fastpath.run_trace_s`` histogram observation and a
+    ``fastpath.accesses`` counter increment per call — the check is per
+    *run*, so the disabled mode adds no per-access work (the 2%-overhead
+    budget of BENCH_engine.json).
     """
-    obs_enabled = TELEMETRY.enabled or METRICS.enabled
-    telemetry_start = perf_counter() if obs_enabled else 0.0
+    obs_enabled = METRICS.enabled
+    obs_start = perf_counter() if obs_enabled else 0.0
     geometry = cache.geometry
     num_sets = geometry.num_sets
     set_mask = num_sets - 1
@@ -269,10 +267,7 @@ def run_trace(cache, trace) -> None:
     stats.evictions += evictions
     stats.fills += misses - bypasses
     if obs_enabled:
-        elapsed = perf_counter() - telemetry_start
-        TELEMETRY.record("fastpath.run_trace", elapsed)
-        TELEMETRY.count("fastpath.accesses", n)
-        METRICS.observe("fastpath.run_trace_s", elapsed)
+        METRICS.observe("fastpath.run_trace_s", perf_counter() - obs_start)
         METRICS.inc("fastpath.accesses", n)
 
 
@@ -303,11 +298,11 @@ def run_shared_trace(
     Returns ``[accesses, hits, misses, bypasses]``, each a
     per-thread list of frozen counters. Global ``cache.stats`` covers the
     *whole* run (frozen portion included), exactly as under the
-    reference loop. Telemetry follows the :func:`run_trace` contract
-    (one ``fastpath.run_shared_trace`` timer entry per call).
+    reference loop. Metrics follow the :func:`run_trace` contract (one
+    ``fastpath.run_shared_trace_s`` observation per call).
     """
-    obs_enabled = TELEMETRY.enabled or METRICS.enabled
-    telemetry_start = perf_counter() if obs_enabled else 0.0
+    obs_enabled = METRICS.enabled
+    obs_start = perf_counter() if obs_enabled else 0.0
     geometry = cache.geometry
     num_sets = geometry.num_sets
     set_mask = num_sets - 1
@@ -434,10 +429,7 @@ def run_shared_trace(
     stats.evictions += evictions
     stats.fills += misses - bypasses
     if obs_enabled:
-        elapsed = perf_counter() - telemetry_start
-        TELEMETRY.record("fastpath.run_shared_trace", elapsed)
-        TELEMETRY.count("fastpath.accesses", n)
-        METRICS.observe("fastpath.run_shared_trace_s", elapsed)
+        METRICS.observe("fastpath.run_shared_trace_s", perf_counter() - obs_start)
         METRICS.inc("fastpath.accesses", n)
     return [t_accesses, t_hits, t_misses, t_bypasses]
 

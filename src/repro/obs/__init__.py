@@ -1,15 +1,14 @@
-"""Observability for experiment runs: telemetry, manifests, progress.
+"""Observability for experiment runs: metrics, manifests, progress.
 
 The ``repro.obs`` package makes a sweep auditable while it runs and
 reproducible after it finishes:
 
-- :mod:`repro.obs.telemetry` — named counters and wall-time spans with a
-  near-zero-overhead disabled mode, safe to leave in hot kernels.
-- :mod:`repro.obs.metrics` — live counters, gauges, and log2-bucket
-  latency histograms (p50/p90/p99 estimation) with the same disabled
-  path and snapshot/merge contract, plus a dependency-free Prometheus
-  text-exposition renderer; the sweep daemon serves these via the
-  ``stats`` verb.
+- :mod:`repro.obs.metrics` — the one recording sink: counters, gauges,
+  and log2-bucket latency histograms (p50/p90/p99 estimation) with a
+  near-zero-overhead disabled mode safe to leave in hot kernels, a
+  snapshot/merge contract for pool workers, and a dependency-free
+  Prometheus text-exposition renderer; the sweep daemon serves these
+  via the ``stats`` verb.
 - :mod:`repro.obs.spans` — hierarchical wall-time spans (trace/span/
   parent ids via contextvars) persisted to ``spans.jsonl``, rendered as
   a critical-path-marked tree by ``repro obs trace``.
@@ -68,6 +67,7 @@ from repro.obs.manifest import (
     trace_fingerprint,
 )
 from repro.obs.metrics import (
+    ENV_TELEMETRY,
     METRICS,
     MetricsRegistry,
     get_metrics,
@@ -80,13 +80,6 @@ from repro.obs.progress import (
     ProgressReporter,
     console_reporter,
     print_event,
-)
-from repro.obs.telemetry import (
-    ENV_TELEMETRY,
-    TELEMETRY,
-    Telemetry,
-    get_telemetry,
-    set_enabled,
 )
 from repro.obs.spans import (
     SPANS_FILENAME,
@@ -125,9 +118,7 @@ __all__ = [
     "WindowedRecorder",
     "ProgressEvent",
     "ProgressReporter",
-    "TELEMETRY",
     "TaskFailure",
-    "Telemetry",
     "TraceLog",
     "append_trajectory",
     "canonical_record",
@@ -135,7 +126,6 @@ __all__ = [
     "console_reporter",
     "fingerprint_source",
     "get_metrics",
-    "get_telemetry",
     "git_sha",
     "histogram_percentiles",
     "histogram_quantile",
@@ -152,7 +142,6 @@ __all__ = [
     "render_report",
     "render_span_tree",
     "resolve_manifest_dir",
-    "set_enabled",
     "sparkline",
     "summarize_exception",
     "summarize_manifests",

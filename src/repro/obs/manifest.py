@@ -4,7 +4,8 @@ A :class:`Manifest` captures everything needed to trust (and re-run) one
 simulation: what was simulated (workload name + trace fingerprint), how
 (policy, engine, cache geometry, seed), in which code state (git SHA),
 what came out (counters and derived metrics), and where the time went
-(wall time, accesses/second, an optional telemetry snapshot). Sweep-level
+(wall time, accesses/second; sweep manifests also embed the
+:data:`repro.obs.metrics.METRICS` snapshot when it is enabled). Sweep-level
 manifests additionally record per-task status — including failed tasks
 with a traceback summary — so a partially failed grid is diagnosable
 after the fact.
@@ -243,7 +244,6 @@ class Manifest:
     accesses_per_sec: float = 0.0
     stats: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
-    telemetry: dict = field(default_factory=dict)
     timeseries: dict = field(default_factory=dict)
     tasks: list = field(default_factory=list)
     failures: list = field(default_factory=list)

@@ -1,11 +1,12 @@
 """Live metrics: counters, gauges, and log2-bucket latency histograms.
 
-A :class:`MetricsRegistry` is the runtime sibling of
-:class:`repro.obs.telemetry.Telemetry`: where telemetry accumulates
-wall-time totals for post-hoc manifests, the registry additionally keeps
-*distributions* — fixed log2-bucket histograms from which p50/p90/p99
-latencies are estimated — plus last-write-wins gauges. It mirrors
-telemetry's two load-bearing properties:
+A :class:`MetricsRegistry` is the one recording sink of the simulation
+stack: hot kernels, grid runners, the software-cache driver and the
+sweep daemon all record into the process-wide :data:`METRICS` registry.
+Counters count events (accesses, cells), histograms keep each timed
+section's count, total, min, max and a fixed log2-bucket distribution
+from which p50/p90/p99 latencies are estimated, and gauges hold
+last-write-wins levels. Two properties are load-bearing:
 
 * **zero-allocation disabled path** — every recording entry point starts
   with one ``self.enabled`` test and returns before touching any
@@ -15,8 +16,8 @@ telemetry's two load-bearing properties:
   produces a JSON-ready payload and :meth:`MetricsRegistry.merge_snapshot`
   folds one back in, summing counters and histogram buckets exactly, so
   metrics recorded inside ``run_matrix`` pool workers survive into the
-  parent registry (the same ship-the-snapshot-with-the-result pattern
-  telemetry uses).
+  parent registry (each task ships its worker's snapshot back with the
+  result).
 
 Histograms use a fixed bucket scheme: upper bounds at every power of two
 from ``2**-20`` seconds (~0.95 µs) through ``2**8`` seconds (256 s),
@@ -25,9 +26,11 @@ process, which is what makes merging a plain element-wise sum. Quantiles
 are estimated by rank interpolation inside the containing bucket and
 clamped to the observed min/max (:func:`histogram_quantile`).
 
-The module-level :data:`METRICS` registry is the default sink; like
-telemetry it starts disabled unless ``$REPRO_TELEMETRY`` is set (one
-gate for all observability recording). The sweep daemon enables it
+The module-level :data:`METRICS` registry starts disabled unless
+``$REPRO_TELEMETRY`` is set to a non-empty value (one gate for all
+observability recording); enable it programmatically with
+``METRICS.enable()``, run, then read ``METRICS.snapshot()`` — sweep
+manifests embed that snapshot. The sweep daemon enables it
 explicitly at startup so ``repro top`` and the ``stats`` verb always
 have live data. :func:`render_prometheus` serializes a snapshot into
 Prometheus text exposition format with no dependencies.
@@ -38,7 +41,8 @@ from __future__ import annotations
 import math
 import os
 
-from repro.obs.telemetry import ENV_TELEMETRY
+#: Environment variable that enables the default registry at import.
+ENV_TELEMETRY = "REPRO_TELEMETRY"
 
 #: Exponent of the smallest histogram bucket upper bound (2**-20 s ~ 0.95 us).
 BUCKET_MIN_EXP = -20
@@ -285,7 +289,7 @@ def render_prometheus(snapshot: dict, prefix: str = "repro_") -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-#: Default process-wide metrics registry (same env gate as telemetry).
+#: Default process-wide metrics registry (gated by ``$REPRO_TELEMETRY``).
 METRICS = MetricsRegistry(
     enabled=bool(os.environ.get(ENV_TELEMETRY, "").strip())
 )
@@ -300,6 +304,7 @@ __all__ = [
     "BUCKET_BOUNDS",
     "BUCKET_MAX_EXP",
     "BUCKET_MIN_EXP",
+    "ENV_TELEMETRY",
     "METRICS",
     "MetricsRegistry",
     "NUM_BUCKETS",

@@ -20,8 +20,8 @@ Two recording styles cooperate:
   observer and emitted at completion, parented under whatever span is
   current).
 
-The disabled path mirrors :class:`repro.obs.telemetry.Telemetry`: a
-tracer constructed without a path is inert and ``span()`` returns a
+The disabled path mirrors :class:`repro.obs.metrics.MetricsRegistry`:
+a tracer constructed without a path is inert and ``span()`` returns a
 preallocated no-op singleton. Read a span file back with
 :func:`read_spans` (tolerant of a torn final line, like the event log)
 and render it with :func:`render_span_tree`, which draws the tree and

@@ -12,7 +12,7 @@ adapting across program phases), and this module is what the rewritten
 ``fig05``/``fig11`` experiment drivers consume instead of bespoke
 re-simulation loops.
 
-Design constraints, mirrored from :class:`repro.obs.telemetry.Telemetry`:
+Design constraints, mirrored from :class:`repro.obs.metrics.MetricsRegistry`:
 
 - **Fixed memory budget.** Closed windows live in a ring buffer of
   ``max_windows`` entries (O(windows) memory, independent of trace

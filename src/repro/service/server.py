@@ -85,8 +85,8 @@ class SweepService:
 
         Also turns on the process-wide metrics registry: a daemon must
         always be able to answer a ``stats`` request with live queue
-        depth and latency percentiles, regardless of the
-        ``$REPRO_TELEMETRY`` gate library users opt into. Forked pool
+        depth and latency percentiles, whether or not
+        ``$REPRO_TELEMETRY`` (the registry's only gate) is set. Forked pool
         workers inherit the enabled registry and their per-task
         snapshots merge back through the grid runners. :meth:`stop`
         restores the registry's prior enabled state so in-process

@@ -9,8 +9,6 @@ from repro.sim.metrics import (
 )
 from repro.sim.multi_core import MultiCoreResult, run_shared_llc, single_thread_baselines
 from repro.sim.parallel import (
-    parallel_compare_policies,
-    parallel_sweep_static_pd,
     resolve_max_workers,
     run_matrix,
     run_mix_matrix,
@@ -27,8 +25,6 @@ __all__ = [
     "compare_policies",
     "geometric_mean",
     "harmonic_mean_normalized_ipc",
-    "parallel_compare_policies",
-    "parallel_sweep_static_pd",
     "resolve_max_workers",
     "run_hierarchy",
     "run_llc",

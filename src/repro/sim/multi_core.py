@@ -26,7 +26,6 @@ from repro.memory.fastpath import run_shared_trace
 from repro.memory.timing import TimingModel
 from repro.obs.manifest import Manifest, trace_fingerprint
 from repro.obs.manifest import git_sha as _git_sha
-from repro.obs.telemetry import TELEMETRY
 from repro.obs.timeseries import WindowedRecorder, _WindowFeed
 from repro.policies.lru import LRUPolicy
 from repro.sim.metrics import (
@@ -301,7 +300,6 @@ def run_shared_llc(
                 "throughput": result.throughput,
                 "hmean": result.hmean,
             },
-            telemetry=TELEMETRY.snapshot() if TELEMETRY.enabled else {},
             timeseries=recorder.to_dict() if recorder is not None else {},
             extra=meta,
         ).save(manifest_dir)

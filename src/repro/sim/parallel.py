@@ -65,14 +65,12 @@ import multiprocessing
 import os
 import pickle
 import warnings
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from functools import partial
 from pathlib import Path
 from time import perf_counter
 
-from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import CacheGeometry
 from repro.memory.columnar import merge_shard_parts, run_llc_shard, set_shardable
 from repro.memory.timing import TimingModel
@@ -86,7 +84,6 @@ from repro.obs.manifest import git_sha as _git_sha
 from repro.obs.metrics import METRICS
 from repro.obs.progress import ProgressEvent, ProgressReporter
 from repro.obs.spans import SpanTracer
-from repro.obs.telemetry import TELEMETRY
 from repro.obs.trace_log import EVENTS_FILENAME, TraceLog
 from repro.sim.multi_core import MultiCoreResult, run_shared_llc
 from repro.sim.single_core import SingleCoreResult, run_llc
@@ -162,8 +159,6 @@ def _task_obs_begin() -> float:
     in-worker runtime (the parent subtracts it from dispatch-to-completion
     wall time to estimate pool queue wait).
     """
-    if TELEMETRY.enabled:
-        TELEMETRY.reset()
     if METRICS.enabled:
         METRICS.reset()
     return perf_counter()
@@ -172,17 +167,16 @@ def _task_obs_begin() -> float:
 def _task_obs_finish(start: float) -> dict:
     """The worker's observability payload for the task just run.
 
-    ``{"telemetry": snapshot-or-None, "metrics": snapshot-or-None,
-    "runtime_s": in-worker seconds, "fingerprint": digest-or-None}`` —
-    shipped back with the result so the parent merges both sinks
-    losslessly and can split wall time into queue wait vs runtime. The
-    fingerprint is this worker's digest of a stream source once one of
-    its passes completed (see :class:`_FingerprintingStream`); the
-    parent never iterates a pooled stream itself, so it adopts the
-    workers' digest for the sweep manifest.
+    ``{"metrics": snapshot-or-None, "runtime_s": in-worker seconds,
+    "fingerprint": digest-or-None}`` — shipped back with the result so
+    the parent merges the worker's metrics losslessly and can split wall
+    time into queue wait vs runtime. The fingerprint is this worker's
+    digest of a stream source once one of its passes completed (see
+    :class:`_FingerprintingStream`); the parent never iterates a pooled
+    stream itself, so it adopts the workers' digest for the sweep
+    manifest.
     """
     return {
-        "telemetry": TELEMETRY.snapshot() if TELEMETRY.enabled else None,
         "metrics": METRICS.snapshot() if METRICS.enabled else None,
         "runtime_s": perf_counter() - start,
         "fingerprint": (
@@ -498,11 +492,10 @@ def _run_pooled(cell: Callable, inputs, tasks, workers: int, observer):
     grid serially; exceptions raised *by a task* are collected as
     failures for the caller to record and re-raise. Each task's
     observability payload (:func:`_task_obs_finish`) is folded in as its
-    future completes: non-None telemetry and metrics snapshots merge
-    into this process's :data:`TELEMETRY` / :data:`METRICS` sinks, so
-    counters recorded inside workers are not lost (the serial path
-    records into the sinks directly); the runtime feeds the observer's
-    queue-wait/runtime split; and a stream digest is adopted by the
+    future completes: a non-None metrics snapshot merges into this
+    process's :data:`METRICS` registry, so counters recorded inside
+    workers are not lost (the serial path records into it directly); the
+    runtime feeds the observer's queue-wait/runtime split; and a stream digest is adopted by the
     parent's :class:`_FingerprintingStream`.
     """
     try:
@@ -537,8 +530,6 @@ def _run_pooled(cell: Callable, inputs, tasks, workers: int, observer):
                         observer.failed(key, exc)
                 else:
                     results[result_key] = result
-                    if obs_payload["telemetry"] is not None:
-                        TELEMETRY.merge_snapshot(obs_payload["telemetry"])
                     if obs_payload["metrics"] is not None:
                         METRICS.merge_snapshot(obs_payload["metrics"])
                     if obs_payload["fingerprint"] is not None:
@@ -778,7 +769,6 @@ def run_matrix(
             accesses_per_sec=(length * len(items)) / wall if wall > 0 else 0.0,
             tasks=obs.task_records(),
             failures=list(obs.failures),
-            telemetry=TELEMETRY.snapshot() if TELEMETRY.enabled else {},
             metrics=METRICS.snapshot() if METRICS.enabled else {},
         )
 
@@ -895,7 +885,6 @@ def run_mix_matrix(
             accesses_per_sec=total_accesses / wall if wall > 0 else 0.0,
             tasks=obs.task_records(),
             failures=list(obs.failures),
-            telemetry=TELEMETRY.snapshot() if TELEMETRY.enabled else {},
             metrics=METRICS.snapshot() if METRICS.enabled else {},
         )
 
@@ -903,65 +892,8 @@ def run_mix_matrix(
     return {key: results[key] for key in grid}
 
 
-def parallel_sweep_static_pd(
-    trace: Trace,
-    geometry: CacheGeometry,
-    pds: Iterable[int],
-    bypass: bool = True,
-    n_c: int = 8,
-    timing: TimingModel | None = None,
-    max_workers: int | None = None,
-    engine: str = "vector",
-    manifest_dir: str | os.PathLike | None = None,
-    on_event: Callable[[ProgressEvent], None] | None = None,
-) -> dict[int, SingleCoreResult]:
-    """Parallel counterpart of :func:`repro.sim.runner.sweep_static_pd`."""
-    factories = {
-        pd: partial(PDPPolicy, static_pd=pd, bypass=bypass, n_c=n_c) for pd in pds
-    }
-    return run_matrix(
-        trace,
-        factories,
-        geometry,
-        timing=timing,
-        max_workers=max_workers,
-        engine=engine,
-        manifest_dir=manifest_dir,
-        on_event=on_event,
-    )
-
-
-def parallel_compare_policies(
-    trace: Trace,
-    factories: dict[str, Callable[[], object]],
-    geometry: CacheGeometry,
-    timing: TimingModel | None = None,
-    max_workers: int | None = None,
-    engine: str = "vector",
-    manifest_dir: str | os.PathLike | None = None,
-    on_event: Callable[[ProgressEvent], None] | None = None,
-) -> dict[str, SingleCoreResult]:
-    """Parallel counterpart of :func:`repro.sim.runner.compare_policies`.
-
-    Unpicklable factories (lambdas/closures) degrade gracefully to the
-    serial path.
-    """
-    return run_matrix(
-        trace,
-        factories,
-        geometry,
-        timing=timing,
-        max_workers=max_workers,
-        engine=engine,
-        manifest_dir=manifest_dir,
-        on_event=on_event,
-    )
-
-
 __all__ = [
     "ENV_MAX_WORKERS",
-    "parallel_compare_policies",
-    "parallel_sweep_static_pd",
     "resolve_max_workers",
     "run_matrix",
     "run_mix_matrix",

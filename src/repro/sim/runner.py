@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterable
+from functools import partial
 
 from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import CacheGeometry
 from repro.memory.timing import TimingModel
-from repro.sim.single_core import SingleCoreResult, run_llc
+from repro.sim.parallel import run_matrix
+from repro.sim.single_core import SingleCoreResult
 from repro.traces.trace import Trace
 
 
@@ -26,33 +28,25 @@ def sweep_static_pd(
 ) -> dict[int, SingleCoreResult]:
     """Run static PDP (SPDP) for each candidate PD (Sec. 2.3).
 
-    ``max_workers=1`` (the default) runs serially in-process; any other
-    value — including None for auto — delegates to
-    :func:`repro.sim.parallel.parallel_sweep_static_pd`. Requesting
-    observability (``manifest_dir`` or ``on_event``) also delegates, so
-    manifests and progress events are emitted regardless of worker
-    count.
+    One :func:`repro.sim.parallel.run_matrix` grid keyed by PD:
+    ``max_workers=1`` (the default) runs the cells serially in-process,
+    any other value — including None for auto — fans them over a process
+    pool. ``manifest_dir`` / ``on_event`` follow the ``run_matrix``
+    observability contract regardless of worker count.
     """
-    if max_workers != 1 or manifest_dir is not None or on_event is not None:
-        from repro.sim.parallel import parallel_sweep_static_pd
-
-        return parallel_sweep_static_pd(
-            trace,
-            geometry,
-            pds,
-            bypass=bypass,
-            n_c=n_c,
-            timing=timing,
-            max_workers=max_workers,
-            engine=engine,
-            manifest_dir=manifest_dir,
-            on_event=on_event,
-        )
-    results: dict[int, SingleCoreResult] = {}
-    for pd in pds:
-        policy = PDPPolicy(static_pd=pd, bypass=bypass, n_c=n_c)
-        results[pd] = run_llc(trace, policy, geometry, timing=timing, engine=engine)
-    return results
+    factories = {
+        pd: partial(PDPPolicy, static_pd=pd, bypass=bypass, n_c=n_c) for pd in pds
+    }
+    return run_matrix(
+        trace,
+        factories,
+        geometry,
+        timing=timing,
+        max_workers=max_workers,
+        engine=engine,
+        manifest_dir=manifest_dir,
+        on_event=on_event,
+    )
 
 
 def best_static_pd(
@@ -95,25 +89,19 @@ def compare_policies(
     """Run one trace under several policies (fresh instance per run).
 
     See :func:`sweep_static_pd` for the ``max_workers`` and
-    observability contracts.
+    observability contracts. Unpicklable factories (lambdas, closures)
+    run serially.
     """
-    if max_workers != 1 or manifest_dir is not None or on_event is not None:
-        from repro.sim.parallel import parallel_compare_policies
-
-        return parallel_compare_policies(
-            trace,
-            factories,
-            geometry,
-            timing=timing,
-            max_workers=max_workers,
-            engine=engine,
-            manifest_dir=manifest_dir,
-            on_event=on_event,
-        )
-    return {
-        name: run_llc(trace, factory(), geometry, timing=timing, engine=engine)
-        for name, factory in factories.items()
-    }
+    return run_matrix(
+        trace,
+        factories,
+        geometry,
+        timing=timing,
+        max_workers=max_workers,
+        engine=engine,
+        manifest_dir=manifest_dir,
+        on_event=on_event,
+    )
 
 
 def default_pd_candidates(

@@ -28,7 +28,6 @@ from repro.memory.stats import OccupancyTracker
 from repro.memory.timing import TimingModel
 from repro.obs.manifest import FingerprintAccumulator, Manifest, trace_fingerprint
 from repro.obs.manifest import git_sha as _git_sha
-from repro.obs.telemetry import TELEMETRY
 from repro.obs.timeseries import WindowedRecorder, _WindowFeed, active_recorder
 from repro.traces.stream import TraceStream, as_stream
 from repro.traces.trace import Trace
@@ -130,7 +129,6 @@ def emit_run_manifest(
             "ipc": result.ipc,
             "bypass_fraction": result.bypass_fraction,
         },
-        telemetry=TELEMETRY.snapshot() if TELEMETRY.enabled else {},
         timeseries=timeseries or {},
         extra=meta,
     ).save(manifest_dir)

@@ -22,7 +22,6 @@ from time import perf_counter
 from repro.obs.manifest import FingerprintAccumulator, Manifest
 from repro.obs.manifest import git_sha as _git_sha
 from repro.obs.metrics import METRICS
-from repro.obs.telemetry import TELEMETRY
 from repro.obs.timeseries import WindowedRecorder, _WindowFeed, active_recorder
 from repro.swcache.model import ObjectCache, ObjectCacheStats, SoftwareCachePolicy
 from repro.traces.objects import ObjectTrace
@@ -133,9 +132,9 @@ def run_object_cache(
     feed = _WindowFeed(recorder)
     fingerprinter = FingerprintAccumulator() if manifest_dir is not None else None
     total_accesses = 0
-    # Per-chunk (not per-access) latency gating: one enabled test and at
-    # most one histogram observation per chunk, so the disabled path
-    # stays inside the telemetry overhead budget.
+    # Per-chunk (not per-access) latency gating: one METRICS.enabled test
+    # per run and at most one histogram observation per chunk, so the
+    # disabled path stays inside the metrics overhead budget.
     observe_chunks = METRICS.enabled
     for chunk in stream.chunks():
         chunk_start = perf_counter() if observe_chunks else 0.0
@@ -240,7 +239,6 @@ def emit_objectstore_manifest(
             "byte_hit_rate": stats.byte_hit_rate,
             "bypass_fraction": stats.bypass_fraction,
         },
-        telemetry=TELEMETRY.snapshot() if TELEMETRY.enabled else {},
         timeseries=timeseries or {},
         extra=meta,
     ).save(manifest_dir)

@@ -290,7 +290,7 @@ class PDPProtectionPolicy(SizeAwareLRUPolicy):
         self._since_recompute = 0
         self._last_seen: OrderedDict[int, int] = OrderedDict()
         self._pos = 0
-        #: ``(position, pd)`` recompute history, for telemetry/tests.
+        #: ``(position, pd)`` recompute history, for manifests/tests.
         self.pd_history: list[tuple[int, int]] = []
 
     @property

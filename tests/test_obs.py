@@ -1,4 +1,4 @@
-"""Observability layer: manifests, telemetry, progress, event log."""
+"""Observability layer: manifests, metrics recording, progress, event log."""
 
 from __future__ import annotations
 
@@ -20,13 +20,15 @@ from repro.obs.manifest import (
     summarize_manifests,
     trace_fingerprint,
 )
+from repro.obs.metrics import METRICS
 from repro.obs.progress import ProgressReporter
-from repro.obs.telemetry import NULL_SPAN, Telemetry
 from repro.obs.trace_log import TraceLog, read_events
 from repro.policies.lru import LRUPolicy
+from repro.sim.multi_core import run_shared_llc
 from repro.sim.parallel import run_matrix
 from repro.sim.single_core import run_llc
 from repro.traces.trace import Trace
+from repro.workloads.mixes import interleave_traces
 
 REPO_ROOT = Path(__file__).parent.parent
 GEOMETRY = CacheGeometry(num_sets=16, ways=4)
@@ -61,7 +63,6 @@ class TestManifest:
             accesses_per_sec=4000.0,
             stats={"hits": 1200, "misses": 800},
             metrics={"hit_rate": 0.6},
-            telemetry={"counters": {"x": 1}, "timers": {}},
             tasks=[{"key": "lru", "status": "finished"}],
             failures=[
                 TaskFailure(
@@ -280,64 +281,48 @@ class TestRunManifests:
 
 
 class TestTelemetry:
-    def test_disabled_mode_allocates_nothing(self):
-        telemetry = Telemetry(enabled=False)
-        # the disabled span is the shared singleton — no per-call object
-        assert telemetry.span("a") is NULL_SPAN
-        assert telemetry.span("b") is NULL_SPAN
-        with telemetry.span("a"):
-            pass
-        telemetry.count("hits", 5)
-        telemetry.record("phase", 1.0)
-        assert telemetry.counters == {}
-        assert telemetry.timers == {}
+    """Kernel and driver events land once in the metrics registry that
+    ``$REPRO_TELEMETRY`` gates (:data:`repro.obs.metrics.METRICS`)."""
 
-    def test_enabled_accumulates(self):
-        telemetry = Telemetry(enabled=True)
-        telemetry.count("hits")
-        telemetry.count("hits", 2)
-        telemetry.record("phase", 0.25)
-        telemetry.record("phase", 0.75)
-        with telemetry.span("spanned"):
-            pass
-        snapshot = telemetry.snapshot()
-        assert snapshot["counters"] == {"hits": 3}
-        assert snapshot["timers"]["phase"] == {
-            "calls": 2, "total_s": 1.0, "min_s": 0.25, "max_s": 0.75
-        }
-        assert snapshot["timers"]["spanned"]["calls"] == 1
-        telemetry.reset()
-        assert telemetry.snapshot() == {"counters": {}, "timers": {}}
+    @pytest.fixture(autouse=True)
+    def _clean_metrics(self):
+        was_enabled = METRICS.enabled
+        METRICS.reset()
+        METRICS.enable()
+        yield
+        METRICS.enabled = was_enabled
+        METRICS.reset()
 
     def test_fastpath_records_when_enabled(self):
-        from repro.obs.telemetry import TELEMETRY
-
-        TELEMETRY.enable()
-        TELEMETRY.reset()
-        try:
-            run_llc(_trace(), LRUPolicy(), GEOMETRY, engine="fast")
-            run_llc(_trace(), LRUPolicy(), GEOMETRY)  # default: vector
-            snapshot = TELEMETRY.snapshot()
-        finally:
-            TELEMETRY.disable()
-            TELEMETRY.reset()
+        run_llc(_trace(), LRUPolicy(), GEOMETRY, engine="fast")
+        run_llc(_trace(), LRUPolicy(), GEOMETRY)  # default: vector
+        snapshot = METRICS.snapshot()
         assert snapshot["counters"]["fastpath.accesses"] == 2000
-        assert snapshot["timers"]["fastpath.run_trace"]["calls"] == 1
+        assert snapshot["histograms"]["fastpath.run_trace_s"]["count"] == 1
         assert snapshot["counters"]["columnar.accesses"] == 2000
-        assert snapshot["timers"]["columnar.run_trace"]["calls"] == 1
+        assert snapshot["histograms"]["columnar.run_trace_s"]["count"] == 1
+
+    def test_shared_fastpath_records_when_enabled(self):
+        threads = [_trace(seed=1, n=700), _trace(seed=2, n=500)]
+        mixed, _ = interleave_traces(threads)
+        run_shared_llc(threads, LRUPolicy(), GEOMETRY, singles=[1.0, 1.0])
+        snapshot = METRICS.snapshot()
+        assert snapshot["histograms"]["fastpath.run_shared_trace_s"]["count"] == 1
+        assert snapshot["counters"]["fastpath.accesses"] == len(mixed)
+        assert "fastpath.run_trace_s" not in snapshot["histograms"]
 
     def test_manifest_embeds_telemetry_snapshot(self, tmp_path):
-        from repro.obs.telemetry import TELEMETRY
-
-        TELEMETRY.enable()
-        TELEMETRY.reset()
-        try:
-            run_llc(_trace(), LRUPolicy(), GEOMETRY, manifest_dir=tmp_path)
-        finally:
-            TELEMETRY.disable()
-            TELEMETRY.reset()
-        manifest = load_manifests(tmp_path)[0]
-        assert manifest.telemetry["counters"]["columnar.accesses"] == 2000
+        """The sweep manifest embeds the registry snapshot; per-run
+        manifests carry no separate telemetry block."""
+        run_matrix(
+            _trace(), {"lru": LRUPolicy}, GEOMETRY, max_workers=1,
+            manifest_dir=tmp_path,
+        )
+        manifests = load_manifests(tmp_path)
+        sweep = [m for m in manifests if m.kind == "matrix"][0]
+        assert sweep.metrics["counters"]["columnar.accesses"] == 2000
+        for path in tmp_path.glob("*.json"):
+            assert "telemetry" not in json.loads(path.read_text())
 
 
 class TestProgress:

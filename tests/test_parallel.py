@@ -14,13 +14,12 @@ from repro.policies.rrip import DRRIPPolicy
 from repro.policies.ta_drrip import TADRRIPPolicy
 from repro.sim.parallel import (
     ENV_MAX_WORKERS,
-    parallel_compare_policies,
-    parallel_sweep_static_pd,
     resolve_max_workers,
     run_matrix,
     run_mix_matrix,
 )
 from repro.sim.runner import compare_policies, sweep_static_pd
+from repro.sim.single_core import run_llc
 from repro.traces.trace import Trace
 
 GEOMETRY = CacheGeometry(num_sets=16, ways=16)
@@ -47,6 +46,18 @@ def _summaries(results):
     return {key: (r.hits, r.misses, r.bypasses) for key, r in results.items()}
 
 
+def _serial_reference(trace, factories):
+    """One in-process ``run_llc`` per factory, independent of run_matrix."""
+    return {
+        key: run_llc(trace, factory(), GEOMETRY)
+        for key, factory in factories.items()
+    }
+
+
+def _static_pd_factories(pds):
+    return {pd: partial(PDPPolicy, static_pd=pd, bypass=True) for pd in pds}
+
+
 def test_resolve_max_workers(monkeypatch):
     monkeypatch.delenv(ENV_MAX_WORKERS, raising=False)
     assert resolve_max_workers(4) == 4
@@ -62,10 +73,8 @@ def test_resolve_max_workers(monkeypatch):
 
 def test_parallel_sweep_matches_serial(trace):
     assert len(PD_GRID) >= 8
-    serial = sweep_static_pd(trace, GEOMETRY, PD_GRID, bypass=True)
-    parallel = parallel_sweep_static_pd(
-        trace, GEOMETRY, PD_GRID, bypass=True, max_workers=3
-    )
+    serial = _serial_reference(trace, _static_pd_factories(PD_GRID))
+    parallel = sweep_static_pd(trace, GEOMETRY, PD_GRID, bypass=True, max_workers=3)
     assert list(parallel) == PD_GRID  # insertion order preserved
     assert _summaries(parallel) == _summaries(serial)
 
@@ -80,19 +89,17 @@ def test_parallel_sweep_accepts_trace_stream(trace, tmp_path):
     path = tmp_path / "payload.trz"
     write_stream(as_stream(trace), path)
     stream = open_trace(path, chunk_size=1_024)
-    serial = sweep_static_pd(trace, GEOMETRY, PD_GRID[:4], bypass=True)
-    streamed = parallel_sweep_static_pd(
+    serial = _serial_reference(trace, _static_pd_factories(PD_GRID[:4]))
+    streamed = sweep_static_pd(
         stream, GEOMETRY, PD_GRID[:4], bypass=True, max_workers=2
     )
-    assert _summaries(streamed) == {
-        pd: _summaries(serial)[pd] for pd in PD_GRID[:4]
-    }
+    assert _summaries(streamed) == _summaries(serial)
 
 
 def test_parallel_compare_matches_serial(trace):
     factories = {"lru": LRUPolicy, "drrip": DRRIPPolicy}
-    serial = compare_policies(trace, factories, GEOMETRY)
-    parallel = parallel_compare_policies(trace, factories, GEOMETRY, max_workers=2)
+    serial = _serial_reference(trace, factories)
+    parallel = compare_policies(trace, factories, GEOMETRY, max_workers=2)
     assert _summaries(parallel) == _summaries(serial)
 
 
@@ -402,47 +409,51 @@ def test_run_mix_matrix_worker_error_propagates(max_workers):
 
 
 class TestWorkerTelemetry:
-    """Counters recorded inside pool workers must reach the parent sink.
+    """Metrics recorded inside pool workers must reach the parent registry.
 
     Before the per-task snapshot plumbing, pooled sweeps silently lost
     every counter incremented in a worker process: the kernels recorded
-    into the *worker's* ``TELEMETRY`` global and the parent's stayed
-    empty. Each task now ships its snapshot back with the result and the
-    parent merges it (and embeds the merged totals in the sweep
-    manifest).
+    into the *worker's* global sink and the parent's stayed empty. Each
+    task now ships its :data:`repro.obs.metrics.METRICS` snapshot back
+    with the result and the parent merges it (and embeds the merged
+    totals in the sweep manifest).
     """
 
     @pytest.fixture(autouse=True)
-    def _clean_telemetry(self):
-        from repro.obs.telemetry import TELEMETRY
+    def _clean_metrics(self):
+        from repro.obs.metrics import METRICS
 
-        TELEMETRY.reset()
-        TELEMETRY.enable()
+        was_enabled = METRICS.enabled
+        METRICS.reset()
+        METRICS.enable()
         yield
-        TELEMETRY.disable()
-        TELEMETRY.reset()
+        METRICS.enabled = was_enabled
+        METRICS.reset()
 
     def test_pooled_matrix_counters_reach_parent(self, trace):
-        from repro.obs.telemetry import TELEMETRY
+        from repro.obs.metrics import METRICS
 
         factories = {"lru": LRUPolicy, "drrip": DRRIPPolicy}
         run_matrix(trace, factories, GEOMETRY, max_workers=2)
         # Under the default vector engine, LRU runs the columnar kernel
-        # and DRRIP falls back to the fast path; both tiers count.
-        accesses = TELEMETRY.counters.get(
+        # and DRRIP falls back to the fast path; both tiers count, once.
+        accesses = METRICS.counters.get(
             "fastpath.accesses", 0
-        ) + TELEMETRY.counters.get("columnar.accesses", 0)
+        ) + METRICS.counters.get("columnar.accesses", 0)
         assert accesses == len(trace) * len(factories)
+        histograms = METRICS.histograms
+        assert histograms["columnar.run_trace_s"][0] == 1
+        assert histograms["fastpath.run_trace_s"][0] == 1
 
     def test_serial_and_pooled_totals_agree(self, trace):
-        from repro.obs.telemetry import TELEMETRY
+        from repro.obs.metrics import METRICS
 
         factories = {"lru": LRUPolicy, "drrip": DRRIPPolicy}
         run_matrix(trace, factories, GEOMETRY, max_workers=1)
-        serial = dict(TELEMETRY.counters)
-        TELEMETRY.reset()
+        serial = dict(METRICS.counters)
+        METRICS.reset()
         run_matrix(trace, factories, GEOMETRY, max_workers=2)
-        assert dict(TELEMETRY.counters) == serial
+        assert dict(METRICS.counters) == serial
 
     def test_sweep_manifest_embeds_merged_telemetry(self, trace, tmp_path):
         from repro.obs.manifest import load_manifests
@@ -453,40 +464,5 @@ class TestWorkerTelemetry:
         )
         sweep = [m for m in load_manifests(tmp_path) if m.kind == "matrix"]
         assert len(sweep) == 1
-        counters = sweep[0].telemetry.get("counters", {})
+        counters = sweep[0].metrics.get("counters", {})
         assert counters.get("columnar.accesses", 0) >= len(trace)
-
-    def test_merge_snapshot_sums_counters_and_timers(self):
-        from repro.obs.telemetry import Telemetry
-
-        sink = Telemetry(enabled=True)
-        sink.count("a", 2)
-        sink.record("t", 0.5)
-        sink.merge_snapshot(
-            {"counters": {"a": 3, "b": 1},
-             "timers": {"t": {"calls": 2, "total_s": 1.0,
-                              "min_s": 0.4, "max_s": 0.6},
-                        "u": {"calls": 1, "total_s": 0.25,
-                              "min_s": 0.25, "max_s": 0.25}}}
-        )
-        assert sink.counters == {"a": 5, "b": 1}
-        assert sink.timers == {"t": [3, 1.5, 0.4, 0.6],
-                               "u": [1, 0.25, 0.25, 0.25]}
-
-    def test_merge_snapshot_tolerates_pre_min_max_payloads(self):
-        from repro.obs.telemetry import Telemetry
-
-        sink = Telemetry(enabled=True)
-        # PR-9-era snapshots carry only calls/total: the mean stands in
-        # for the missing bounds so merged min/max stay conservative.
-        sink.merge_snapshot(
-            {"counters": {}, "timers": {"t": {"calls": 2, "total_s": 1.0}}}
-        )
-        assert sink.timers == {"t": [2, 1.0, 0.5, 0.5]}
-
-    def test_merge_snapshot_works_while_disabled(self):
-        from repro.obs.telemetry import Telemetry
-
-        sink = Telemetry(enabled=False)
-        sink.merge_snapshot({"counters": {"a": 7}, "timers": {}})
-        assert sink.counters == {"a": 7}

@@ -244,6 +244,36 @@ class TestMatrixResume:
         for key in factories:
             assert _cell_fields(merged[key]) == _cell_fields(reference[key])
 
+    def test_manifests_with_legacy_telemetry_block_still_resume(self, tmp_path):
+        """Manifests written before the ``telemetry`` field was dropped
+        load through the unknown-field path and still satisfy resume."""
+        from repro.obs.manifest import Manifest
+
+        trace = _trace()
+        factories = _factories("lru", "fifo")
+        fresh, _ = run_resumable_matrix(trace, factories, GEOMETRY, tmp_path)
+        legacy = {
+            "counters": {"columnar.accesses": len(trace)},
+            "timers": {"columnar.run_trace": {
+                "calls": 1, "total_s": 0.01, "min_s": 0.01, "max_s": 0.01,
+            }},
+        }
+        cells = []
+        for path in tmp_path.glob("*.json"):
+            data = json.loads(path.read_text())
+            data["telemetry"] = legacy
+            path.write_text(json.dumps(data))
+            if data["kind"] == "llc":
+                cells.append(path)
+        assert len(cells) == 2
+        for path in cells:
+            loaded = Manifest.load(path)
+            assert loaded.extra["_unknown"] == {"telemetry": legacy}
+        resumed, plan = run_resumable_matrix(trace, factories, GEOMETRY, tmp_path)
+        assert len(plan.skipped) == 2 and not plan.to_run
+        for key in factories:
+            assert _cell_fields(resumed[key]) == _cell_fields(fresh[key])
+
     def test_fingerprint_mismatch_forces_rerun(self, tmp_path):
         factories = _factories("lru")
         run_resumable_matrix(
