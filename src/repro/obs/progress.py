@@ -29,13 +29,13 @@ from time import perf_counter
 class ProgressEvent:
     """One lifecycle event of one task in a grid run.
 
-    ``done``/``total`` count *completed* tasks (finished + failed) at
-    emission time; ``eta_s`` is None until at least one task completed.
-    Two non-lifecycle kinds share the record shape: ``"warning"``
-    carries a grid-level degradation notice (e.g. a parallel sweep
-    falling back to serial execution) in ``error`` without touching the
-    counters, and ``"skipped"`` marks a cell the resume scheduler
-    satisfied from an existing manifest instead of re-running.
+    ``done``/``total`` count *completed* tasks (finished + failed +
+    skipped) at emission time; ``eta_s`` is None until at least one task
+    ran to completion. ``"skipped"`` marks a cell the resuming grid
+    runner satisfied from an existing manifest instead of re-running; it
+    counts toward ``done``. ``"warning"`` carries a grid-level
+    degradation notice (e.g. a parallel sweep falling back to serial
+    execution) in ``error`` without touching the counters.
     """
 
     kind: str  # "started" | "finished" | "failed" | "skipped" | "warning"
@@ -70,18 +70,21 @@ class ProgressReporter:
         self.started_count = 0
         self.finished_count = 0
         self.failed_count = 0
+        self.skipped_count = 0
         self._start = perf_counter()
 
     @property
     def done(self) -> int:
-        """Completed tasks: finished plus failed."""
-        return self.finished_count + self.failed_count
+        """Completed tasks: finished, failed and skipped."""
+        return self.finished_count + self.failed_count + self.skipped_count
 
     def _eta(self, elapsed: float) -> float | None:
-        """Remaining seconds extrapolated from the completion rate."""
-        if self.done == 0 or self.done >= self.total:
+        """Remaining seconds extrapolated from the rate of tasks that
+        ran (skipped tasks complete instantly and would skew it)."""
+        ran = self.finished_count + self.failed_count
+        if ran == 0 or self.done >= self.total:
             return None
-        return elapsed / self.done * (self.total - self.done)
+        return elapsed / ran * (self.total - self.done)
 
     def _emit(self, kind: str, key, error: str | None = None) -> ProgressEvent:
         """Build one event and deliver it to the callback."""
@@ -118,6 +121,12 @@ class ProgressReporter:
             else str(error)
         )
         return self._emit("failed", key, error=message)
+
+    def skipped(self, key) -> ProgressEvent:
+        """Record task ``key`` as satisfied without running (a resumed
+        cell); it counts toward ``done``."""
+        self.skipped_count += 1
+        return self._emit("skipped", key)
 
     def warning(self, key, message: str) -> ProgressEvent:
         """Emit a grid-level ``warning`` event (counters untouched).

@@ -5,15 +5,14 @@ with a ``trace_id``, ``span_id``, optional ``parent_id``, a
 ``perf_counter``-measured duration, and free-form attributes — and
 appends them as one JSON object per line to ``spans.jsonl`` next to the
 ``events.jsonl`` a sweep already writes. Parent/child linkage is
-carried implicitly through a :mod:`contextvars` context variable, so a
-span opened in ``service/scheduler.py`` automatically becomes the
-parent of the grid span opened in ``sim/parallel.py`` and of every
-per-cell span under it, without threading tracer state through call
-signatures.
+carried implicitly through a :mod:`contextvars` context variable, so the
+``job`` span of a resumed grid automatically becomes the parent of its
+``resume-scan`` span, of the grid span and of every per-cell span under
+it, without threading tracer state through call signatures.
 
 Two recording styles cooperate:
 
-* ``with tracer.span("run-grid", label=...)`` — a context manager for
+* ``with tracer.span("resume-scan", ...)`` — a context manager for
   code you can wrap;
 * ``tracer.emit(name, start_s, duration_s, ...)`` — for spans whose
   timing was measured elsewhere (per-cell spans are timed by the grid

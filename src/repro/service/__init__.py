@@ -8,10 +8,11 @@ The service layer turns the batch sweep runners
 - :mod:`repro.service.jobs` — :class:`SweepSpec` (declarative sweep
   descriptions), :class:`JobRecord` lifecycle, :class:`JobStore` atomic
   persistence and restart recovery.
-- :mod:`repro.service.scheduler` — manifest-driven resume: skip cells
-  whose identity (config, trace fingerprint, engine, optional git SHA)
-  matches an existing per-cell manifest, reconstruct their results
-  bit-identically, run only the remainder.
+- :mod:`repro.service.scheduler` — the job bodies: run a spec through
+  the resumable grid runner of :mod:`repro.sim.parallel`, which skips
+  cells whose identity (config, trace fingerprint, engine, optional git
+  SHA) matches an existing per-cell manifest, reconstructs their results
+  bit-identically and runs only the remainder.
 - :mod:`repro.service.server` — the :class:`SweepService` asyncio
   daemon behind ``repro serve`` / ``submit`` / ``jobs`` / ``watch``.
 

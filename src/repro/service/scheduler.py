@@ -1,495 +1,35 @@
-"""Manifest-driven resume scheduling for sweep grids.
+"""Job bodies of the sweep service: run one spec with resume.
 
-The source of truth for "which cells already ran" is the per-cell run
-manifests (:mod:`repro.obs.manifest`) that ``run_matrix`` /
-``run_mix_matrix`` write into a namespace directory. Before dispatching
-a cell, the scheduler matches the cell's *identity* — manifest kind,
-cell label, workload name, trace fingerprint, cache geometry, engine,
-and (behind the ``match_git_sha`` knob) the git SHA the manifest was
-written at — against the namespace. Matching cells are skipped and
-their results reconstructed from the manifest, so an interrupted sweep
-restarts where it died and the merged output is bit-identical to an
-uninterrupted run for everything a manifest persists (counters, derived
-metrics, and the windowed time-series payload).
-
-Trust rules:
-
-- A manifest only exists if its run completed (manifests are written
-  atomically *after* a successful simulation), so existence == cell
-  complete.
-- A namespace containing unparseable manifest files cannot be trusted —
-  a corrupt cell manifest would silently re-run (or worse, mis-skip)
-  work — so resuming over one raises :class:`CorruptManifestError`
-  unless ``force=True``.
-- When the job asked for a windowed time-series, a manifest without a
-  matching ``window_size`` payload does not satisfy the cell (the
-  resumed merge would lose windows) and the cell re-runs.
+:func:`execute_spec` runs a :class:`~repro.service.jobs.SweepSpec`.
+Simulation specs go through the resumable grid runners of
+:mod:`repro.sim.parallel` (:func:`run_resumable_matrix`,
+:func:`run_resumable_mix_matrix`), where the resume rules live: the
+per-cell manifests in the job's namespace directory say which cells
+already ran, matching cells are skipped and rebuilt bit-identically,
+and a namespace with unparseable manifests is refused with
+:class:`CorruptManifestError` unless the spec sets ``force``.
+``predict`` specs run the analytical explorer (:func:`execute_predict`),
+skipped when the namespace already holds a matching ``explore``
+manifest. The resume names are re-exported here for the service API.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from pathlib import Path
-from time import perf_counter
 from typing import Callable
 
-from repro.memory.cache import CacheGeometry
-from repro.obs.manifest import (
-    Manifest,
-    ManifestLoadReport,
-    fingerprint_source,
-    scan_manifests,
-    trace_fingerprint,
-)
-from repro.obs.manifest import git_sha as _git_sha
-from repro.obs.metrics import METRICS
+from repro.obs.manifest import Manifest, ManifestLoadReport, fingerprint_source
 from repro.obs.progress import ProgressEvent, ProgressReporter
-from repro.obs.spans import SpanTracer
-from repro.obs.trace_log import EVENTS_FILENAME, TraceLog
-from repro.sim.multi_core import MultiCoreResult, ThreadOutcome
-from repro.sim.parallel import run_matrix, run_mix_matrix
-from repro.sim.single_core import SingleCoreResult
-from repro.workloads.mixes import interleave_traces
-
-
-class CorruptManifestError(RuntimeError):
-    """Refusal to resume over a namespace with unparseable manifests.
-
-    ``skipped`` carries the offending
-    :class:`repro.obs.manifest.SkippedManifest` records; pass
-    ``force=True`` (after inspecting or deleting the files) to resume
-    anyway, treating the corrupt files as absent.
-    """
-
-    def __init__(self, skipped) -> None:
-        paths = ", ".join(s.path for s in skipped)
-        super().__init__(
-            f"refusing to resume over {len(skipped)} corrupt manifest "
-            f"file(s) (pass force=True to override): {paths}"
-        )
-        self.skipped = list(skipped)
-
-
-@dataclass
-class ResumePlan:
-    """Outcome of matching a grid against existing manifests.
-
-    ``skipped`` maps already-complete cell keys to results reconstructed
-    from their manifests; ``to_run`` lists the keys still needing
-    simulation, in original grid order. ``fingerprint`` records the
-    identity digest(s) the match used.
-    """
-
-    skipped: dict = field(default_factory=dict)
-    to_run: list = field(default_factory=list)
-    fingerprint: str | dict | None = None
-
-    @property
-    def total(self) -> int:
-        """Cells in the full grid."""
-        return len(self.skipped) + len(self.to_run)
-
-
-def check_resume_substrate(
-    manifest_dir: str | os.PathLike, force: bool = False
-) -> ManifestLoadReport:
-    """Scan a namespace, refusing corrupt state unless forced."""
-    report = scan_manifests(manifest_dir)
-    if report.skipped and not force:
-        raise CorruptManifestError(report.skipped)
-    return report
-
-
-def single_core_result_from_manifest(manifest: Manifest) -> SingleCoreResult:
-    """Rebuild a :class:`SingleCoreResult` from an ``llc`` cell manifest.
-
-    Counters come back bit-identical (they are JSON integers) and
-    derived floats (IPC) round-trip exactly (JSON floats preserve the
-    full ``repr``). ``extra`` carries only what manifests persist: the
-    windowed time-series payload, when one was recorded.
-    """
-    stats = manifest.stats
-    extra: dict = {}
-    if manifest.timeseries:
-        extra["timeseries"] = manifest.timeseries
-    return SingleCoreResult(
-        name=manifest.workload,
-        accesses=stats["accesses"],
-        hits=stats["hits"],
-        misses=stats["misses"],
-        bypasses=stats["bypasses"],
-        instructions=stats["instructions"],
-        ipc=manifest.metrics["ipc"],
-        evictions=stats.get("evictions", 0),
-        extra=extra,
-    )
-
-
-def multi_core_result_from_manifest(manifest: Manifest) -> MultiCoreResult:
-    """Rebuild a :class:`MultiCoreResult` from a ``shared_llc`` manifest."""
-    threads = [ThreadOutcome(**t) for t in manifest.stats["threads"]]
-    extra: dict = {"singles": list(manifest.stats.get("singles", []))}
-    if manifest.timeseries:
-        extra["timeseries"] = manifest.timeseries
-    return MultiCoreResult(
-        name=manifest.workload,
-        threads=threads,
-        weighted=manifest.metrics["weighted"],
-        throughput=manifest.metrics["throughput"],
-        hmean=manifest.metrics["hmean"],
-        extra=extra,
-    )
-
-
-def _geometry_matches(manifest: Manifest, geometry: CacheGeometry) -> bool:
-    """Whether a manifest's recorded config is this cell's geometry."""
-    config = manifest.config if isinstance(manifest.config, dict) else {}
-    return (
-        config.get("num_sets") == geometry.num_sets
-        and config.get("ways") == geometry.ways
-        and config.get("line_size") == geometry.line_size
-    )
-
-
-def _window_matches(manifest: Manifest, window_size: int | None) -> bool:
-    """Whether a manifest satisfies the job's windowed-series request."""
-    if window_size is None:
-        return True
-    timeseries = manifest.timeseries if isinstance(manifest.timeseries, dict) else {}
-    return timeseries.get("window_size") == window_size
-
-
-def manifest_satisfies_cell(
-    manifest: Manifest,
-    kind: str,
-    label: str,
-    workload: str,
-    fingerprint: str | None,
-    geometry: CacheGeometry,
-    engine: str,
-    window_size: int | None = None,
-    match_git_sha: bool = False,
-) -> bool:
-    """The cell-identity match: does this manifest prove the cell ran?
-
-    All of (kind, label, workload, trace fingerprint, geometry, engine)
-    must agree; a None fingerprint on either side never matches (an
-    unidentifiable trace must re-run — this is why the sweep runners now
-    always record real fingerprints). ``match_git_sha=True`` adds the
-    code-state dimension: the manifest's recorded SHA must equal the
-    current HEAD.
-    """
-    if manifest.kind != kind or manifest.label != label:
-        return False
-    if manifest.workload != workload or manifest.engine != engine:
-        return False
-    if fingerprint is None or manifest.trace_fingerprint != fingerprint:
-        return False
-    if not _geometry_matches(manifest, geometry):
-        return False
-    if not _window_matches(manifest, window_size):
-        return False
-    if match_git_sha and manifest.git_sha != _git_sha():
-        return False
-    return True
-
-
-def _emit_skip_events(
-    plan: ResumePlan,
-    manifest_dir: str | os.PathLike | None,
-    on_event: Callable[[ProgressEvent], None] | None,
-) -> None:
-    """Broadcast one ``skipped`` event per resumed cell.
-
-    Events go to the caller's ``on_event`` callback and — matching the
-    grid runners' observability contract — append to the namespace's
-    ``events.jsonl``, so a resumed sweep's log shows exactly which cells
-    were satisfied from manifests.
-    """
-    if not plan.skipped:
-        return
-    METRICS.inc("scheduler.cells_skipped", len(plan.skipped))
-    log = (
-        TraceLog(Path(manifest_dir) / EVENTS_FILENAME)
-        if manifest_dir is not None
-        else None
-    )
-    start = perf_counter()
-    try:
-        for done, key in enumerate(plan.skipped, start=1):
-            event = ProgressEvent(
-                kind="skipped",
-                key=str(key),
-                done=done,
-                total=len(plan.skipped),
-                elapsed_s=perf_counter() - start,
-            )
-            if log is not None:
-                log.emit_progress(event)
-            if on_event is not None:
-                on_event(event)
-    finally:
-        if log is not None:
-            log.close()
-
-
-def plan_matrix_resume(
-    manifests: list[Manifest],
-    keys: list,
-    workload: str,
-    fingerprint: str | None,
-    geometry: CacheGeometry,
-    engine: str,
-    window_size: int | None = None,
-    match_git_sha: bool = False,
-) -> ResumePlan:
-    """Match a ``run_matrix`` grid against existing cell manifests."""
-    plan = ResumePlan(fingerprint=fingerprint)
-    for key in keys:
-        match = next(
-            (
-                m
-                for m in reversed(manifests)
-                if manifest_satisfies_cell(
-                    m,
-                    "llc",
-                    str(key),
-                    workload,
-                    fingerprint,
-                    geometry,
-                    engine,
-                    window_size=window_size,
-                    match_git_sha=match_git_sha,
-                )
-            ),
-            None,
-        )
-        if match is not None:
-            plan.skipped[key] = single_core_result_from_manifest(match)
-        else:
-            plan.to_run.append(key)
-    return plan
-
-
-def plan_mix_resume(
-    manifests: list[Manifest],
-    grid: list,
-    mix_fingerprints: dict,
-    geometry: CacheGeometry,
-    engine: str,
-    match_git_sha: bool = False,
-) -> ResumePlan:
-    """Match a ``run_mix_matrix`` grid against ``shared_llc`` manifests.
-
-    ``grid`` holds ``(mix_key, policy_key)`` pairs;
-    ``mix_fingerprints`` maps each mix key to the fingerprint of its
-    interleaved trace (what ``run_shared_llc`` records).
-    """
-    plan = ResumePlan(fingerprint=dict(mix_fingerprints))
-    for mix_key, policy_key in grid:
-        key = (mix_key, policy_key)
-        match = next(
-            (
-                m
-                for m in reversed(manifests)
-                if manifest_satisfies_cell(
-                    m,
-                    "shared_llc",
-                    str(key),
-                    mix_key,
-                    mix_fingerprints.get(mix_key),
-                    geometry,
-                    engine,
-                    match_git_sha=match_git_sha,
-                )
-            ),
-            None,
-        )
-        if match is not None:
-            plan.skipped[key] = multi_core_result_from_manifest(match)
-        else:
-            plan.to_run.append(key)
-    return plan
-
-
-def run_resumable_matrix(
-    trace,
-    factories: dict,
-    geometry: CacheGeometry,
-    manifest_dir: str | os.PathLike,
-    timing=None,
-    engine: str = "vector",
-    max_workers: int | None = None,
-    window_size: int | None = None,
-    match_git_sha: bool = False,
-    force: bool = False,
-    on_event: Callable[[ProgressEvent], None] | None = None,
-) -> tuple[dict, ResumePlan]:
-    """A :func:`repro.sim.parallel.run_matrix` that resumes from manifests.
-
-    Scans ``manifest_dir`` (refusing corrupt state unless ``force``),
-    skips every cell whose manifest matches (emitting ``skipped``
-    events), runs the remainder through ``run_matrix`` with the same
-    manifest directory, and merges — preserving the original factory
-    order. The merged results are bit-identical to an uninterrupted run
-    for all manifest-persisted fields; resumed cells' ``extra`` carries
-    only the windowed time-series (transient driver extras like PDP's
-    ``pd_history`` exist only on freshly run cells).
-
-    Returns ``(results, plan)``.
-
-    With a manifest directory (always, here) the phases are traced to
-    ``spans.jsonl``: a ``job`` root span wrapping a ``resume-scan`` span
-    (manifest matching + skip events) and a ``run-grid`` span under
-    which ``run_matrix`` nests its own grid/cell spans — `repro obs
-    trace <dir>` shows where a resumed sweep's wall time went.
-    """
-    tracer = SpanTracer.for_dir(manifest_dir)
-    try:
-        with tracer.span("job", kind="matrix", workload=str(trace.name)):
-            with tracer.span("resume-scan") as scan_span:
-                report = check_resume_substrate(manifest_dir, force=force)
-                fingerprint = fingerprint_source(trace)
-                plan = plan_matrix_resume(
-                    report.manifests,
-                    list(factories),
-                    trace.name,
-                    fingerprint,
-                    geometry,
-                    engine,
-                    window_size=window_size,
-                    match_git_sha=match_git_sha,
-                )
-                _emit_skip_events(plan, manifest_dir, on_event)
-                scan_span.set("skipped", len(plan.skipped))
-                scan_span.set("to_run", len(plan.to_run))
-            fresh: dict = {}
-            if plan.to_run:
-                remaining = {key: factories[key] for key in plan.to_run}
-                with tracer.span("run-grid", cells=len(plan.to_run)):
-                    fresh = run_matrix(
-                        trace,
-                        remaining,
-                        geometry,
-                        timing=timing,
-                        max_workers=max_workers,
-                        engine=engine,
-                        manifest_dir=manifest_dir,
-                        on_event=on_event,
-                        window_size=window_size,
-                    )
-    finally:
-        tracer.close()
-    results = {
-        key: (plan.skipped[key] if key in plan.skipped else fresh[key])
-        for key in factories
-    }
-    return results, plan
-
-
-def run_resumable_mix_matrix(
-    mixes: dict,
-    factories: dict,
-    geometry: CacheGeometry,
-    manifest_dir: str | os.PathLike,
-    timing=None,
-    singles: dict | None = None,
-    engine: str = "fast",
-    max_workers: int | None = None,
-    match_git_sha: bool = False,
-    force: bool = False,
-    on_event: Callable[[ProgressEvent], None] | None = None,
-) -> tuple[dict, ResumePlan]:
-    """A :func:`repro.sim.parallel.run_mix_matrix` that resumes from
-    manifests (the shared-LLC counterpart of
-    :func:`run_resumable_matrix`).
-
-    Mix identity uses the fingerprint of each mix's round-robin
-    interleaved trace — exactly what ``run_shared_llc`` records in its
-    cell manifests — recomputed here with the same
-    :func:`~repro.workloads.mixes.interleave_traces` the simulation
-    uses. Returns ``(results, plan)``.
-    """
-    tracer = SpanTracer.for_dir(manifest_dir)
-    try:
-        with tracer.span("job", kind="mix_matrix"):
-            with tracer.span("resume-scan") as scan_span:
-                report = check_resume_substrate(manifest_dir, force=force)
-                mix_fingerprints = {
-                    mix_key: trace_fingerprint(interleave_traces(traces)[0])
-                    for mix_key, traces in mixes.items()
-                }
-                grid = [
-                    (mix_key, policy_key)
-                    for mix_key in mixes
-                    for policy_key in factories
-                ]
-                plan = plan_mix_resume(
-                    report.manifests,
-                    grid,
-                    mix_fingerprints,
-                    geometry,
-                    engine,
-                    match_git_sha=match_git_sha,
-                )
-                _emit_skip_events(plan, manifest_dir, on_event)
-                scan_span.set("skipped", len(plan.skipped))
-                scan_span.set("to_run", len(plan.to_run))
-            fresh: dict = {}
-            if plan.to_run:
-                needed_mixes = {mix_key for mix_key, _ in plan.to_run}
-                needed_policies = {policy_key for _, policy_key in plan.to_run}
-                # run_mix_matrix runs full sub-grids; restrict both axes
-                # to what is still missing, then run any leftover odd
-                # cells serially.
-                sub_mixes = {k: v for k, v in mixes.items() if k in needed_mixes}
-                sub_factories = {
-                    k: v for k, v in factories.items() if k in needed_policies
-                }
-                sub_grid = [(m, p) for m in sub_mixes for p in sub_factories]
-                extra_cells = [key for key in sub_grid if key not in plan.to_run]
-                with tracer.span("run-grid", cells=len(plan.to_run)):
-                    if not extra_cells:
-                        fresh = run_mix_matrix(
-                            sub_mixes,
-                            sub_factories,
-                            geometry,
-                            timing=timing,
-                            singles=None
-                            if singles is None
-                            else {k: singles[k] for k in sub_mixes},
-                            max_workers=max_workers,
-                            engine=engine,
-                            manifest_dir=manifest_dir,
-                            on_event=on_event,
-                        )
-                    else:
-                        # Ragged remainder (different policies missing per
-                        # mix): run each missing cell as its own
-                        # single-cell grid.
-                        for mix_key, policy_key in plan.to_run:
-                            cell = run_mix_matrix(
-                                {mix_key: mixes[mix_key]},
-                                {policy_key: factories[policy_key]},
-                                geometry,
-                                timing=timing,
-                                singles=None
-                                if singles is None
-                                else {mix_key: singles[mix_key]},
-                                max_workers=max_workers,
-                                engine=engine,
-                                manifest_dir=manifest_dir,
-                                on_event=on_event,
-                            )
-                            fresh.update(cell)
-    finally:
-        tracer.close()
-    results = {
-        key: (plan.skipped[key] if key in plan.skipped else fresh[key])
-        for key in grid
-    }
-    return results, plan
+from repro.sim.parallel import (
+    CorruptManifestError,
+    ResumePlan,
+    check_resume_substrate,
+    manifest_satisfies_cell,
+    multi_core_result_from_manifest,
+    run_resumable_matrix,
+    run_resumable_mix_matrix,
+    single_core_result_from_manifest,
+)
 
 
 def _matching_explore_manifest(
@@ -541,22 +81,12 @@ def execute_predict(
         "model_variant": "default",
     }
     reporter = ProgressReporter(1, on_event, label="predict")
-    started = perf_counter()
     existing = None
     if any(m.kind == "explore" for m in report.manifests):
         fingerprint = fingerprint_source(trace)
         existing = _matching_explore_manifest(report, fingerprint, config)
     if existing is not None:
-        if on_event is not None:
-            on_event(
-                ProgressEvent(
-                    kind="skipped",
-                    key="explore",
-                    done=1,
-                    total=1,
-                    elapsed_s=perf_counter() - started,
-                )
-            )
+        reporter.skipped("explore")
         frontier = list(existing.extra.get("frontier", []))
         skipped, ran = 1, 0
     else:
@@ -670,8 +200,6 @@ __all__ = [
     "execute_spec",
     "manifest_satisfies_cell",
     "multi_core_result_from_manifest",
-    "plan_matrix_resume",
-    "plan_mix_resume",
     "run_resumable_matrix",
     "run_resumable_mix_matrix",
     "single_core_result_from_manifest",

@@ -1,62 +1,88 @@
-"""Parallel sweep / comparison runners built on ``ProcessPoolExecutor``.
+"""The grid runner: :func:`run_cells` over a process pool, with resume.
 
-The unit of work is one (trace, policy-factory) simulation — or, for the
-multi-core grid, one (mix, policy-factory) shared-LLC run. The grid's
-inputs — the :class:`Trace`, the
+A grid is a list of *cells* run against shared *inputs*. Two cell kinds
+cover the paper's evaluation grids: :class:`LLCCell`, one single-core
+``run_llc`` of a policy over the grid's trace (the Fig. 4 static-PD
+sweep; its set-partitioned shard form is a variant of it), and
+:class:`SharedLLCCell`, one shared-LLC ``run_shared_llc`` of a policy
+over one mix of the grid's per-thread traces (the Fig. 12 mixes). Each
+cell carries its key, a ``run(inputs)``, its resume identity (manifest
+kind, label, workload, fingerprint, geometry, engine, window size) and
+the rebuild of its result from a manifest. :func:`run_cells` runs any
+list of them; the four public entry points — :func:`run_matrix`,
+:func:`run_mix_matrix`, :func:`run_resumable_matrix` and
+:func:`run_resumable_mix_matrix` — each build a cell list and call it
+once.
+
+The grid's inputs — the :class:`Trace`, the
 :class:`repro.traces.stream.TraceStream`, or every mix's per-thread
 traces — reach each worker once, through the pool's initializer
 (:func:`_install_grid`). Under the ``fork`` start method (the default
 where available) workers inherit them copy-on-write at no cost; under
 any other start method they are pickled once per worker. Tasks carry
-only the cell key, its policy factory and a few small arguments, so a
-32-point PD sweep neither writes nor re-ships the trace. A stream
-source (an external trace file opened via
+only the cell, so a 32-point PD sweep neither writes nor re-ships the
+trace. A stream source (an external trace file opened via
 :func:`repro.traces.formats.open_trace`) stays a chunked stream inside
 every worker, so the parallel path never materializes a huge trace
 either.
 
-Everything that crosses into a worker must pickle. Factories always do
-— module-level callables, classes, or ``functools.partial`` of those;
-lambdas and closures trigger the serial fallback. The inputs must pickle
-only when the pool does not fork; a stream from ``open_trace`` holds a
-closure, so off fork a stream-sourced grid runs serially.
+Everything that crosses into a worker must pickle. Cells always do when
+their policy factories do — module-level callables, classes, or
+``functools.partial`` of those; lambdas and closures trigger the serial
+fallback. The inputs must pickle only when the pool does not fork; a
+stream from ``open_trace`` holds a closure, so off fork a
+stream-sourced grid runs serially.
 
 Worker count resolution (``resolve_max_workers``): an explicit
 ``max_workers`` argument wins, then the ``REPRO_MAX_WORKERS`` environment
 variable, then ``os.cpu_count()``. A resolved count of 1 — or any failure
-to stand up the pool (unpicklable factories or inputs, sandboxed
+to stand up the pool (unpicklable cells or inputs, sandboxed
 environments without process support) — falls back to running serially
-in-process, so these entry points are always safe to call. The fallback is *loud*: it
-raises a :class:`RuntimeWarning`, emits a ``warning`` progress event
-through the grid observer, and the sweep manifest records
-``workers_requested`` vs ``workers_effective`` so a degraded sweep is
-diagnosable from its manifest alone.
+in-process, so the runner is always safe to call. The fallback is *loud*:
+it raises a :class:`RuntimeWarning` attributed to the entry point's
+caller, emits a ``warning`` progress event, and the sweep manifest
+records ``workers_requested`` vs ``workers_effective`` so a degraded
+sweep is diagnosable from its manifest alone.
 
-Observability: both grid runners accept ``on_event`` (a callback fed
-started/finished/failed :class:`repro.obs.progress.ProgressEvent`
-records, emitted from the *parent* process as tasks dispatch and
-complete) and ``manifest_dir``. With a manifest directory configured,
-every cell writes its own provenance manifest (inside the worker, via
-the driver's ``manifest_dir=`` parameter), the runner appends all
-progress events to ``events.jsonl``, and a sweep-level manifest records
+Observability: ``on_event`` receives started/finished/failed/skipped
+:class:`repro.obs.progress.ProgressEvent` records, emitted from the
+*parent* process as tasks dispatch and complete. With a manifest
+directory, every cell writes its own provenance manifest (inside the
+worker, via the driver's ``manifest_dir=`` parameter), all progress
+events append to ``events.jsonl``, and a sweep-level manifest records
 per-task status — including failed tasks with policy, workload and a
 traceback summary — so a partially failed grid is diagnosable from the
-manifest directory alone. The runners additionally split each cell's
-wall time into queue wait and in-worker runtime (histograms in the
-process-wide :data:`repro.obs.metrics.METRICS` registry, served live by
-the sweep daemon's ``stats`` verb) and — with a manifest directory —
-write one span per cell under a grid root span to ``spans.jsonl``,
-rendered by ``repro obs trace``; the sweep manifest embeds the metrics
-snapshot when the registry is enabled.
+manifest directory alone. Each cell's wall time splits into queue wait
+and in-worker runtime (histograms in the process-wide
+:data:`repro.obs.metrics.METRICS` registry, served live by the sweep
+daemon's ``stats`` verb) and — with a manifest directory — one span per
+cell under the grid's root span in ``spans.jsonl``, rendered by
+``repro obs trace``; the sweep manifest embeds the metrics snapshot when
+the registry is enabled.
+
+Resume (``run_cells(..., resume=True)``): the per-cell manifests in the
+manifest directory are the source of truth for which cells already ran.
+A cell whose identity matches a manifest is skipped — announced by a
+``skipped`` progress event — and its result rebuilt from the manifest,
+so an interrupted sweep restarts where it died and the merged output is
+bit-identical to an uninterrupted run for everything a manifest persists
+(counters, derived metrics, the windowed time-series payload). The
+remaining cells, whichever they are, run as one grid. Trust rules: a
+manifest exists only if its run completed (manifests are written
+atomically after a successful simulation); a namespace holding
+unparseable manifest files is refused with :class:`CorruptManifestError`
+unless ``force=True``; a job that asks for a windowed time-series is not
+satisfied by a manifest without that exact window.
 
 Failure semantics: only *infrastructure* failures fall back to the serial
 path — pool setup errors and a broken pool
 (``BrokenProcessPool``: a worker process died). An exception raised by
 the simulation itself inside a worker (a policy bug surfacing as
 ``RuntimeError``, ``ValueError``, ...) propagates to the caller; it is
-never silently masked by a serial re-run. The runners let the remaining
+never silently masked by a serial re-run. The runner lets the remaining
 tasks of the grid complete (their results still land in per-cell
-manifests), record every failure, then re-raise the first one.
+manifests), records every failure, writes the sweep manifest, then
+re-raises the first one.
 """
 
 from __future__ import annotations
@@ -68,6 +94,8 @@ import warnings
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 
@@ -77,7 +105,10 @@ from repro.memory.timing import TimingModel
 from repro.obs.manifest import (
     FingerprintAccumulator,
     Manifest,
+    ManifestLoadReport,
     TaskFailure,
+    fingerprint_source,
+    scan_manifests,
     trace_fingerprint,
 )
 from repro.obs.manifest import git_sha as _git_sha
@@ -85,17 +116,19 @@ from repro.obs.metrics import METRICS
 from repro.obs.progress import ProgressEvent, ProgressReporter
 from repro.obs.spans import SpanTracer
 from repro.obs.trace_log import EVENTS_FILENAME, TraceLog
-from repro.sim.multi_core import MultiCoreResult, run_shared_llc
+from repro.sim.multi_core import MultiCoreResult, ThreadOutcome, run_shared_llc
 from repro.sim.single_core import SingleCoreResult, run_llc
 from repro.traces.stream import TraceStream
 from repro.traces.trace import Trace
+from repro.workloads.mixes import interleave_traces
 
 #: Environment variable overriding the default worker count.
 ENV_MAX_WORKERS = "REPRO_MAX_WORKERS"
 
 #: Inside a pool worker, the running grid's inputs as published by
-#: :func:`_install_grid`: the trace (or stream) of a ``run_matrix`` grid,
-#: or the ``{mix_key: thread traces}`` of a ``run_mix_matrix`` one.
+#: :func:`_install_grid`: the trace (or stream) of an :class:`LLCCell`
+#: grid, or the ``{mix_key: thread traces}`` of a :class:`SharedLLCCell`
+#: one.
 _GRID_INPUTS = None
 
 
@@ -130,15 +163,16 @@ def _pool_context():
     return multiprocessing.get_context()
 
 
-def _unpicklable(factories: list, inputs) -> str | None:
+def _unpicklable(cells: list, inputs) -> str | None:
     """Why a grid cannot cross into pool workers, or None if it can.
 
-    Factories travel pickled with every task. The inputs travel pickled
-    (once per worker) only when the pool does not fork — a forked worker
-    inherits them — so only then must they pickle.
+    Cells (and with them the policy factories) travel pickled with every
+    task. The inputs travel pickled (once per worker) only when the pool
+    does not fork — a forked worker inherits them — so only then must
+    they pickle.
     """
     try:
-        pickle.dumps(factories)
+        pickle.dumps(cells)
     except Exception as exc:
         return f"policy factories are not picklable ({type(exc).__name__}: {exc})"
     if _pool_context().get_start_method() != "fork":
@@ -187,95 +221,28 @@ def _task_obs_finish(start: float) -> dict:
     }
 
 
-def _pool_task(cell: Callable, key, args: tuple):
-    """Worker entry: ``cell(inputs, key, *args)`` against the inputs
-    :func:`_install_grid` published, in a clean observability scope;
-    returns ``(key, result, obs_payload)``."""
+def _pool_task(cell):
+    """Worker entry: ``cell.run`` against the inputs :func:`_install_grid`
+    published, in a clean observability scope; returns ``(result,
+    obs_payload)``."""
     start = _task_obs_begin()
-    result = cell(_GRID_INPUTS, key, *args)
-    return key, result, _task_obs_finish(start)
-
-
-def _matrix_cell(
-    trace: Trace | TraceStream,
-    key,
-    factory: Callable[[], object],
-    shard_spec: tuple[int, int, int] | None,
-    geometry: CacheGeometry,
-    timing: TimingModel | None,
-    engine: str,
-    manifest_dir: str | None,
-    window_size: int | None,
-):
-    """One ``run_matrix`` task: simulate ``trace`` under ``factory()``.
-
-    With ``shard_spec=(shard, num_shards, total_length)`` the task runs
-    only the sets assigned to that shard (vector engine, no per-cell
-    manifest) and returns a part dict for :func:`merge_shard_parts`
-    instead of a :class:`SingleCoreResult`.
-    """
-    if shard_spec is not None:
-        shard, num_shards, total_length = shard_spec
-        return run_llc_shard(
-            trace,
-            factory(),
-            geometry,
-            shard,
-            num_shards,
-            total_length,
-            window_size=window_size,
-        )
-    return run_llc(
-        trace,
-        factory(),
-        geometry,
-        timing=timing,
-        engine=engine,
-        manifest_dir=manifest_dir,
-        run_label=str(key),
-        window_size=window_size,
-    )
-
-
-def _mix_cell(
-    mixes: dict[str, list[Trace]],
-    key: tuple[str, str],
-    factory: Callable[[], object],
-    geometry: CacheGeometry,
-    timing: TimingModel | None,
-    singles: list[float] | None,
-    engine: str,
-    manifest_dir: str | None,
-) -> MultiCoreResult:
-    """One ``run_mix_matrix`` task: the shared-LLC run of cell
-    ``key = (mix_key, policy_key)`` over ``mixes[mix_key]``."""
-    mix_key = key[0]
-    return run_shared_llc(
-        mixes[mix_key],
-        factory(),
-        geometry,
-        timing=timing,
-        singles=singles,
-        name=mix_key,
-        engine=engine,
-        manifest_dir=manifest_dir,
-        run_label=str(key),
-    )
+    result = cell.run(_GRID_INPUTS)
+    return result, _task_obs_finish(start)
 
 
 class _FingerprintingStream(TraceStream):
     """A pass-through :class:`TraceStream` that fingerprints its first
     complete pass.
 
-    ``run_matrix`` wraps stream sources in one of these so the sweep
-    manifest can carry a real, chunk-size-invariant trace fingerprint —
-    the grid already iterates the stream at least once per cell, so the
-    digest comes for free instead of needing a second scan of the file.
-    On the pooled path each worker iterates its own copy; the digest
-    travels back in the task's observability payload and the parent
-    takes it via :meth:`adopt`. Only a pass that ran to exhaustion
-    finalizes the digest; an aborted iteration (a failing cell) leaves
-    the accumulator to retry on the next pass.
+    Single-core grids wrap stream sources in one of these so the sweep
+    manifest and the resume scan get a real, chunk-size-invariant trace
+    fingerprint — the grid already iterates the stream at least once per
+    cell, so the digest comes for free instead of needing a second scan
+    of the file. On the pooled path each worker iterates its own copy;
+    the digest travels back in the task's observability payload and the
+    parent takes it via :meth:`adopt`. Only a pass that ran to
+    exhaustion finalizes the digest; an aborted iteration (a failing
+    cell) leaves the accumulator to retry on the next pass.
     """
 
     def __init__(self, inner: TraceStream) -> None:
@@ -313,43 +280,300 @@ class _FingerprintingStream(TraceStream):
             self._digest = digest
 
 
+def _grid_fingerprint(inputs) -> str | None:
+    """The sweep manifest's trace fingerprint: the digest of a one-trace
+    grid's trace (a stream's from its first full pass), or None for a
+    mix grid, whose cell manifests carry one fingerprint per mix."""
+    if isinstance(inputs, _FingerprintingStream):
+        return inputs.fingerprint
+    if isinstance(inputs, Trace):
+        return trace_fingerprint(inputs)
+    return None
+
+
+# -- resume identity and rebuild -------------------------------------------
+
+
+class CorruptManifestError(RuntimeError):
+    """Refusal to resume over a namespace with unparseable manifests.
+
+    ``skipped`` carries the offending
+    :class:`repro.obs.manifest.SkippedManifest` records; pass
+    ``force=True`` (after inspecting or deleting the files) to resume
+    anyway, treating the corrupt files as absent.
+    """
+
+    def __init__(self, skipped) -> None:
+        paths = ", ".join(s.path for s in skipped)
+        super().__init__(
+            f"refusing to resume over {len(skipped)} corrupt manifest "
+            f"file(s) (pass force=True to override): {paths}"
+        )
+        self.skipped = list(skipped)
+
+
+@dataclass
+class ResumePlan:
+    """Outcome of matching a grid against existing manifests.
+
+    ``skipped`` maps already-complete cell keys to results reconstructed
+    from their manifests; ``to_run`` lists the keys the grid simulated,
+    in original grid order.
+    """
+
+    skipped: dict = field(default_factory=dict)
+    to_run: list = field(default_factory=list)
+
+    @property
+    def total(self) -> int:
+        """Cells in the full grid."""
+        return len(self.skipped) + len(self.to_run)
+
+
+def check_resume_substrate(
+    manifest_dir: str | os.PathLike, force: bool = False
+) -> ManifestLoadReport:
+    """Scan a namespace, refusing corrupt state unless forced."""
+    report = scan_manifests(manifest_dir)
+    if report.skipped and not force:
+        raise CorruptManifestError(report.skipped)
+    return report
+
+
+def manifest_satisfies_cell(
+    manifest: Manifest,
+    kind: str,
+    label: str,
+    workload: str,
+    fingerprint: str | None,
+    geometry: CacheGeometry,
+    engine: str,
+    window_size: int | None = None,
+    match_git_sha: bool = False,
+) -> bool:
+    """The cell-identity match: does this manifest prove the cell ran?
+
+    All of (kind, label, workload, trace fingerprint, geometry, engine)
+    must agree; a None fingerprint on either side never matches (an
+    unidentifiable trace must re-run). A ``window_size`` request is met
+    only by a manifest carrying a time-series of exactly that window (the
+    resumed merge would otherwise lose windows). ``match_git_sha=True``
+    adds the code-state dimension: the manifest's recorded SHA must equal
+    the current HEAD.
+    """
+    if manifest.kind != kind or manifest.label != label:
+        return False
+    if manifest.workload != workload or manifest.engine != engine:
+        return False
+    if fingerprint is None or manifest.trace_fingerprint != fingerprint:
+        return False
+    config = manifest.config if isinstance(manifest.config, dict) else {}
+    if (config.get("num_sets"), config.get("ways"), config.get("line_size")) != (
+        geometry.num_sets,
+        geometry.ways,
+        geometry.line_size,
+    ):
+        return False
+    if window_size is not None:
+        timeseries = manifest.timeseries if isinstance(manifest.timeseries, dict) else {}
+        if timeseries.get("window_size") != window_size:
+            return False
+    return not match_git_sha or manifest.git_sha == _git_sha()
+
+
+def single_core_result_from_manifest(manifest: Manifest) -> SingleCoreResult:
+    """Rebuild a :class:`SingleCoreResult` from an ``llc`` cell manifest.
+
+    Counters come back bit-identical (they are JSON integers) and
+    derived floats (IPC) round-trip exactly (JSON floats preserve the
+    full ``repr``). ``extra`` carries only what manifests persist: the
+    windowed time-series payload, when one was recorded.
+    """
+    stats = manifest.stats
+    extra: dict = {}
+    if manifest.timeseries:
+        extra["timeseries"] = manifest.timeseries
+    return SingleCoreResult(
+        name=manifest.workload,
+        accesses=stats["accesses"],
+        hits=stats["hits"],
+        misses=stats["misses"],
+        bypasses=stats["bypasses"],
+        instructions=stats["instructions"],
+        ipc=manifest.metrics["ipc"],
+        evictions=stats.get("evictions", 0),
+        extra=extra,
+    )
+
+
+def multi_core_result_from_manifest(manifest: Manifest) -> MultiCoreResult:
+    """Rebuild a :class:`MultiCoreResult` from a ``shared_llc`` manifest."""
+    threads = [ThreadOutcome(**t) for t in manifest.stats["threads"]]
+    extra: dict = {"singles": list(manifest.stats.get("singles", []))}
+    if manifest.timeseries:
+        extra["timeseries"] = manifest.timeseries
+    return MultiCoreResult(
+        name=manifest.workload,
+        threads=threads,
+        weighted=manifest.metrics["weighted"],
+        throughput=manifest.metrics["throughput"],
+        hmean=manifest.metrics["hmean"],
+        extra=extra,
+    )
+
+
+# -- cell kinds -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LLCCell:
+    """One single-core grid cell: ``run_llc`` of ``factory()`` over the
+    grid's trace (an in-memory :class:`Trace` or a stream).
+
+    ``workload`` is the trace's name and ``accesses`` the number of
+    accesses the cell is credited with in the sweep manifest. With
+    ``shard=(k, num_shards, total_length)`` the cell is shard ``k`` of a
+    set-partitioned cell keyed ``(policy_key, k)``: it runs only the sets
+    with ``set_index % num_shards == k`` (vector engine, no per-cell
+    manifest) and returns a part dict for :func:`merge_shard_parts`.
+    """
+
+    key: object
+    workload: str
+    factory: Callable[[], object]
+    geometry: CacheGeometry
+    timing: TimingModel | None = None
+    engine: str = "vector"
+    manifest_dir: str | None = None
+    window_size: int | None = None
+    shard: tuple[int, int, int] | None = None
+    accesses: int = 0
+
+    #: Manifest kind the cell writes, and matches on resume.
+    kind = "llc"
+    from_manifest = staticmethod(single_core_result_from_manifest)
+
+    @property
+    def policy(self) -> str:
+        """The policy key, as recorded in a :class:`TaskFailure`."""
+        return str(self.key if self.shard is None else self.key[0])
+
+    def fingerprint(self, trace) -> str | None:
+        """The trace fingerprint the cell's manifest records."""
+        return _grid_fingerprint(trace) or fingerprint_source(trace)
+
+    def run(self, trace):
+        """Simulate the cell (or its shard) over ``trace``."""
+        if self.shard is not None:
+            return run_llc_shard(
+                trace, self.factory(), self.geometry, *self.shard,
+                window_size=self.window_size,
+            )
+        return run_llc(
+            trace,
+            self.factory(),
+            self.geometry,
+            timing=self.timing,
+            engine=self.engine,
+            manifest_dir=self.manifest_dir,
+            run_label=str(self.key),
+            window_size=self.window_size,
+        )
+
+
+@dataclass(frozen=True)
+class SharedLLCCell:
+    """One shared-LLC grid cell keyed ``(mix_key, policy_key)``:
+    ``run_shared_llc`` of ``factory()`` over the grid's ``mixes[mix_key]``.
+
+    ``singles`` are the mix's precomputed stand-alone LRU IPCs (None
+    recomputes them); ``accesses`` is the mix's total thread length.
+    """
+
+    key: tuple[str, str]
+    factory: Callable[[], object]
+    geometry: CacheGeometry
+    timing: TimingModel | None = None
+    singles: list[float] | None = None
+    engine: str = "fast"
+    manifest_dir: str | None = None
+    accesses: int = 0
+
+    #: Manifest kind the cell writes, and matches on resume.
+    kind = "shared_llc"
+    window_size = None
+    from_manifest = staticmethod(multi_core_result_from_manifest)
+
+    @property
+    def workload(self) -> str:
+        """The mix key, the ``workload`` of the cell's manifest."""
+        return self.key[0]
+
+    @property
+    def policy(self) -> str:
+        """The policy key, as recorded in a :class:`TaskFailure`."""
+        return str(self.key[1])
+
+    def fingerprint(self, mixes: dict) -> str:
+        """Fingerprint of the mix's round-robin interleaved trace — what
+        ``run_shared_llc`` records in the cell's manifest."""
+        return trace_fingerprint(interleave_traces(mixes[self.workload])[0])
+
+    def run(self, mixes: dict) -> MultiCoreResult:
+        """Simulate the mix under a fresh policy."""
+        return run_shared_llc(
+            mixes[self.workload],
+            self.factory(),
+            self.geometry,
+            timing=self.timing,
+            singles=self.singles,
+            name=self.workload,
+            engine=self.engine,
+            manifest_dir=self.manifest_dir,
+            run_label=str(self.key),
+        )
+
+
+# -- dispatch ---------------------------------------------------------------
+
+
 def _warn_serial_fallback(
-    observer: "_GridObserver | None", label: str, requested: int, reason: str
+    observer: "_GridObserver", label: str, requested: int, reason: str
 ) -> None:
     """Surface a parallel-to-serial degradation instead of hiding it.
 
     A user who asked for N workers and got 1 deserves a signal: emit a
-    :class:`RuntimeWarning` and — when the grid has an observer — a
-    ``warning`` progress event (which also lands in ``events.jsonl``).
-    The sweep manifest additionally records ``workers_requested`` vs
-    ``workers_effective`` so the degradation is diagnosable post hoc.
+    :class:`RuntimeWarning` and a ``warning`` progress event (which also
+    lands in ``events.jsonl``). The sweep manifest additionally records
+    ``workers_requested`` vs ``workers_effective`` so the degradation is
+    diagnosable post hoc.
     """
     message = (
         f"{label}: requested {requested} workers but running serially — "
         f"{reason}"
     )
-    # Attribute the warning to the caller of run_matrix/run_mix_matrix
-    # (this function <- _run_grid <- the runner <- the caller).
-    warnings.warn(message, RuntimeWarning, stacklevel=4)
-    if observer is not None:
-        observer.warning("serial-fallback", message)
+    # Attribute the warning to the caller of the entry point (this
+    # function <- _run_grid <- run_cells <- the entry point <- caller).
+    warnings.warn(message, RuntimeWarning, stacklevel=5)
+    observer.warning("serial-fallback", message)
 
 
 class _GridObserver:
     """Per-grid progress/event-log/failure/latency bookkeeping.
 
-    Wraps a :class:`ProgressReporter` (teeing every event into the
-    manifest directory's ``events.jsonl`` when one is configured) and
-    accumulates per-task status plus :class:`TaskFailure` records for
-    the sweep-level manifest.
+    Wraps a :class:`ProgressReporter` over the whole grid, resumed cells
+    included (teeing every event into the manifest directory's
+    ``events.jsonl`` when one is configured), and accumulates per-task
+    status plus :class:`TaskFailure` records for the sweep-level
+    manifest.
 
     It is also the grid's latency observer: task dispatch times are
     remembered so each completion can be split into queue wait (wall
     time minus in-worker runtime) and runtime, recorded into the
     ``grid.cell_queue_wait_s`` / ``grid.cell_runtime_s`` histograms of
-    the process-wide :data:`repro.obs.metrics.METRICS` registry — and,
-    when a manifest directory is configured, emitted as one per-cell
-    span (child of the grid's root span) in ``spans.jsonl``.
+    the process-wide :data:`repro.obs.metrics.METRICS` registry — and
+    emitted through ``tracer`` as one per-cell span, a child of whatever
+    span is open (the grid's root span).
     """
 
     def __init__(
@@ -358,14 +582,13 @@ class _GridObserver:
         on_event: Callable[[ProgressEvent], None] | None,
         manifest_dir: Path | None,
         label: str,
-        failure_context: Callable[[object], tuple[str, str]],
+        tracer: SpanTracer,
     ) -> None:
         self._log = (
             TraceLog(manifest_dir / EVENTS_FILENAME)
             if manifest_dir is not None
             else None
         )
-        self._failure_context = failure_context
         self.statuses: dict[str, str] = {}
         self.failures: list[TaskFailure] = []
         self.reporter = ProgressReporter(
@@ -373,12 +596,7 @@ class _GridObserver:
         )
         self._on_event = on_event
         self._dispatched: dict[str, float] = {}
-        self.tracer = SpanTracer.for_dir(manifest_dir)
-        # Root span for the whole grid: entering it makes every cell
-        # span emitted below a child of it (and, transitively, of any
-        # scheduler span already active); close() exits and records it.
-        self._grid_span = self.tracer.span(label, cells=total)
-        self._grid_span.__enter__()
+        self.tracer = tracer
 
     def _dispatch(self, event: ProgressEvent) -> None:
         """Tee one event into the JSONL log and the user callback."""
@@ -387,11 +605,11 @@ class _GridObserver:
         if self._on_event is not None:
             self._on_event(event)
 
-    def started(self, key) -> None:
+    def started(self, cell) -> None:
         """Record and broadcast task dispatch."""
-        self.statuses[str(key)] = "started"
-        self._dispatched[str(key)] = perf_counter()
-        self.reporter.started(key)
+        self.statuses[str(cell.key)] = "started"
+        self._dispatched[str(cell.key)] = perf_counter()
+        self.reporter.started(cell.key)
 
     def _observe_cell(self, key, status: str, runtime_s: float | None) -> None:
         """Record one completed cell's latency split and span.
@@ -421,21 +639,22 @@ class _GridObserver:
             },
         )
 
-    def finished(self, key, runtime_s: float | None = None) -> None:
+    def finished(self, cell, runtime_s: float | None = None) -> None:
         """Record and broadcast successful completion."""
-        self.statuses[str(key)] = "finished"
-        self._observe_cell(key, "finished", runtime_s)
-        self.reporter.finished(key)
+        self.statuses[str(cell.key)] = "finished"
+        self._observe_cell(cell.key, "finished", runtime_s)
+        self.reporter.finished(cell.key)
 
-    def failed(self, key, exc: BaseException) -> None:
+    def failed(self, cell, exc: BaseException) -> None:
         """Record and broadcast a task failure (kept for the manifest)."""
-        self.statuses[str(key)] = "failed"
-        self._observe_cell(key, "failed", None)
-        policy, workload = self._failure_context(key)
+        self.statuses[str(cell.key)] = "failed"
+        self._observe_cell(cell.key, "failed", None)
         self.failures.append(
-            TaskFailure.from_exception(key, exc, policy=policy, workload=workload)
+            TaskFailure.from_exception(
+                cell.key, exc, policy=cell.policy, workload=cell.workload
+            )
         )
-        self.reporter.failed(key, exc)
+        self.reporter.failed(cell.key, exc)
 
     def warning(self, key, message: str) -> None:
         """Broadcast a grid-level warning (no per-task status change)."""
@@ -449,41 +668,36 @@ class _GridObserver:
         ]
 
     def close(self) -> None:
-        """Finish the grid span and close the event/span logs."""
-        self._grid_span.__exit__(None, None, None)
+        """Close the event and span logs."""
         self.tracer.close()
         if self._log is not None:
             self._log.close()
 
 
-def _run_serial_tasks(cell: Callable, inputs, tasks, observer: _GridObserver | None):
-    """Run ``cell(inputs, key, *args)`` for each ``(key, args)`` task
-    in-process.
+def _run_serial_tasks(cells: list, inputs, observer: _GridObserver):
+    """Run each cell against ``inputs`` in-process.
 
-    Returns ``(results, failures)`` where failures are ``(key, exc)``
+    Returns ``(results, failures)`` where failures are ``(cell, exc)``
     pairs; the grid keeps going past a failed task so every cell's
     outcome is known (matching the pooled path).
     """
     results: dict = {}
     failures: list[tuple] = []
-    for key, args in tasks:
-        if observer is not None:
-            observer.started(key)
+    for cell in cells:
+        observer.started(cell)
         start = perf_counter()
         try:
-            results[key] = cell(inputs, key, *args)
+            results[cell.key] = cell.run(inputs)
         except Exception as exc:  # noqa: BLE001 — recorded, then re-raised
-            failures.append((key, exc))
-            if observer is not None:
-                observer.failed(key, exc)
+            failures.append((cell, exc))
+            observer.failed(cell, exc)
         else:
-            if observer is not None:
-                observer.finished(key, runtime_s=perf_counter() - start)
+            observer.finished(cell, runtime_s=perf_counter() - start)
     return results, failures
 
 
-def _run_pooled(cell: Callable, inputs, tasks, workers: int, observer):
-    """Fan the ``(key, args)`` tasks over a process pool.
+def _run_pooled(cells: list, inputs, workers: int, observer: _GridObserver):
+    """Fan the cells over a process pool.
 
     The pool's initializer publishes ``inputs`` to every worker
     (:func:`_install_grid`) and each task runs :func:`_pool_task`.
@@ -495,8 +709,8 @@ def _run_pooled(cell: Callable, inputs, tasks, workers: int, observer):
     future completes: a non-None metrics snapshot merges into this
     process's :data:`METRICS` registry, so counters recorded inside
     workers are not lost (the serial path records into it directly); the
-    runtime feeds the observer's queue-wait/runtime split; and a stream digest is adopted by the
-    parent's :class:`_FingerprintingStream`.
+    runtime feeds the observer's queue-wait/runtime split; and a stream
+    digest is adopted by the parent's :class:`_FingerprintingStream`.
     """
     try:
         pool = ProcessPoolExecutor(
@@ -512,30 +726,27 @@ def _run_pooled(cell: Callable, inputs, tasks, workers: int, observer):
     results: dict = {}
     failures: list[tuple] = []
     with pool:
-        future_keys = {}
-        for key, args in tasks:
-            if observer is not None:
-                observer.started(key)
-            future_keys[pool.submit(_pool_task, cell, key, args)] = key
+        future_cells = {}
+        for cell in cells:
+            observer.started(cell)
+            future_cells[pool.submit(_pool_task, cell)] = cell
         try:
-            for future in as_completed(future_keys):
-                key = future_keys[future]
+            for future in as_completed(future_cells):
+                cell = future_cells[future]
                 try:
-                    result_key, result, obs_payload = future.result()
+                    result, obs_payload = future.result()
                 except BrokenProcessPool:
                     raise
                 except Exception as exc:  # noqa: BLE001 — see docstring
-                    failures.append((key, exc))
-                    if observer is not None:
-                        observer.failed(key, exc)
+                    failures.append((cell, exc))
+                    observer.failed(cell, exc)
                 else:
-                    results[result_key] = result
+                    results[cell.key] = result
                     if obs_payload["metrics"] is not None:
                         METRICS.merge_snapshot(obs_payload["metrics"])
                     if obs_payload["fingerprint"] is not None:
                         inputs.adopt(obs_payload["fingerprint"])
-                    if observer is not None:
-                        observer.finished(key, runtime_s=obs_payload["runtime_s"])
+                    observer.finished(cell, runtime_s=obs_payload["runtime_s"])
         except BrokenProcessPool:
             # A worker *process* died (OOM-kill, sandbox teardown) —
             # infrastructure, not a simulation error.
@@ -544,52 +755,271 @@ def _run_pooled(cell: Callable, inputs, tasks, workers: int, observer):
 
 
 def _run_grid(
-    label: str,
-    cell: Callable,
-    inputs,
-    tasks: list[tuple],
-    factories: list,
-    workers: int,
-    observer: _GridObserver | None,
+    label: str, cells: list, inputs, workers: int, observer: _GridObserver
 ):
-    """Run the grid's ``(key, args)`` tasks — each ``cell(inputs, key,
-    *args)`` — over a process pool when one can help, else serially.
+    """Run the cells over a process pool when one can help, else serially.
 
-    The serial path runs when one worker or one task is requested, and
-    — loudly, see :func:`_warn_serial_fallback` — when the factories or
+    The serial path runs when one worker or one cell is requested, and
+    — loudly, see :func:`_warn_serial_fallback` — when the cells or
     inputs cannot reach the workers or the pool fails as infrastructure.
     Returns ``(results, failures, workers_effective)``.
     """
-    if workers > 1 and len(tasks) > 1:
-        reason = _unpicklable(factories, inputs)
+    if workers > 1 and len(cells) > 1:
+        reason = _unpicklable(cells, inputs)
         if reason is None:
-            effective = min(workers, len(tasks))
-            pooled = _run_pooled(cell, inputs, tasks, effective, observer)
+            effective = min(workers, len(cells))
+            pooled = _run_pooled(cells, inputs, effective, observer)
             if pooled is not None:
                 return (*pooled, effective)
             reason = "process pool unavailable (infrastructure failure)"
         _warn_serial_fallback(observer, label, workers, reason)
-    return (*_run_serial_tasks(cell, inputs, tasks, observer), 1)
+    return (*_run_serial_tasks(cells, inputs, observer), 1)
 
 
-def _finish_grid(
-    observer: _GridObserver | None,
-    manifest_out: Path | None,
-    failures: list[tuple],
-    sweep_manifest: Callable[[_GridObserver], Manifest] | None,
-):
-    """Close the observer, write the sweep manifest, re-raise failures.
+# -- the runner -------------------------------------------------------------
 
-    The sweep manifest is written *before* re-raising so a partially
-    failed grid still leaves a complete post-mortem record (the
-    ``run_matrix`` failure-diagnosability contract).
+
+def _resume_scan(
+    cells: list, inputs, manifest_dir: Path, force: bool, match_git_sha: bool
+) -> dict:
+    """``{key: result rebuilt from its manifest}`` for every cell that a
+    manifest in ``manifest_dir`` satisfies (:func:`manifest_satisfies_cell`).
+
+    Each workload is fingerprinted once; the newest matching manifest
+    wins. Raises :class:`CorruptManifestError` over unparseable files
+    unless ``force``.
     """
-    if observer is not None:
+    manifests = check_resume_substrate(manifest_dir, force=force).manifests
+    fingerprints: dict = {}
+    skipped: dict = {}
+    for cell in cells:
+        if cell.workload not in fingerprints:
+            fingerprints[cell.workload] = cell.fingerprint(inputs)
+        match = next(
+            (
+                m
+                for m in reversed(manifests)
+                if manifest_satisfies_cell(
+                    m,
+                    cell.kind,
+                    str(cell.key),
+                    cell.workload,
+                    fingerprints[cell.workload],
+                    cell.geometry,
+                    cell.engine,
+                    window_size=cell.window_size,
+                    match_git_sha=match_git_sha,
+                )
+            ),
+            None,
+        )
+        if match is not None:
+            skipped[cell.key] = cell.from_manifest(match)
+    if skipped:
+        METRICS.inc("scheduler.cells_skipped", len(skipped))
+    return skipped
+
+
+def _sweep_manifest(
+    kind: str, ran: list, inputs, wall: float, observer: _GridObserver, config: dict
+) -> Manifest:
+    """The sweep-level manifest of the cells that ran: their workloads,
+    policies and accesses, per-task status and failures, the grid's
+    geometry plus ``config``, and the metrics snapshot (when enabled)."""
+    accesses = sum(cell.accesses for cell in ran)
+    geometry = ran[0].geometry
+    return Manifest(
+        kind=kind,
+        workload=",".join(dict.fromkeys(cell.workload for cell in ran)),
+        policy=",".join(dict.fromkeys(cell.policy for cell in ran)),
+        engine=ran[0].engine,
+        config={
+            "num_sets": geometry.num_sets,
+            "ways": geometry.ways,
+            "line_size": geometry.line_size,
+            **config,
+        },
+        trace_fingerprint=_grid_fingerprint(inputs),
+        git_sha=_git_sha(),
+        wall_time_s=wall,
+        accesses=accesses,
+        accesses_per_sec=accesses / wall if wall > 0 else 0.0,
+        tasks=observer.task_records(),
+        failures=list(observer.failures),
+        metrics=METRICS.snapshot() if METRICS.enabled else {},
+    )
+
+
+def run_cells(
+    kind: str,
+    cells: list,
+    inputs,
+    config: dict | None = None,
+    max_workers: int | None = None,
+    manifest_dir: str | os.PathLike | None = None,
+    on_event: Callable[[ProgressEvent], None] | None = None,
+    resume: bool = False,
+    force: bool = False,
+    match_git_sha: bool = False,
+) -> tuple[dict, ResumePlan]:
+    """Run a grid of cells against shared ``inputs``: the one grid runner.
+
+    In order: with ``resume``, scan ``manifest_dir`` and skip every cell
+    a manifest satisfies (one ``skipped`` event each); run the remaining
+    cells as one grid — pooled when possible, serially otherwise; with a
+    manifest directory, write one sweep manifest of ``kind`` describing
+    the cells that ran; finally re-raise the first cell failure.
+
+    Args:
+        kind: the sweep manifest's kind (``"matrix"``, ``"mix_matrix"``);
+            also names the grid's root span and progress label.
+        cells: :class:`LLCCell` / :class:`SharedLLCCell` records with
+            distinct keys.
+        inputs: what every cell's ``run`` receives — the trace (or
+            stream) of an :class:`LLCCell` grid, the ``{mix_key: thread
+            traces}`` of a :class:`SharedLLCCell` one.
+        config: extra entries for the sweep manifest's ``config``.
+        max_workers: worker processes; None resolves via
+            :func:`resolve_max_workers`, 0/1 forces serial.
+        manifest_dir: where cells write their manifests, progress events
+            append to ``events.jsonl`` and spans to ``spans.jsonl``, and
+            the sweep manifest lands. Required with ``resume``.
+        on_event: callback receiving every :class:`ProgressEvent`; the
+            counts cover the whole grid, resumed cells included.
+        resume: skip cells already satisfied by a manifest. The spans
+            then nest as ``job`` → ``resume-scan``, then the grid span.
+        force: resume over unparseable manifest files instead of raising
+            :class:`CorruptManifestError`.
+        match_git_sha: a manifest satisfies a cell only if written at the
+            current git SHA.
+
+    Returns:
+        ``(results, plan)``: ``{cell.key: result}`` in cell order, and a
+        :class:`ResumePlan` (every key in ``to_run`` without ``resume``).
+    """
+    if resume and manifest_dir is None:
+        raise ValueError("resume requires a manifest_dir")
+    workers = resolve_max_workers(max_workers)
+    manifest_out = Path(manifest_dir) if manifest_dir is not None else None
+    tracer = SpanTracer.for_dir(manifest_out)
+    observer = _GridObserver(len(cells), on_event, manifest_out, kind, tracer)
+    plan = ResumePlan()
+    try:
+        with tracer.span("job", kind=kind) if resume else nullcontext():
+            if resume:
+                with tracer.span("resume-scan") as scan:
+                    plan.skipped = _resume_scan(
+                        cells, inputs, manifest_out, force, match_git_sha
+                    )
+                    for key in plan.skipped:
+                        observer.reporter.skipped(key)
+                    scan.set("skipped", len(plan.skipped))
+            ran = [cell for cell in cells if cell.key not in plan.skipped]
+            plan.to_run = [cell.key for cell in ran]
+            results = dict(plan.skipped)
+            if ran:
+                start = perf_counter()
+                with tracer.span(kind, cells=len(ran)):
+                    fresh, failures, effective = _run_grid(
+                        kind, ran, inputs, workers, observer
+                    )
+                if manifest_out is not None:
+                    _sweep_manifest(
+                        kind, ran, inputs, perf_counter() - start, observer,
+                        {
+                            "workers_requested": workers,
+                            "workers_effective": effective,
+                            **(config or {}),
+                        },
+                    ).save(manifest_out)
+                if failures:
+                    raise failures[0][1]
+                results.update(fresh)
+    finally:
         observer.close()
-    if manifest_out is not None and observer is not None and sweep_manifest:
-        sweep_manifest(observer).save(manifest_out)
-    if failures:
-        raise failures[0][1]
+    return {cell.key: results[cell.key] for cell in cells}, plan
+
+
+# -- entry points -----------------------------------------------------------
+
+
+def _llc_cells(
+    trace: Trace | TraceStream,
+    factories: dict,
+    geometry: CacheGeometry,
+    timing: TimingModel | None,
+    engine: str,
+    manifest_dir,
+    window_size: int | None,
+    partitions: int = 0,
+) -> tuple:
+    """``(trace, cells)`` of a trace x policy-factory grid.
+
+    A stream source comes back wrapped in a :class:`_FingerprintingStream`
+    so the grid identifies the trace without a second scan. With
+    ``partitions > 1``, every cell whose policy is
+    :func:`repro.memory.columnar.set_shardable` expands into that many
+    shard cells, each credited an equal share of the trace's accesses;
+    everything else (dynamic-PD samplers, unknown policies) keeps the
+    exact unsharded path.
+    """
+    if isinstance(trace, TraceStream):
+        trace = _FingerprintingStream(trace)
+        length = trace.length or 0
+    else:
+        length = len(trace)
+    common = dict(
+        workload=trace.name,
+        geometry=geometry,
+        timing=timing,
+        engine=engine,
+        manifest_dir=None if manifest_dir is None else str(manifest_dir),
+        window_size=window_size,
+    )
+    cells = []
+    for key, factory in factories.items():
+        if partitions > 1 and set_shardable(factory()):
+            cells += [
+                LLCCell(
+                    (key, shard),
+                    factory=factory,
+                    shard=(shard, partitions, length),
+                    accesses=length // partitions + (shard < length % partitions),
+                    **common,
+                )
+                for shard in range(partitions)
+            ]
+        else:
+            cells.append(LLCCell(key, factory=factory, accesses=length, **common))
+    return trace, cells
+
+
+def _mix_cells(
+    mixes: dict[str, list[Trace]],
+    factories: dict,
+    geometry: CacheGeometry,
+    timing: TimingModel | None,
+    singles: dict[str, list[float]] | None,
+    engine: str,
+    manifest_dir,
+) -> list[SharedLLCCell]:
+    """The mixes-major ``(mix_key, policy_key)`` cells of a mix grid."""
+    if singles is not None and set(singles) != set(mixes):
+        raise ValueError("singles must provide baselines for exactly the mixes")
+    return [
+        SharedLLCCell(
+            (mix_key, policy_key),
+            factory=factory,
+            geometry=geometry,
+            timing=timing,
+            singles=None if singles is None else singles[mix_key],
+            engine=engine,
+            manifest_dir=None if manifest_dir is None else str(manifest_dir),
+            accesses=sum(len(trace) for trace in traces),
+        )
+        for mix_key, traces in mixes.items()
+        for policy_key, factory in factories.items()
+    ]
 
 
 def run_matrix(
@@ -650,15 +1080,6 @@ def run_matrix(
         remaining tasks complete and the sweep manifest is written);
         only infrastructure failures fall back to the serial path.
     """
-    workers = resolve_max_workers(max_workers)
-    items = list(factories.items())
-    stream_source = isinstance(trace, TraceStream)
-    if stream_source:
-        # Fingerprint the stream on its first full pass (the first cell,
-        # here or in a pool worker) so the sweep manifest can identify
-        # the trace — resume matching needs it (see
-        # repro.service.scheduler).
-        trace = _FingerprintingStream(trace)
     partitions = 0
     if set_partitions is not None:
         if set_partitions < 1:
@@ -671,109 +1092,42 @@ def run_matrix(
                     "set_partitions requires engine='vector' "
                     f"(got engine={engine!r})"
                 )
-            if stream_source:
+            if isinstance(trace, TraceStream):
                 raise ValueError(
                     "set_partitions requires an in-memory Trace source"
                 )
             partitions = min(set_partitions, geometry.num_sets)
-    # Shard only the cells whose policy state is provably per-set;
-    # everything else (dynamic-PD samplers, unknown policies) keeps the
-    # exact unsharded path.
-    sharded = {
-        key: partitions
-        for key, factory in items
-        if partitions > 1 and set_shardable(factory())
-    }
-    total_length = 0 if stream_source else len(trace)
-
-    manifest_out = Path(manifest_dir) if manifest_dir is not None else None
-    manifest_arg = str(manifest_out) if manifest_out is not None else None
-    # Task list of (key, _matrix_cell args): plain cells keyed by their
-    # factory key; sharded cells expand to (key, shard) tasks whose
-    # parts merge after the grid.
-    cell_args = (geometry, timing, engine, manifest_arg, window_size)
-    task_items: list[tuple] = []
-    for key, factory in items:
-        if key in sharded:
-            for shard in range(partitions):
-                shard_spec = (shard, partitions, total_length)
-                task_items.append(((key, shard), (factory, shard_spec, *cell_args)))
-        else:
-            task_items.append((key, (factory, None, *cell_args)))
-
-    observer = None
-    if manifest_out is not None or on_event is not None:
-        observer = _GridObserver(
-            total=len(task_items),
-            on_event=on_event,
-            manifest_dir=manifest_out,
-            label="matrix",
-            failure_context=lambda key: (str(key), trace.name),
-        )
-
-    start = perf_counter()
-    results, failures, workers_effective = _run_grid(
-        "matrix",
-        _matrix_cell,
-        trace,
-        task_items,
-        [factory for _, factory in items],
-        workers,
-        observer,
+    trace, cells = _llc_cells(
+        trace, factories, geometry, timing, engine, manifest_dir, window_size,
+        partitions,
     )
-
-    # Merge shard parts back into one SingleCoreResult per sharded cell.
-    # A cell with any failed shard is left out of `results` (its failure
-    # re-raises below, and the sweep manifest records each shard task).
-    merge_timing = timing or TimingModel()
-    if sharded and not failures:
-        for key in sharded:
-            parts = [results.pop((key, shard)) for shard in range(partitions)]
-            results[key] = merge_shard_parts(
-                parts,
-                trace.name,
-                total_length,
-                trace.instructions_per_access,
-                merge_timing,
-                window_size=window_size,
-            )
-
-    def sweep_manifest(obs: _GridObserver) -> Manifest:
-        wall = perf_counter() - start
-        # Stream sources fingerprint during their first full pass (see
-        # _FingerprintingStream) — no extra scan of the file, and the
-        # sweep manifest can identify the trace for resume matching.
-        fingerprint = trace.fingerprint if stream_source else trace_fingerprint(trace)
-        length = (trace.length or 0) if stream_source else len(trace)
-        config = {
-            "num_sets": geometry.num_sets,
-            "ways": geometry.ways,
-            "line_size": geometry.line_size,
-            "workers": workers,
-            "workers_requested": workers,
-            "workers_effective": workers_effective,
-        }
-        if sharded:
-            config["set_partitions"] = partitions
-            config["sharded_cells"] = sorted(str(key) for key in sharded)
-        return Manifest(
-            kind="matrix",
-            workload=trace.name,
-            policy=f"{len(items)} policies",
-            engine=engine,
-            config=config,
-            trace_fingerprint=fingerprint,
-            git_sha=_git_sha(),
-            wall_time_s=wall,
-            accesses=length * len(items),
-            accesses_per_sec=(length * len(items)) / wall if wall > 0 else 0.0,
-            tasks=obs.task_records(),
-            failures=list(obs.failures),
-            metrics=METRICS.snapshot() if METRICS.enabled else {},
+    sharded = {cell.key[0] for cell in cells if cell.shard is not None}
+    config = (
+        {"set_partitions": partitions, "sharded_cells": sorted(map(str, sharded))}
+        if sharded
+        else {}
+    )
+    results, _ = run_cells(
+        "matrix",
+        cells,
+        trace,
+        config=config,
+        max_workers=max_workers,
+        manifest_dir=manifest_dir,
+        on_event=on_event,
+    )
+    # Merge shard parts back into one SingleCoreResult per sharded cell
+    # (a failed shard has already re-raised above).
+    for key in sharded:
+        results[key] = merge_shard_parts(
+            [results.pop((key, shard)) for shard in range(partitions)],
+            trace.name,
+            len(trace),
+            trace.instructions_per_access,
+            timing or TimingModel(),
+            window_size=window_size,
         )
-
-    _finish_grid(observer, manifest_out, failures, sweep_manifest)
-    return {key: results[key] for key, _ in items}
+    return {key: results[key] for key in factories}
 
 
 def run_mix_matrix(
@@ -818,83 +1172,115 @@ def run_mix_matrix(
         remaining tasks complete and the sweep manifest is written);
         only infrastructure failures fall back to the serial path.
     """
-    if singles is not None and set(singles) != set(mixes):
-        raise ValueError("singles must provide baselines for exactly the mixes")
-    workers = resolve_max_workers(max_workers)
-    grid = [(mix_key, policy_key) for mix_key in mixes for policy_key in factories]
-    manifest_out = Path(manifest_dir) if manifest_dir is not None else None
-    manifest_arg = str(manifest_out) if manifest_out is not None else None
-    observer = None
-    if manifest_out is not None or on_event is not None:
-        observer = _GridObserver(
-            total=len(grid),
-            on_event=on_event,
-            manifest_dir=manifest_out,
-            label="mix-matrix",
-            # grid keys are (mix, policy) pairs
-            failure_context=lambda key: (str(key[1]), str(key[0])),
-        )
-
-    tasks = [
-        (
-            (mix_key, policy_key),
-            (
-                factories[policy_key],
-                geometry,
-                timing,
-                None if singles is None else singles[mix_key],
-                engine,
-                manifest_arg,
-            ),
-        )
-        for mix_key, policy_key in grid
-    ]
-    start = perf_counter()
-    results, failures, workers_effective = _run_grid(
-        "mix-matrix",
-        _mix_cell,
+    cells = _mix_cells(
+        mixes, factories, geometry, timing, singles, engine, manifest_dir
+    )
+    results, _ = run_cells(
+        "mix_matrix",
+        cells,
         mixes,
-        tasks,
-        list(factories.values()),
-        workers,
-        observer,
+        config={"mixes": len(mixes)},
+        max_workers=max_workers,
+        manifest_dir=manifest_dir,
+        on_event=on_event,
+    )
+    return results
+
+
+def run_resumable_matrix(
+    trace,
+    factories: dict,
+    geometry: CacheGeometry,
+    manifest_dir: str | os.PathLike,
+    timing=None,
+    engine: str = "vector",
+    max_workers: int | None = None,
+    window_size: int | None = None,
+    match_git_sha: bool = False,
+    force: bool = False,
+    on_event: Callable[[ProgressEvent], None] | None = None,
+) -> tuple[dict, ResumePlan]:
+    """A :func:`run_matrix` that resumes from the manifests in
+    ``manifest_dir``.
+
+    Every cell a manifest satisfies is skipped (a ``skipped`` event) and
+    rebuilt from it; the rest run as one grid with the same manifest
+    directory. The results keep factory order and are bit-identical to
+    an uninterrupted run for all manifest-persisted fields; resumed
+    cells' ``extra`` carries only the windowed time-series (transient
+    driver extras like PDP's ``pd_history`` exist only on freshly run
+    cells). Raises :class:`CorruptManifestError` over unparseable
+    manifests unless ``force``. Returns ``(results, plan)``.
+    """
+    trace, cells = _llc_cells(
+        trace, factories, geometry, timing, engine, manifest_dir, window_size
+    )
+    return run_cells(
+        "matrix",
+        cells,
+        trace,
+        max_workers=max_workers,
+        manifest_dir=manifest_dir,
+        on_event=on_event,
+        resume=True,
+        force=force,
+        match_git_sha=match_git_sha,
     )
 
-    def sweep_manifest(obs: _GridObserver) -> Manifest:
-        wall = perf_counter() - start
-        total_accesses = sum(
-            len(trace) for traces in mixes.values() for trace in traces
-        ) * len(factories)
-        return Manifest(
-            kind="mix_matrix",
-            workload=",".join(mixes),
-            policy=",".join(str(key) for key in factories),
-            engine=engine,
-            config={
-                "num_sets": geometry.num_sets,
-                "ways": geometry.ways,
-                "line_size": geometry.line_size,
-                "workers": workers,
-                "workers_requested": workers,
-                "workers_effective": workers_effective,
-                "mixes": len(mixes),
-            },
-            git_sha=_git_sha(),
-            wall_time_s=wall,
-            accesses=total_accesses,
-            accesses_per_sec=total_accesses / wall if wall > 0 else 0.0,
-            tasks=obs.task_records(),
-            failures=list(obs.failures),
-            metrics=METRICS.snapshot() if METRICS.enabled else {},
-        )
 
-    _finish_grid(observer, manifest_out, failures, sweep_manifest)
-    return {key: results[key] for key in grid}
+def run_resumable_mix_matrix(
+    mixes: dict,
+    factories: dict,
+    geometry: CacheGeometry,
+    manifest_dir: str | os.PathLike,
+    timing=None,
+    singles: dict | None = None,
+    engine: str = "fast",
+    max_workers: int | None = None,
+    match_git_sha: bool = False,
+    force: bool = False,
+    on_event: Callable[[ProgressEvent], None] | None = None,
+) -> tuple[dict, ResumePlan]:
+    """A :func:`run_mix_matrix` that resumes from the manifests in
+    ``manifest_dir`` (the shared-LLC counterpart of
+    :func:`run_resumable_matrix`).
+
+    Mix identity is the fingerprint of each mix's round-robin interleaved
+    trace — exactly what ``run_shared_llc`` records in its cell
+    manifests. Whichever cells are missing, they run as one grid.
+    Returns ``(results, plan)``.
+    """
+    cells = _mix_cells(
+        mixes, factories, geometry, timing, singles, engine, manifest_dir
+    )
+    return run_cells(
+        "mix_matrix",
+        cells,
+        mixes,
+        config={"mixes": len(mixes)},
+        max_workers=max_workers,
+        manifest_dir=manifest_dir,
+        on_event=on_event,
+        resume=True,
+        force=force,
+        match_git_sha=match_git_sha,
+    )
 
 
 __all__ = [
     "ENV_MAX_WORKERS",
+    "CorruptManifestError",
+    "LLCCell",
+    "ResumePlan",
+    "SharedLLCCell",
+    "check_resume_substrate",
+    "manifest_satisfies_cell",
+    "multi_core_result_from_manifest",
     "resolve_max_workers",
+    "run_cells",
     "run_matrix",
     "run_mix_matrix",
+    "run_resumable_matrix",
+    "run_resumable_mix_matrix",
+    "single_core_result_from_manifest",
 ]

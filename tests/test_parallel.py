@@ -135,6 +135,27 @@ def test_serial_fallback_emits_warning_event_and_manifest_workers(trace, tmp_pat
     assert sweep.config["workers_effective"] == 1
 
 
+@pytest.mark.parametrize("entry", ["run_matrix", "run_mix_matrix", "run_resumable_matrix"])
+def test_serial_fallback_warning_points_at_the_caller(trace, tmp_path, entry):
+    """Every entry point reaches the pool through the one runner, so the
+    fallback warning lands on the line that called the entry point."""
+    from repro.service.scheduler import run_resumable_matrix
+
+    lambdas = {"lru": lambda: LRUPolicy(), "drrip": lambda: DRRIPPolicy()}
+    calls = {
+        "run_matrix": lambda: run_matrix(trace, lambdas, GEOMETRY, max_workers=2),
+        "run_mix_matrix": lambda: run_mix_matrix(
+            _mixes(), lambdas, GEOMETRY, max_workers=2
+        ),
+        "run_resumable_matrix": lambda: run_resumable_matrix(
+            trace, lambdas, GEOMETRY, tmp_path, max_workers=2
+        ),
+    }
+    with pytest.warns(RuntimeWarning, match="running serially") as record:
+        calls[entry]()
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_pooled_matrix_records_effective_workers(trace, tmp_path):
     """The healthy pooled path records effective == min(requested, cells)
     and emits no warning events."""

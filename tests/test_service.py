@@ -338,6 +338,38 @@ class TestMatrixResume:
         skipped = [e["key"] for e in events if e["kind"] == "skipped"]
         assert sorted(skipped) == ["fifo", "lru"]
 
+    def test_skipped_cells_count_toward_grid_progress(self, tmp_path):
+        """Resumed cells are part of the grid's progress: with 2 of 3
+        cells skipped, the last event of the resumed run is 3/3."""
+        trace = _trace()
+        run_resumable_matrix(trace, _factories("lru", "fifo"), GEOMETRY, tmp_path)
+        events = []
+        run_resumable_matrix(
+            trace, _factories("lru", "fifo", "srrip"), GEOMETRY, tmp_path,
+            on_event=events.append,
+        )
+        assert [(e.kind, e.done, e.total) for e in events] == [
+            ("skipped", 1, 3),
+            ("skipped", 2, 3),
+            ("started", 2, 3),
+            ("finished", 3, 3),
+        ]
+
+    def test_resumed_span_tree(self, tmp_path):
+        """job -> resume-scan and the grid span, cells under the grid."""
+        from repro.obs.spans import SPANS_FILENAME, read_spans
+
+        trace = _trace()
+        run_resumable_matrix(trace, _factories("lru"), GEOMETRY, tmp_path)
+        spans = read_spans(tmp_path / SPANS_FILENAME)
+        by_name = {span["name"]: span for span in spans}
+        assert sorted(by_name) == ["cell:lru", "job", "matrix", "resume-scan"]
+        job = by_name["job"]["span_id"]
+        assert by_name["job"]["parent_id"] is None
+        assert by_name["resume-scan"]["parent_id"] == job
+        assert by_name["matrix"]["parent_id"] == job
+        assert by_name["cell:lru"]["parent_id"] == by_name["matrix"]["span_id"]
+
     def test_resume_ignores_foreign_and_sweep_manifests(self, tmp_path):
         """Sweep-level manifests and other-geometry cells never satisfy
         a cell: only a full identity match skips work."""
@@ -386,6 +418,30 @@ class TestMixResume:
         assert plan.to_run == [("mix1", "fifo")]
         for key in first:
             assert _mix_fields(merged[key]) == _mix_fields(first[key])
+
+
+    def test_ragged_remainder_runs_as_one_pooled_grid(self, tmp_path):
+        """Missing cells on different policies of different mixes still
+        run as one grid: one sweep manifest, both tasks, both workers."""
+        factories = _factories("lru", "fifo")
+        run_resumable_mix_matrix(self._mixes(), factories, GEOMETRY, tmp_path)
+        victims = {str(("mix0", "lru")), str(("mix1", "fifo"))}
+        for path in tmp_path.glob("*.json"):
+            if json.loads(path.read_text()).get("label") in victims:
+                path.unlink()
+        before = {m.run_id for m in scan_manifests(tmp_path).manifests}
+        _, plan = run_resumable_mix_matrix(
+            self._mixes(), factories, GEOMETRY, tmp_path, max_workers=2
+        )
+        assert plan.to_run == [("mix0", "lru"), ("mix1", "fifo")]
+        sweeps = [
+            m for m in scan_manifests(tmp_path).manifests
+            if m.kind == "mix_matrix" and m.run_id not in before
+        ]
+        assert len(sweeps) == 1
+        assert len(sweeps[0].tasks) == 2
+        assert sweeps[0].config["workers_effective"] == 2
+        assert "workers" not in sweeps[0].config
 
 
 def _submit_and_wait(client: ServiceClient, spec: SweepSpec) -> tuple[dict, list]:
