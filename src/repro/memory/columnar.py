@@ -48,12 +48,6 @@ the reference: the sampler FIFOs and RD counters are fed set-grouped
 (their state is per-set and the counter sums commute), and
 ``PDEngine.recompute`` fires at the exact access positions the
 per-access loop would trigger it — ``pd_history`` is bit-identical.
-
-Set independence also makes one trace *shardable* across processes:
-:func:`shard_trace` / :func:`run_llc_shard` / :func:`merge_shard_parts`
-back ``run_matrix(set_partitions=...)``, partitioning the sets of one
-grid cell over workers with bit-identically merging statistics and
-windowed time-series (see :func:`repro.sim.parallel.run_matrix`).
 """
 
 from __future__ import annotations
@@ -64,13 +58,13 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.pdp_policy import PDPPolicy
-from repro.memory.cache import SetAssociativeCache, log2_int
+from repro.memory.cache import log2_int
 from repro.memory.fastpath import run_trace
 from repro.obs.metrics import METRICS
 from repro.policies.fifo import FIFOPolicy
 from repro.policies.lru import LRUPolicy, MRUPolicy
 from repro.policies.rrip import SRRIPPolicy
-from repro.traces.trace import Trace
+
 
 class _FallbackKernel:
     """Cached dispatch decision for a policy with no vector kernel:
@@ -899,266 +893,7 @@ def run_trace_vector(cache, trace, set_order=None) -> None:
     kernel.run(trace, set_order=set_order)
 
 
-# -- set partitioning (run_matrix sharded cells) --------------------------
-
-
-def set_shardable(policy) -> bool:
-    """Whether one run under ``policy`` can be partitioned by set.
-
-    Requires a vector kernel *and* fully set-local state: dynamic PDP is
-    excluded (its sampler, RD counters and PD recomputation are global
-    across sets), as is anything non-vectorizable (shared RNG / PSEL).
-    """
-    if not vectorizable(policy):
-        return False
-    if isinstance(policy, PDPPolicy) and policy.static_pd is None:
-        return False
-    return True
-
-
-def shard_trace(
-    trace: Trace, num_sets: int, shard: int, num_shards: int
-) -> tuple[Trace, np.ndarray]:
-    """The sub-trace of ``trace`` touching shard ``shard`` of ``num_shards``.
-
-    Sets are dealt round-robin (``set_index % num_shards == shard``).
-    Returns the sub-trace plus the absolute positions of its accesses in
-    the original trace — window boundaries are defined on those absolute
-    positions, which is what makes sharded windows merge bit-identically.
-    """
-    if not 0 <= shard < num_shards:
-        raise ValueError(f"shard must be in [0, {num_shards}), got {shard}")
-    set_ids = trace.addresses & np.int64(num_sets - 1)
-    positions = np.flatnonzero(set_ids % num_shards == shard)
-    sub = Trace.__new__(Trace)
-    sub.addresses = trace.addresses[positions]
-    sub.pcs = trace.pcs[positions]
-    sub.thread_ids = trace.thread_ids[positions]
-    sub.name = f"{trace.name}#shard{shard}of{num_shards}"
-    sub.instructions_per_access = trace.instructions_per_access
-    return sub, positions
-
-
-class _ReusedEvictionCounter:
-    """Minimal cache observer counting evictions of reused lines (the
-    per-shard stand-in for the recorder's eviction-cause axis)."""
-
-    __slots__ = ("reused",)
-
-    def __init__(self) -> None:
-        self.reused = 0
-
-    def on_hit(self, set_index, address, occupancy) -> None:
-        """Observer no-op."""
-
-    def on_fill(self, set_index, address) -> None:
-        """Observer no-op."""
-
-    def on_bypass(self, set_index, address) -> None:
-        """Observer no-op."""
-
-    def on_evict(self, set_index, address, occupancy, was_reused) -> None:
-        """Count one reused-line eviction."""
-        if was_reused:
-            self.reused += 1
-
-
-def run_llc_shard(
-    trace: Trace,
-    policy,
-    geometry,
-    shard: int,
-    num_shards: int,
-    total_length: int,
-    window_size: int | None = None,
-) -> dict:
-    """Simulate one set-shard of a trace and return a mergeable partial.
-
-    The cache uses the full geometry (untouched sets stay empty and cost
-    nothing), so per-set state is exactly what the unsharded run holds
-    for these sets. With ``window_size`` the shard is replayed in slices
-    cut at the *absolute* window boundaries of the full trace
-    (``searchsorted`` over the shard's retained positions), producing
-    per-window partial counters that sum to the unsharded recorder's
-    windows. Returns plain JSON-native counters (picklable across the
-    process pool); combine with :func:`merge_shard_parts`.
-    """
-    sub, positions = shard_trace(trace, geometry.num_sets, shard, num_shards)
-    cache = SetAssociativeCache(geometry, policy)
-    windows: list[dict] = []
-    if window_size is None:
-        run_trace_vector(cache, sub)
-    else:
-        observer = _ReusedEvictionCounter()
-        cache.observers.append(observer)
-        stats = cache.stats
-        num_windows = -(-total_length // window_size)
-        edges = np.searchsorted(
-            positions,
-            np.arange(1, num_windows + 1, dtype=np.int64) * window_size,
-            side="left",
-        ).tolist()
-        previous_cut = 0
-        base = (0, 0, 0, 0, 0, 0)
-        reused_base = 0
-        protected_count = getattr(policy, "protected_count", None)
-        for k in range(num_windows):
-            cut = edges[k]
-            if cut > previous_cut:
-                run_trace_vector(cache, sub.slice(previous_cut, cut))
-            snapshot = (
-                stats.accesses,
-                stats.hits,
-                stats.misses,
-                stats.bypasses,
-                stats.evictions,
-                stats.fills,
-            )
-            reused = observer.reused - reused_base
-            window = {
-                "index": k,
-                "start": k * window_size,
-                "end": min((k + 1) * window_size, total_length),
-                "accesses": snapshot[0] - base[0],
-                "hits": snapshot[1] - base[1],
-                "misses": snapshot[2] - base[2],
-                "bypasses": snapshot[3] - base[3],
-                "evictions": snapshot[4] - base[4],
-                "fills": snapshot[5] - base[5],
-                "evictions_reused": reused,
-                "evictions_dead": snapshot[4] - base[4] - reused,
-            }
-            current_pd = getattr(policy, "current_pd", None)
-            if current_pd is not None:
-                window["pd"] = int(current_pd)
-            if callable(protected_count):
-                window["protected_lines"] = sum(
-                    protected_count(s) for s in range(geometry.num_sets)
-                )
-            windows.append(window)
-            base = snapshot
-            reused_base = observer.reused
-            previous_cut = cut
-    stats = cache.stats
-    part = {
-        "accesses": stats.accesses,
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "bypasses": stats.bypasses,
-        "evictions": stats.evictions,
-        "windows": windows,
-    }
-    current_pd = getattr(policy, "current_pd", None)
-    if current_pd is not None:
-        part["current_pd"] = int(current_pd)
-    return part
-
-
-def merge_shard_parts(
-    parts: list[dict],
-    name: str,
-    total_length: int,
-    instructions_per_access: float,
-    timing,
-    window_size: int | None = None,
-):
-    """Combine :func:`run_llc_shard` partials into a
-    :class:`repro.sim.single_core.SingleCoreResult`.
-
-    Statistics sum; per-window counters sum element-wise (every shard
-    reports the same absolute window grid); ``pd`` is constant across
-    shards (static policies only) and ``protected_lines`` sums because
-    the shards partition the sets. The merged result — including the
-    ``extra["timeseries"]`` payload — is bit-identical to the unsharded
-    ``run_llc(..., window_size=...)`` run (``tests/test_columnar.py``).
-    """
-    from repro.obs.timeseries import (
-        DEFAULT_MAX_WINDOWS,
-        TIMESERIES_SCHEMA_VERSION,
-    )
-    from repro.sim.single_core import SingleCoreResult
-
-    totals = {
-        key: sum(part[key] for part in parts)
-        for key in ("accesses", "hits", "misses", "bypasses", "evictions")
-    }
-    instructions = int(round(total_length * instructions_per_access))
-    ipc = timing.ipc(
-        instructions,
-        l2_hits=0,
-        llc_hits=totals["hits"],
-        memory_accesses=totals["misses"],
-    )
-    extra: dict = {}
-    for part in parts:
-        if "current_pd" in part:
-            extra["current_pd"] = part["current_pd"]
-            break
-    if window_size is not None:
-        num_windows = len(parts[0]["windows"])
-        if num_windows > DEFAULT_MAX_WINDOWS:
-            raise ValueError(
-                f"set-partitioned runs keep every window; "
-                f"{num_windows} windows exceed the recorder budget "
-                f"({DEFAULT_MAX_WINDOWS}) — raise window_size"
-            )
-        merged_windows = []
-        for k in range(num_windows):
-            rows = [part["windows"][k] for part in parts]
-            window = {
-                "index": k,
-                "start": rows[0]["start"],
-                "end": rows[0]["end"],
-            }
-            for key in (
-                "accesses",
-                "hits",
-                "misses",
-                "bypasses",
-                "evictions",
-                "fills",
-                "evictions_reused",
-                "evictions_dead",
-            ):
-                window[key] = sum(row[key] for row in rows)
-            pds = [row["pd"] for row in rows if "pd" in row]
-            if pds:
-                window["pd"] = pds[0]
-            protected = [
-                row["protected_lines"]
-                for row in rows
-                if "protected_lines" in row
-            ]
-            if protected:
-                window["protected_lines"] = sum(protected)
-            merged_windows.append(window)
-        extra["timeseries"] = {
-            "schema_version": TIMESERIES_SCHEMA_VERSION,
-            "window_size": window_size,
-            "max_windows": DEFAULT_MAX_WINDOWS,
-            "accesses": total_length,
-            "windows_closed": num_windows,
-            "windows_dropped": 0,
-            "windows": merged_windows,
-        }
-    return SingleCoreResult(
-        name=name,
-        accesses=totals["accesses"],
-        hits=totals["hits"],
-        misses=totals["misses"],
-        bypasses=totals["bypasses"],
-        instructions=instructions,
-        ipc=ipc,
-        evictions=totals["evictions"],
-        extra=extra,
-    )
-
-
 __all__ = [
-    "merge_shard_parts",
-    "run_llc_shard",
     "run_trace_vector",
-    "set_shardable",
-    "shard_trace",
     "vectorizable",
 ]

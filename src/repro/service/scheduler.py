@@ -19,6 +19,7 @@ import os
 from typing import Callable
 
 from repro.obs.manifest import Manifest, ManifestLoadReport, fingerprint_source
+from repro.obs.manifest import git_sha as _git_sha
 from repro.obs.progress import ProgressEvent, ProgressReporter
 from repro.sim.parallel import (
     CorruptManifestError,
@@ -33,14 +34,18 @@ from repro.sim.parallel import (
 
 
 def _matching_explore_manifest(
-    report: ManifestLoadReport, fingerprint: str, config: dict
+    report: ManifestLoadReport, fingerprint: str, config: dict, match_git_sha: bool
 ) -> Manifest | None:
     """The namespace's ``kind="explore"`` manifest satisfying a predict
-    cell (same trace fingerprint, same design-space config), or None."""
+    cell (same trace fingerprint, same design-space config, and with
+    ``match_git_sha`` the current git SHA — the rule of
+    :func:`manifest_satisfies_cell`), or None."""
     for manifest in report.manifests:
         if manifest.kind != "explore":
             continue
         if manifest.trace_fingerprint != fingerprint:
+            continue
+        if match_git_sha and manifest.git_sha != _git_sha():
             continue
         if all(manifest.config.get(key) == value for key, value in config.items()):
             return manifest
@@ -54,9 +59,10 @@ def execute_predict(
 ) -> dict:
     """Run one ``predict`` spec: the analytical explorer with resume.
 
-    The cell identity is (trace fingerprint, design-space config): when
-    the namespace already holds a ``kind="explore"`` manifest matching
-    both, the pass is skipped and the frontier reloaded from it —
+    The cell identity is (trace fingerprint, design-space config), plus
+    the git SHA when the spec sets ``match_git_sha``: when the namespace
+    already holds a ``kind="explore"`` manifest matching it, the pass is
+    skipped and the frontier reloaded from it —
     profiling is cheap but not free, and skip-on-resume keeps predict
     jobs idempotent like their simulation siblings. Returns the usual
     summary dict plus ``frontier`` (the ranked geometry dicts) and
@@ -84,7 +90,9 @@ def execute_predict(
     existing = None
     if any(m.kind == "explore" for m in report.manifests):
         fingerprint = fingerprint_source(trace)
-        existing = _matching_explore_manifest(report, fingerprint, config)
+        existing = _matching_explore_manifest(
+            report, fingerprint, config, spec.match_git_sha
+        )
     if existing is not None:
         reporter.skipped("explore")
         frontier = list(existing.extra.get("frontier", []))

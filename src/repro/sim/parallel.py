@@ -3,16 +3,15 @@
 A grid is a list of *cells* run against shared *inputs*. Two cell kinds
 cover the paper's evaluation grids: :class:`LLCCell`, one single-core
 ``run_llc`` of a policy over the grid's trace (the Fig. 4 static-PD
-sweep; its set-partitioned shard form is a variant of it), and
-:class:`SharedLLCCell`, one shared-LLC ``run_shared_llc`` of a policy
-over one mix of the grid's per-thread traces (the Fig. 12 mixes). Each
-cell carries its key, a ``run(inputs)``, its resume identity (manifest
-kind, label, workload, fingerprint, geometry, engine, window size) and
-the rebuild of its result from a manifest. :func:`run_cells` runs any
-list of them; the four public entry points — :func:`run_matrix`,
-:func:`run_mix_matrix`, :func:`run_resumable_matrix` and
-:func:`run_resumable_mix_matrix` — each build a cell list and call it
-once.
+sweep), and :class:`SharedLLCCell`, one shared-LLC ``run_shared_llc``
+of a policy over one mix of the grid's per-thread traces (the Fig. 12
+mixes). Each cell carries its key, a ``run(inputs)``, its resume
+identity (manifest kind, label, workload, fingerprint, geometry, engine,
+window size) and the rebuild of its result from a manifest.
+:func:`run_cells` runs any list of them; the four public entry points
+— :func:`run_matrix`, :func:`run_mix_matrix`,
+:func:`run_resumable_matrix` and :func:`run_resumable_mix_matrix` —
+each build a cell list and call it once.
 
 The grid's inputs — the :class:`Trace`, the
 :class:`repro.traces.stream.TraceStream`, or every mix's per-thread
@@ -100,7 +99,6 @@ from pathlib import Path
 from time import perf_counter
 
 from repro.memory.cache import CacheGeometry
-from repro.memory.columnar import merge_shard_parts, run_llc_shard, set_shardable
 from repro.memory.timing import TimingModel
 from repro.obs.manifest import (
     FingerprintAccumulator,
@@ -430,12 +428,8 @@ class LLCCell:
     """One single-core grid cell: ``run_llc`` of ``factory()`` over the
     grid's trace (an in-memory :class:`Trace` or a stream).
 
-    ``workload`` is the trace's name and ``accesses`` the number of
-    accesses the cell is credited with in the sweep manifest. With
-    ``shard=(k, num_shards, total_length)`` the cell is shard ``k`` of a
-    set-partitioned cell keyed ``(policy_key, k)``: it runs only the sets
-    with ``set_index % num_shards == k`` (vector engine, no per-cell
-    manifest) and returns a part dict for :func:`merge_shard_parts`.
+    ``workload`` is the trace's name and ``accesses`` its length when
+    known before the run (0 for a stream of unknown length).
     """
 
     key: object
@@ -446,7 +440,6 @@ class LLCCell:
     engine: str = "vector"
     manifest_dir: str | None = None
     window_size: int | None = None
-    shard: tuple[int, int, int] | None = None
     accesses: int = 0
 
     #: Manifest kind the cell writes, and matches on resume.
@@ -456,19 +449,19 @@ class LLCCell:
     @property
     def policy(self) -> str:
         """The policy key, as recorded in a :class:`TaskFailure`."""
-        return str(self.key if self.shard is None else self.key[0])
+        return str(self.key)
 
     def fingerprint(self, trace) -> str | None:
         """The trace fingerprint the cell's manifest records."""
         return _grid_fingerprint(trace) or fingerprint_source(trace)
 
+    def credited(self, result: SingleCoreResult | None) -> int:
+        """Accesses the sweep manifest credits the cell with: what its
+        run simulated, or ``accesses`` if it failed."""
+        return self.accesses if result is None else result.accesses
+
     def run(self, trace):
-        """Simulate the cell (or its shard) over ``trace``."""
-        if self.shard is not None:
-            return run_llc_shard(
-                trace, self.factory(), self.geometry, *self.shard,
-                window_size=self.window_size,
-            )
+        """Simulate the cell over ``trace``."""
         return run_llc(
             trace,
             self.factory(),
@@ -513,6 +506,11 @@ class SharedLLCCell:
     def policy(self) -> str:
         """The policy key, as recorded in a :class:`TaskFailure`."""
         return str(self.key[1])
+
+    def credited(self, result: MultiCoreResult | None) -> int:
+        """Accesses the sweep manifest credits the cell with: the mix's
+        total thread length, known before the run."""
+        return self.accesses
 
     def fingerprint(self, mixes: dict) -> str:
         """Fingerprint of the mix's round-robin interleaved trace — what
@@ -821,12 +819,19 @@ def _resume_scan(
 
 
 def _sweep_manifest(
-    kind: str, ran: list, inputs, wall: float, observer: _GridObserver, config: dict
+    kind: str,
+    ran: list,
+    fresh: dict,
+    inputs,
+    wall: float,
+    observer: _GridObserver,
+    config: dict,
 ) -> Manifest:
     """The sweep-level manifest of the cells that ran: their workloads,
-    policies and accesses, per-task status and failures, the grid's
-    geometry plus ``config``, and the metrics snapshot (when enabled)."""
-    accesses = sum(cell.accesses for cell in ran)
+    policies and credited accesses (over their ``fresh`` results),
+    per-task status and failures, the grid's geometry plus ``config``,
+    and the metrics snapshot (when enabled)."""
+    accesses = sum(cell.credited(fresh.get(cell.key)) for cell in ran)
     geometry = ran[0].geometry
     return Manifest(
         kind=kind,
@@ -925,7 +930,8 @@ def run_cells(
                     )
                 if manifest_out is not None:
                     _sweep_manifest(
-                        kind, ran, inputs, perf_counter() - start, observer,
+                        kind, ran, fresh, inputs, perf_counter() - start,
+                        observer,
                         {
                             "workers_requested": workers,
                             "workers_effective": effective,
@@ -951,46 +957,31 @@ def _llc_cells(
     engine: str,
     manifest_dir,
     window_size: int | None,
-    partitions: int = 0,
 ) -> tuple:
     """``(trace, cells)`` of a trace x policy-factory grid.
 
     A stream source comes back wrapped in a :class:`_FingerprintingStream`
-    so the grid identifies the trace without a second scan. With
-    ``partitions > 1``, every cell whose policy is
-    :func:`repro.memory.columnar.set_shardable` expands into that many
-    shard cells, each credited an equal share of the trace's accesses;
-    everything else (dynamic-PD samplers, unknown policies) keeps the
-    exact unsharded path.
+    so the grid identifies the trace without a second scan.
     """
     if isinstance(trace, TraceStream):
         trace = _FingerprintingStream(trace)
         length = trace.length or 0
     else:
         length = len(trace)
-    common = dict(
-        workload=trace.name,
-        geometry=geometry,
-        timing=timing,
-        engine=engine,
-        manifest_dir=None if manifest_dir is None else str(manifest_dir),
-        window_size=window_size,
-    )
-    cells = []
-    for key, factory in factories.items():
-        if partitions > 1 and set_shardable(factory()):
-            cells += [
-                LLCCell(
-                    (key, shard),
-                    factory=factory,
-                    shard=(shard, partitions, length),
-                    accesses=length // partitions + (shard < length % partitions),
-                    **common,
-                )
-                for shard in range(partitions)
-            ]
-        else:
-            cells.append(LLCCell(key, factory=factory, accesses=length, **common))
+    cells = [
+        LLCCell(
+            key,
+            workload=trace.name,
+            factory=factory,
+            geometry=geometry,
+            timing=timing,
+            engine=engine,
+            manifest_dir=None if manifest_dir is None else str(manifest_dir),
+            window_size=window_size,
+            accesses=length,
+        )
+        for key, factory in factories.items()
+    ]
     return trace, cells
 
 
@@ -1031,7 +1022,6 @@ def run_matrix(
     engine: str = "vector",
     manifest_dir: str | os.PathLike | None = None,
     on_event: Callable[[ProgressEvent], None] | None = None,
-    set_partitions: int | None = None,
     window_size: int | None = None,
 ) -> dict:
     """Run a trace x policy-factory matrix, in parallel when possible.
@@ -1050,84 +1040,32 @@ def run_matrix(
         manifest_dir: when set, each cell writes a per-run manifest, all
             progress events land in ``events.jsonl``, and a sweep-level
             manifest (kind ``"matrix"``) records per-task status and any
-            failures. Set-partitioned cells do not write per-cell
-            manifests (a merged cell has no single worker run to
-            describe); the sweep-level manifest still records every
-            shard task.
+            failures.
         on_event: optional callback receiving started/finished/failed
             :class:`ProgressEvent` records (emitted in this process).
-        set_partitions: when > 1 (vector engine, in-memory trace only),
-            split each cell whose policy is
-            :func:`repro.memory.columnar.set_shardable` into that many
-            set-partitioned shard tasks — shard ``k`` simulates only the
-            sets with ``set_index % K == k`` — and merge the per-shard
-            statistics and windowed time-series bit-identically to the
-            unsharded run. Cells whose policy couples sets (e.g. PDP
-            with a dynamic ``pd_engine``) run unsharded. Values are
-            clamped to ``geometry.num_sets``.
         window_size: when set, record a windowed time-series of this
-            window size for every cell (``result.extra["timeseries"]``),
-            sharded or not.
+            window size for every cell (``result.extra["timeseries"]``).
 
     Returns:
         {key: SingleCoreResult} for every entry in ``factories``.
 
     Raises:
-        ValueError: ``set_partitions`` with a non-vector engine or a
-            :class:`TraceStream` source (shard slicing needs the
-            materialized address column).
         Whatever the first failing simulation task raised (after the
         remaining tasks complete and the sweep manifest is written);
         only infrastructure failures fall back to the serial path.
     """
-    partitions = 0
-    if set_partitions is not None:
-        if set_partitions < 1:
-            raise ValueError(
-                f"set_partitions must be >= 1, got {set_partitions}"
-            )
-        if set_partitions > 1:
-            if engine != "vector":
-                raise ValueError(
-                    "set_partitions requires engine='vector' "
-                    f"(got engine={engine!r})"
-                )
-            if isinstance(trace, TraceStream):
-                raise ValueError(
-                    "set_partitions requires an in-memory Trace source"
-                )
-            partitions = min(set_partitions, geometry.num_sets)
     trace, cells = _llc_cells(
-        trace, factories, geometry, timing, engine, manifest_dir, window_size,
-        partitions,
-    )
-    sharded = {cell.key[0] for cell in cells if cell.shard is not None}
-    config = (
-        {"set_partitions": partitions, "sharded_cells": sorted(map(str, sharded))}
-        if sharded
-        else {}
+        trace, factories, geometry, timing, engine, manifest_dir, window_size
     )
     results, _ = run_cells(
         "matrix",
         cells,
         trace,
-        config=config,
         max_workers=max_workers,
         manifest_dir=manifest_dir,
         on_event=on_event,
     )
-    # Merge shard parts back into one SingleCoreResult per sharded cell
-    # (a failed shard has already re-raised above).
-    for key in sharded:
-        results[key] = merge_shard_parts(
-            [results.pop((key, shard)) for shard in range(partitions)],
-            trace.name,
-            len(trace),
-            trace.instructions_per_access,
-            timing or TimingModel(),
-            window_size=window_size,
-        )
-    return {key: results[key] for key in factories}
+    return results
 
 
 def run_mix_matrix(

@@ -26,7 +26,7 @@ from repro.memory.fastpath import run_hierarchy_trace, run_trace
 from repro.memory.hierarchy import CacheHierarchy
 from repro.memory.stats import OccupancyTracker
 from repro.memory.timing import TimingModel
-from repro.obs.manifest import FingerprintAccumulator, Manifest, trace_fingerprint
+from repro.obs.manifest import FingerprintAccumulator, Manifest, fingerprint_source
 from repro.obs.manifest import git_sha as _git_sha
 from repro.obs.timeseries import WindowedRecorder, _WindowFeed, active_recorder
 from repro.traces.stream import TraceStream, as_stream
@@ -59,14 +59,6 @@ def _resolve_recorder(
     return active_recorder(timeseries)
 
 
-def _stream_fingerprint(stream: TraceStream) -> str:
-    """Fingerprint a stream by re-scanning its chunks (O(chunk) memory)."""
-    accumulator = FingerprintAccumulator()
-    for chunk in stream.chunks():
-        accumulator.update(chunk)
-    return accumulator.digest(stream.name, stream.instructions_per_access)
-
-
 def emit_run_manifest(
     manifest_dir: str | os.PathLike,
     kind: str,
@@ -94,10 +86,7 @@ def emit_run_manifest(
     """
     meta = dict(run_meta or {})
     if fingerprint is None:
-        if isinstance(trace, TraceStream):
-            fingerprint = _stream_fingerprint(trace)
-        else:
-            fingerprint = trace_fingerprint(trace)
+        fingerprint = fingerprint_source(trace)
     Manifest(
         kind=kind,
         workload=trace.name,

@@ -1,46 +1,30 @@
 """Vector-engine specifics the conformance sweep does not cover.
 
-Three properties pin the columnar engine's structure (beyond the
+Two properties pin the columnar engine's structure (beyond the
 bit-identical-stats contract already swept by ``test_conformance.py``):
 
 - **Set-order invariance**: sets are independent, so processing the
   set batches of a chunk in *any* permutation must leave identical
   statistics and identical per-set cache/policy state.
-- **Set-partitioned merging**: a ``run_matrix`` cell split into shard
-  tasks (``set_index % K == k``) must merge — aggregate statistics and
-  the windowed time-series payload — bit-identically to the unsharded
-  run.
 - **The fallback seam**: policies without a kernel (or whose kernel
   declines via ``supports``) must silently run the fast path under
   ``engine="vector"``, and the gates themselves must classify policies
-  correctly (exact-type dispatch, the dynamic-PDP freeze rule, the
-  set-shardability rule).
+  correctly (exact-type dispatch, the dynamic-PDP freeze rule).
 """
 
 from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import CacheGeometry, SetAssociativeCache
-from repro.memory.columnar import (
-    merge_shard_parts,
-    run_llc_shard,
-    run_trace_vector,
-    set_shardable,
-    shard_trace,
-    vectorizable,
-)
-from repro.memory.timing import TimingModel
+from repro.memory.columnar import run_trace_vector, vectorizable
 from repro.policies.base import make_policy
 from repro.policies.lru import LRUPolicy
 from repro.policies.rrip import SRRIPPolicy
-from repro.sim.parallel import run_matrix
 from repro.sim.single_core import run_llc
-from repro.traces.stream import TraceStream
 from repro.workloads.streams import random_working_set
 
 GEOMETRY = CacheGeometry(num_sets=16, ways=4)
@@ -131,135 +115,4 @@ class TestFallbackSeam:
         # sampling counters mid-epoch; the kernel declines such configs.
         assert not vectorizable(PDPPolicy(recompute_interval=1 << 20))
 
-    def test_set_shardability(self):
-        assert set_shardable(LRUPolicy())
-        assert set_shardable(PDPPolicy(static_pd=24))
-        # Dynamic PD couples sets through the global sampler/PD engine.
-        assert not set_shardable(PDPPolicy(recompute_interval=777))
-        assert not set_shardable(make_policy("dip"))
 
-
-class TestShardMerging:
-    def test_shards_partition_the_trace(self):
-        trace = _trace()
-        num_shards = 3
-        pieces = [
-            shard_trace(trace, GEOMETRY.num_sets, shard, num_shards)
-            for shard in range(num_shards)
-        ]
-        all_positions = np.sort(
-            np.concatenate([positions for _, positions in pieces])
-        )
-        assert np.array_equal(all_positions, np.arange(len(trace)))
-        with pytest.raises(ValueError):
-            shard_trace(trace, GEOMETRY.num_sets, num_shards, num_shards)
-
-    @pytest.mark.parametrize("policy_name", ["lru", "srrip", "pdp-static"])
-    @pytest.mark.parametrize("num_shards", [2, 5])
-    def test_merged_shards_equal_unsharded_run(self, policy_name, num_shards):
-        trace = _trace()
-        window_size = 1_024
-        timing = TimingModel()
-        whole = run_llc(
-            trace,
-            POLICY_FACTORIES[policy_name](),
-            GEOMETRY,
-            timing=timing,
-            engine="vector",
-            window_size=window_size,
-        )
-        parts = [
-            run_llc_shard(
-                trace,
-                POLICY_FACTORIES[policy_name](),
-                GEOMETRY,
-                shard,
-                num_shards,
-                len(trace),
-                window_size=window_size,
-            )
-            for shard in range(num_shards)
-        ]
-        merged = merge_shard_parts(
-            parts,
-            trace.name,
-            len(trace),
-            trace.instructions_per_access,
-            timing,
-            window_size=window_size,
-        )
-        for field in (
-            "accesses",
-            "hits",
-            "misses",
-            "bypasses",
-            "evictions",
-            "instructions",
-            "ipc",
-        ):
-            assert getattr(merged, field) == getattr(whole, field), (
-                f"{policy_name}/{num_shards} shards: {field} diverges"
-            )
-        assert merged.extra["timeseries"] == whole.extra["timeseries"], (
-            f"{policy_name}/{num_shards} shards: windowed payload diverges"
-        )
-
-    def test_run_matrix_set_partitions_equals_unsharded(self):
-        trace = _trace()
-        factories = {
-            "lru": LRUPolicy,
-            "pdp-static": lambda: PDPPolicy(static_pd=24),
-            # Dynamic PD is not shardable: the cell must silently run
-            # whole while the others shard — results identical either way.
-            "pdp-dynamic": lambda: PDPPolicy(recompute_interval=777),
-        }
-        window_size = 1_024
-        plain = run_matrix(
-            trace, factories, GEOMETRY, max_workers=1, window_size=window_size
-        )
-        sharded = run_matrix(
-            trace,
-            factories,
-            GEOMETRY,
-            max_workers=1,
-            set_partitions=4,
-            window_size=window_size,
-        )
-        assert set(plain) == set(sharded)
-        for key in factories:
-            for field in (
-                "accesses",
-                "hits",
-                "misses",
-                "bypasses",
-                "evictions",
-                "instructions",
-                "ipc",
-            ):
-                assert getattr(sharded[key], field) == getattr(plain[key], field), (
-                    f"{key}: sharded run_matrix {field} diverges"
-                )
-            assert (
-                sharded[key].extra["timeseries"] == plain[key].extra["timeseries"]
-            ), f"{key}: sharded run_matrix windows diverge"
-
-    def test_set_partitions_validation(self):
-        trace = _trace(length=1_000)
-        with pytest.raises(ValueError):
-            run_matrix(
-                trace, {"lru": LRUPolicy}, GEOMETRY,
-                max_workers=1, set_partitions=0,
-            )
-        with pytest.raises(ValueError):
-            run_matrix(
-                trace, {"lru": LRUPolicy}, GEOMETRY,
-                max_workers=1, set_partitions=2, engine="fast",
-            )
-        with pytest.raises(ValueError):
-            run_matrix(
-                TraceStream.from_trace(trace, chunk_size=128),
-                {"lru": LRUPolicy},
-                GEOMETRY,
-                max_workers=1,
-                set_partitions=2,
-            )

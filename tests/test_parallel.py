@@ -178,7 +178,9 @@ def test_stream_sweep_manifest_records_fingerprint(trace, tmp_path, max_workers)
     """The fingerprint-hole bug: a stream-sourced sweep manifest must
     carry the chunk-size-invariant trace fingerprint, equal to the
     in-memory trace's digest, not None — also when pool workers make
-    every pass over the stream and the parent never iterates it."""
+    every pass over the stream and the parent never iterates it. A
+    stream opened from a file has no known length, so the manifest
+    credits each cell with the accesses its run simulated."""
     from repro.obs.manifest import load_manifests, trace_fingerprint
     from repro.traces.formats import open_trace, write_stream
     from repro.traces.stream import as_stream
@@ -193,6 +195,7 @@ def test_stream_sweep_manifest_records_fingerprint(trace, tmp_path, max_workers)
     sweep = [m for m in load_manifests(out) if m.kind == "matrix"][0]
     assert sweep.config["workers_effective"] == max_workers
     assert sweep.trace_fingerprint == trace_fingerprint(trace)
+    assert sweep.accesses == 2 * len(trace)
 
 
 def test_pooled_stream_matrix_resubmit_skips_every_cell(trace, tmp_path):
@@ -231,8 +234,8 @@ def _fields(results):
 def test_pooled_grids_write_no_trace_payload(trace, monkeypatch):
     """Pool workers receive the grid's inputs through the pool
     initializer, not through trace files: with ``Trace.save`` broken,
-    pooled plain, set-partitioned and mix grids still run on the pool
-    (no fallback warning) and match serial bit-identically."""
+    pooled windowed and mix grids still run on the pool (no fallback
+    warning) and match serial bit-identically."""
     import warnings
 
     def refuse_save(self, path):
@@ -250,14 +253,13 @@ def test_pooled_grids_write_no_trace_payload(trace, monkeypatch):
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for extra in ({}, {"set_partitions": 2}):
-            serial = run_matrix(
-                trace, factories, GEOMETRY, max_workers=1, window_size=1_000, **extra
-            )
-            pooled = run_matrix(
-                trace, factories, GEOMETRY, max_workers=2, window_size=1_000, **extra
-            )
-            assert _fields(pooled) == _fields(serial)
+        serial = run_matrix(
+            trace, factories, GEOMETRY, max_workers=1, window_size=1_000
+        )
+        pooled = run_matrix(
+            trace, factories, GEOMETRY, max_workers=2, window_size=1_000
+        )
+        assert _fields(pooled) == _fields(serial)
         serial_mix = run_mix_matrix(_mixes(), mix_factories, GEOMETRY, max_workers=1)
         pooled_mix = run_mix_matrix(_mixes(), mix_factories, GEOMETRY, max_workers=2)
     assert _mix_summaries(pooled_mix) == _mix_summaries(serial_mix)

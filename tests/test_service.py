@@ -783,6 +783,22 @@ class TestPredictTier:
         assert followup.policies[0]["name"] == "pdp"
         assert followup.policies[0]["kwargs"]["bypass"] is True
 
+    def test_match_git_sha_gates_predict_resume(self, tmp_path):
+        from repro.service.scheduler import execute_spec
+
+        execute_spec(self._spec(), tmp_path)
+        # forge the recorded SHA: the pass must re-run under matching
+        for path in tmp_path.glob("*.json"):
+            data = json.loads(path.read_text())
+            if data.get("kind") == "explore":
+                data["git_sha"] = "0" * 40
+                path.write_text(json.dumps(data))
+        relaxed = execute_spec(self._spec(), tmp_path)
+        # default: SHA not part of the identity
+        assert relaxed["skipped_cells"] == 1 and relaxed["ran_cells"] == 0
+        strict = execute_spec(self._spec(match_git_sha=True), tmp_path)
+        assert strict["skipped_cells"] == 0 and strict["ran_cells"] == 1
+
     def test_daemon_runs_predict_and_auto_submits_followups(self, tmp_path):
         async def scenario():
             service = SweepService(tmp_path, install_signal_handlers=False)
