@@ -15,8 +15,6 @@ Commands:
 - ``obs summarize`` — rebuild a result table from a manifest directory.
 - ``obs report`` — render the self-contained markdown/HTML observatory
   report (tables + window sparklines) from manifests alone.
-- ``obs bench`` — in-process micro benchmark emitting a canonical
-  schema-versioned BENCH record (see :mod:`repro.obs.bench`).
 - ``trace convert`` / ``trace info`` — stream-convert and inspect
   external trace files (native ``.trz``, ChampSim-style binary, CSV).
 - ``serve`` — run the always-on resumable sweep daemon on a service
@@ -411,36 +409,6 @@ def _cmd_obs_report(args) -> int:
         print(f"[written to {args.out}]", file=sys.stderr)
     else:
         print(text)
-    return 0
-
-
-def _cmd_obs_bench(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.obs.bench import append_trajectory, run_micro_bench
-
-    engines = tuple(
-        engine.strip() for engine in args.engines.split(",") if engine.strip()
-    )
-    try:
-        record = run_micro_bench(
-            length=args.length, repeats=args.repeats, engines=engines
-        )
-    except ValueError as exc:
-        print(f"obs bench failed: {exc}", file=sys.stderr)
-        return 1
-    measured = ", ".join(record["raw"]["engines"])
-    print(f"[measured engines: {measured}]", file=sys.stderr)
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(record, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"[written to {args.out}]", file=sys.stderr)
-    if args.trajectory:
-        append_trajectory(record, args.trajectory)
-        print(f"[appended to {args.trajectory}]", file=sys.stderr)
     return 0
 
 
@@ -1233,32 +1201,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("--out", default=None, help="write report to this path")
     report.set_defaults(func=_cmd_obs_report)
-    bench = obs_sub.add_parser(
-        "bench",
-        help="run the in-process micro benchmark and record a canonical "
-        "schema-versioned BENCH record",
-    )
-    bench.add_argument(
-        "--length", type=int, default=50_000, help="trace length to measure"
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=1, help="best-of-N timing repeats"
-    )
-    bench.add_argument(
-        "--engines",
-        default="reference,fast,vector",
-        help="comma-separated engines to measure; the record names each "
-        "engine it actually ran in its throughput keys and raw report",
-    )
-    bench.add_argument(
-        "--out", default=None, help="write the canonical record to this path"
-    )
-    bench.add_argument(
-        "--trajectory",
-        default=None,
-        help="append the record to this JSONL trajectory file",
-    )
-    bench.set_defaults(func=_cmd_obs_bench)
     scrape = obs_sub.add_parser(
         "scrape",
         help="fetch the daemon's live metrics snapshot (JSON by default, "

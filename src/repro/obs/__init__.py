@@ -10,16 +10,16 @@ reproducible after it finishes:
   Prometheus text-exposition renderer; the sweep daemon serves these
   via the ``stats`` verb.
 - :mod:`repro.obs.spans` — hierarchical wall-time spans (trace/span/
-  parent ids via contextvars) persisted to ``spans.jsonl``, rendered as
-  a critical-path-marked tree by ``repro obs trace``.
+  parent ids via contextvars) persisted to ``spans.jsonl``, the one run
+  log of a grid: a cell's open record is on disk from dispatch, so a
+  killed sweep still shows its in-flight cells. Rendered as a
+  critical-path-marked tree by ``repro obs trace``.
 - :mod:`repro.obs.manifest` — per-run JSON provenance records (config,
   policy, engine, seed, trace fingerprint, git SHA, timing, statistics,
   failures), written atomically and round-trippable via
   :meth:`Manifest.load`.
 - :mod:`repro.obs.progress` — started/finished/failed events with ETA
   for grid runs, delivered to an ``on_event`` callback.
-- :mod:`repro.obs.trace_log` — append-only JSONL event log persisted
-  next to the manifests.
 - :mod:`repro.obs.timeseries` — fixed-budget windowed recorder turning
   one run into per-window hit/miss/eviction-cause/PD statistics that are
   bit-identical across engines and chunk sizes.
@@ -43,7 +43,6 @@ from repro.obs.bench import (
     append_trajectory,
     canonical_record,
     compare_records,
-    migrate_record,
     read_trajectory,
     render_report,
     sparkline,
@@ -84,6 +83,7 @@ from repro.obs.progress import (
 from repro.obs.spans import (
     SPANS_FILENAME,
     SpanTracer,
+    read_jsonl,
     read_spans,
     render_span_tree,
 )
@@ -93,18 +93,11 @@ from repro.obs.timeseries import (
     WindowedRecorder,
     windows_from_payload,
 )
-from repro.obs.trace_log import (
-    EVENTS_FILENAME,
-    TraceLog,
-    read_events,
-    read_jsonl,
-)
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "ENV_MANIFEST_DIR",
     "ENV_TELEMETRY",
-    "EVENTS_FILENAME",
     "MANIFEST_SCHEMA_VERSION",
     "METRICS",
     "Manifest",
@@ -119,7 +112,6 @@ __all__ = [
     "ProgressEvent",
     "ProgressReporter",
     "TaskFailure",
-    "TraceLog",
     "append_trajectory",
     "canonical_record",
     "compare_records",
@@ -131,10 +123,8 @@ __all__ = [
     "histogram_quantile",
     "load_manifests",
     "scan_manifests",
-    "migrate_record",
     "new_run_id",
     "print_event",
-    "read_events",
     "read_jsonl",
     "read_spans",
     "read_trajectory",

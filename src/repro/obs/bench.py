@@ -2,8 +2,8 @@
 
 This module defines the canonical ``BENCH_*.json`` schema shared by the
 standalone benchmark scripts (``benchmarks/bench_engine_speed.py``,
-``benchmarks/bench_multicore_speed.py``), the ``repro obs bench`` CLI,
-and the ``tools/bench_regress.py`` regression gate:
+``benchmarks/bench_multicore_speed.py``) and the
+``tools/bench_regress.py`` regression gate:
 
 .. code-block:: json
 
@@ -42,6 +42,7 @@ from pathlib import Path
 
 from repro.obs.manifest import git_sha as _git_sha
 from repro.obs.manifest import load_manifests, summarize_manifests
+from repro.obs.spans import read_jsonl
 from repro.obs.timeseries import windows_from_payload
 
 #: Schema version of canonical benchmark records; bump on incompatible
@@ -96,18 +97,6 @@ def is_canonical(data: dict) -> bool:
     return isinstance(data, dict) and "bench_schema_version" in data
 
 
-def _legacy_kind(raw: dict) -> str | None:
-    """Classify a pre-schema benchmark report: the engine benchmark
-    carries a ``benchmark`` key, the multicore one a ``cores`` key."""
-    if not isinstance(raw, dict) or "kernels" not in raw:
-        return None
-    if "benchmark" in raw:
-        return "engine"
-    if "cores" in raw:
-        return "multicore"
-    return None
-
-
 def throughput_map(raw: dict) -> dict[str, float]:
     """Flatten a native benchmark report's per-kernel throughput into
     the canonical ``{"engine/policy": accesses_per_sec}`` mapping.
@@ -135,8 +124,7 @@ def canonical_record(
     """Wrap a native benchmark report in the canonical schema.
 
     Args:
-        kind: record family — ``"engine"``, ``"multicore"``, or
-            ``"micro"`` (the in-process ``repro obs bench`` probe).
+        kind: record family — ``"engine"`` or ``"multicore"``.
         raw: the full native report, preserved verbatim.
         throughput: ``{"engine/policy": accesses_per_sec}``; extracted
             from ``raw["kernels"]`` when omitted.
@@ -155,34 +143,24 @@ def canonical_record(
     }
 
 
-def migrate_record(data: dict) -> dict:
-    """Normalize one benchmark JSON payload to the canonical schema.
-
-    Canonical records pass through unchanged; the two legacy ad-hoc
-    shapes are wrapped via :func:`canonical_record`. Raises
-    ``ValueError`` for payloads that are neither.
-    """
-    if is_canonical(data):
-        return data
-    kind = _legacy_kind(data)
-    if kind is None:
+def _require_canonical(data: dict) -> dict:
+    """``data`` itself; ``ValueError`` unless it carries the schema."""
+    if not is_canonical(data):
         raise ValueError(
-            "not a benchmark record: expected the canonical schema or a "
-            "legacy BENCH_engine/BENCH_multicore report"
+            "not a benchmark record: expected the canonical schema "
+            f"(bench_schema_version {BENCH_SCHEMA_VERSION})"
         )
-    return canonical_record(kind, data)
+    return data
 
 
 def load_record(path: str | os.PathLike) -> dict:
-    """Load one benchmark record, normalizing legacy files on the fly."""
-    data = json.loads(Path(path).read_text())
-    return migrate_record(data)
+    """Load one canonical benchmark record (``ValueError`` otherwise)."""
+    return _require_canonical(json.loads(Path(path).read_text()))
 
 
 def append_trajectory(record: dict, path: str | os.PathLike) -> None:
     """Append one canonical record to the JSONL trajectory file."""
-    if not is_canonical(record):
-        raise ValueError("only canonical records belong in the trajectory")
+    _require_canonical(record)
     trajectory = Path(path)
     trajectory.parent.mkdir(parents=True, exist_ok=True)
     with trajectory.open("a", encoding="utf-8") as handle:
@@ -190,16 +168,14 @@ def append_trajectory(record: dict, path: str | os.PathLike) -> None:
 
 
 def read_trajectory(path: str | os.PathLike) -> list[dict]:
-    """All records of a trajectory file, oldest first ([] when absent)."""
-    trajectory = Path(path)
-    if not trajectory.exists():
+    """All records of a trajectory file, oldest first ([] when absent).
+
+    A torn final line (an append cut short) is skipped with a warning
+    (:func:`repro.obs.spans.read_jsonl`).
+    """
+    if not Path(path).exists():
         return []
-    records = []
-    for line in trajectory.read_text().splitlines():
-        line = line.strip()
-        if line:
-            records.append(json.loads(line))
-    return records
+    return read_jsonl(path, what="benchmark trajectory")
 
 
 def compare_records(
@@ -213,11 +189,12 @@ def compare_records(
     keys present in both records are compared (a renamed or added kernel
     is not a regression). Returns one ``{key, baseline, current, ratio}``
     row per regressed key, worst first — empty means the gate passes.
+    Both records must be canonical (``ValueError`` otherwise).
     """
     if not 0 <= tolerance < 1:
         raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
-    base = migrate_record(baseline)["throughput"]
-    curr = migrate_record(current)["throughput"]
+    base = _require_canonical(baseline)["throughput"]
+    curr = _require_canonical(current)["throughput"]
     regressions = []
     for key in sorted(set(base) & set(curr)):
         if not base[key]:
@@ -513,75 +490,6 @@ def render_report(
     )
 
 
-def run_micro_bench(
-    length: int = 50_000,
-    repeats: int = 1,
-    engines: tuple[str, ...] = ("reference", "fast", "vector"),
-) -> dict:
-    """Measure engine x policy throughput in-process (the ``repro obs
-    bench`` probe) and return a canonical ``kind="micro"`` record.
-
-    A deliberately small cousin of ``benchmarks/bench_engine_speed.py``:
-    LRU and PDP under every requested engine on a cached 403.gcc-like
-    trace, best-of-``repeats`` accesses/second. Small enough for a
-    laptop or CI smoke run, but measured with the same kernels as the
-    real suite so trajectory trends are comparable. The engines actually
-    measured are recorded in ``raw["engines"]`` and appear verbatim as
-    the ``engine/policy`` throughput keys, so cross-tier BENCH
-    comparisons are unambiguous.
-    """
-    from time import perf_counter
-
-    from repro.core.pdp_policy import PDPPolicy
-    from repro.experiments.common import EXPERIMENT_GEOMETRY, TIMING
-    from repro.policies.lru import LRUPolicy
-    from repro.sim.single_core import ENGINES, run_llc
-    from repro.workloads import make_benchmark_trace
-
-    engines = tuple(engines)
-    unknown = [engine for engine in engines if engine not in ENGINES]
-    if not engines or unknown:
-        raise ValueError(
-            f"engines must be a non-empty subset of {ENGINES}, got {engines}"
-        )
-    trace = make_benchmark_trace(
-        "403.gcc", length=length, num_sets=EXPERIMENT_GEOMETRY.num_sets
-    )
-    factories = {
-        "lru": LRUPolicy,
-        "pdp": lambda: PDPPolicy(recompute_interval=8192),
-    }
-    kernels: dict[str, dict] = {}
-    for name, factory in factories.items():
-        best: dict[str, float] = {}
-        for _ in range(max(1, repeats)):
-            for engine in engines:
-                start = perf_counter()
-                run_llc(
-                    trace, factory(), EXPERIMENT_GEOMETRY,
-                    timing=TIMING, engine=engine,
-                )
-                elapsed = perf_counter() - start
-                best[engine] = min(best.get(engine, float("inf")), elapsed)
-        cell: dict[str, float | int] = {"accesses": len(trace)}
-        for engine in engines:
-            cell[f"{engine}_seconds"] = round(best[engine], 4)
-            cell[f"{engine}_accesses_per_sec"] = round(len(trace) / best[engine])
-        if "reference" in best and "fast" in best:
-            cell["speedup"] = round(best["reference"] / best["fast"], 2)
-        if "reference" in best and "vector" in best:
-            cell["vector_speedup"] = round(best["reference"] / best["vector"], 2)
-        kernels[name] = cell
-    raw = {
-        "benchmark": "403.gcc",
-        "trace_length": length,
-        "repeats": repeats,
-        "engines": list(engines),
-        "kernels": kernels,
-    }
-    return canonical_record("micro", raw)
-
-
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "DEFAULT_TOLERANCE",
@@ -592,11 +500,9 @@ __all__ = [
     "is_canonical",
     "load_record",
     "machine_fingerprint",
-    "migrate_record",
     "peak_rss_bytes",
     "read_trajectory",
     "render_report",
-    "run_micro_bench",
     "sparkline",
     "throughput_map",
 ]

@@ -13,8 +13,8 @@ boundary.
 
 ``python -m repro ... --progress`` wires :func:`print_event` (one line
 per event on stderr) as the callback; library callers can pass any
-callable, e.g. to feed a TUI, a log aggregator, or a
-:class:`repro.obs.trace_log.TraceLog`.
+callable, e.g. to feed a TUI or a log aggregator. The durable record of
+the same lifecycle is the grid's ``spans.jsonl`` (:mod:`repro.obs.spans`).
 """
 
 from __future__ import annotations

@@ -3,29 +3,38 @@
 A :class:`SpanTracer` records distributed-tracing-style spans — each
 with a ``trace_id``, ``span_id``, optional ``parent_id``, a
 ``perf_counter``-measured duration, and free-form attributes — and
-appends them as one JSON object per line to ``spans.jsonl`` next to the
-``events.jsonl`` a sweep already writes. Parent/child linkage is
+appends them as one JSON object per line to ``spans.jsonl``, the one
+run log a grid writes next to its manifests. Parent/child linkage is
 carried implicitly through a :mod:`contextvars` context variable, so the
 ``job`` span of a resumed grid automatically becomes the parent of its
 ``resume-scan`` span, of the grid span and of every per-cell span under
 it, without threading tracer state through call signatures.
 
-Two recording styles cooperate:
+Three recording styles cooperate:
 
 * ``with tracer.span("resume-scan", ...)`` — a context manager for
   code you can wrap;
-* ``tracer.emit(name, start_s, duration_s, ...)`` — for spans whose
-  timing was measured elsewhere (per-cell spans are timed by the grid
-  observer and emitted at completion, parented under whatever span is
-  current).
+* ``record = tracer.start(name, start_s)`` then
+  ``tracer.finish(record, duration_s, ...)`` — for a span timed
+  elsewhere that must be visible while it runs (per-cell spans open at
+  dispatch and close at completion, in the grid observer);
+* ``tracer.emit(name, start_s, duration_s, ...)`` — for a span whose
+  timing is already known (zero-duration skipped cells and warnings).
+
+The open-record rule: a span that is still running is on disk as an
+*open* record (``duration_s: null``) written when it began — every
+``with`` span and every :meth:`SpanTracer.start` span writes one — and
+its close record, carrying the same ``span_id``, replaces it when
+:func:`read_spans` folds the file. A killed process therefore leaves
+its in-flight spans readable as open spans.
 
 The disabled path mirrors :class:`repro.obs.metrics.MetricsRegistry`:
 a tracer constructed without a path is inert and ``span()`` returns a
 preallocated no-op singleton. Read a span file back with
-:func:`read_spans` (tolerant of a torn final line, like the event log)
-and render it with :func:`render_span_tree`, which draws the tree and
-marks the critical path — the chain built by following the
-longest-duration child from each root — with ``*``.
+:func:`read_spans` (tolerant of a torn final line, see
+:func:`read_jsonl`) and render it with :func:`render_span_tree`, which
+draws the tree and marks the critical path — the chain built by
+following the longest-duration child from each root — with ``*``.
 """
 
 from __future__ import annotations
@@ -34,11 +43,10 @@ import contextvars
 import json
 import os
 import uuid
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 from time import perf_counter
-
-from repro.obs.trace_log import read_jsonl
 
 #: Default span-log filename inside a manifest directory.
 SPANS_FILENAME = "spans.jsonl"
@@ -101,9 +109,22 @@ class _ActiveSpan:
         """Attach (or overwrite) one attribute on the open span."""
         self.attributes[key] = value
 
+    def _write(self, duration_s: float | None) -> None:
+        """Write this span's open (``None``) or close record."""
+        self._tracer._write(
+            name=self.name,
+            trace_id=self.trace_id,
+            span_id=self.span_id,
+            parent_id=self.parent_id,
+            start_s=self._start,
+            duration_s=duration_s,
+            attributes=self.attributes,
+        )
+
     def __enter__(self) -> "_ActiveSpan":
         self._token = _CURRENT_SPAN.set((self.trace_id, self.span_id))
         self._start = perf_counter()
+        self._write(None)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -111,15 +132,7 @@ class _ActiveSpan:
         _CURRENT_SPAN.reset(self._token)
         if exc_type is not None:
             self.attributes.setdefault("error", exc_type.__name__)
-        self._tracer._write(
-            name=self.name,
-            trace_id=self.trace_id,
-            span_id=self.span_id,
-            parent_id=self.parent_id,
-            start_s=self._start,
-            duration_s=duration,
-            attributes=self.attributes,
-        )
+        self._write(duration)
         return False
 
 
@@ -129,8 +142,8 @@ class SpanTracer:
     Construct directly with a file path, or with
     :meth:`SpanTracer.for_dir` to place ``spans.jsonl`` inside a
     manifest directory (returning an inert tracer when the directory is
-    ``None`` — the same "no manifest dir, no persistence" convention the
-    event log follows).
+    ``None`` — the "no manifest dir, no persistence" convention of the
+    grid runner).
     """
 
     __slots__ = ("path", "enabled", "_fh")
@@ -158,6 +171,42 @@ class SpanTracer:
             return NULL_ACTIVE_SPAN
         return _ActiveSpan(self, name, attributes)
 
+    @staticmethod
+    def _ids(name: str, start_s: float) -> dict:
+        """Name, start and fresh ids of a span parented under the
+        current one."""
+        parent = _CURRENT_SPAN.get()
+        return {
+            "name": name,
+            "trace_id": parent[0] if parent else _new_id(),
+            "span_id": _new_id(),
+            "parent_id": parent[1] if parent else None,
+            "start_s": start_s,
+        }
+
+    def start(self, name: str, start_s: float) -> dict | None:
+        """Write the open record of a span timed outside a ``with``
+        block, parented under the current span.
+
+        Returns the span's identity for :meth:`finish` (None when the
+        tracer is disabled). Until it is finished, :func:`read_spans`
+        reports the span with ``duration_s`` None.
+        """
+        if not self.enabled:
+            return None
+        span = self._ids(name, start_s)
+        self._write(**span, duration_s=None, attributes={})
+        return span
+
+    def finish(
+        self, span: dict | None, duration_s: float, attributes: dict | None = None
+    ) -> None:
+        """Write the close record of a :meth:`start`-ed span (same
+        ``span_id``); a no-op for the None a disabled tracer returns."""
+        if span is None:
+            return
+        self._write(**span, duration_s=duration_s, attributes=attributes or {})
+
     def emit(
         self,
         name: str,
@@ -167,19 +216,13 @@ class SpanTracer:
     ) -> None:
         """Write one already-timed span, parented under the current span.
 
-        Used for spans whose timing was measured outside a ``with``
-        block — e.g. per-cell grid spans timed dispatch-to-completion by
-        the grid observer.
+        Used for spans whose timing is known when they are recorded —
+        e.g. the zero-duration span of a resumed cell or a grid warning.
         """
         if not self.enabled:
             return
-        parent = _CURRENT_SPAN.get()
         self._write(
-            name=name,
-            trace_id=parent[0] if parent else _new_id(),
-            span_id=_new_id(),
-            parent_id=parent[1] if parent else None,
-            start_s=start_s,
+            **self._ids(name, start_s),
             duration_s=duration_s,
             attributes=attributes or {},
         )
@@ -208,13 +251,52 @@ class SpanTracer:
         return False
 
 
-def read_spans(path: str | os.PathLike) -> list[dict]:
-    """Parse a ``spans.jsonl`` file back into span dicts.
+def read_jsonl(path: str | os.PathLike, what: str = "log") -> list[dict]:
+    """Parse a JSONL file into dicts, tolerating a torn final line.
 
-    A torn final line (tracer killed mid-append) is skipped with a
-    single warning, exactly like :func:`repro.obs.trace_log.read_events`.
+    A process killed mid-append (SIGKILL between ``write`` and the
+    buffer reaching disk) can leave a truncated last line; that is
+    expected wreckage, not corruption, so it is skipped with a single
+    :class:`RuntimeWarning` naming the file (``what`` says what kind of
+    file it is). An unparseable line *before* the end still raises
+    ``json.JSONDecodeError`` — mid-file damage means the log cannot be
+    trusted and should be surfaced. Blank lines are skipped.
     """
-    return read_jsonl(path, what="span log")
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh]
+    lines = [(number, line) for number, line in enumerate(lines, 1) if line]
+    for position, (number, line) in enumerate(lines):
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError:
+            if position == len(lines) - 1:
+                warnings.warn(
+                    f"skipping torn final line {number} of {what} {path} "
+                    "(writer was likely killed mid-append)",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                break
+            raise
+    return records
+
+
+def read_spans(path: str | os.PathLike) -> list[dict]:
+    """Parse a ``spans.jsonl`` file back into one dict per span.
+
+    Records are folded by ``span_id``: a close record replaces the open
+    record of the same span, so a span that never closed (its process
+    was killed) comes back with ``duration_s`` None. Spans come back in
+    the order of their last record — closed spans in completion order.
+    A torn final line is skipped with a single warning
+    (:func:`read_jsonl`).
+    """
+    spans: dict = {}
+    for record in read_jsonl(path, what="span log"):
+        spans.pop(record["span_id"], None)
+        spans[record["span_id"]] = record
+    return list(spans.values())
 
 
 def render_span_tree(spans: list[dict]) -> str:
@@ -225,7 +307,8 @@ def render_span_tree(spans: list[dict]) -> str:
     time. The critical path — from each root, repeatedly descend into
     the child with the largest duration — is marked with a trailing
     ``*``, answering "where did the wall time actually go". Durations
-    render in seconds with millisecond precision.
+    render in seconds with millisecond precision; a span that never
+    closed renders as ``[open]`` and counts as 0 s on the critical path.
     """
     if not spans:
         return "(no spans recorded)\n"
@@ -245,7 +328,9 @@ def render_span_tree(spans: list[dict]) -> str:
         while node is not None:
             critical.add(node["span_id"])
             kids = children[node["span_id"]]
-            node = max(kids, key=lambda s: s["duration_s"]) if kids else None
+            node = (
+                max(kids, key=lambda s: s["duration_s"] or 0.0) if kids else None
+            )
 
     lines: list[str] = []
 
@@ -255,11 +340,12 @@ def render_span_tree(spans: list[dict]) -> str:
         )
         mark = " *" if span["span_id"] in critical else ""
         attrs = span.get("attributes") or {}
-        status = f" [{attrs['status']}]" if "status" in attrs else ""
-        lines.append(
-            f"{indent}{connector}{span['name']}"
-            f"  {span['duration_s']:.3f}s{status}{mark}"
-        )
+        if span["duration_s"] is None:
+            timing = "[open]"
+        else:
+            status = f" [{attrs['status']}]" if "status" in attrs else ""
+            timing = f"{span['duration_s']:.3f}s{status}"
+        lines.append(f"{indent}{connector}{span['name']}  {timing}{mark}")
         kids = children[span["span_id"]]
         child_indent = indent + (
             "" if is_last is None else ("   " if is_last else "│  ")
@@ -280,6 +366,7 @@ __all__ = [
     "SPANS_FILENAME",
     "SpanTracer",
     "current_span_ids",
+    "read_jsonl",
     "read_spans",
     "render_span_tree",
 ]

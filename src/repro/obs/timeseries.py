@@ -461,6 +461,21 @@ def active_recorder(timeseries: WindowedRecorder | None) -> WindowedRecorder | N
     return timeseries
 
 
+def _resolve_recorder(
+    timeseries: WindowedRecorder | None, window_size: int | None
+) -> WindowedRecorder | None:
+    """A driver's active recorder from its ``timeseries=`` /
+    ``window_size=`` arguments: an explicit enabled recorder, a fresh
+    default-budget one when only ``window_size`` was given, or None
+    (recording disabled — the zero-overhead path). Shared by every
+    simulation driver."""
+    if timeseries is not None and window_size is not None:
+        raise ValueError("pass either timeseries= or window_size=, not both")
+    if window_size is not None:
+        return WindowedRecorder(window_size=window_size)
+    return active_recorder(timeseries)
+
+
 __all__ = [
     "DEFAULT_MAX_WINDOWS",
     "DEFAULT_WINDOW_SIZE",

@@ -8,11 +8,12 @@ shared-size LLC, the paper's baseline for W/T/H.
 
 Both drivers accept the same ``engine=`` contract as
 :func:`repro.sim.single_core.run_llc`: ``"fast"`` (the default) batches
-the whole interleaved run through
+the interleaved run through
 :func:`repro.memory.fastpath.run_shared_trace`; ``"reference"`` keeps the
-original per-``Access`` loop. The two are observationally identical —
-per-thread frozen statistics and the derived W/T/H metrics match exactly
-(``tests/test_fastpath_multicore.py``).
+original per-``Access`` loop (:func:`_reference_shared_slice`). The two
+share one slice contract and one driver loop, and are observationally
+identical — per-thread frozen statistics and the derived W/T/H metrics
+match exactly (``tests/test_fastpath_multicore.py``).
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ from repro.memory.fastpath import run_shared_trace
 from repro.memory.timing import TimingModel
 from repro.obs.manifest import Manifest, trace_fingerprint
 from repro.obs.manifest import git_sha as _git_sha
-from repro.obs.timeseries import WindowedRecorder, _WindowFeed
+from repro.obs.timeseries import WindowedRecorder, _WindowFeed, _resolve_recorder
 from repro.policies.lru import LRUPolicy
 from repro.sim.metrics import (
     harmonic_mean_normalized_ipc,
     throughput,
     weighted_ipc,
 )
-from repro.sim.single_core import _check_engine, _resolve_recorder, run_llc
+from repro.sim.single_core import _check_engine, run_llc
 from repro.traces.trace import Trace
 from repro.workloads.mixes import interleave_traces
 
@@ -83,6 +84,38 @@ def single_thread_baselines(
     ]
 
 
+def _reference_shared_slice(
+    cache: SetAssociativeCache,
+    trace: Trace,
+    completion: list[int],
+    position_offset: int = 0,
+) -> list[list[int]]:
+    """The per-``Access`` counterpart of :func:`run_shared_trace`, with
+    the same contract: drive ``trace`` (a slice of the interleaved run
+    starting at absolute position ``position_offset``) through ``cache``
+    and return ``[accesses, hits, misses, bypasses]`` per thread, where
+    an access counts for its thread only before the thread's
+    ``completion`` position (the freeze rule)."""
+    num_threads = len(completion)
+    accesses = [0] * num_threads
+    hits = [0] * num_threads
+    misses = [0] * num_threads
+    bypasses = [0] * num_threads
+    for position, access in enumerate(trace, position_offset):
+        outcome = cache.access(access)
+        thread = access.thread_id
+        if position >= completion[thread]:
+            continue
+        accesses[thread] += 1
+        if outcome.hit:
+            hits[thread] += 1
+        else:
+            misses[thread] += 1
+            if outcome.bypassed:
+                bypasses[thread] += 1
+    return [accesses, hits, misses, bypasses]
+
+
 def run_shared_llc(
     traces: list[Trace],
     policy,
@@ -110,10 +143,10 @@ def run_shared_llc(
             accepted as an alias for the fast kernel — the columnar
             kernels do not cover thread-freeze bookkeeping, and shared
             policies are thread-aware (global state) anyway.
-        chunk_size: when set (fast engine), feed the interleaved mix
-            through :func:`run_shared_trace` in zero-copy chunks of this
-            many accesses, summing the per-thread counters — identical
-            statistics to the one-shot call (the streaming contract of
+        chunk_size: when set, feed the interleaved mix to the engine in
+            zero-copy chunks of this many accesses, summing the
+            per-thread counters — identical statistics to the one-shot
+            call (the streaming contract of
             :func:`repro.sim.single_core.run_llc`, applied to the
             interleaved stream).
         manifest_dir: when set, write a provenance manifest (kind
@@ -148,83 +181,20 @@ def run_shared_llc(
     if recorder is not None:
         recorder.attach(cache, policy, num_threads=num_threads)
 
-    if engine in ("fast", "vector") and (
-        chunk_size is not None or recorder is not None
-    ):
-        accesses = [0] * num_threads
-        hits = [0] * num_threads
-        misses = [0] * num_threads
-        bypasses = [0] * num_threads
-        feed = _WindowFeed(recorder, chunk_limit=chunk_size)
-        begin = 0
-        for sub, take in feed.slices(mixed):
-            part = run_shared_trace(
-                cache, sub, completion, position_offset=begin
-            )
-            for totals, counts in zip((accesses, hits, misses, bypasses), part):
-                for thread, count in enumerate(counts):
-                    totals[thread] += count
-            feed.account(take, part)
-            begin += take
-    elif engine in ("fast", "vector"):
-        accesses, hits, misses, bypasses = run_shared_trace(
-            cache, mixed, completion
-        )
-    elif recorder is None:
-        accesses = [0] * num_threads
-        hits = [0] * num_threads
-        misses = [0] * num_threads
-        bypasses = [0] * num_threads
-        frozen = [False] * num_threads
-        for position, access in enumerate(mixed):
-            outcome = cache.access(access)
-            thread = access.thread_id
-            if frozen[thread]:
-                continue
-            accesses[thread] += 1
-            if outcome.hit:
-                hits[thread] += 1
-            else:
-                misses[thread] += 1
-                if outcome.bypassed:
-                    bypasses[thread] += 1
-            if position + 1 >= completion[thread]:
-                frozen[thread] = True
-    else:
-        # Reference loop, windowed: identical per-access semantics, but
-        # split at window boundaries with window-local per-thread counts.
-        accesses = [0] * num_threads
-        hits = [0] * num_threads
-        misses = [0] * num_threads
-        bypasses = [0] * num_threads
-        frozen = [False] * num_threads
-        position = 0
-        total = len(mixed)
-        while position < total:
-            take = min(total - position, recorder.pending())
-            part = [[0] * num_threads for _ in range(4)]
-            for access in mixed.slice(position, position + take):
-                outcome = cache.access(access)
-                thread = access.thread_id
-                position += 1
-                if frozen[thread]:
-                    continue
-                part[0][thread] += 1
-                if outcome.hit:
-                    part[1][thread] += 1
-                else:
-                    part[2][thread] += 1
-                    if outcome.bypassed:
-                        part[3][thread] += 1
-                if position >= completion[thread]:
-                    frozen[thread] = True
-            for totals, counts in zip((accesses, hits, misses, bypasses), part):
-                for thread, count in enumerate(counts):
-                    totals[thread] += count
-            recorder.advance(take, part)
-
-    if recorder is not None:
-        recorder.finalize()
+    simulate = _reference_shared_slice if engine == "reference" else run_shared_trace
+    accesses, hits, misses, bypasses = totals = [
+        [0] * num_threads for _ in range(4)
+    ]
+    feed = _WindowFeed(recorder, chunk_limit=chunk_size)
+    begin = 0
+    for sub, take in feed.slices(mixed):
+        part = simulate(cache, sub, completion, position_offset=begin)
+        for total, counts in zip(totals, part):
+            for thread, count in enumerate(counts):
+                total[thread] += count
+        feed.account(take, part)
+        begin += take
+    feed.finish()
 
     outcomes: list[ThreadOutcome] = []
     for thread in range(num_threads):

@@ -47,28 +47,31 @@ Observability: ``on_event`` receives started/finished/failed/skipped
 :class:`repro.obs.progress.ProgressEvent` records, emitted from the
 *parent* process as tasks dispatch and complete. With a manifest
 directory, every cell writes its own provenance manifest (inside the
-worker, via the driver's ``manifest_dir=`` parameter), all progress
-events append to ``events.jsonl``, and a sweep-level manifest records
-per-task status — including failed tasks with policy, workload and a
-traceback summary — so a partially failed grid is diagnosable from the
-manifest directory alone. Each cell's wall time splits into queue wait
-and in-worker runtime (histograms in the process-wide
-:data:`repro.obs.metrics.METRICS` registry, served live by the sweep
-daemon's ``stats`` verb) and — with a manifest directory — one span per
-cell under the grid's root span in ``spans.jsonl``, rendered by
-``repro obs trace``; the sweep manifest embeds the metrics snapshot when
-the registry is enabled.
+worker, via the driver's ``manifest_dir=`` parameter), a sweep-level
+manifest records per-task status — including failed tasks with policy,
+workload and a traceback summary — and ``spans.jsonl`` is the grid's
+run log, rendered by ``repro obs trace``: one ``cell:<key>`` span per
+cell under the grid's root span, opened at dispatch (so a killed sweep
+still shows its in-flight cells) and closed at completion with its
+status, queue wait, runtime and, for a failed cell, the error; one
+zero-duration ``skipped`` span per resumed cell; one
+``warning:serial-fallback`` span per degradation. A partially failed
+grid is therefore diagnosable from the manifest directory alone. Each
+cell's wall time splits into queue wait and in-worker runtime
+(histograms in the process-wide :data:`repro.obs.metrics.METRICS`
+registry, served live by the sweep daemon's ``stats`` verb); the sweep
+manifest embeds the metrics snapshot when the registry is enabled.
 
 Resume (``run_cells(..., resume=True)``): the per-cell manifests in the
 manifest directory are the source of truth for which cells already ran.
 A cell whose identity matches a manifest is skipped — announced by a
-``skipped`` progress event — and its result rebuilt from the manifest,
-so an interrupted sweep restarts where it died and the merged output is
-bit-identical to an uninterrupted run for everything a manifest persists
-(counters, derived metrics, the windowed time-series payload). The
-remaining cells, whichever they are, run as one grid. Trust rules: a
-manifest exists only if its run completed (manifests are written
-atomically after a successful simulation); a namespace holding
+``skipped`` progress event and span — and its result rebuilt from the
+manifest, so an interrupted sweep restarts where it died and the merged
+output is bit-identical to an uninterrupted run for everything a
+manifest persists (counters, derived metrics, the windowed time-series
+payload). The remaining cells, whichever they are, run as one grid.
+Trust rules: a manifest exists only if its run completed (manifests are
+written atomically after a successful simulation); a namespace holding
 unparseable manifest files is refused with :class:`CorruptManifestError`
 unless ``force=True``; a job that asks for a windowed time-series is not
 satisfied by a manifest without that exact window.
@@ -113,7 +116,6 @@ from repro.obs.manifest import git_sha as _git_sha
 from repro.obs.metrics import METRICS
 from repro.obs.progress import ProgressEvent, ProgressReporter
 from repro.obs.spans import SpanTracer
-from repro.obs.trace_log import EVENTS_FILENAME, TraceLog
 from repro.sim.multi_core import MultiCoreResult, ThreadOutcome, run_shared_llc
 from repro.sim.single_core import SingleCoreResult, run_llc
 from repro.traces.stream import TraceStream
@@ -541,10 +543,10 @@ def _warn_serial_fallback(
     """Surface a parallel-to-serial degradation instead of hiding it.
 
     A user who asked for N workers and got 1 deserves a signal: emit a
-    :class:`RuntimeWarning` and a ``warning`` progress event (which also
-    lands in ``events.jsonl``). The sweep manifest additionally records
-    ``workers_requested`` vs ``workers_effective`` so the degradation is
-    diagnosable post hoc.
+    :class:`RuntimeWarning`, a ``warning`` progress event and a
+    ``warning:serial-fallback`` span. The sweep manifest additionally
+    records ``workers_requested`` vs ``workers_effective`` so the
+    degradation is diagnosable post hoc.
     """
     message = (
         f"{label}: requested {requested} workers but running serially — "
@@ -557,66 +559,55 @@ def _warn_serial_fallback(
 
 
 class _GridObserver:
-    """Per-grid progress/event-log/failure/latency bookkeeping.
+    """Per-grid progress/run-log/failure/latency bookkeeping.
 
     Wraps a :class:`ProgressReporter` over the whole grid, resumed cells
-    included (teeing every event into the manifest directory's
-    ``events.jsonl`` when one is configured), and accumulates per-task
-    status plus :class:`TaskFailure` records for the sweep-level
-    manifest.
+    included, and accumulates per-task status plus :class:`TaskFailure`
+    records for the sweep-level manifest.
 
-    It is also the grid's latency observer: task dispatch times are
-    remembered so each completion can be split into queue wait (wall
-    time minus in-worker runtime) and runtime, recorded into the
+    It also writes the grid's run log through ``tracer``, as children of
+    whatever span is open (the grid's root span, or ``resume-scan`` for
+    skipped cells): each cell's ``cell:<key>`` span is opened at
+    dispatch and closed at completion. Dispatch times are remembered so
+    each completion can be split into queue wait (wall time minus
+    in-worker runtime) and runtime — recorded on the span and into the
     ``grid.cell_queue_wait_s`` / ``grid.cell_runtime_s`` histograms of
-    the process-wide :data:`repro.obs.metrics.METRICS` registry — and
-    emitted through ``tracer`` as one per-cell span, a child of whatever
-    span is open (the grid's root span).
+    the process-wide :data:`repro.obs.metrics.METRICS` registry.
     """
 
     def __init__(
         self,
         total: int,
         on_event: Callable[[ProgressEvent], None] | None,
-        manifest_dir: Path | None,
         label: str,
         tracer: SpanTracer,
     ) -> None:
-        self._log = (
-            TraceLog(manifest_dir / EVENTS_FILENAME)
-            if manifest_dir is not None
-            else None
-        )
         self.statuses: dict[str, str] = {}
         self.failures: list[TaskFailure] = []
-        self.reporter = ProgressReporter(
-            total, on_event=self._dispatch, label=label
-        )
-        self._on_event = on_event
-        self._dispatched: dict[str, float] = {}
+        self.reporter = ProgressReporter(total, on_event=on_event, label=label)
+        self._dispatched: dict[str, tuple] = {}
         self.tracer = tracer
 
-    def _dispatch(self, event: ProgressEvent) -> None:
-        """Tee one event into the JSONL log and the user callback."""
-        if self._log is not None:
-            self._log.emit_progress(event)
-        if self._on_event is not None:
-            self._on_event(event)
-
     def started(self, cell) -> None:
-        """Record and broadcast task dispatch."""
-        self.statuses[str(cell.key)] = "started"
-        self._dispatched[str(cell.key)] = perf_counter()
+        """Record and broadcast task dispatch; open the cell's span."""
+        key = str(cell.key)
+        self.statuses[key] = "started"
+        dispatched = perf_counter()
+        self._dispatched[key] = (
+            dispatched, self.tracer.start(f"cell:{key}", dispatched)
+        )
         self.reporter.started(cell.key)
 
-    def _observe_cell(self, key, status: str, runtime_s: float | None) -> None:
-        """Record one completed cell's latency split and span.
+    def _observe_cell(
+        self, key, status: str, runtime_s: float | None, error: str | None = None
+    ) -> None:
+        """Record one completed cell's latency split and close its span.
 
         Wall time runs dispatch to completion; ``runtime_s`` is the
         in-worker (or in-process) execution time when known, and their
         difference is the time the task spent queued behind the pool.
         """
-        dispatched = self._dispatched.pop(str(key), None)
+        dispatched, span = self._dispatched.pop(str(key), (None, None))
         if dispatched is None:
             return
         wall = perf_counter() - dispatched
@@ -626,16 +617,14 @@ class _GridObserver:
             METRICS.observe("grid.cell_runtime_s", runtime)
             METRICS.observe("grid.cell_queue_wait_s", queue_wait)
             METRICS.inc(f"grid.cells_{status}")
-        self.tracer.emit(
-            f"cell:{key}",
-            start_s=dispatched,
-            duration_s=wall,
-            attributes={
-                "status": status,
-                "runtime_s": runtime,
-                "queue_wait_s": queue_wait,
-            },
-        )
+        attributes = {
+            "status": status,
+            "runtime_s": runtime,
+            "queue_wait_s": queue_wait,
+        }
+        if error is not None:
+            attributes["error"] = error
+        self.tracer.finish(span, wall, attributes)
 
     def finished(self, cell, runtime_s: float | None = None) -> None:
         """Record and broadcast successful completion."""
@@ -644,18 +633,30 @@ class _GridObserver:
         self.reporter.finished(cell.key)
 
     def failed(self, cell, exc: BaseException) -> None:
-        """Record and broadcast a task failure (kept for the manifest)."""
+        """Record and broadcast a task failure (kept for the manifest);
+        the cell's span carries the progress event's error text."""
         self.statuses[str(cell.key)] = "failed"
-        self._observe_cell(cell.key, "failed", None)
         self.failures.append(
             TaskFailure.from_exception(
                 cell.key, exc, policy=cell.policy, workload=cell.workload
             )
         )
-        self.reporter.failed(cell.key, exc)
+        event = self.reporter.failed(cell.key, exc)
+        self._observe_cell(cell.key, "failed", None, error=event.error)
+
+    def skipped(self, key) -> None:
+        """Broadcast a resumed cell as a zero-duration ``skipped`` span."""
+        self.tracer.emit(
+            f"cell:{key}", perf_counter(), 0.0, {"status": "skipped"}
+        )
+        self.reporter.skipped(key)
 
     def warning(self, key, message: str) -> None:
-        """Broadcast a grid-level warning (no per-task status change)."""
+        """Broadcast a grid-level warning (no per-task status change) as
+        a zero-duration ``warning:<key>`` span."""
+        self.tracer.emit(
+            f"warning:{key}", perf_counter(), 0.0, {"message": message}
+        )
         self.reporter.warning(key, message)
 
     def task_records(self) -> list[dict]:
@@ -666,10 +667,8 @@ class _GridObserver:
         ]
 
     def close(self) -> None:
-        """Close the event and span logs."""
+        """Close the span log."""
         self.tracer.close()
-        if self._log is not None:
-            self._log.close()
 
 
 def _run_serial_tasks(cells: list, inputs, observer: _GridObserver):
@@ -886,9 +885,9 @@ def run_cells(
         config: extra entries for the sweep manifest's ``config``.
         max_workers: worker processes; None resolves via
             :func:`resolve_max_workers`, 0/1 forces serial.
-        manifest_dir: where cells write their manifests, progress events
-            append to ``events.jsonl`` and spans to ``spans.jsonl``, and
-            the sweep manifest lands. Required with ``resume``.
+        manifest_dir: where cells write their manifests, spans append
+            to ``spans.jsonl``, and the sweep manifest lands. Required
+            with ``resume``.
         on_event: callback receiving every :class:`ProgressEvent`; the
             counts cover the whole grid, resumed cells included.
         resume: skip cells already satisfied by a manifest. The spans
@@ -907,7 +906,7 @@ def run_cells(
     workers = resolve_max_workers(max_workers)
     manifest_out = Path(manifest_dir) if manifest_dir is not None else None
     tracer = SpanTracer.for_dir(manifest_out)
-    observer = _GridObserver(len(cells), on_event, manifest_out, kind, tracer)
+    observer = _GridObserver(len(cells), on_event, kind, tracer)
     plan = ResumePlan()
     try:
         with tracer.span("job", kind=kind) if resume else nullcontext():
@@ -917,7 +916,7 @@ def run_cells(
                         cells, inputs, manifest_out, force, match_git_sha
                     )
                     for key in plan.skipped:
-                        observer.reporter.skipped(key)
+                        observer.skipped(key)
                     scan.set("skipped", len(plan.skipped))
             ran = [cell for cell in cells if cell.key not in plan.skipped]
             plan.to_run = [cell.key for cell in ran]
@@ -1037,8 +1036,8 @@ def run_matrix(
         geometry / timing / engine: forwarded to :func:`run_llc`.
         max_workers: worker processes; None resolves via
             :func:`resolve_max_workers`, 0/1 forces serial.
-        manifest_dir: when set, each cell writes a per-run manifest, all
-            progress events land in ``events.jsonl``, and a sweep-level
+        manifest_dir: when set, each cell writes a per-run manifest, the
+            cells' spans land in ``spans.jsonl``, and a sweep-level
             manifest (kind ``"matrix"``) records per-task status and any
             failures.
         on_event: optional callback receiving started/finished/failed

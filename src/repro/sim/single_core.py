@@ -28,7 +28,7 @@ from repro.memory.stats import OccupancyTracker
 from repro.memory.timing import TimingModel
 from repro.obs.manifest import FingerprintAccumulator, Manifest, fingerprint_source
 from repro.obs.manifest import git_sha as _git_sha
-from repro.obs.timeseries import WindowedRecorder, _WindowFeed, active_recorder
+from repro.obs.timeseries import WindowedRecorder, _WindowFeed, _resolve_recorder
 from repro.traces.stream import TraceStream, as_stream
 from repro.traces.trace import Trace
 
@@ -44,19 +44,6 @@ def _check_engine(engine: str) -> None:
     """Reject unknown engine names early, before any setup work."""
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-
-
-def _resolve_recorder(
-    timeseries: WindowedRecorder | None, window_size: int | None
-) -> WindowedRecorder | None:
-    """The run's active recorder: an explicit enabled ``timeseries``
-    recorder, a fresh default-budget one when only ``window_size`` was
-    given, or None (recording disabled — the zero-overhead path)."""
-    if timeseries is not None and window_size is not None:
-        raise ValueError("pass either timeseries= or window_size=, not both")
-    if window_size is not None:
-        return WindowedRecorder(window_size=window_size)
-    return active_recorder(timeseries)
 
 
 def emit_run_manifest(

@@ -22,7 +22,7 @@ from time import perf_counter
 from repro.obs.manifest import FingerprintAccumulator, Manifest
 from repro.obs.manifest import git_sha as _git_sha
 from repro.obs.metrics import METRICS
-from repro.obs.timeseries import WindowedRecorder, _WindowFeed, active_recorder
+from repro.obs.timeseries import WindowedRecorder, _WindowFeed, _resolve_recorder
 from repro.swcache.model import ObjectCache, ObjectCacheStats, SoftwareCachePolicy
 from repro.traces.objects import ObjectTrace
 from repro.traces.stream import TraceStream, as_stream
@@ -62,19 +62,6 @@ class ObjectCacheResult:
     def bypass_fraction(self) -> float:
         """Admission-rejected fraction of all requests."""
         return self.stats.bypass_fraction
-
-
-def _resolve_recorder(
-    timeseries: WindowedRecorder | None, window_size: int | None
-) -> WindowedRecorder | None:
-    """The run's active recorder (same contract as the hardware
-    drivers): explicit recorder, fresh one from ``window_size``, or
-    None for the zero-overhead path."""
-    if timeseries is not None and window_size is not None:
-        raise ValueError("pass either timeseries= or window_size=, not both")
-    if window_size is not None:
-        return WindowedRecorder(window_size=window_size)
-    return active_recorder(timeseries)
 
 
 def _simulate_slice(cache: ObjectCache, sub: ObjectTrace) -> None:

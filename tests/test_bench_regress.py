@@ -1,11 +1,10 @@
-"""Benchmark schema, migration tool, trajectory, and the perf gate.
+"""Benchmark schema, trajectory, and the perf gate.
 
-Covers :mod:`repro.obs.bench` and ``tools/bench_regress.py``: legacy
-``BENCH_*.json`` migration (and its idempotence), the canonical record
-shape, trajectory append/read, sparkline rendering, the regression
-comparison — including the required negative test where an injected 2x
-slowdown makes the ``check`` gate exit non-zero — and the zero-resim
-report renderer.
+Covers :mod:`repro.obs.bench` and ``tools/bench_regress.py``: the
+canonical record shape (and the rejection of anything else), trajectory
+append/read, sparkline rendering, the regression comparison — including
+the required negative test where an injected 2x slowdown makes the
+``check`` gate exit non-zero — and the zero-resim report renderer.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.obs.bench import (
     is_canonical,
     load_record,
     machine_fingerprint,
-    migrate_record,
     peak_rss_bytes,
     read_trajectory,
     render_report,
@@ -46,8 +44,8 @@ bench_regress = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_regress)
 
 
-def _legacy_engine_report(scale: float = 1.0) -> dict:
-    """A minimal pre-schema BENCH_engine.json payload."""
+def _engine_report(scale: float = 1.0) -> dict:
+    """A minimal native engine-benchmark report (the ``raw`` payload)."""
     return {
         "benchmark": "403.gcc",
         "trace_length": 200_000,
@@ -66,18 +64,9 @@ def _legacy_engine_report(scale: float = 1.0) -> dict:
     }
 
 
-def _legacy_multicore_report() -> dict:
-    return {
-        "cores": 4,
-        "kernels": {
-            "lru": {"fast_accesses_per_sec": 900_000.0}
-        },
-    }
-
-
 class TestSchema:
     def test_canonical_record_shape(self):
-        record = canonical_record("engine", _legacy_engine_report())
+        record = canonical_record("engine", _engine_report())
         assert record["bench_schema_version"] == BENCH_SCHEMA_VERSION
         assert record["kind"] == "engine"
         assert set(record["machine"]) == {
@@ -88,24 +77,21 @@ class TestSchema:
         assert is_canonical(record)
 
     def test_throughput_map_flattens_both_engines(self):
-        throughput = throughput_map(_legacy_engine_report())
+        throughput = throughput_map(_engine_report())
         assert set(throughput) == {
             "fast/lru", "reference/lru", "fast/pdp", "reference/pdp"
         }
 
-    def test_migrate_legacy_engine_and_multicore(self):
-        engine = migrate_record(_legacy_engine_report())
-        multicore = migrate_record(_legacy_multicore_report())
-        assert engine["kind"] == "engine"
-        assert multicore["kind"] == "multicore"
-
-    def test_migrate_is_idempotent(self):
-        once = migrate_record(_legacy_engine_report())
-        assert migrate_record(once) is once
-
-    def test_migrate_rejects_foreign_payloads(self):
+    def test_non_canonical_payload_rejected(self, tmp_path):
+        record = canonical_record("engine", _engine_report())
+        native = tmp_path / "native.json"
+        native.write_text(json.dumps(_engine_report()))
         with pytest.raises(ValueError, match="not a benchmark record"):
-            migrate_record({"hello": "world"})
+            load_record(native)
+        with pytest.raises(ValueError, match="not a benchmark record"):
+            compare_records(record, _engine_report())
+        with pytest.raises(ValueError, match="not a benchmark record"):
+            compare_records({"hello": "world"}, record)
 
     def test_peak_rss_positive_and_fingerprint_json(self):
         rss = peak_rss_bytes()
@@ -122,8 +108,8 @@ class TestSchema:
 class TestTrajectory:
     def test_append_and_read(self, tmp_path):
         path = tmp_path / "BENCH_trajectory.jsonl"
-        first = canonical_record("engine", _legacy_engine_report())
-        second = canonical_record("engine", _legacy_engine_report(scale=1.1))
+        first = canonical_record("engine", _engine_report())
+        second = canonical_record("engine", _engine_report(scale=1.1))
         append_trajectory(first, path)
         append_trajectory(second, path)
         records = read_trajectory(path)
@@ -133,28 +119,38 @@ class TestTrajectory:
 
     def test_append_rejects_legacy_records(self, tmp_path):
         with pytest.raises(ValueError, match="canonical"):
-            append_trajectory(_legacy_engine_report(), tmp_path / "t.jsonl")
+            append_trajectory(_engine_report(), tmp_path / "t.jsonl")
 
     def test_read_missing_file_is_empty(self, tmp_path):
         assert read_trajectory(tmp_path / "nope.jsonl") == []
 
+    def test_torn_final_line_warns_and_keeps_records(self, tmp_path):
+        path = tmp_path / "BENCH_trajectory.jsonl"
+        record = canonical_record("engine", _engine_report())
+        append_trajectory(record, path)
+        with path.open("a") as handle:
+            handle.write('{"bench_schema_version": 1, "kind": "eng')
+        with pytest.warns(RuntimeWarning, match="torn final line"):
+            records = read_trajectory(path)
+        assert records == [json.loads(json.dumps(record))]
+
 
 class TestCompare:
     def test_no_regression_within_tolerance(self):
-        base = canonical_record("engine", _legacy_engine_report())
-        curr = canonical_record("engine", _legacy_engine_report(scale=0.8))
+        base = canonical_record("engine", _engine_report())
+        curr = canonical_record("engine", _engine_report(scale=0.8))
         assert compare_records(base, curr, tolerance=0.25) == []
 
     def test_injected_2x_slowdown_detected(self):
-        base = canonical_record("engine", _legacy_engine_report())
-        slow = canonical_record("engine", _legacy_engine_report(scale=0.5))
+        base = canonical_record("engine", _engine_report())
+        slow = canonical_record("engine", _engine_report(scale=0.5))
         regressions = compare_records(base, slow, tolerance=0.25)
         assert len(regressions) == 4  # every shared key halved
         assert all(abs(row["ratio"] - 0.5) < 1e-9 for row in regressions)
         assert regressions == sorted(regressions, key=lambda r: r["ratio"])
 
     def test_only_shared_keys_compared(self):
-        base = canonical_record("engine", _legacy_engine_report())
+        base = canonical_record("engine", _engine_report())
         curr = canonical_record(
             "engine", {"benchmark": "x", "kernels": {}},
             throughput={"fast/new-policy": 1.0},
@@ -162,7 +158,7 @@ class TestCompare:
         assert compare_records(base, curr) == []
 
     def test_invalid_tolerance_rejected(self):
-        base = canonical_record("engine", _legacy_engine_report())
+        base = canonical_record("engine", _engine_report())
         with pytest.raises(ValueError, match="tolerance"):
             compare_records(base, base, tolerance=1.5)
 
@@ -183,40 +179,18 @@ class TestSparkline:
 class TestTool:
     """The ``tools/bench_regress.py`` command-line face."""
 
-    def test_migrate_legacy_file_in_place_then_idempotent(self, tmp_path, capsys):
-        target = tmp_path / "BENCH_engine.json"
-        target.write_text(json.dumps(_legacy_engine_report()))
-        assert bench_regress.main(["migrate", str(target)]) == 0
-        migrated = json.loads(target.read_text())
-        assert is_canonical(migrated)
-        assert bench_regress.main(["migrate", str(target)]) == 0
-        assert "already canonical" in capsys.readouterr().out
-        assert json.loads(target.read_text()) == migrated
-
-    def test_migrate_alias_flag(self, tmp_path):
-        target = tmp_path / "BENCH_multicore.json"
-        target.write_text(json.dumps(_legacy_multicore_report()))
-        assert bench_regress.main(["--migrate", str(target)]) == 0
-        assert is_canonical(json.loads(target.read_text()))
-
-    def test_migrate_unparseable_file_fails(self, tmp_path, capsys):
-        bad = tmp_path / "garbage.json"
-        bad.write_text(json.dumps({"not": "a benchmark"}))
-        assert bench_regress.main(["migrate", str(bad)]) == 1
-        assert "cannot migrate" in capsys.readouterr().err
-
     def test_check_gate_passes_then_fails_on_2x_slowdown(self, tmp_path, capsys):
         baseline = tmp_path / "base.json"
         current = tmp_path / "curr.json"
         slowed = tmp_path / "slow.json"
         baseline.write_text(
-            json.dumps(canonical_record("engine", _legacy_engine_report()))
+            json.dumps(canonical_record("engine", _engine_report()))
         )
         current.write_text(
-            json.dumps(canonical_record("engine", _legacy_engine_report(0.9)))
+            json.dumps(canonical_record("engine", _engine_report(0.9)))
         )
         slowed.write_text(
-            json.dumps(canonical_record("engine", _legacy_engine_report(0.5)))
+            json.dumps(canonical_record("engine", _engine_report(0.5)))
         )
         assert bench_regress.main(
             ["check", "--baseline", str(baseline), "--current", str(current)]
@@ -231,17 +205,14 @@ class TestTool:
     def test_append_subcommand(self, tmp_path):
         record_path = tmp_path / "bench.json"
         trajectory = tmp_path / "traj.jsonl"
-        record_path.write_text(json.dumps(_legacy_engine_report()))
+        record_path.write_text(
+            json.dumps(canonical_record("engine", _engine_report()))
+        )
         assert bench_regress.main(
             ["append", "--record", str(record_path),
              "--trajectory", str(trajectory)]
         ) == 0
         assert len(read_trajectory(trajectory)) == 1
-
-    def test_load_record_migrates_on_the_fly(self, tmp_path):
-        target = tmp_path / "legacy.json"
-        target.write_text(json.dumps(_legacy_engine_report()))
-        assert is_canonical(load_record(target))
 
 
 class TestReport:
@@ -265,7 +236,7 @@ class TestReport:
     def test_report_includes_trajectory_when_present(self, tmp_path):
         directory = self._manifest_dir(tmp_path)
         append_trajectory(
-            canonical_record("engine", _legacy_engine_report()),
+            canonical_record("engine", _engine_report()),
             directory / "BENCH_trajectory.jsonl",
         )
         text = render_report(directory)

@@ -102,7 +102,8 @@ class TestObservability:
         assert "[sweep]" in captured.err  # progress lines on stderr
         assert "finished" in captured.err
         assert list(tmp_path.glob("*.json"))
-        assert (tmp_path / "events.jsonl").exists()
+        assert (tmp_path / "spans.jsonl").exists()
+        assert not (tmp_path / "events.jsonl").exists()
 
     def test_obs_summarize_round_trip(self, capsys, tmp_path):
         assert (

@@ -22,7 +22,6 @@ from repro.obs.manifest import (
 )
 from repro.obs.metrics import METRICS
 from repro.obs.progress import ProgressReporter
-from repro.obs.trace_log import TraceLog, read_events
 from repro.policies.lru import LRUPolicy
 from repro.sim.multi_core import run_shared_llc
 from repro.sim.parallel import run_matrix
@@ -351,18 +350,6 @@ class TestProgress:
         event = reporter.finished("only")
         assert event.done == 1
         assert reporter.done == 1
-
-
-class TestTraceLog:
-    def test_emit_and_read_round_trip(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        with TraceLog(path) as log:
-            log.emit("started", key="a")
-            log.emit("finished", key="a", wall=0.5)
-        events = read_events(path)
-        assert [e["kind"] for e in events] == ["started", "finished"]
-        assert events[1]["wall"] == 0.5
-        assert all("ts" in e for e in events)
 
 
 class TestDocstringGate:

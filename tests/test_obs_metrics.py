@@ -41,10 +41,10 @@ from repro.obs.spans import (
     SPANS_FILENAME,
     SpanTracer,
     current_span_ids,
+    read_jsonl,
     read_spans,
     render_span_tree,
 )
-from repro.obs.trace_log import read_events, read_jsonl
 from repro.policies.base import make_policy
 from repro.traces.trace import Trace
 
@@ -317,7 +317,10 @@ class TestSpans:
         with span as active:
             active.set("still", "no-op")
             assert current_span_ids() is None
+        assert tracer.start("cell:a", 0.0) is None
+        tracer.finish(None, 1.0, {"status": "finished"})
         tracer.close()
+        assert list(tmp_path.iterdir()) == []
 
     def test_round_trip_emit_parse_render(self, tmp_path):
         with SpanTracer.for_dir(tmp_path) as tracer:
@@ -369,25 +372,55 @@ class TestSpans:
     def test_render_empty(self):
         assert render_span_tree([]) == "(no spans recorded)\n"
 
+    def test_open_record_until_finished(self, tmp_path):
+        """A started span is on disk before it ends; its close record
+        replaces the open one, and one never finished stays open."""
+        path = tmp_path / SPANS_FILENAME
+        with SpanTracer(path) as tracer:
+            with tracer.span("grid"):
+                done = tracer.start("cell:a", 0.0)
+                running = tracer.start("cell:b", 0.1)
+                assert running["span_id"] != done["span_id"]
+                (grid, a, b) = read_spans(path)
+                assert [grid["name"], a["name"], b["name"]] == [
+                    "grid", "cell:a", "cell:b",
+                ]
+                assert grid["duration_s"] is a["duration_s"] is None
+                tracer.finish(done, 0.4, {"status": "finished"})
+        assert len(path.read_text().splitlines()) == 5
+        by_name = {s["name"]: s for s in read_spans(path)}
+        assert sorted(by_name) == ["cell:a", "cell:b", "grid"]
+        assert by_name["cell:a"]["span_id"] == done["span_id"]
+        assert by_name["cell:a"]["duration_s"] == 0.4
+        assert by_name["cell:b"]["duration_s"] is None
+        lines = render_span_tree(list(by_name.values())).splitlines()
+        assert any("cell:b  [open]" in ln for ln in lines)
+        # an open span counts as 0 s: the finished sibling is critical
+        assert any("cell:a" in ln and ln.endswith("*") for ln in lines)
+        assert not any("cell:b" in ln and ln.endswith("*") for ln in lines)
+
 
 class TestTornLineTolerance:
     def _lines(self, n: int) -> list[str]:
-        return [json.dumps({"kind": "finished", "key": f"k{i}"})
-                for i in range(n)]
+        return [
+            json.dumps({"name": f"cell:k{i}", "span_id": f"s{i}",
+                        "duration_s": 0.5})
+            for i in range(n)
+        ]
 
     def test_torn_final_line_warns_and_skips(self, tmp_path):
-        log = tmp_path / "events.jsonl"
-        log.write_text("\n".join(self._lines(2)) + '\n{"kind": "fini')
+        log = tmp_path / SPANS_FILENAME
+        log.write_text("\n".join(self._lines(2)) + '\n{"name": "cell:k')
         with pytest.warns(RuntimeWarning, match="torn final line"):
-            events = read_events(log)
-        assert [e["key"] for e in events] == ["k0", "k1"]
+            spans = read_spans(log)
+        assert [s["name"] for s in spans] == ["cell:k0", "cell:k1"]
 
     def test_mid_file_corruption_still_raises(self, tmp_path):
-        log = tmp_path / "events.jsonl"
+        log = tmp_path / SPANS_FILENAME
         lines = self._lines(2)
         log.write_text(lines[0] + "\n{broken\n" + lines[1] + "\n")
         with pytest.raises(json.JSONDecodeError):
-            read_events(log)
+            read_spans(log)
 
     def test_clean_file_reads_without_warning(self, tmp_path):
         import warnings

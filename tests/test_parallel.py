@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import CacheGeometry
+from repro.obs.spans import SPANS_FILENAME, read_spans, render_span_tree
 from repro.policies.lru import LRUPolicy
 from repro.policies.rrip import DRRIPPolicy
 from repro.policies.ta_drrip import TADRRIPPolicy
@@ -133,6 +140,12 @@ def test_serial_fallback_emits_warning_event_and_manifest_workers(trace, tmp_pat
     sweep = [m for m in load_manifests(tmp_path) if m.kind == "matrix"][0]
     assert sweep.config["workers_requested"] == 4
     assert sweep.config["workers_effective"] == 1
+    (span,) = [
+        s for s in read_spans(tmp_path / SPANS_FILENAME)
+        if s["name"] == "warning:serial-fallback"
+    ]
+    assert span["duration_s"] == 0.0
+    assert span["attributes"]["message"] == warnings_seen[0].error
 
 
 @pytest.mark.parametrize("entry", ["run_matrix", "run_mix_matrix", "run_resumable_matrix"])
@@ -317,13 +330,23 @@ def test_engines_agree_through_matrix(trace):
 
 
 @pytest.mark.parametrize("max_workers", [1, 2])
-def test_worker_simulation_error_propagates(trace, max_workers):
+def test_worker_simulation_error_propagates(trace, tmp_path, max_workers):
     """Regression: a genuine simulation error raised inside a worker must
     surface to the caller — not be swallowed by a silent serial re-run
-    (which would both mask the bug and double the runtime)."""
+    (which would both mask the bug and double the runtime). The failed
+    cell's span carries the progress event's error text."""
+    events = []
     factories = {"boom": ExplodingPolicy, "lru": LRUPolicy}
     with pytest.raises(RuntimeError, match="policy exploded"):
-        run_matrix(trace, factories, GEOMETRY, max_workers=max_workers)
+        run_matrix(
+            trace, factories, GEOMETRY, max_workers=max_workers,
+            manifest_dir=tmp_path, on_event=events.append,
+        )
+    (failed,) = [e for e in events if e.kind == "failed"]
+    spans = {s["name"]: s for s in read_spans(tmp_path / SPANS_FILENAME)}
+    assert spans["cell:boom"]["attributes"]["status"] == "failed"
+    assert spans["cell:boom"]["attributes"]["error"] == failed.error
+    assert "error" not in spans["cell:lru"]["attributes"]
 
 
 @pytest.mark.parametrize("max_workers", [1, 2])
@@ -346,9 +369,8 @@ def test_progress_events_ordered(trace, max_workers):
     assert events[-1].done == events[-1].total == len(factories)
 
 
-def test_run_matrix_manifest_dir_writes_cells_and_events(trace, tmp_path):
+def test_run_matrix_manifest_dir_writes_cells_and_spans(trace, tmp_path):
     from repro.obs.manifest import load_manifests
-    from repro.obs.trace_log import EVENTS_FILENAME, read_events
 
     factories = {"lru": LRUPolicy, "drrip": DRRIPPolicy}
     run_matrix(trace, factories, GEOMETRY, max_workers=2, manifest_dir=tmp_path)
@@ -358,8 +380,54 @@ def test_run_matrix_manifest_dir_writes_cells_and_events(trace, tmp_path):
     assert sorted(m.label for m in cells) == ["drrip", "lru"]
     assert len(sweeps) == 1
     assert {t["status"] for t in sweeps[0].tasks} == {"finished"}
-    events = read_events(tmp_path / EVENTS_FILENAME)
-    assert sum(1 for e in events if e["kind"] == "finished") == len(factories)
+    assert sorted(path.name for path in tmp_path.iterdir()
+                  if path.suffix != ".json") == [SPANS_FILENAME]
+    spans = read_spans(tmp_path / SPANS_FILENAME)
+    finished = [s for s in spans if s["attributes"].get("status") == "finished"]
+    assert sorted(s["name"] for s in finished) == ["cell:drrip", "cell:lru"]
+
+
+_KILLED_GRID = textwrap.dedent(
+    """
+    import os, signal, sys
+
+    import numpy as np
+
+    from repro.memory.cache import CacheGeometry
+    from repro.policies.lru import LRUPolicy
+    from repro.sim.parallel import run_matrix
+    from repro.traces.trace import Trace
+
+    def kill_self():
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    run_matrix(
+        Trace(np.arange(3000) % 500, name="doomed"),
+        {"first": LRUPolicy, "second": kill_self},
+        CacheGeometry(num_sets=16, ways=4),
+        max_workers=1,
+        manifest_dir=sys.argv[1],
+    )
+    """
+)
+
+
+def test_killed_grid_leaves_in_flight_cell_open(tmp_path):
+    """Durability: a cell's span is on disk from dispatch, so a sweep
+    SIGKILLed while cell 2 runs still shows cell 1 finished and cell 2
+    in flight."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILLED_GRID, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    spans = {s["name"]: s for s in read_spans(tmp_path / SPANS_FILENAME)}
+    assert spans["cell:first"]["attributes"]["status"] == "finished"
+    assert spans["cell:second"]["duration_s"] is None
+    assert spans["matrix"]["duration_s"] is None
+    assert "cell:second  [open]" in render_span_tree(list(spans.values()))
 
 
 def _mixes() -> dict[str, list[Trace]]:

@@ -327,16 +327,23 @@ class TestMatrixResume:
         )
         assert plan.skipped and not plan.to_run
 
-    def test_skip_events_reach_events_jsonl(self, tmp_path):
-        from repro.obs.trace_log import EVENTS_FILENAME, read_events
+    def test_skip_events_reach_spans_jsonl(self, tmp_path):
+        """Each resumed cell is a zero-duration ``skipped`` cell span
+        under ``resume-scan``."""
+        from repro.obs.spans import SPANS_FILENAME, read_spans
 
         trace = _trace()
         factories = _factories("lru", "fifo")
         run_resumable_matrix(trace, factories, GEOMETRY, tmp_path)
         run_resumable_matrix(trace, factories, GEOMETRY, tmp_path)
-        events = read_events(tmp_path / EVENTS_FILENAME)
-        skipped = [e["key"] for e in events if e["kind"] == "skipped"]
-        assert sorted(skipped) == ["fifo", "lru"]
+        spans = read_spans(tmp_path / SPANS_FILENAME)
+        (scan,) = [s for s in spans if s["name"] == "resume-scan"
+                   and s["attributes"]["skipped"] == 2]
+        skipped = [s for s in spans
+                   if s["attributes"].get("status") == "skipped"]
+        assert sorted(s["name"] for s in skipped) == ["cell:fifo", "cell:lru"]
+        assert all(s["parent_id"] == scan["span_id"] for s in skipped)
+        assert all(s["duration_s"] == 0.0 for s in skipped)
 
     def test_skipped_cells_count_toward_grid_progress(self, tmp_path):
         """Resumed cells are part of the grid's progress: with 2 of 3

@@ -1,30 +1,24 @@
-"""Benchmark schema migration, trajectory upkeep, and the perf gate.
+"""Benchmark trajectory upkeep, the perf gate, and the report.
 
 The command-line face of :mod:`repro.obs.bench`::
 
-    python tools/bench_regress.py migrate BENCH_engine.json BENCH_multicore.json
     python tools/bench_regress.py append --record BENCH_engine.json
     python tools/bench_regress.py check --baseline BENCH_engine.json \
         --current /tmp/bench-now.json --tolerance 0.25
     python tools/bench_regress.py report runs/ --html --out report.html
 
-``migrate`` rewrites legacy ad-hoc ``BENCH_*.json`` files in the
-canonical schema (in place by default; idempotent on already-canonical
-files). ``append`` adds a canonical record to the appending trajectory
+``append`` adds a canonical record to the appending trajectory
 file (``BENCH_trajectory.jsonl``). ``check`` is the CI regression gate:
 exit 1 when any ``engine/policy`` throughput in the current record falls
 more than ``--tolerance`` below the committed baseline. ``report``
 renders the self-contained markdown/HTML observatory report from a
-manifest directory with zero re-simulation.
-
-``--migrate FILE...`` is accepted as an alias for the ``migrate``
-subcommand.
+manifest directory with zero re-simulation. Every command that reads
+a benchmark record requires the canonical schema.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -35,31 +29,9 @@ from repro.obs.bench import (  # noqa: E402
     TRAJECTORY_FILENAME,
     append_trajectory,
     compare_records,
-    is_canonical,
     load_record,
     render_report,
 )
-
-
-def _cmd_migrate(args: argparse.Namespace) -> int:
-    """Rewrite benchmark files in the canonical schema."""
-    status = 0
-    for path in args.files:
-        target = Path(path)
-        try:
-            original = json.loads(target.read_text())
-            record = load_record(target)
-        except (OSError, ValueError) as exc:
-            print(f"{target}: cannot migrate: {exc}", file=sys.stderr)
-            status = 1
-            continue
-        if is_canonical(original):
-            print(f"{target}: already canonical (kind={record['kind']})")
-            continue
-        out = Path(args.out) if args.out else target
-        out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        print(f"{target}: migrated legacy report -> {out} (kind={record['kind']})")
-    return status
 
 
 def _cmd_append(args: argparse.Namespace) -> int:
@@ -122,17 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    migrate = sub.add_parser(
-        "migrate", help="normalize legacy BENCH_*.json files to the schema"
-    )
-    migrate.add_argument("files", nargs="+", help="benchmark JSON files")
-    migrate.add_argument(
-        "--out", default=None,
-        help="write the migrated record here instead of in place "
-        "(single input only)",
-    )
-    migrate.set_defaults(func=_cmd_migrate)
-
     append = sub.add_parser(
         "append", help="append a canonical record to the trajectory file"
     )
@@ -167,10 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point (``--migrate`` rewrites to the subcommand form)."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "--migrate":
-        argv[0] = "migrate"
+    """CLI entry point."""
     args = build_parser().parse_args(argv)
     return args.func(args)
 
