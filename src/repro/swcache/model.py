@@ -43,9 +43,10 @@ Accounting invariants (pinned by ``tests/test_swcache.py``):
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.traces.objects import OP_DELETE, OP_GET, OP_HEAD, OP_PUT
 
@@ -151,17 +152,32 @@ class SoftwareCachePolicy(ABC):
     name = "base"
 
     def __init__(self) -> None:
-        self.cache: ObjectCache | None = None
+        self._cache_ref: weakref.ref[ObjectCache] | None = None
+
+    @property
+    def cache(self) -> "ObjectCache | None":
+        """The bound cache, or None before :meth:`bind` (or once the
+        cache has been collected).
+
+        A weak back-reference: the cache owns its policy, so a strong
+        link back would make every finished run's cache a reference
+        cycle that only the cyclic collector frees.
+        """
+        ref = self._cache_ref
+        return ref() if ref is not None else None
 
     def bind(self, cache: "ObjectCache") -> None:
         """Attach to the cache this policy instance governs (one cache
-        per policy instance, mirroring the hardware policy contract)."""
-        if self.cache is not None and self.cache is not cache:
+        per policy instance, mirroring the hardware policy contract).
+
+        Rebinding to another cache raises ``RuntimeError``, also after
+        the first cache was collected."""
+        if self._cache_ref is not None and self._cache_ref() is not cache:
             raise RuntimeError(
                 f"{type(self).__name__} is already bound to a cache; "
                 "software-cache policies are single-use"
             )
-        self.cache = cache
+        self._cache_ref = weakref.ref(cache)
 
     def record_access(self, key: int, size: int, now: float, pos: int) -> None:
         """Observe one request (every op, before lookup resolution)."""

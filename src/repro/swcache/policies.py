@@ -140,13 +140,34 @@ class GDSFPolicy(SoftwareCachePolicy):
                     heapq.heappush(self._heap, (priority, seq, entry))
 
 
+#: ``_HALVE[x] == x >> 1``: the byte-translation table that halves every
+#: counter of a sketch row in one C-level pass.
+_HALVE = bytes(value >> 1 for value in range(256))
+
+#: Odd 64-bit multipliers, one per sketch row: each row hashes
+#: independently.
+_MIXERS = (
+    0x9E3779B97F4A7C15,
+    0xC2B2AE3D27D4EB4F,
+    0x165667B19E3779F9,
+    0x27D4EB2F165667C5,
+)
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
 class _FrequencySketch:
     """A count-min sketch with periodic halving (TinyLFU's freshness).
 
-    ``rows`` hash rows of ``width`` saturating uint8 counters estimate
+    ``rows`` hash rows of ``width`` saturating 8-bit counters estimate
     request frequencies in O(1) and a few KiB regardless of key-space
     size; after ``sample_period`` increments every counter is halved,
     so estimates decay toward the recent request mix.
+
+    Each row is one ``bytearray`` (``rows[r][i]`` is counter ``i`` of
+    row ``r``), indexed by the top ``log2(width)`` bits of
+    ``key * mixer`` mod 2**64. Counters saturate at 255; halving is a
+    ``translate`` through a ``x >> 1`` table.
     """
 
     def __init__(
@@ -155,46 +176,36 @@ class _FrequencySketch:
         if width <= 0 or width & (width - 1):
             raise ValueError(f"sketch width must be a power of two, got {width}")
         self.width = width
-        self.mask = width - 1
-        self.counters = np.zeros((rows, width), dtype=np.uint8)
+        self.rows = [bytearray(width) for _ in range(rows)]
         self.sample_period = (
             sample_period if sample_period is not None else 10 * width
         )
         self._increments = 0
         self._shift = 64 - (width.bit_length() - 1)
-        # Odd 64-bit multipliers give each row an independent hash.
-        self._mixers = [
-            0x9E3779B97F4A7C15,
-            0xC2B2AE3D27D4EB4F,
-            0x165667B19E3779F9,
-            0x27D4EB2F165667C5,
-        ][:rows]
-
-    def _indexes(self, key: int) -> list[int]:
-        """The per-row counter slots for ``key`` (top multiplicative-
-        hash bits, one independent odd multiplier per row)."""
-        return [
-            (((key * mixer) & 0xFFFFFFFFFFFFFFFF) >> self._shift) & self.mask
-            for mixer in self._mixers
-        ]
+        self._hashes = tuple(zip(self.rows, _MIXERS[:rows]))
 
     def add(self, key: int) -> None:
         """Count one request for ``key`` (halving on period rollover)."""
-        for row, index in enumerate(self._indexes(key)):
-            count = self.counters[row, index]
-            if count < 255:
-                self.counters[row, index] = count + 1
+        shift = self._shift
+        for row, mixer in self._hashes:
+            index = ((key * mixer) & _MASK64) >> shift
+            if row[index] < 255:
+                row[index] += 1
         self._increments += 1
         if self._increments >= self.sample_period:
-            self.counters >>= 1
+            for row in self.rows:
+                row[:] = row.translate(_HALVE)
             self._increments //= 2
 
     def estimate(self, key: int) -> int:
         """The (over-)estimated request count for ``key``."""
-        return min(
-            int(self.counters[row, index])
-            for row, index in enumerate(self._indexes(key))
-        )
+        shift = self._shift
+        lowest = 255
+        for row, mixer in self._hashes:
+            count = row[((key * mixer) & _MASK64) >> shift]
+            if count < lowest:
+                lowest = count
+        return lowest
 
 
 class TinyLFUAdmissionPolicy(SizeAwareLRUPolicy):
@@ -234,7 +245,22 @@ class TinyLFUAdmissionPolicy(SizeAwareLRUPolicy):
         return self.sketch.estimate(key) > self.sketch.estimate(victim.key)
 
 
-class PDPProtectionPolicy(SizeAwareLRUPolicy):
+#: Protected-heap length below which :class:`PDPProtectionPolicy` never
+#: compacts its heaps.
+_MIN_COMPACT = 1 << 12
+
+
+def _live(item: tuple) -> bool:
+    """Whether a PDP heap item is its entry's current one.
+
+    Both heaps end their items with ``(..., touched, entry)``; the item
+    is live while the entry is resident and ``touched`` is still the
+    position of its last touch."""
+    state = item[-1].pstate
+    return state is not None and state[1] == item[-2]
+
+
+class PDPProtectionPolicy(SoftwareCachePolicy):
     """Protecting-distance protection for a byte-budget object cache.
 
     The paper's PDP, re-based from set-relative hardware reuse
@@ -255,6 +281,16 @@ class PDPProtectionPolicy(SizeAwareLRUPolicy):
       policy refuses the fill (the incoming object bypasses — the
       paper's PDP-bypass) while ``bypass=False`` falls back to evicting
       protected objects closest to losing protection.
+
+    Victims come from two lazy-deletion min-heaps, so a victim costs
+    O(log n) instead of a scan over every protected object. Each touch
+    (insertion or hit at position ``p``) sets ``pstate`` to
+    ``(protect_until, p)`` and pushes ``(protect_until, p, entry)``
+    onto the *protected* heap. A victim search first migrates every
+    item whose protection has ended to the *unprotected* heap as
+    ``(p, entry)`` — ``p`` orders it exactly as recency does. An item
+    whose ``p`` no longer matches ``entry.pstate`` (touched again, or
+    removed: ``pstate`` is None) is stale and dropped when popped.
 
     Exposes ``current_pd`` and ``protected_count`` so a
     :class:`repro.obs.timeseries.WindowedRecorder` records the PD
@@ -290,6 +326,9 @@ class PDPProtectionPolicy(SizeAwareLRUPolicy):
         self._since_recompute = 0
         self._last_seen: OrderedDict[int, int] = OrderedDict()
         self._pos = 0
+        self._protected: list[tuple[int, int, CacheEntry]] = []
+        self._unprotected: list[tuple[int, CacheEntry]] = []
+        self._compact_at = _MIN_COMPACT
         #: ``(position, pd)`` recompute history, for manifests/tests.
         self.pd_history: list[tuple[int, int]] = []
 
@@ -301,11 +340,14 @@ class PDPProtectionPolicy(SizeAwareLRUPolicy):
     def protected_count(self, set_index: int = 0) -> int:
         """Resident objects still under protection (the recorder's
         per-window ``protected_lines`` probe; one set, so ``set_index``
-        is ignored)."""
+        is ignored).
+
+        Every protected object has its live item on the protected
+        heap, so this counts the live items there whose protection
+        has not yet ended."""
+        pos = self._pos
         return sum(
-            1
-            for entry in self._lru.values()
-            if isinstance(entry.pstate, int) and entry.pstate > self._pos
+            1 for item in self._protected if item[0] > pos and _live(item)
         )
 
     def record_access(self, key: int, size: int, now: float, pos: int) -> None:
@@ -342,34 +384,70 @@ class PDPProtectionPolicy(SizeAwareLRUPolicy):
         self._since_recompute = 0
 
     def _protect(self, entry: CacheEntry) -> None:
-        """Grant ``entry`` protection for the current PD."""
-        entry.pstate = self._pos + self._pd
+        """Grant ``entry`` protection for the current PD: stamp its
+        ``(protect_until, position)`` and push it on the protected heap
+        (any older heap item of the entry becomes stale)."""
+        pos = self._pos
+        protect_until = pos + self._pd
+        entry.pstate = (protect_until, pos)
+        heapq.heappush(self._protected, (protect_until, pos, entry))
+        if len(self._protected) > self._compact_at:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop every stale item from both heaps, in place.
+
+        Stale items otherwise leave a heap only when popped, and a
+        cache that rarely evicts pops rarely; compacting whenever the
+        protected heap doubles past its live size keeps the heaps
+        O(resident objects) at amortised O(1) per touch. Live keys are
+        unique, so the victim order is unchanged."""
+        for heap in (self._protected, self._unprotected):
+            heap[:] = [item for item in heap if _live(item)]
+            heapq.heapify(heap)
+        self._compact_at = max(_MIN_COMPACT, 2 * len(self._protected))
 
     def on_hit(self, entry: CacheEntry, now: float) -> None:
-        """Refresh recency and re-protect the reused object."""
-        super().on_hit(entry, now)
+        """Re-protect the reused object (which also refreshes its
+        recency: its new position sorts after every other one)."""
         self._protect(entry)
 
     def on_insert(self, entry: CacheEntry, now: float) -> None:
-        """Track recency and protect the new object."""
-        super().on_insert(entry, now)
+        """Protect the new object."""
         self._protect(entry)
+
+    def on_remove(self, entry: CacheEntry, reason: str) -> None:
+        """Invalidate the object's heap items (lazily skipped on pop)."""
+        entry.pstate = None
 
     def eviction_candidates(self, now: float) -> Iterator[CacheEntry]:
         """Unprotected objects in LRU order; then, only for a
         non-bypass policy, protected objects closest to losing
-        protection. A ``bypass=True`` iterator ending early makes the
-        cache refuse the fill — nothing protected is ever evicted."""
-        protected: list[CacheEntry] = []
-        for entry in self._lru.values():
-            if isinstance(entry.pstate, int) and entry.pstate > self._pos:
-                protected.append(entry)
-            else:
-                yield entry
-        if self.bypass:
-            return
-        protected.sort(key=lambda entry: entry.pstate)
-        yield from protected
+        protection (ties in LRU order). A ``bypass=True`` iterator
+        ending early makes the cache refuse the fill — nothing
+        protected is ever evicted.
+
+        Items popped but not evicted (a refused plan, or the entry a
+        PUT is growing) are pushed back in the ``finally`` block, the
+        way :class:`GDSFPolicy` restores its heap."""
+        protected = self._protected
+        unprotected = self._unprotected
+        while protected and protected[0][0] <= self._pos:
+            item = heapq.heappop(protected)
+            if _live(item):
+                heapq.heappush(unprotected, item[1:])
+        popped: list[tuple[list, tuple]] = []
+        try:
+            for heap in (unprotected,) if self.bypass else (unprotected, protected):
+                while heap:
+                    item = heapq.heappop(heap)
+                    if _live(item):
+                        popped.append((heap, item))
+                        yield item[-1]
+        finally:
+            for heap, item in popped:
+                if _live(item):
+                    heapq.heappush(heap, item)
 
 
 #: Registry name -> policy class (the ``--policies`` option vocabulary).

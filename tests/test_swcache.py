@@ -10,9 +10,15 @@ and the behavioral signatures of the four policy families.
 
 from __future__ import annotations
 
+import gc
+import weakref
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
+import repro.swcache.driver as swdriver
+import repro.swcache.policies as swpolicies
 from repro.obs.timeseries import WindowedRecorder
 from repro.swcache.driver import run_object_cache
 from repro.swcache.model import ObjectCache
@@ -22,6 +28,7 @@ from repro.swcache.policies import (
     SOFTWARE_POLICIES,
     SizeAwareLRUPolicy,
     TinyLFUAdmissionPolicy,
+    _FrequencySketch,
     make_software_policy,
 )
 from repro.traces.objects import (
@@ -327,3 +334,257 @@ def test_policies_are_single_use():
     ObjectCache(100, policy)
     with pytest.raises(RuntimeError):
         ObjectCache(100, policy)
+
+
+# -- PDP victim order: heap index against the LRU scan ---------------------
+
+
+class _LRUScanPDP(PDPProtectionPolicy):
+    """PDP with a full LRU-scan victim search.
+
+    Keeps its own recency order and walks all of it on every victim
+    search, skipping protected objects; a ``bypass=False`` policy then
+    evicts protected objects by protect-until position (a stable sort,
+    so ties stay in LRU order). The differential oracle for the
+    shipped heap-indexed search.
+    """
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._lru: OrderedDict[int, object] = OrderedDict()
+
+    def on_hit(self, entry, now):
+        super().on_hit(entry, now)
+        self._lru.move_to_end(entry.key)
+
+    def on_insert(self, entry, now):
+        super().on_insert(entry, now)
+        self._lru[entry.key] = entry
+
+    def on_remove(self, entry, reason):
+        super().on_remove(entry, reason)
+        self._lru.pop(entry.key, None)
+
+    def protected_count(self, set_index=0):
+        return sum(
+            1 for entry in self._lru.values() if entry.pstate[0] > self._pos
+        )
+
+    def eviction_candidates(self, now):
+        protected = []
+        for entry in self._lru.values():
+            if entry.pstate[0] > self._pos:
+                protected.append(entry)
+            else:
+                yield entry
+        if self.bypass:
+            return
+        protected.sort(key=lambda entry: entry.pstate[0])
+        yield from protected
+
+
+def _replay_pdp(policy, requests, ttl):
+    """Replay ``requests`` into a 4 KiB cache; returns the cache, the
+    per-request hit flags, and how many PUTs grew a resident object
+    past the free budget (the ``_make_room(exclude=entry)`` path)."""
+    cache = ObjectCache(4096, policy, ttl=ttl)
+    hits = []
+    growths = 0
+    for key, size, op, now in requests:
+        entry = cache.get_entry(key)
+        if (
+            op == OP_PUT
+            and entry is not None
+            and size <= cache.capacity_bytes
+            and cache.bytes_used + size - entry.size > cache.capacity_bytes
+        ):
+            growths += 1
+        hits.append(cache.access(key, size, op, now))
+    return cache, hits, growths
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("bypass", [True, False])
+@pytest.mark.parametrize("ttl", [None, 300.0])
+def test_pdp_heap_victims_match_lru_scan(seed, bypass, ttl, monkeypatch):
+    # A tiny compaction floor makes the heaps compact every few dozen
+    # touches, so the comparison also covers compaction.
+    monkeypatch.setattr(swpolicies, "_MIN_COMPACT", 16)
+    compactions = []
+    real_compact = PDPProtectionPolicy._compact
+
+    def counting_compact(policy):
+        compactions.append(policy)
+        real_compact(policy)
+
+    monkeypatch.setattr(PDPProtectionPolicy, "_compact", counting_compact)
+    rng = np.random.default_rng(seed)
+    requests = []
+    for i in range(6000):
+        draw = rng.random()
+        op = OP_GET if draw < 0.75 else OP_PUT if draw < 0.95 else OP_DELETE
+        # A Zipf-ish key mix: a hot head that earns protection and a
+        # long tail that forces victim searches.
+        key = int(rng.zipf(1.3)) % 400
+        requests.append((key, int(rng.integers(16, 700)), op, float(i)))
+    kwargs = dict(max_pd=512, bins=32, recompute_interval=64, bypass=bypass)
+    shipped = PDPProtectionPolicy(**kwargs)
+    reference = _LRUScanPDP(**kwargs)
+    cache, hits, growths = _replay_pdp(shipped, requests, ttl)
+    ref_cache, ref_hits, _ = _replay_pdp(reference, requests, ttl)
+    assert growths > 0
+    assert hits == ref_hits
+    assert cache.stats == ref_cache.stats
+    assert cache.stats.evictions > 0
+    # Both victim phases run: a bypassing policy refuses fills, a
+    # non-bypassing one never does (only DELETEs count as bypasses).
+    deletes = sum(1 for request in requests if request[2] == OP_DELETE)
+    assert (cache.stats.bypasses > deletes) == bypass
+    assert shipped.pd_history == reference.pd_history
+    assert len(shipped.pd_history) > 10
+    assert shipped.protected_count() == reference.protected_count()
+    assert shipped in compactions
+    assert sorted(e.key for e in cache.entries()) == sorted(
+        e.key for e in ref_cache.entries()
+    )
+
+
+def test_pdp_heaps_stay_bounded_when_the_cache_never_evicts():
+    """Every hit pushes a heap item; without victim searches nothing
+    pops the stale ones, so compaction alone keeps the heaps
+    O(resident objects) instead of O(requests)."""
+    policy = PDPProtectionPolicy(max_pd=1 << 10, bins=16)
+    cache = ObjectCache(1 << 30, policy)
+    for i in range(20_000):
+        cache.access(i % 50, 100, OP_GET, float(i))
+    assert cache.stats.evictions == 0 and len(cache) == 50
+    assert len(policy._protected) + len(policy._unprotected) <= (
+        swpolicies._MIN_COMPACT + 1
+    )
+    assert policy.protected_count() == 50
+
+
+# -- TinyLFU sketch: halving and saturation --------------------------------
+
+
+class _NumpySketch:
+    """The uint8-array count-min sketch the bytearray rows replaced:
+    per-scalar saturating increments, whole-array ``>>= 1`` halving."""
+
+    MIXERS = (
+        0x9E3779B97F4A7C15,
+        0xC2B2AE3D27D4EB4F,
+        0x165667B19E3779F9,
+        0x27D4EB2F165667C5,
+    )
+
+    def __init__(self, width, sample_period):
+        self.counters = np.zeros((len(self.MIXERS), width), dtype=np.uint8)
+        self.sample_period = sample_period
+        self.increments = 0
+        self.shift = 64 - (width.bit_length() - 1)
+        self.mask = width - 1
+
+    def indexes(self, key):
+        return [
+            (((key * mixer) & 0xFFFFFFFFFFFFFFFF) >> self.shift) & self.mask
+            for mixer in self.MIXERS
+        ]
+
+    def add(self, key):
+        for row, index in enumerate(self.indexes(key)):
+            if self.counters[row, index] < 255:
+                self.counters[row, index] += 1
+        self.increments += 1
+        if self.increments >= self.sample_period:
+            self.counters >>= 1
+            self.increments //= 2
+
+    def estimate(self, key):
+        return min(
+            int(self.counters[row, index])
+            for row, index in enumerate(self.indexes(key))
+        )
+
+
+@pytest.mark.parametrize(
+    "sample_period, hot_repeats",
+    [(50, 1), (600, 40)],
+    ids=["halving", "saturation"],
+)
+def test_frequency_sketch_matches_uint8_model(sample_period, hot_repeats):
+    """Every add() leaves the bytearray rows equal to the uint8 model's
+    counters and every key's estimate() equal to the model's; the
+    ``saturation`` stream pins a hot key's counters at 255 before a
+    halving pass."""
+    sketch = _FrequencySketch(width=64, sample_period=sample_period)
+    model = _NumpySketch(64, sample_period)
+    rng = np.random.default_rng(5)
+    keys = list(range(-3, 200)) + [2**40 + 7, 2**63 - 1]
+    stream = []
+    for _ in range(12):
+        stream += [11] * hot_repeats
+        stream += [keys[int(i)] for i in rng.integers(0, len(keys), 30)]
+    saw_saturated = saw_halving = False
+    previous = 0
+    for key in stream:
+        sketch.add(key)
+        model.add(key)
+        assert np.array_equal(
+            np.array([list(row) for row in sketch.rows], dtype=np.uint8),
+            model.counters,
+        )
+        for probe in keys:
+            assert sketch.estimate(probe) == model.estimate(probe)
+        saw_saturated |= bool((model.counters == 255).any())
+        total = int(model.counters.sum(dtype=np.int64))
+        saw_halving |= total < previous
+        previous = total
+    assert saw_halving
+    assert saw_saturated == (hot_repeats > 1)
+
+
+# -- the policy holds its cache weakly -------------------------------------
+
+
+def test_finished_run_frees_its_cache_without_the_cyclic_collector(monkeypatch):
+    """The policy's back-reference is weak, so dropping a run's result
+    frees its ObjectCache by reference counting alone — no policy<->cache
+    cycle waits for a gen-2 collection. A bound policy still refuses a
+    second cache, also once its first cache is gone."""
+    caches = []
+
+    def recording_cache(*args, **kwargs):
+        cache = ObjectCache(*args, **kwargs)
+        caches.append(weakref.ref(cache))
+        return cache
+
+    monkeypatch.setattr(swdriver, "ObjectCache", recording_cache)
+    rng = np.random.default_rng(3)
+    trace = ObjectTrace(rng.integers(0, 300, 3000), rng.integers(16, 400, 3000))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name in sorted(SOFTWARE_POLICIES):
+            policy = make_software_policy(name)
+            result = run_object_cache(trace, policy, 8192)
+            assert result.stats.fills > 0
+            del result
+            assert caches[-1]() is None, name
+            assert policy.cache is None
+            with pytest.raises(RuntimeError):
+                ObjectCache(8192, policy)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(caches) == len(SOFTWARE_POLICIES)
+
+
+def test_policy_cache_is_a_read_only_weak_back_reference():
+    policy = SizeAwareLRUPolicy()
+    assert policy.cache is None
+    cache = ObjectCache(100, policy)
+    assert policy.cache is cache
+    policy.bind(cache)  # rebinding the same cache is a no-op
+    with pytest.raises(AttributeError):
+        policy.cache = None
