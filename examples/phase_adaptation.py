@@ -32,7 +32,7 @@ def main() -> None:
         history = result.extra["pd_history"]
         # Sample the trajectory at up to 10 points for display.
         stride = max(1, len(history) // 10)
-        shown = "->".join(str(pd) for _, pd in history[::stride])
+        shown = "->".join(str(pd) for _, (pd,) in history[::stride])
         print(
             f"{interval:14d} {result.hit_rate:9.4f} {result.ipc:7.3f}  {shown}"
         )

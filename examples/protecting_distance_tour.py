@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import ExperimentConfig, RDCounterArray, RDSampler, make_benchmark_trace
-from repro.core.hit_rate_model import HitRateModel
+from repro.core.hit_rate_model import evaluate_e_curve, find_best_pd
 from repro.hardware.pd_processor import run_pd_search
 from repro.sim.runner import sweep_static_pd
 from repro.traces.analysis import reuse_distance_distribution
@@ -52,9 +52,9 @@ def main() -> None:
     )
 
     # -- 2. the hit-rate model E(d_p) ------------------------------------
-    model = HitRateModel(counters, associativity=config.associativity)
-    best_pd = model.best_pd()
-    curve = model.curve()
+    search = dict(step=config.step, d_e=float(config.associativity), min_pd=config.step)
+    best_pd = find_best_pd(counters.counts, counters.total, **search)
+    curve = evaluate_e_curve(counters.counts, counters.total, **search)
     print(f"model E(d_p): optimal PD = {best_pd} over {len(curve)} candidates")
 
     # -- 3. the special-purpose PD processor -----------------------------

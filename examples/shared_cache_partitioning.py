@@ -55,7 +55,7 @@ def main() -> None:
 
     if pd_policy is not None:
         print("\nPD vector chosen by the partitioning policy (one per thread):")
-        for name, pd in zip(MIX, pd_policy.pd_vector):
+        for name, pd in zip(MIX, pd_policy.engine.pds):
             kind = "streaming -> short PD" if pd <= 16 else "reuser -> protected"
             print(f"  {name:16s} PD = {pd:4d}   ({kind})")
 

@@ -26,7 +26,6 @@ Quickstart::
 
 from repro.core import (
     ClassifiedPDPPolicy,
-    HitRateModel,
     MulticoreHitRateModel,
     PDEngine,
     PDPPolicy,
@@ -98,7 +97,6 @@ __all__ = [
     "DRRIPPolicy",
     "EELRUPolicy",
     "ExperimentConfig",
-    "HitRateModel",
     "LRUPolicy",
     "MachineConfig",
     "Manifest",

@@ -162,7 +162,7 @@ def _cmd_run(args) -> int:
     print(f"MPKI      : {result.mpki:.2f}")
     print(f"IPC       : {result.ipc:.3f}")
     print(f"bypass    : {result.bypass_fraction:.1%}")
-    if "final_pd" in result.extra:
+    if result.extra.get("final_pd") is not None:
         print(f"final PD  : {result.extra['final_pd']}")
     payload = result.extra.get("timeseries")
     if payload:

@@ -7,7 +7,6 @@ policy, prefetch-aware variants, and the multi-core hit-rate model (Eq. 2).
 
 from repro.core.classified_pdp import ClassifiedPDPPolicy
 from repro.core.hit_rate_model import (
-    HitRateModel,
     evaluate_e_curve,
     find_best_pd,
     find_peaks,
@@ -21,7 +20,6 @@ from repro.core.sampler import RDSampler
 
 __all__ = [
     "ClassifiedPDPPolicy",
-    "HitRateModel",
     "MulticoreHitRateModel",
     "PDEngine",
     "PDPPolicy",

@@ -6,13 +6,13 @@ The lines in a class are protected until its PD only, thus they are not
 overprotected if they are not reused. ... A popular way is using the
 program counters."
 
-This policy hashes each access's PC into a small number of classes, keeps
-one RD counter array per class (fed by the shared RD sampler), and
-computes one protecting distance per class at every recompute interval. A
-line's RPD comes from the class of the access that inserted or promoted
-it, so a streaming PC's lines retire quickly while a reusing PC's lines
-are protected to their own reuse point — per-class what dynamic PDP does
-globally.
+This policy hashes each access's PC into a small number of classes; the
+shared :class:`repro.core.pd_engine.PDEngine` keeps one RD counter array
+per class (fed by its one RD sampler) and computes one protecting distance
+per class at every recompute interval. A line's RPD comes from the class
+of the access that inserted or promoted it, so a streaming PC's lines
+retire quickly while a reusing PC's lines are protected to their own reuse
+point — per-class what dynamic PDP does globally.
 
 Storage: the per-line class id costs log2(num_classes) extra tag bits and
 the counter array is replicated per class; the paper flags exactly this
@@ -21,15 +21,13 @@ hardware trade-off.
 
 from __future__ import annotations
 
-from repro.core.hit_rate_model import find_best_pd
-from repro.core.rdd import RDCounterArray
-from repro.core.sampler import RDSampler
-from repro.policies.base import ReplacementPolicy, register_policy
+from repro.core.pdp_policy import PDPPolicy
+from repro.policies.base import register_policy
 from repro.types import Access
 
 
 @register_policy("pdp-classified")
-class ClassifiedPDPPolicy(ReplacementPolicy):
+class ClassifiedPDPPolicy(PDPPolicy):
     """PDP with per-PC-class protecting distances (n_c = 8 RPDs).
 
     Args:
@@ -48,96 +46,24 @@ class ClassifiedPDPPolicy(ReplacementPolicy):
         recompute_interval: int = 4096,
         sampler_mode: str = "real",
     ) -> None:
-        super().__init__()
         if num_classes < 1 or num_classes & (num_classes - 1):
             raise ValueError(f"num_classes must be a power of two, got {num_classes}")
-        self.num_classes = num_classes
-        self.bypass = bypass
-        self.supports_bypass = bypass
-        self.d_max = d_max
-        self.step = step
-        self.recompute_interval = recompute_interval
-        self.sampler_mode = sampler_mode
-        self._accesses = 0
-
-    def _allocate(self, num_sets: int, ways: int) -> None:
-        self._ways = ways
-        self._rpd = [[0] * ways for _ in range(num_sets)]
-        self.counter_arrays = [
-            RDCounterArray(d_max=self.d_max, step=self.step)
-            for _ in range(self.num_classes)
-        ]
-        self._current_class = 0
-        factory = RDSampler.real if self.sampler_mode == "real" else RDSampler.full
-        self.sampler = factory(
-            num_sets,
-            d_max=self.d_max,
-            on_distance=self._record_distance,
-            on_access=self._record_access,
+        super().__init__(
+            bypass=bypass,
+            d_max=d_max,
+            step=step,
+            recompute_interval=recompute_interval,
+            sampler_mode=sampler_mode,
         )
-        #: One PD per class; all start at the associativity.
-        self.class_pds = [ways] * self.num_classes
-        self.pd_history: list[tuple[int, list[int]]] = [(0, list(self.class_pds))]
+        self.num_classes = num_classes
 
     def classify(self, pc: int) -> int:
         """Class of a program counter (xor-folded hash)."""
         folded = (pc ^ (pc >> 7) ^ (pc >> 13)) & 0xFFFF
         return folded % self.num_classes
 
-    def _record_distance(self, distance: int) -> None:
-        self.counter_arrays[self._current_class].record_distance(distance)
-
-    def _record_access(self) -> None:
-        self.counter_arrays[self._current_class].record_access()
-
-    def on_access(self, set_index: int, access: Access) -> None:
-        self._current_class = self.classify(access.pc)
-        self.sampler.observe(set_index, access.address)
-        self._accesses += 1
-        if self._accesses % self.recompute_interval == 0:
-            self.recompute()
-        row = self._rpd[set_index]
-        for way in range(self._ways):
-            if row[way] > 0:
-                row[way] -= 1
-
-    def recompute(self) -> list[int]:
-        """Re-run the E(d_p) search independently per class."""
-        for class_index, array in enumerate(self.counter_arrays):
-            if array.total > 0:
-                self.class_pds[class_index] = find_best_pd(
-                    array.counts,
-                    array.total,
-                    step=array.step,
-                    d_e=float(self._ways),
-                    min_pd=min(self._ways, self.d_max),
-                    default_pd=self.class_pds[class_index],
-                )
-            array.reset()
-        self.pd_history.append((self._accesses, list(self.class_pds)))
-        return self.class_pds
-
-    def _rpd_for(self, access: Access) -> int:
-        pd = self.class_pds[self.classify(access.pc)]
-        return min(255, max(1, pd))
-
-    def on_hit(self, set_index: int, way: int, access: Access) -> None:
-        self._rpd[set_index][way] = self._rpd_for(access)
-
-    def choose_victim(self, set_index: int, access: Access) -> int | None:
-        row = self._rpd[set_index]
-        for way in range(self._ways):
-            if row[way] == 0:
-                return way
-        if self.bypass:
-            return None
-        reused = self.cache.reused[set_index]
-        inserted = [way for way in range(self._ways) if not reused[way]]
-        candidates = inserted if inserted else list(range(self._ways))
-        return max(candidates, key=row.__getitem__)
-
-    def on_fill(self, set_index: int, way: int, access: Access) -> None:
-        self._rpd[set_index][way] = self._rpd_for(access)
+    def _class_of(self, access: Access) -> int:
+        return self.classify(access.pc)
 
 
 __all__ = ["ClassifiedPDPPolicy"]

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.rdd import RDCounterArray
-
 
 @dataclass(frozen=True, slots=True)
 class EPoint:
@@ -160,58 +158,8 @@ def predicted_hit_rate(
     return min(1.0, ways * at_pd.e_value)
 
 
-class HitRateModel:
-    """Convenience wrapper binding a counter array to the E(d_p) search."""
-
-    def __init__(
-        self,
-        counters: RDCounterArray,
-        associativity: int = 16,
-        d_e: float | None = None,
-    ) -> None:
-        self.counters = counters
-        self.associativity = associativity
-        self.d_e = float(d_e if d_e is not None else associativity)
-
-    def curve(self, min_pd: int | None = None) -> list[EPoint]:
-        """E(d_p) at every bin boundary of the bound counter array."""
-        counts, total = self.counters.snapshot()
-        return evaluate_e_curve(
-            counts,
-            total,
-            step=self.counters.step,
-            d_e=self.d_e,
-            min_pd=min_pd if min_pd is not None else self.counters.step,
-        )
-
-    def best_pd(self, min_pd: int | None = None, default_pd: int | None = None) -> int:
-        """The PD maximizing E over the bound counter array."""
-        counts, total = self.counters.snapshot()
-        return find_best_pd(
-            counts,
-            total,
-            step=self.counters.step,
-            d_e=self.d_e,
-            min_pd=min_pd if min_pd is not None else self.counters.step,
-            default_pd=default_pd,
-        )
-
-    def peaks(self, max_peaks: int = 3) -> list[EPoint]:
-        """Top local maxima of E (for the multi-core heuristic)."""
-        counts, total = self.counters.snapshot()
-        return find_peaks(
-            counts,
-            total,
-            step=self.counters.step,
-            d_e=self.d_e,
-            min_pd=self.counters.step,
-            max_peaks=max_peaks,
-        )
-
-
 __all__ = [
     "EPoint",
-    "HitRateModel",
     "evaluate_e_curve",
     "find_best_pd",
     "find_peaks",

@@ -21,6 +21,13 @@ overhead"). The paper evaluates n_c of 2, 3 and 8 (PDP-2/3/8, Fig. 10).
 
 With ``static_pd`` set, this is the static SPDP of Sec. 2.3; otherwise a
 :class:`repro.core.pd_engine.PDEngine` recomputes the PD periodically.
+
+This class is the whole PDP family's replacement logic. A subclass that
+gives different accesses different PDs — class-based PDP (Sec. 6.3), PD
+partitioning (Sec. 4) — sets ``num_classes`` (and ``max_peaks`` for the
+joint search) and overrides only :meth:`PDPPolicy._class_of`. Each access's
+class is computed once, in :meth:`on_access`, and reused by the hit and
+fill hooks; S_d follows the largest PD in force.
 """
 
 from __future__ import annotations
@@ -83,6 +90,11 @@ class PDPPolicy(ReplacementPolicy):
         self.max_distance_step = max(1, d_max // (1 << n_c))
         self.distance_step = self._step_for(static_pd if static_pd else d_max)
         self.engine: PDEngine | None = None
+        #: Access classes with their own PD, and the joint-search peak
+        #: count (``None``: each class searched alone); set by subclasses.
+        self.num_classes = 1
+        self.max_peaks: int | None = None
+        self._class = 0
 
     # -- wiring ------------------------------------------------------------
 
@@ -98,14 +110,25 @@ class PDPPolicy(ReplacementPolicy):
                 step=self.step,
                 recompute_interval=self.recompute_interval,
                 sampler_mode=self.sampler_mode,
+                num_classes=self.num_classes,
+                max_peaks=self.max_peaks,
             )
 
     @property
-    def current_pd(self) -> int:
-        """The protecting distance in force right now."""
+    def current_pd(self) -> int | None:
+        """The protecting distance in force right now; ``None`` when
+        several access classes each have their own."""
         if self.static_pd is not None:
             return self.static_pd
-        return self.engine.current_pd
+        return None if self.engine is None else self.engine.current_pd
+
+    def _class_of(self, access: Access) -> int:
+        """The access class whose PD protects ``access``'s line."""
+        return 0
+
+    def _pds_changed(self) -> None:
+        """Re-derive S_d after a recompute, from the largest PD in force."""
+        self.distance_step = self._step_for(max(self.engine.pds))
 
     def _step_for(self, pd: int) -> int:
         """S_d giving the PD full n_c-bit resolution, capped at the paper's
@@ -113,18 +136,20 @@ class PDPPolicy(ReplacementPolicy):
         return min(self.max_distance_step, max(1, -(-pd // self.rpd_max)))
 
     def _insertion_rpd(self) -> int:
-        """Quantize the current PD to n_c-bit RPD units."""
-        units = -(-self.current_pd // self.distance_step)  # ceil division
+        """Quantize the current access's PD to n_c-bit RPD units."""
+        engine = self.engine
+        pd = self.static_pd if engine is None else engine.pds[self._class]
+        units = -(-pd // self.distance_step)  # ceil division
         return min(self.rpd_max, max(1, units))
 
     # -- hooks ---------------------------------------------------------------
 
     def on_access(self, set_index: int, access: Access) -> None:
-        if self.engine is not None:
-            recomputes = self.engine.recompute_count
-            self.engine.observe(set_index, access.address)
-            if self.engine.recompute_count != recomputes:
-                self.distance_step = self._step_for(self.engine.current_pd)
+        engine = self.engine
+        if engine is not None:
+            access_class = self._class = self._class_of(access)
+            if engine.observe(set_index, access.address, access_class):
+                self._pds_changed()
         # Count every access, including ones that will bypass (Sec. 3:
         # the per-set counter counts bypasses too).
         counter = self._step_counter[set_index] + 1

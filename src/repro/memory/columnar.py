@@ -467,7 +467,7 @@ class _PDPKernel(_SetBatchKernel):
         engine = policy.engine
         if engine is None:  # not attached yet: decide from parameters
             return policy.recompute_interval <= (1 << 16) - 1
-        counters = engine.counters
+        (counters,) = engine.class_counters
         return (
             engine.recompute_interval <= counters.counter_max
             and engine.recompute_interval <= counters.total_max
@@ -554,7 +554,7 @@ class _PDPKernel(_SetBatchKernel):
                         set_ids, tags, tids, resolve_start, offset - 1, set_order
                     )
                 engine.recompute()
-                policy.distance_step = policy._step_for(engine.current_pd)
+                policy._pds_changed()
                 self._refresh_params()
                 resolve_start = offset - 1
         if resolve_start < hi:
@@ -571,7 +571,7 @@ class _PDPKernel(_SetBatchKernel):
         """
         engine = self.policy.engine
         sampler = engine.sampler
-        counters = engine.counters
+        (counters,) = engine.class_counters
         fifos = sampler._fifos
         sampling_counters = sampler._sampling_counter
         insertion_rate = sampler.insertion_rate

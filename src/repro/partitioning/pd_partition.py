@@ -1,13 +1,17 @@
 """PD-based shared-cache partitioning (the paper's Sec. 4 policy).
 
-Each thread gets its own RD sampler and RD counter array over the shared
-LLC; a periodic computation runs the peak-combination heuristic
+One RD sampler observes every access to the shared LLC, so measured
+distances are in *shared* set-access time — the time base the RPDs tick
+in. Each thread gets its own RD counter array; thread address spaces are
+disjoint, so a sampler match always belongs to the accessing thread. A
+periodic computation runs the peak-combination heuristic
 (:func:`repro.core.multicore_model.find_pd_vector`) to pick one protecting
 distance per thread such that the shared hit rate E_m is maximized.
 Decreasing a thread's PD shrinks its effective partition by retiring its
 lines faster; increasing it grows the partition.
 
-Replacement is PDP with bypass: per-line RPDs, unprotected lines first,
+Replacement is PDP with bypass (:class:`repro.core.pdp_policy.PDPPolicy`,
+one access class per thread): per-line RPDs, unprotected lines first,
 bypass when all lines are protected. A line's insertion RPD comes from its
 *inserting thread's* PD. The paper uses the single-core PDP parameters
 with S_c = 16 (Sec. 6.6).
@@ -15,15 +19,13 @@ with S_c = 16 (Sec. 6.6).
 
 from __future__ import annotations
 
-from repro.core.multicore_model import ThreadRDD, find_pd_vector
-from repro.core.rdd import RDCounterArray
-from repro.core.sampler import RDSampler
-from repro.policies.base import ReplacementPolicy, register_policy
+from repro.core.pdp_policy import PDPPolicy
+from repro.policies.base import register_policy
 from repro.types import Access
 
 
 @register_policy("pd-partition")
-class PDPartitionPolicy(ReplacementPolicy):
+class PDPartitionPolicy(PDPPolicy):
     """Thread-aware PDP: one protecting distance per thread.
 
     Args:
@@ -33,7 +35,8 @@ class PDPartitionPolicy(ReplacementPolicy):
         step: S_c counter granularity (16 for multi-core in the paper).
         recompute_interval: accesses between PD-vector recomputations.
         bypass: non-inclusive bypass when all lines are protected.
-        sampler_mode: "real" or "full" per-thread RD samplers.
+        sampler_mode: "real" or "full" RD sampler, shared by all threads.
+        max_peaks: E peaks per thread the joint search combines.
     """
 
     def __init__(
@@ -47,109 +50,20 @@ class PDPartitionPolicy(ReplacementPolicy):
         sampler_mode: str = "real",
         max_peaks: int = 3,
     ) -> None:
-        super().__init__()
-        self.num_threads = num_threads
-        self.n_c = n_c
-        self.d_max = d_max
-        self.step = step
-        self.recompute_interval = recompute_interval
-        self.bypass = bypass
-        self.supports_bypass = bypass
-        self.sampler_mode = sampler_mode
-        self.max_peaks = max_peaks
-        self.rpd_max = (1 << n_c) - 1
-        self.distance_step = max(1, d_max // (1 << n_c))
-        self._accesses = 0
-
-    def _allocate(self, num_sets: int, ways: int) -> None:
-        self._ways = ways
-        self._rpd = [[0] * ways for _ in range(num_sets)]
-        self._step_counter = [0] * num_sets
-        self.counter_arrays = [
-            RDCounterArray(d_max=self.d_max, step=self.step)
-            for _ in range(self.num_threads)
-        ]
-        # One sampler observes every access, so measured distances are in
-        # *shared* set-access time — the time base the RPDs tick in. Thread
-        # address spaces are disjoint, so a sampler match always belongs to
-        # the accessing thread; counters are dispatched via _current_thread.
-        self._current_thread = 0
-        factory = RDSampler.real if self.sampler_mode == "real" else RDSampler.full
-        self.sampler = factory(
-            num_sets,
-            d_max=self.d_max,
-            on_distance=self._record_distance,
-            on_access=self._record_access,
+        super().__init__(
+            bypass=bypass,
+            n_c=n_c,
+            d_max=d_max,
+            step=step,
+            recompute_interval=recompute_interval,
+            sampler_mode=sampler_mode,
         )
-        #: One protecting distance per thread; starts at the associativity.
-        self.pd_vector = [ways] * self.num_threads
-        #: (access_number, vector) history for analysis.
-        self.vector_history: list[tuple[int, list[int]]] = [(0, list(self.pd_vector))]
+        self.num_threads = num_threads
+        self.num_classes = num_threads
+        self.max_peaks = max_peaks
 
-    def _record_distance(self, distance: int) -> None:
-        self.counter_arrays[self._current_thread].record_distance(distance)
-
-    def _record_access(self) -> None:
-        self.counter_arrays[self._current_thread].record_access()
-
-    def _insertion_rpd(self, thread: int) -> int:
-        units = -(-self.pd_vector[thread] // self.distance_step)
-        return min(self.rpd_max, max(1, units))
-
-    def on_access(self, set_index: int, access: Access) -> None:
-        thread = access.thread_id % self.num_threads
-        self._current_thread = thread
-        self.sampler.observe(set_index, access.address)
-        self._accesses += 1
-        if self._accesses % self.recompute_interval == 0:
-            self.recompute()
-        counter = self._step_counter[set_index] + 1
-        if counter >= self.distance_step:
-            row = self._rpd[set_index]
-            for way in range(self._ways):
-                if row[way] > 0:
-                    row[way] -= 1
-            counter = 0
-        self._step_counter[set_index] = counter
-
-    def recompute(self) -> list[int]:
-        """Re-run the peak-combination heuristic over per-thread RDDs."""
-        rdds = [
-            ThreadRDD(counts=array.counts.copy(), total=array.total)
-            for array in self.counter_arrays
-        ]
-        if any(rdd.total > 0 for rdd in rdds):
-            self.pd_vector = find_pd_vector(
-                rdds,
-                step=self.step,
-                d_e=float(self._ways),
-                max_peaks=self.max_peaks,
-                default_pd=self._ways,
-            )
-        self.vector_history.append((self._accesses, list(self.pd_vector)))
-        for array in self.counter_arrays:
-            array.reset()
-        return self.pd_vector
-
-    def on_hit(self, set_index: int, way: int, access: Access) -> None:
-        thread = access.thread_id % self.num_threads
-        self._rpd[set_index][way] = self._insertion_rpd(thread)
-
-    def choose_victim(self, set_index: int, access: Access) -> int | None:
-        row = self._rpd[set_index]
-        for way in range(self._ways):
-            if row[way] == 0:
-                return way
-        if self.bypass:
-            return None
-        reused = self.cache.reused[set_index]
-        inserted = [way for way in range(self._ways) if not reused[way]]
-        candidates = inserted if inserted else list(range(self._ways))
-        return max(candidates, key=row.__getitem__)
-
-    def on_fill(self, set_index: int, way: int, access: Access) -> None:
-        thread = access.thread_id % self.num_threads
-        self._rpd[set_index][way] = self._insertion_rpd(thread)
+    def _class_of(self, access: Access) -> int:
+        return access.thread_id % self.num_threads
 
 
 __all__ = ["PDPartitionPolicy"]

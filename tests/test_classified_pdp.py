@@ -81,8 +81,7 @@ class TestClassifiedPDP:
                 cache.access(Access((index // 2) % 12, pc=pc_a))
             else:
                 cache.access(Access(1000 + (index // 2) % 60, pc=pc_b))
-        pd_a = policy.class_pds[0]
-        pd_b = policy.class_pds[1]
+        pd_a, pd_b = policy.engine.pds
         assert pd_a < pd_b
         assert 20 <= pd_a <= 40
         assert 100 <= pd_b <= 140
@@ -101,7 +100,7 @@ class TestClassifiedPDP:
     def test_bypass_behaviour(self):
         policy = ClassifiedPDPPolicy(num_classes=2, recompute_interval=10**9)
         cache = SetAssociativeCache(CacheGeometry(1, 2), policy)
-        policy.class_pds = [200, 200]
+        policy.engine.pds[:] = [200, 200]
         cache.access(Access(0))
         cache.access(Access(1))
         assert cache.access(Access(2)).bypassed
@@ -113,4 +112,6 @@ class TestClassifiedPDP:
         cache = SetAssociativeCache(CacheGeometry(4, 4), policy)
         for index in range(1200):
             cache.access(Access(index % 30, pc=index % 8 * 4))
-        assert len(policy.pd_history) >= 3
+        history = policy.engine.pd_history
+        assert len(history) >= 3
+        assert all(len(pds) == 2 for _, pds in history)

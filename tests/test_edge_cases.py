@@ -101,8 +101,8 @@ class TestEngineEdges:
             num_sets=1, associativity=4, d_max=8, step=1,
             recompute_interval=10**9, sampler_mode="full",
         )
-        engine.counters.frozen = True
-        pd = engine.recompute()
+        engine.class_counters[0].frozen = True
+        (pd,) = engine.recompute()
         assert 1 <= pd <= 8
 
     def test_manual_recompute_resets_interval(self):

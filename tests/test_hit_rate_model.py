@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.hit_rate_model import (
-    HitRateModel,
     evaluate_e_curve,
     find_best_pd,
     find_peaks,
 )
-from repro.core.rdd import RDCounterArray
 
 
 def brute_force_e(counts, total, pd, step, d_e):
@@ -113,23 +111,6 @@ class TestPeaks:
         counts = np.ones(16, dtype=np.int64) * 10
         peaks = find_peaks(counts, 160, step=4, d_e=16.0)
         assert peaks
-
-
-class TestHitRateModelWrapper:
-    def test_bound_to_counter_array(self):
-        array = RDCounterArray(d_max=64, step=4)
-        for _ in range(500):
-            array.record_distance(30)
-            array.record_access()
-        model = HitRateModel(array, associativity=16)
-        assert model.best_pd() == 32
-        curve = model.curve()
-        assert len(curve) == 16
-
-    def test_d_e_defaults_to_associativity(self):
-        array = RDCounterArray(d_max=16, step=4)
-        model = HitRateModel(array, associativity=8)
-        assert model.d_e == 8.0
 
 
 class TestModelTracksSimulatedHitRate:

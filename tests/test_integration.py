@@ -143,7 +143,7 @@ class TestMultiCoreShapes:
             num_threads=2, recompute_interval=8192, sampler_mode="full"
         )
         run_shared_llc(traces, policy, geometry)
-        cactus_pd, milc_pd = policy.pd_vector
+        cactus_pd, milc_pd = policy.engine.pds
         assert milc_pd <= cactus_pd
 
 
@@ -155,5 +155,5 @@ class TestPhaseShapes:
         trace = workload.generate(num_sets=64)
         policy = PDPPolicy(recompute_interval=2048)
         run_llc(trace, policy, GEOMETRY)
-        pds = {pd for _, pd in policy.engine.pd_history}
+        pds = {pd for _, (pd,) in policy.engine.pd_history}
         assert len(pds) > 1

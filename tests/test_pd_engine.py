@@ -23,14 +23,14 @@ class TestPDEngine:
         engine = PDEngine(num_sets=16, recompute_interval=50, sampler_mode="full")
         for index in range(50):
             engine.observe(0, index % 5)
-        assert engine.counters.total == 0
+        assert engine.class_counters[0].total == 0
 
     def test_pd_history_records(self):
         engine = PDEngine(num_sets=16, recompute_interval=25, sampler_mode="full")
         for index in range(100):
             engine.observe(0, index % 3)
         assert len(engine.pd_history) == 1 + engine.recompute_count
-        assert engine.pd_history[0] == (0, 16)
+        assert engine.pd_history[0] == (0, (16,))
 
     def test_pd_tracks_dominant_distance(self):
         """Reuse at a fixed per-set distance pulls the PD to cover it."""

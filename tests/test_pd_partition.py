@@ -26,14 +26,14 @@ class TestPDPartition:
     def test_initial_vector_is_associativity(self):
         policy = PDPartitionPolicy(num_threads=2)
         SetAssociativeCache(CacheGeometry(16, 16), policy)
-        assert policy.pd_vector == [16, 16]
+        assert policy.engine.pds == [16, 16]
 
     def test_recompute_updates_vector_and_history(self):
         policy = PDPartitionPolicy(
             num_threads=2, recompute_interval=2000, sampler_mode="full", step=4
         )
         drive_two_threads(policy, 6000)
-        assert len(policy.vector_history) >= 2
+        assert len(policy.engine.pd_history) >= 2
 
     def test_reusing_thread_gets_protecting_distance(self):
         """Thread 0's reuse peak is covered; streaming thread 1 is not."""
@@ -43,14 +43,14 @@ class TestPDPartition:
         drive_two_threads(policy, 12_000, reuse_gap=10)
         # Thread 0 reuses every 10 of its own accesses = 20 set accesses
         # interleaved; its PD should cover roughly that distance.
-        pd0, pd1 = policy.pd_vector
+        pd0, pd1 = policy.engine.pds
         assert pd0 >= 16
         assert pd1 <= pd0
 
     def test_per_thread_insertion_rpd(self):
         policy = PDPartitionPolicy(num_threads=2, recompute_interval=10**9)
         cache = SetAssociativeCache(CacheGeometry(4, 4), policy)
-        policy.pd_vector = [64, 4]
+        policy.engine.pds[:] = [64, 4]
         way0 = cache.access(Access(0, thread_id=0)).way
         way1 = cache.access(Access(4, thread_id=1)).way
         assert policy._rpd[0][way0] > policy._rpd[0][way1]
@@ -58,7 +58,7 @@ class TestPDPartition:
     def test_bypass_when_all_protected(self):
         policy = PDPartitionPolicy(num_threads=1, recompute_interval=10**9)
         cache = SetAssociativeCache(CacheGeometry(1, 2), policy)
-        policy.pd_vector = [200]
+        policy.engine.pds[:] = [200]
         cache.access(Access(0))
         cache.access(Access(1))
         assert cache.access(Access(2)).bypassed
@@ -68,7 +68,7 @@ class TestPDPartition:
             num_threads=1, recompute_interval=10**9, bypass=False
         )
         cache = SetAssociativeCache(CacheGeometry(1, 2), policy)
-        policy.pd_vector = [200]
+        policy.engine.pds[:] = [200]
         cache.access(Access(0))
         cache.access(Access(1))
         result = cache.access(Access(2))
@@ -80,7 +80,7 @@ class TestPDPartition:
             num_threads=2, recompute_interval=500, sampler_mode="full"
         )
         drive_two_threads(policy, 600)
-        assert all(array.total < 500 for array in policy.counter_arrays)
+        assert all(array.total < 500 for array in policy.engine.class_counters)
 
     def test_protects_reuser_against_streamer(self):
         """End-to-end: thread 0's hit rate stays high under streaming."""
