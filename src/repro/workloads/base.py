@@ -11,7 +11,10 @@ profile's ``pc_informative`` flag.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,6 +45,8 @@ class MixtureComponent:
             raise ValueError("low and high must both be set or both be None")
         if self.low is not None and not 1 <= self.low <= self.high:
             raise ValueError(f"invalid distance band [{self.low}, {self.high}]")
+        if self.pc_pool < 1:
+            raise ValueError(f"pc_pool must be positive, got {self.pc_pool}")
 
     @property
     def is_infinite(self) -> bool:
@@ -111,19 +116,25 @@ class RDDProfile:
         if not self.components:
             raise ValueError("profile needs at least one component")
 
-    @property
+    @cached_property
     def total_weight(self) -> float:
         return sum(component.weight for component in self.components)
 
+    @cached_property
+    def cumulative_weights(self) -> tuple[float, ...]:
+        """Running weight sums, accumulated left to right in component order."""
+        return tuple(accumulate(component.weight for component in self.components))
+
     def choose_component(self, rng: random.Random) -> int:
-        """Index of a component drawn with probability ~ weight."""
+        """Index of a component drawn with probability ~ weight.
+
+        The first component whose running sum exceeds the draw; rounding
+        can leave the draw at or above the last sum, which clamps to the
+        last component.
+        """
         draw = rng.random() * self.total_weight
-        cumulative = 0.0
-        for index, component in enumerate(self.components):
-            cumulative += component.weight
-            if draw < cumulative:
-                return index
-        return len(self.components) - 1
+        index = bisect_right(self.cumulative_weights, draw)
+        return min(index, len(self.components) - 1)
 
 
 __all__ = ["MixtureComponent", "RDDProfile", "band", "fresh", "peak"]

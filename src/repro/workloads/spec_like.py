@@ -31,6 +31,8 @@ from repro.workloads.synthetic import RDDProfileGenerator
 
 #: Bump when RDDProfileGenerator or any profile changes output for the
 #: same (name, length, num_sets, seed) — invalidates stale cache entries.
+#: Any change that moves a fingerprint pinned in tests/golden/traces.json
+#: (``test_golden.py``) changes that output and must bump this.
 TRACE_GENERATOR_VERSION = 1
 
 
@@ -164,6 +166,11 @@ def benchmark_names(include_windows: bool = True) -> list[str]:
     return list(SINGLE_CORE_SUITE)
 
 
+def benchmark_seed(name: str) -> int:
+    """The default seed of a named profile: a stable hash of the name."""
+    return sum(ord(ch) * (i + 1) for i, ch in enumerate(name)) % 100_000
+
+
 def make_benchmark_trace(
     name: str,
     length: int = 60_000,
@@ -185,7 +192,7 @@ def make_benchmark_trace(
         known = ", ".join(sorted(SPEC_LIKE_PROFILES))
         raise KeyError(f"unknown benchmark {name!r}; known: {known}") from None
     if seed is None:
-        seed = sum(ord(ch) * (i + 1) for i, ch in enumerate(name)) % 100_000
+        seed = benchmark_seed(name)
 
     def produce() -> Trace:
         generator = RDDProfileGenerator(profile, num_sets=num_sets, seed=seed)
@@ -206,5 +213,6 @@ __all__ = [
     "SPEC_LIKE_PROFILES",
     "TRACE_GENERATOR_VERSION",
     "benchmark_names",
+    "benchmark_seed",
     "make_benchmark_trace",
 ]

@@ -18,16 +18,44 @@ h264ref/xalancbmk cases, where SDP mispredicts).
 
 The paper's RDD definition is per-set and access-based (Sec. 1), so the
 generator works per set and visits sets uniformly.
+
+Each draw costs O(1), independent of the distance drawn:
+
+- *Touched since.* When a block is re-referenced, its previous window
+  entry is overwritten with a marker that matches no owner. A window
+  entry that still names its block is therefore that block's latest
+  access in the set, so "the block d accesses back was not touched
+  since" is one lookup of the entry d back, not a rescan of the d - 1
+  entries after it.
+- *RNG stream.* Per access, the draws are: the set, the component (one
+  ``random()`` against the profile's precomputed running weight sums),
+  up to ``retries`` distances, then the PC. The set, distance and PC
+  draws inline the ``getrandbits(k)`` rejection loop behind CPython's
+  ``randrange``/``randint``, with ``k`` precomputed per range, so the
+  stream equals what those calls would draw (checked for every
+  supported Python by ``tests/test_generator_stream.py``). The output
+  for a given (profile, num_sets, seed, history_depth, retries) is a
+  contract: ``tests/golden/traces.json`` pins it, and cached ``.trz``
+  entries rely on it (``TRACE_GENERATOR_VERSION``).
+- *Memory.* Each set's window holds at most ``history_depth`` entries,
+  so generator state is O(num_sets x history_depth) whatever the trace
+  length; the output columns are preallocated int64 arrays.
 """
 
 from __future__ import annotations
 
+import operator
 import random
+from bisect import bisect_right
 
 import numpy as np
 
 from repro.traces.trace import Trace
 from repro.workloads.base import RDDProfile
+
+#: Window entry of a block that was accessed again later: it matches no
+#: owner, so it is never re-referenced.
+_REUSED = (None, -1)
 
 
 class RDDProfileGenerator:
@@ -51,6 +79,9 @@ class RDDProfileGenerator:
         history_depth: int | None = None,
         retries: int = 4,
     ) -> None:
+        num_sets = operator.index(num_sets)
+        if num_sets < 1:
+            raise ValueError(f"num_sets must be positive, got {num_sets}")
         self.profile = profile
         self.num_sets = num_sets
         self.seed = seed
@@ -61,67 +92,88 @@ class RDDProfileGenerator:
             if component.high is not None
         ]
         self.history_depth = history_depth or (max(finite_highs, default=64) + 8)
-        # PC pool base and block-ownership key per component. Components
-        # sharing a pc_group share both: they model one instruction whose
-        # blocks come back at several distances.
-        self._pc_base: dict[int, int] = {}
-        self._owner_key: dict[int, object] = {}
-        offset = 0x400000
+        # Per component: (low, band width, width bits, PC base, PC pool,
+        # PC bits, owner id); width 0 marks an infinite component.
+        # Components sharing a pc_group share their PC pool and owner id:
+        # they model one instruction whose blocks come back at several
+        # distances.
+        self._plans: list[tuple[int, int, int, int, int, int, int]] = []
+        owner_ids: dict[object, int] = {}
         pool_ids: dict[object, int] = {}
         for index, component in enumerate(profile.components):
             if component.pc_group is not None:
                 key: object = ("group", component.pc_group)
             else:
                 key = ("solo", index)
-            self._owner_key[index] = key
+            owner = owner_ids.setdefault(key, len(owner_ids))
             pool_key: object = 0 if not profile.pc_informative else key
             pool_id = pool_ids.setdefault(pool_key, len(pool_ids))
-            self._pc_base[index] = offset + pool_id * 0x1000
-
-    def _component_pc(self, component_index: int, rng: random.Random) -> int:
-        component = self.profile.components[component_index]
-        return self._pc_base[component_index] + 4 * rng.randrange(component.pc_pool)
+            width = 0 if component.is_infinite else component.high - component.low + 1
+            pc_pool = operator.index(component.pc_pool)
+            self._plans.append((
+                component.low,
+                width,
+                width.bit_length(),
+                0x400000 + pool_id * 0x1000,
+                pc_pool,
+                pc_pool.bit_length(),
+                owner,
+            ))
 
     def generate(self, length: int) -> Trace:
         """Produce a trace of ``length`` accesses."""
         rng = random.Random(self.seed)
+        getrandbits = rng.getrandbits
+        uniform = rng.random
         num_sets = self.num_sets
-        # Per-set history of (address, owner_component) in access order.
-        histories: list[list[tuple[int, int]]] = [[] for _ in range(num_sets)]
+        set_bits = num_sets.bit_length()
+        total_weight = self.profile.total_weight
+        cumulative = self.profile.cumulative_weights
+        plans = self._plans
+        last_plan = len(plans) - 1
+        retries = range(self.retries)
+        depth = self.history_depth
+        # Per-set window of the last ``depth`` accesses, oldest first, as
+        # (address, owner id) entries.
+        histories: list[list[tuple]] = [[] for _ in range(num_sets)]
         next_tag = [1] * num_sets  # tag 0 reserved; fresh blocks count up
         addresses = np.empty(length, dtype=np.int64)
         pcs = np.empty(length, dtype=np.int64)
-        depth = self.history_depth
 
         for position in range(length):
-            set_index = rng.randrange(num_sets)
+            # Each `while` below is randrange()/randint() inlined.
+            set_index = getrandbits(set_bits)
+            while set_index >= num_sets:
+                set_index = getrandbits(set_bits)
+            choice = bisect_right(cumulative, uniform() * total_weight)
+            low, width, bits, pc_base, pc_pool, pc_bits, owner = plans[
+                choice if choice < last_plan else last_plan
+            ]
             history = histories[set_index]
-            component_index = self.profile.choose_component(rng)
-            component = self.profile.components[component_index]
-            owner_key = self._owner_key[component_index]
-            address = None
-            for _ in range(self.retries):
-                distance = component.sample_distance(rng)
-                if distance is None:
-                    break
-                if distance > len(history):
-                    continue
-                candidate, owner = history[-distance]
-                if owner != owner_key:
-                    continue  # components only re-reference their group's blocks
-                # Reject if touched since: measured RD would be shorter.
-                if distance > 1 and any(
-                    entry[0] == candidate for entry in history[-distance + 1 :]
-                ):
-                    continue
-                address = candidate
-                break
-            if address is None:
-                address = next_tag[set_index] * num_sets + set_index
+            entry = None
+            if width:
+                for _ in retries:
+                    offset = getrandbits(bits)
+                    while offset >= width:
+                        offset = getrandbits(bits)
+                    distance = low + offset
+                    if distance > len(history):
+                        continue
+                    # Only this owner's blocks, and only one not touched
+                    # since (a touched block's entry is _REUSED).
+                    if history[-distance][1] == owner:
+                        entry = history[-distance]
+                        history[-distance] = _REUSED
+                        break
+            if entry is None:
+                entry = (next_tag[set_index] * num_sets + set_index, owner)
                 next_tag[set_index] += 1
-            addresses[position] = address
-            pcs[position] = self._component_pc(component_index, rng)
-            history.append((address, owner_key))
+            addresses[position] = entry[0]
+            pc = getrandbits(pc_bits)
+            while pc >= pc_pool:
+                pc = getrandbits(pc_bits)
+            pcs[position] = pc_base + 4 * pc
+            history.append(entry)
             if len(history) > depth:
                 del history[0]
 

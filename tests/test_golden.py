@@ -24,6 +24,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_PATH = REPO_ROOT / "tests" / "golden" / "single_core.json"
 OBJECTSTORE_GOLDEN_PATH = REPO_ROOT / "tests" / "golden" / "objectstore.json"
+TRACE_GOLDEN_PATH = REPO_ROOT / "tests" / "golden" / "traces.json"
 REGEN_PATH = REPO_ROOT / "tools" / "regen_golden.py"
 
 
@@ -170,3 +171,51 @@ def test_windowed_sums_match_golden_aggregates(golden):
                     f"{workload_name}/{policy_name}: windowed {field} sum "
                     f"{totals[field]} != golden aggregate {pinned[field]}"
                 )
+
+
+@pytest.fixture(scope="module")
+def trace_golden() -> dict:
+    assert TRACE_GOLDEN_PATH.exists(), (
+        f"missing golden fixture {TRACE_GOLDEN_PATH}; run "
+        "`PYTHONPATH=src python tools/regen_golden.py`"
+    )
+    return json.loads(TRACE_GOLDEN_PATH.read_text())
+
+
+def test_trace_golden_has_not_drifted(trace_golden):
+    """The trace generator's exact output — every SPEC-like profile over
+    several set counts and seeds, the phased workloads, and non-default
+    history depth and retries — must match the pinned fingerprints."""
+    recomputed = _load_regen_module().compute_trace_golden()
+    want_all = trace_golden["fingerprints"]
+    have_all = recomputed["fingerprints"]
+    drift = [
+        f"  trace {key}: fingerprint {want_all.get(key)} -> {have_all.get(key)}"
+        for key in sorted(set(want_all) | set(have_all))
+        if want_all.get(key) != have_all.get(key)
+    ]
+    assert recomputed["config"] == trace_golden["config"]
+    assert not drift, (
+        "trace generator output drifted (fixture -> recomputed):\n"
+        + "\n".join(drift)
+        + "\n\nAn intended change must bump TRACE_GENERATOR_VERSION, then "
+        "regenerate with `PYTHONPATH=src python tools/regen_golden.py`."
+    )
+
+
+def test_trace_golden_covers_every_pinned_config(trace_golden):
+    from repro.workloads import SPEC_LIKE_PROFILES
+
+    regen = _load_regen_module()
+    expected = {
+        f"{name}/sets={num_sets}/seed={seed}"
+        for name in SPEC_LIKE_PROFILES
+        for num_sets in (1, 16, 64, 1024)
+        for seed in ("default", 0, 12345)
+    }
+    expected |= {
+        f"phased/{name}"
+        for name in ("403.gcc", "429.mcf", "450.soplex", "482.sphinx3", "483.xalancbmk")
+    }
+    expected |= set(regen._custom_generators())
+    assert set(trace_golden["fingerprints"]) == expected

@@ -27,6 +27,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_PATH = REPO_ROOT / "tests" / "golden" / "single_core.json"
 OBJECTSTORE_GOLDEN_PATH = REPO_ROOT / "tests" / "golden" / "objectstore.json"
 EXPLORE_GOLDEN_PATH = REPO_ROOT / "tests" / "golden" / "explore.json"
+TRACE_GOLDEN_PATH = REPO_ROOT / "tests" / "golden" / "traces.json"
 
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -226,6 +227,69 @@ def compute_explore_golden() -> dict:
     }
 
 
+#: Trace-generator pins: every SPEC-like profile over these set counts
+#: and seeds (``None`` is the profile's own default seed), plus the
+#: phased workloads and two non-default generator settings.
+TRACE_LENGTH = 6_000
+TRACE_SETS = (1, 16, 64, 1024)
+TRACE_SEEDS = (None, 0, 12345)
+TRACE_PHASE_LENGTH = 2_000
+
+
+def _custom_generators():
+    """The non-default generator settings pinned by the trace grid."""
+    from repro.workloads import SPEC_LIKE_PROFILES, RDDProfileGenerator
+
+    return {
+        "custom/403.gcc/history_depth=5": RDDProfileGenerator(
+            SPEC_LIKE_PROFILES["403.gcc"], num_sets=16, seed=7, history_depth=5
+        ),
+        "custom/464.h264ref/retries=1": RDDProfileGenerator(
+            SPEC_LIKE_PROFILES["464.h264ref"], num_sets=16, seed=7, retries=1
+        ),
+    }
+
+
+def compute_trace_golden() -> dict:
+    """Fingerprint every pinned generator output; returns the golden dict.
+
+    The generator's contract is its exact output for a given (profile,
+    num_sets, seed, history_depth, retries): cached ``.trz`` entries
+    and every other golden fixture rest on it. Any change that moves
+    one of these fingerprints must bump ``TRACE_GENERATOR_VERSION``.
+    """
+    from repro.obs.manifest import trace_fingerprint
+    from repro.workloads import SPEC_LIKE_PROFILES, RDDProfileGenerator
+    from repro.workloads.phased import phase_changing_profiles
+    from repro.workloads.spec_like import benchmark_seed
+
+    fingerprints = {}
+    for name, profile in sorted(SPEC_LIKE_PROFILES.items()):
+        for num_sets in TRACE_SETS:
+            for seed in TRACE_SEEDS:
+                generator = RDDProfileGenerator(
+                    profile,
+                    num_sets=num_sets,
+                    seed=benchmark_seed(name) if seed is None else seed,
+                )
+                label = "default" if seed is None else seed
+                key = f"{name}/sets={num_sets}/seed={label}"
+                fingerprints[key] = trace_fingerprint(generator.generate(TRACE_LENGTH))
+    for name, workload in sorted(phase_changing_profiles(TRACE_PHASE_LENGTH).items()):
+        fingerprints[f"phased/{name}"] = trace_fingerprint(workload.generate())
+    for key, generator in _custom_generators().items():
+        fingerprints[key] = trace_fingerprint(generator.generate(TRACE_LENGTH))
+    return {
+        "config": {
+            "length": TRACE_LENGTH,
+            "sets": list(TRACE_SETS),
+            "seeds": ["default" if seed is None else seed for seed in TRACE_SEEDS],
+            "phase_length": TRACE_PHASE_LENGTH,
+        },
+        "fingerprints": fingerprints,
+    }
+
+
 def main() -> int:
     golden = compute_golden()
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
@@ -244,6 +308,14 @@ def main() -> int:
     )
     print(
         f"wrote {len(explore_golden['cells'])} cells to {EXPLORE_GOLDEN_PATH}"
+    )
+    trace_golden = compute_trace_golden()
+    TRACE_GOLDEN_PATH.write_text(
+        json.dumps(trace_golden, indent=2, sort_keys=True) + "\n"
+    )
+    print(
+        f"wrote {len(trace_golden['fingerprints'])} fingerprints to "
+        f"{TRACE_GOLDEN_PATH}"
     )
     return 0
 
