@@ -158,6 +158,29 @@ class SweepSpec:
                 raise SpecError("mix_matrix jobs need a non-empty mixes dict")
             if not self.policies:
                 raise SpecError("mix_matrix jobs need at least one policy")
+        if self.kind != "predict":
+            from repro.sim.single_core import ENGINES
+
+            # The simulated geometry and engine, held to CacheGeometry's
+            # and run_llc's rules at submit time rather than at run time.
+            if self.num_sets < 1 or self.num_sets & (self.num_sets - 1):
+                raise SpecError(
+                    f"num_sets must be a power of two, got {self.num_sets}"
+                )
+            if self.ways < 1:
+                raise SpecError(f"ways must be positive, got {self.ways}")
+            if self.engine not in ENGINES:
+                raise SpecError(
+                    f"engine must be one of {ENGINES}, got {self.engine!r}"
+                )
+        if self.line_size < 1 or self.line_size & (self.line_size - 1):
+            raise SpecError(
+                f"line_size must be a power of two, got {self.line_size}"
+            )
+        if self.trace_file is None and self.length < 1:
+            raise SpecError(
+                f"length must be >= 1 for a generated trace, got {self.length}"
+            )
         keys = [key for key, _, _ in self.policy_items()]
         if len(set(keys)) != len(keys):
             raise SpecError(f"duplicate policy keys in spec: {keys}")

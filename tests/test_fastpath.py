@@ -3,8 +3,9 @@
 The batched kernel (`repro.memory.fastpath.run_trace`) must be
 observationally identical to the reference per-``Access`` loop — same
 statistics, same final cache contents, same policy decisions. These
-tests pin that for every policy in the registry, on traces that exercise
-both kernel loops (uniform pc/thread-id columns and mixed ones).
+tests pin that for every policy in the registry, on traces with uniform
+pc/thread-id columns (fed to the kernel as ``itertools.repeat``) and mixed
+ones.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ def _make_policy(name: str, trace: Trace):
 
 
 def _mixed_trace(n: int = 4000, seed: int = 11) -> Trace:
-    """Two threads, a small pc pool, reuse plus streaming — exercises the
-    mixed-column kernel loop and every hook (hits, evictions, bypasses)."""
+    """Two threads, a small pc pool, reuse plus streaming — exercises
+    mixed columns and every hook (hits, evictions, bypasses)."""
     rng = np.random.default_rng(seed)
     hot = rng.integers(0, 64, size=n)
     cold = rng.integers(64, 5000, size=n)
@@ -49,7 +50,7 @@ def _mixed_trace(n: int = 4000, seed: int = 11) -> Trace:
 
 
 def _uniform_trace(n: int = 4000, seed: int = 12) -> Trace:
-    """Default pc/thread-id columns — exercises the lean kernel loop."""
+    """Default pc/thread-id columns — exercises the uniform-column inputs."""
     rng = np.random.default_rng(seed)
     hot = rng.integers(0, 64, size=n)
     cold = rng.integers(64, 5000, size=n)
@@ -168,6 +169,31 @@ def test_engine_mode_not_shadowed_by_policy_attribute():
     # And ENGINES validation still fires for bad modes.
     with pytest.raises(ValueError, match="engine"):
         run_llc(trace, PDPPolicy(), GEOMETRY, engine="bogus")
+
+
+@pytest.mark.parametrize(
+    "thread_ids",
+    [(-1000, -3, 5, 40), (-(2**40), 7, 2**40)],
+    ids=["negative-sparse", "wide"],
+)
+@pytest.mark.parametrize("name", ["lru", "drrip", "ship", "pdp"])
+def test_run_llc_any_thread_ids_identical_between_engines(name, thread_ids):
+    """A Trace accepts any int64 thread id: negative, sparse or wider
+    than the trace. The fast kernel's per-thread hit/bypass slots must
+    cover them all."""
+    base = _mixed_trace(n=3000)
+    rng = np.random.default_rng(5)
+    trace = Trace(
+        base.addresses, pcs=base.pcs, thread_ids=rng.choice(thread_ids, len(base))
+    )
+    ref = run_llc(trace, make_policy(name), GEOMETRY, engine="reference")
+    fast = run_llc(trace, make_policy(name), GEOMETRY, engine="fast")
+    assert (fast.accesses, fast.hits, fast.misses, fast.bypasses) == (
+        ref.accesses,
+        ref.hits,
+        ref.misses,
+        ref.bypasses,
+    )
 
 
 def test_run_hierarchy_engines_agree():

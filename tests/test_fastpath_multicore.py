@@ -17,7 +17,7 @@ import pytest
 from repro.memory.cache import CacheGeometry, SetAssociativeCache
 from repro.memory.fastpath import run_shared_trace
 from repro.policies.base import make_policy
-from repro.sim.multi_core import run_shared_llc
+from repro.sim.multi_core import _reference_shared_slice, run_shared_llc
 from repro.traces.trace import Trace
 from repro.workloads.mixes import interleave_traces
 
@@ -143,6 +143,35 @@ def test_frozen_stats_unchanged_by_post_completion_tail(name):
     short_cache = SetAssociativeCache(GEOMETRY, _make_policy(name, len(traces)))
     short = run_shared_trace(short_cache, mixed.slice(0, stop), completion)
     assert full == short
+
+
+@pytest.mark.parametrize("total_length", [None, 3000], ids=["full", "truncated"])
+@pytest.mark.parametrize("name", ["lru", "pdp", "ta-drrip", "pd-partition"])
+def test_slices_cut_at_completion_positions_match_reference(name, total_length):
+    """Feeding the interleave in slices cut exactly at each completion
+    position puts every freeze on a slice start; the summed per-thread
+    counters and the global stats must still equal the reference's
+    whole-trace run. Truncated, several threads never finish and share
+    ``completion == total_length``."""
+    traces = _mixes()["heterogeneous"]
+    mixed, completion = interleave_traces(traces, total_length=total_length)
+    if total_length is not None:
+        assert completion.count(total_length) >= 2
+
+    ref_cache = SetAssociativeCache(GEOMETRY, _make_policy(name, len(traces)))
+    expected = _reference_shared_slice(ref_cache, mixed, completion)
+    cache = SetAssociativeCache(GEOMETRY, _make_policy(name, len(traces)))
+    totals = [[0] * len(traces) for _ in range(4)]
+    bounds = sorted({0, len(mixed), *completion})
+    for start, stop in zip(bounds, bounds[1:]):
+        part = run_shared_trace(
+            cache, mixed.slice(start, stop), completion, position_offset=start
+        )
+        for total, counts in zip(totals, part):
+            for thread, count in enumerate(counts):
+                total[thread] += count
+    assert totals == expected
+    assert cache.stats == ref_cache.stats
 
 
 def test_completion_positions_match_cursor_recount():

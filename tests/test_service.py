@@ -122,6 +122,19 @@ class TestSweepSpec:
             ({"benchmark": "x", "policies": ["lru", "lru"]}, "duplicate"),
             ({"benchmark": "x", "policies": ["lru"], "workers": -1}, "workers"),
             ({"benchmark": "x", "policies": ["lru"], "window_size": 0}, "window_size"),
+            ({"benchmark": "x", "policies": ["lru"], "num_sets": 100}, "num_sets"),
+            ({"benchmark": "x", "policies": ["lru"], "num_sets": 0}, "num_sets"),
+            ({"benchmark": "x", "policies": ["lru"], "ways": 0}, "ways"),
+            ({"benchmark": "x", "policies": ["lru"], "line_size": 0}, "line_size"),
+            ({"benchmark": "x", "policies": ["lru"], "line_size": 48}, "line_size"),
+            ({"benchmark": "x", "policies": ["lru"], "engine": "warp"}, "engine"),
+            ({"benchmark": "x", "policies": ["lru"], "length": 0}, "length"),
+            (
+                {"kind": "mix_matrix", "mixes": {"m": ["x"]}, "policies": ["lru"],
+                 "length": 0},
+                "length",
+            ),
+            ({"kind": "predict", "benchmark": "x", "length": 0}, "length"),
         ],
     )
     def test_validate_rejects(self, kwargs, match):
