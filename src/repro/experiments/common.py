@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro.memory.cache import CacheGeometry
 from repro.memory.timing import TimingModel
+from repro.obs.manifest import format_table
 from repro.sim.config import ExperimentConfig
 from repro.traces.trace import Trace
 from repro.workloads.spec_like import SINGLE_CORE_SUITE, make_benchmark_trace
@@ -53,22 +54,6 @@ def default_trace(name: str, fast: bool = False, seed: int | None = None) -> Tra
         num_sets=EXPERIMENT_GEOMETRY.num_sets,
         seed=seed,
     )
-
-
-def format_table(headers: list[str], rows: list[list[str]], title: str = "") -> str:
-    """Render an aligned text table for bench reports."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for column, cell in enumerate(row):
-            widths[column] = max(widths[column], len(cell))
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
 
 
 __all__ = [

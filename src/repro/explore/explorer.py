@@ -10,6 +10,11 @@ persisted as a ``kind="explore"`` manifest whose trace fingerprint ties
 it to any simulation manifests of the same trace (the hook
 ``repro obs report`` uses to render prediction-vs-simulation error
 tables).
+
+:class:`ExploreCell` wraps one ``explore()`` pass as a grid cell of
+:func:`repro.sim.parallel.run_cells`, which is how the sweep daemon
+runs a ``predict`` job with the same resume rule as its simulation
+jobs.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from time import perf_counter
 from repro.core.pd_grid import pd_grid
 from repro.explore.model import MODEL_VARIANTS, build_view, predict_curve
 from repro.explore.profile import TraceProfile, profile_trace
+from repro.obs.manifest import fingerprint_source
 
 #: Default candidate set counts (powers of two within the profiled range).
 DEFAULT_SETS = (16, 32, 64, 128, 256, 512)
@@ -87,6 +93,21 @@ class ExplorationResult:
         points = [p for p in self.predictions if p.on_frontier]
         return sorted(points, key=lambda p: -p.best_hit_rate)
 
+    def frontier_rows(self) -> list[dict]:
+        """The frontier as the JSON rows an explore manifest persists
+        (``extra["frontier"]``) and a predict job returns."""
+        return [
+            {
+                "num_sets": p.num_sets,
+                "ways": p.ways,
+                "capacity_bytes": p.capacity_bytes,
+                "best_pd": p.best_pd,
+                "best_hit_rate": round(p.best_hit_rate, 9),
+                "confidence": p.confidence,
+            }
+            for p in self.frontier
+        ]
+
     def prediction_for(self, num_sets: int, ways: int) -> GeometryPrediction | None:
         """The prediction of one geometry, or None when absent."""
         for point in self.predictions:
@@ -105,6 +126,29 @@ def _mark_frontier(predictions: list[GeometryPrediction]) -> None:
         if point.best_hit_rate > best_so_far:
             point.on_frontier = True
             best_so_far = point.best_hit_rate
+
+
+def design_space(
+    sets: tuple[int, ...] | list[int] = DEFAULT_SETS,
+    ways: tuple[int, ...] | list[int] = DEFAULT_WAYS,
+    pd_max: int = 256,
+    pd_step: int = 4,
+    d_max: int = 1_024,
+    line_size: int = 64,
+    model_variant: str = "default",
+) -> dict:
+    """The design-space ``config`` an explore manifest records: the
+    :func:`explore` arguments, with ``sets`` and ``ways`` sorted and
+    deduplicated."""
+    return {
+        "sets": sorted(set(int(s) for s in sets)),
+        "ways": sorted(set(int(w) for w in ways)),
+        "pd_max": pd_max,
+        "pd_step": pd_step,
+        "d_max": d_max,
+        "line_size": line_size,
+        "model_variant": model_variant,
+    }
 
 
 def explore(
@@ -186,14 +230,9 @@ def explore(
     if manifest_dir is not None:
         result.manifest_path, result.run_id = _emit_explore_manifest(
             result, manifest_dir, run_label=run_label,
-            config={
-                "sets": sorted(set(int(s) for s in sets)),
-                "ways": sorted(set(int(w) for w in ways)),
-                "pd_max": pd_max,
-                "pd_step": pd_step,
-                "d_max": d_max,
-                "line_size": line_size,
-            },
+            config=design_space(
+                sets, ways, pd_max, pd_step, d_max, line_size, model_variant
+            ),
         )
     return result
 
@@ -212,10 +251,10 @@ def _emit_explore_manifest(
     manifest = Manifest(
         kind="explore",
         workload=summary.get("name", "trace"),
-        policy="analytic-spdp",
-        engine="analytic",
+        policy=ExploreCell.policy,
+        engine=ExploreCell.engine,
         label=run_label,
-        config=dict(config, model_variant=result.model_variant),
+        config=config,
         trace_fingerprint=summary.get("fingerprint"),
         wall_time_s=result.elapsed_s,
         accesses=summary.get("total_accesses", 0),
@@ -237,21 +276,58 @@ def _emit_explore_manifest(
         extra={
             "profile": summary,
             "predictions": [p.to_dict() for p in result.predictions],
-            "frontier": [
-                {
-                    "num_sets": p.num_sets,
-                    "ways": p.ways,
-                    "capacity_bytes": p.capacity_bytes,
-                    "best_pd": p.best_pd,
-                    "best_hit_rate": round(p.best_hit_rate, 9),
-                    "confidence": p.confidence,
-                }
-                for p in frontier
-            ],
+            "frontier": result.frontier_rows(),
         },
     )
     path = manifest.save(manifest_dir)
     return str(path), manifest.run_id
+
+
+@dataclass(frozen=True)
+class ExploreCell:
+    """One ``predict`` grid cell for :func:`repro.sim.parallel.run_cells`:
+    an :func:`explore` pass over the grid's trace (or stream).
+
+    ``config`` is the design space (:func:`design_space`), which the
+    cell's ``kind="explore"`` manifest records and resume matches on;
+    ``workload`` is the trace's name and ``accesses`` its length (0 for
+    a stream of unknown length). The result is the frontier rows
+    (:meth:`ExplorationResult.frontier_rows`).
+    """
+
+    workload: str
+    config: dict
+    manifest_dir: str | None = None
+    accesses: int = 0
+
+    key = "explore"
+    kind = "explore"
+    engine = "analytic"
+    policy = "analytic-spdp"
+    window_size = None
+
+    @staticmethod
+    def from_manifest(manifest) -> list[dict]:
+        """The frontier rows a satisfying explore manifest persisted."""
+        return list(manifest.extra["frontier"])
+
+    def fingerprint(self, source) -> str:
+        """The trace fingerprint the explore manifest records."""
+        return fingerprint_source(source)
+
+    def credited(self, result) -> int:
+        """Accesses the sweep manifest credits the cell with."""
+        return self.accesses
+
+    def run(self, source) -> list[dict]:
+        """Explore the design space over ``source``; looked up as a module
+        global at call time, so a wrapper installed on ``explore`` sees
+        the call."""
+        result = explore(
+            source, manifest_dir=self.manifest_dir, run_label=self.key,
+            **self.config,
+        )
+        return result.frontier_rows()
 
 
 def render_frontier(result: ExplorationResult, top: int = 10) -> str:
@@ -284,7 +360,9 @@ __all__ = [
     "DEFAULT_SETS",
     "DEFAULT_WAYS",
     "ExplorationResult",
+    "ExploreCell",
     "GeometryPrediction",
+    "design_space",
     "explore",
     "render_frontier",
 ]

@@ -218,7 +218,8 @@ class Manifest:
     """Provenance record of one simulation run (or one sweep of runs).
 
     ``kind`` names the entry point that produced it: ``"llc"``,
-    ``"hierarchy"``, ``"shared_llc"``, ``"matrix"`` or ``"mix_matrix"``.
+    ``"hierarchy"``, ``"shared_llc"``, ``"explore"``, or a grid's
+    ``"matrix"``, ``"mix_matrix"`` or ``"predict"``.
     Single-run manifests carry counters in ``stats`` and derived numbers
     (hit rate, MPKI, IPC, or W/T/H) in ``metrics``; sweep manifests carry
     the task list in ``tasks`` and any :class:`TaskFailure` records in
@@ -380,9 +381,12 @@ def _format_metric(value) -> str:
     return str(value)
 
 
-def _table(headers: list[str], rows: list[list[str]], title: str = "") -> str:
-    """Minimal aligned text table (obs stays import-light — no
-    dependency on the experiments package)."""
+def format_table(headers: list[str], rows: list[list[str]], title: str = "") -> str:
+    """Render an aligned text table: an optional title line, the
+    headers, a dash rule, then the rows, every column left-justified to
+    its widest cell. The one table renderer of the repo (obs reports and
+    the experiment and bench reports); it lives here because obs stays
+    import-light."""
     widths = [len(h) for h in headers]
     for row in rows:
         for column, cell in enumerate(row):
@@ -444,7 +448,7 @@ def summarize_manifests(
     sections = []
     if rows:
         sections.append(
-            _table(
+            format_table(
                 [
                     "workload",
                     "policy",
@@ -503,6 +507,7 @@ __all__ = [
     "SkippedManifest",
     "TaskFailure",
     "fingerprint_source",
+    "format_table",
     "git_sha",
     "load_manifests",
     "new_run_id",

@@ -8,11 +8,12 @@ The service layer turns the batch sweep runners
 - :mod:`repro.service.jobs` — :class:`SweepSpec` (declarative sweep
   descriptions), :class:`JobRecord` lifecycle, :class:`JobStore` atomic
   persistence and restart recovery.
-- :mod:`repro.service.scheduler` — the job bodies: run a spec through
-  the resumable grid runner of :mod:`repro.sim.parallel`, which skips
-  cells whose identity (config, trace fingerprint, engine, optional git
-  SHA) matches an existing per-cell manifest, reconstructs their results
-  bit-identically and runs only the remainder.
+- :mod:`repro.service.scheduler` — the job body: run a spec of any kind
+  as one ``run_cells(..., resume=True)`` grid of :mod:`repro.sim.parallel`,
+  which skips cells whose identity (kind, label, workload, engine,
+  config, trace fingerprint, optional git SHA) matches an existing
+  per-cell manifest, reconstructs their results bit-identically and runs
+  only the remainder.
 - :mod:`repro.service.server` — the :class:`SweepService` asyncio
   daemon behind ``repro serve`` / ``submit`` / ``jobs`` / ``watch``.
 
@@ -31,8 +32,6 @@ from repro.service.scheduler import (
     CorruptManifestError,
     ResumePlan,
     execute_spec,
-    run_resumable_matrix,
-    run_resumable_mix_matrix,
 )
 from repro.service.server import SweepService, serve
 
@@ -48,8 +47,6 @@ __all__ = [
     "SweepSpec",
     "SweepService",
     "execute_spec",
-    "run_resumable_matrix",
-    "run_resumable_mix_matrix",
     "serve",
     "service_socket",
 ]

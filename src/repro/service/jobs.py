@@ -188,6 +188,29 @@ class SweepSpec:
             raise SpecError(f"workers must be >= 0, got {self.workers}")
         if self.window_size is not None and self.window_size <= 0:
             raise SpecError(f"window_size must be positive, got {self.window_size}")
+        self._validate_benchmarks()
+
+    def _validate_benchmarks(self) -> None:
+        """Reject benchmark names the trace generator does not know, and
+        mixes that are not non-empty lists of them, at submit time rather
+        than inside the job."""
+        from repro.workloads.spec_like import SPEC_LIKE_PROFILES
+
+        names = [] if self.benchmark is None else [self.benchmark]
+        if self.kind == "mix_matrix":
+            for mix_key, members in self.mixes.items():
+                if not isinstance(members, (list, tuple)) or not members:
+                    raise SpecError(
+                        f"mix {mix_key!r} must be a non-empty list of "
+                        f"benchmark names, got {members!r}"
+                    )
+                names += members
+        for name in names:
+            if not isinstance(name, str) or name not in SPEC_LIKE_PROFILES:
+                raise SpecError(
+                    f"unknown benchmark {name!r}; known: "
+                    f"{', '.join(sorted(SPEC_LIKE_PROFILES))}"
+                )
 
     def policy_items(self) -> list[tuple[str, str, dict]]:
         """Normalize ``policies`` into ``(key, name, kwargs)`` triples."""

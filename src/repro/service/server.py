@@ -4,11 +4,10 @@
 *service root* directory (job store + per-namespace manifest dirs + unix
 socket), accepts sweep specs over the line-delimited JSON protocol
 (:mod:`repro.service.protocol`), and executes them one at a time on a
-worker thread — each sweep internally fanning out across a process pool
-via :func:`repro.sim.parallel.run_matrix` /
-:func:`~repro.sim.parallel.run_mix_matrix`, with per-cell failure
-isolation and manifest-driven resume
-(:mod:`repro.service.scheduler`).
+worker thread — each job one :func:`repro.sim.parallel.run_cells` grid
+(:func:`repro.service.scheduler.execute_spec`), fanning out across a
+process pool with per-cell failure isolation and manifest-driven
+resume.
 
 Durability model: every state transition of a job is persisted
 atomically before it is acted on, and cell completion is recorded by the
@@ -242,8 +241,9 @@ class SweepService:
     def _submit_followups(self, parent: JobRecord, specs: list) -> None:
         """Queue the simulation jobs a predict job asked for.
 
-        Each spec dict (from ``execute_predict``'s summary) becomes a
-        normal queued :class:`JobRecord` — persisted first, so a daemon
+        Each spec dict (the ``followups`` of a predict job's
+        :func:`execute_spec` summary) becomes a normal queued
+        :class:`JobRecord` — persisted first, so a daemon
         crash between parent completion and follow-up execution recovers
         them like any other queued job. A ``followup`` event on the
         parent's stream links each child id for watchers. A malformed

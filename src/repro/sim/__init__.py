@@ -13,7 +13,7 @@ from repro.sim.parallel import (
     run_matrix,
     run_mix_matrix,
 )
-from repro.sim.runner import compare_policies, sweep_static_pd
+from repro.sim.runner import sweep_static_pd
 from repro.sim.single_core import ENGINES, SingleCoreResult, run_hierarchy, run_llc
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "MachineConfig",
     "MultiCoreResult",
     "SingleCoreResult",
-    "compare_policies",
     "geometric_mean",
     "harmonic_mean_normalized_ipc",
     "resolve_max_workers",

@@ -1,17 +1,19 @@
 """The grid runner: :func:`run_cells` over a process pool, with resume.
 
-A grid is a list of *cells* run against shared *inputs*. Two cell kinds
-cover the paper's evaluation grids: :class:`LLCCell`, one single-core
-``run_llc`` of a policy over the grid's trace (the Fig. 4 static-PD
-sweep), and :class:`SharedLLCCell`, one shared-LLC ``run_shared_llc``
-of a policy over one mix of the grid's per-thread traces (the Fig. 12
-mixes). Each cell carries its key, a ``run(inputs)``, its resume
-identity (manifest kind, label, workload, fingerprint, geometry, engine,
-window size) and the rebuild of its result from a manifest.
-:func:`run_cells` runs any list of them; the four public entry points
-— :func:`run_matrix`, :func:`run_mix_matrix`,
-:func:`run_resumable_matrix` and :func:`run_resumable_mix_matrix` —
-each build a cell list and call it once.
+A grid is a list of *cells* run against shared *inputs*. Three cell
+kinds exist: :class:`LLCCell`, one single-core ``run_llc`` of a policy
+over the grid's trace (the Fig. 4 static-PD sweep);
+:class:`SharedLLCCell`, one shared-LLC ``run_shared_llc`` of a policy
+over one mix of the grid's per-thread traces (the Fig. 12 mixes); and
+:class:`repro.explore.explorer.ExploreCell`, one analytical
+``explore`` pass over the grid's trace (a daemon ``predict`` job). Each
+cell carries its key, a ``run(inputs)``, its resume identity (manifest
+``kind``, label ``str(key)``, ``workload``, ``engine``, ``config``,
+``window_size`` and the trace fingerprint) and the rebuild of its result
+from a manifest. :func:`run_cells` runs any list of them;
+:func:`run_matrix` and :func:`run_mix_matrix` build a cell list with
+:func:`llc_cells` / :func:`mix_cells` and call it once, and the sweep
+daemon calls it with ``resume=True`` for every job kind.
 
 The grid's inputs — the :class:`Trace`, the
 :class:`repro.traces.stream.TraceStream`, or every mix's per-thread
@@ -64,7 +66,8 @@ manifest embeds the metrics snapshot when the registry is enabled.
 
 Resume (``run_cells(..., resume=True)``): the per-cell manifests in the
 manifest directory are the source of truth for which cells already ran.
-A cell whose identity matches a manifest is skipped — announced by a
+A cell whose identity matches a manifest
+(:func:`manifest_satisfies_cell`, the one rule) is skipped — announced by a
 ``skipped`` progress event and span — and its result rebuilt from the
 manifest, so an interrupted sweep restarts where it died and the merged
 output is bit-identical to an uninterrupted run for everything a
@@ -341,42 +344,35 @@ def check_resume_substrate(
 
 
 def manifest_satisfies_cell(
-    manifest: Manifest,
-    kind: str,
-    label: str,
-    workload: str,
-    fingerprint: str | None,
-    geometry: CacheGeometry,
-    engine: str,
-    window_size: int | None = None,
-    match_git_sha: bool = False,
+    manifest: Manifest, cell, fingerprint: str | None, match_git_sha: bool = False
 ) -> bool:
     """The cell-identity match: does this manifest prove the cell ran?
 
-    All of (kind, label, workload, trace fingerprint, geometry, engine)
-    must agree; a None fingerprint on either side never matches (an
-    unidentifiable trace must re-run). A ``window_size`` request is met
-    only by a manifest carrying a time-series of exactly that window (the
-    resumed merge would otherwise lose windows). ``match_git_sha=True``
-    adds the code-state dimension: the manifest's recorded SHA must equal
-    the current HEAD.
+    The one resume rule, for every cell kind. The manifest's kind,
+    label, workload and engine must equal the cell's ``kind``,
+    ``str(key)``, ``workload`` and ``engine``; its trace fingerprint
+    must equal ``fingerprint``, and a None fingerprint never matches (an
+    unidentifiable trace must re-run); its ``config`` must hold every
+    entry of ``cell.config`` (a manifest without a config dict holds
+    none). A cell with a ``window_size`` is met only by a manifest
+    carrying a time-series of exactly that window (the resumed merge
+    would otherwise lose windows). ``match_git_sha=True`` adds the
+    code-state dimension: the manifest's recorded SHA must equal the
+    current HEAD.
     """
-    if manifest.kind != kind or manifest.label != label:
-        return False
-    if manifest.workload != workload or manifest.engine != engine:
+    if (manifest.kind, manifest.label, manifest.workload, manifest.engine) != (
+        cell.kind, str(cell.key), cell.workload, cell.engine
+    ):
         return False
     if fingerprint is None or manifest.trace_fingerprint != fingerprint:
         return False
     config = manifest.config if isinstance(manifest.config, dict) else {}
-    if (config.get("num_sets"), config.get("ways"), config.get("line_size")) != (
-        geometry.num_sets,
-        geometry.ways,
-        geometry.line_size,
-    ):
+    if any(key not in config or config[key] != value
+           for key, value in cell.config.items()):
         return False
-    if window_size is not None:
+    if cell.window_size is not None:
         timeseries = manifest.timeseries if isinstance(manifest.timeseries, dict) else {}
-        if timeseries.get("window_size") != window_size:
+        if timeseries.get("window_size") != cell.window_size:
             return False
     return not match_git_sha or manifest.git_sha == _git_sha()
 
@@ -425,6 +421,15 @@ def multi_core_result_from_manifest(manifest: Manifest) -> MultiCoreResult:
 # -- cell kinds -------------------------------------------------------------
 
 
+def _geometry_config(geometry: CacheGeometry) -> dict:
+    """A simulation cell's ``config``: the geometry its manifest records."""
+    return {
+        "num_sets": geometry.num_sets,
+        "ways": geometry.ways,
+        "line_size": geometry.line_size,
+    }
+
+
 @dataclass(frozen=True)
 class LLCCell:
     """One single-core grid cell: ``run_llc`` of ``factory()`` over the
@@ -452,6 +457,11 @@ class LLCCell:
     def policy(self) -> str:
         """The policy key, as recorded in a :class:`TaskFailure`."""
         return str(self.key)
+
+    @property
+    def config(self) -> dict:
+        """The geometry entries a satisfying manifest's config holds."""
+        return _geometry_config(self.geometry)
 
     def fingerprint(self, trace) -> str | None:
         """The trace fingerprint the cell's manifest records."""
@@ -508,6 +518,11 @@ class SharedLLCCell:
     def policy(self) -> str:
         """The policy key, as recorded in a :class:`TaskFailure`."""
         return str(self.key[1])
+
+    @property
+    def config(self) -> dict:
+        """The geometry entries a satisfying manifest's config holds."""
+        return _geometry_config(self.geometry)
 
     def credited(self, result: MultiCoreResult | None) -> int:
         """Accesses the sweep manifest credits the cell with: the mix's
@@ -782,14 +797,18 @@ def _resume_scan(
     """``{key: result rebuilt from its manifest}`` for every cell that a
     manifest in ``manifest_dir`` satisfies (:func:`manifest_satisfies_cell`).
 
-    Each workload is fingerprinted once; the newest matching manifest
+    Each workload is fingerprinted once, and only when the namespace
+    holds a manifest of its cell's kind; the newest matching manifest
     wins. Raises :class:`CorruptManifestError` over unparseable files
     unless ``force``.
     """
     manifests = check_resume_substrate(manifest_dir, force=force).manifests
+    kinds = {m.kind for m in manifests}
     fingerprints: dict = {}
     skipped: dict = {}
     for cell in cells:
+        if cell.kind not in kinds:
+            continue
         if cell.workload not in fingerprints:
             fingerprints[cell.workload] = cell.fingerprint(inputs)
         match = next(
@@ -797,15 +816,7 @@ def _resume_scan(
                 m
                 for m in reversed(manifests)
                 if manifest_satisfies_cell(
-                    m,
-                    cell.kind,
-                    str(cell.key),
-                    cell.workload,
-                    fingerprints[cell.workload],
-                    cell.geometry,
-                    cell.engine,
-                    window_size=cell.window_size,
-                    match_git_sha=match_git_sha,
+                    m, cell, fingerprints[cell.workload], match_git_sha
                 )
             ),
             None,
@@ -828,21 +839,15 @@ def _sweep_manifest(
 ) -> Manifest:
     """The sweep-level manifest of the cells that ran: their workloads,
     policies and credited accesses (over their ``fresh`` results),
-    per-task status and failures, the grid's geometry plus ``config``,
-    and the metrics snapshot (when enabled)."""
+    per-task status and failures, the first cell's ``config`` plus
+    ``config``, and the metrics snapshot (when enabled)."""
     accesses = sum(cell.credited(fresh.get(cell.key)) for cell in ran)
-    geometry = ran[0].geometry
     return Manifest(
         kind=kind,
         workload=",".join(dict.fromkeys(cell.workload for cell in ran)),
         policy=",".join(dict.fromkeys(cell.policy for cell in ran)),
         engine=ran[0].engine,
-        config={
-            "num_sets": geometry.num_sets,
-            "ways": geometry.ways,
-            "line_size": geometry.line_size,
-            **config,
-        },
+        config={**ran[0].config, **config},
         trace_fingerprint=_grid_fingerprint(inputs),
         git_sha=_git_sha(),
         wall_time_s=wall,
@@ -875,13 +880,15 @@ def run_cells(
     the cells that ran; finally re-raise the first cell failure.
 
     Args:
-        kind: the sweep manifest's kind (``"matrix"``, ``"mix_matrix"``);
-            also names the grid's root span and progress label.
-        cells: :class:`LLCCell` / :class:`SharedLLCCell` records with
+        kind: the sweep manifest's kind (``"matrix"``, ``"mix_matrix"``,
+            ``"predict"``); also names the grid's root span and progress
+            label.
+        cells: :class:`LLCCell` / :class:`SharedLLCCell` /
+            :class:`repro.explore.explorer.ExploreCell` records with
             distinct keys.
         inputs: what every cell's ``run`` receives — the trace (or
-            stream) of an :class:`LLCCell` grid, the ``{mix_key: thread
-            traces}`` of a :class:`SharedLLCCell` one.
+            stream) of an :class:`LLCCell` or ``ExploreCell`` grid, the
+            ``{mix_key: thread traces}`` of a :class:`SharedLLCCell` one.
         config: extra entries for the sweep manifest's ``config``.
         max_workers: worker processes; None resolves via
             :func:`resolve_max_workers`, 0/1 forces serial.
@@ -895,7 +902,7 @@ def run_cells(
         force: resume over unparseable manifest files instead of raising
             :class:`CorruptManifestError`.
         match_git_sha: a manifest satisfies a cell only if written at the
-            current git SHA.
+            current git SHA (:func:`manifest_satisfies_cell`).
 
     Returns:
         ``(results, plan)``: ``{cell.key: result}`` in cell order, and a
@@ -948,7 +955,7 @@ def run_cells(
 # -- entry points -----------------------------------------------------------
 
 
-def _llc_cells(
+def llc_cells(
     trace: Trace | TraceStream,
     factories: dict,
     geometry: CacheGeometry,
@@ -984,7 +991,7 @@ def _llc_cells(
     return trace, cells
 
 
-def _mix_cells(
+def mix_cells(
     mixes: dict[str, list[Trace]],
     factories: dict,
     geometry: CacheGeometry,
@@ -1053,7 +1060,7 @@ def run_matrix(
         remaining tasks complete and the sweep manifest is written);
         only infrastructure failures fall back to the serial path.
     """
-    trace, cells = _llc_cells(
+    trace, cells = llc_cells(
         trace, factories, geometry, timing, engine, manifest_dir, window_size
     )
     results, _ = run_cells(
@@ -1109,7 +1116,7 @@ def run_mix_matrix(
         remaining tasks complete and the sweep manifest is written);
         only infrastructure failures fall back to the serial path.
     """
-    cells = _mix_cells(
+    cells = mix_cells(
         mixes, factories, geometry, timing, singles, engine, manifest_dir
     )
     results, _ = run_cells(
@@ -1124,86 +1131,6 @@ def run_mix_matrix(
     return results
 
 
-def run_resumable_matrix(
-    trace,
-    factories: dict,
-    geometry: CacheGeometry,
-    manifest_dir: str | os.PathLike,
-    timing=None,
-    engine: str = "vector",
-    max_workers: int | None = None,
-    window_size: int | None = None,
-    match_git_sha: bool = False,
-    force: bool = False,
-    on_event: Callable[[ProgressEvent], None] | None = None,
-) -> tuple[dict, ResumePlan]:
-    """A :func:`run_matrix` that resumes from the manifests in
-    ``manifest_dir``.
-
-    Every cell a manifest satisfies is skipped (a ``skipped`` event) and
-    rebuilt from it; the rest run as one grid with the same manifest
-    directory. The results keep factory order and are bit-identical to
-    an uninterrupted run for all manifest-persisted fields; resumed
-    cells' ``extra`` carries only the windowed time-series (transient
-    driver extras like PDP's ``pd_history`` exist only on freshly run
-    cells). Raises :class:`CorruptManifestError` over unparseable
-    manifests unless ``force``. Returns ``(results, plan)``.
-    """
-    trace, cells = _llc_cells(
-        trace, factories, geometry, timing, engine, manifest_dir, window_size
-    )
-    return run_cells(
-        "matrix",
-        cells,
-        trace,
-        max_workers=max_workers,
-        manifest_dir=manifest_dir,
-        on_event=on_event,
-        resume=True,
-        force=force,
-        match_git_sha=match_git_sha,
-    )
-
-
-def run_resumable_mix_matrix(
-    mixes: dict,
-    factories: dict,
-    geometry: CacheGeometry,
-    manifest_dir: str | os.PathLike,
-    timing=None,
-    singles: dict | None = None,
-    engine: str = "fast",
-    max_workers: int | None = None,
-    match_git_sha: bool = False,
-    force: bool = False,
-    on_event: Callable[[ProgressEvent], None] | None = None,
-) -> tuple[dict, ResumePlan]:
-    """A :func:`run_mix_matrix` that resumes from the manifests in
-    ``manifest_dir`` (the shared-LLC counterpart of
-    :func:`run_resumable_matrix`).
-
-    Mix identity is the fingerprint of each mix's round-robin interleaved
-    trace — exactly what ``run_shared_llc`` records in its cell
-    manifests. Whichever cells are missing, they run as one grid.
-    Returns ``(results, plan)``.
-    """
-    cells = _mix_cells(
-        mixes, factories, geometry, timing, singles, engine, manifest_dir
-    )
-    return run_cells(
-        "mix_matrix",
-        cells,
-        mixes,
-        config={"mixes": len(mixes)},
-        max_workers=max_workers,
-        manifest_dir=manifest_dir,
-        on_event=on_event,
-        resume=True,
-        force=force,
-        match_git_sha=match_git_sha,
-    )
-
-
 __all__ = [
     "ENV_MAX_WORKERS",
     "CorruptManifestError",
@@ -1211,13 +1138,13 @@ __all__ = [
     "ResumePlan",
     "SharedLLCCell",
     "check_resume_substrate",
+    "llc_cells",
     "manifest_satisfies_cell",
+    "mix_cells",
     "multi_core_result_from_manifest",
     "resolve_max_workers",
     "run_cells",
     "run_matrix",
     "run_mix_matrix",
-    "run_resumable_matrix",
-    "run_resumable_mix_matrix",
     "single_core_result_from_manifest",
 ]

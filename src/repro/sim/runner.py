@@ -1,4 +1,4 @@
-"""Experiment helpers: static-PD sweeps and policy comparisons."""
+"""Experiment helpers: static-PD sweeps and the best static PD."""
 
 from __future__ import annotations
 
@@ -76,34 +76,6 @@ def best_static_pd(
     return pd, results[pd]
 
 
-def compare_policies(
-    trace: Trace,
-    factories: dict[str, Callable[[], object]],
-    geometry: CacheGeometry,
-    timing: TimingModel | None = None,
-    max_workers: int | None = 1,
-    engine: str = "vector",
-    manifest_dir: str | os.PathLike | None = None,
-    on_event: Callable | None = None,
-) -> dict[str, SingleCoreResult]:
-    """Run one trace under several policies (fresh instance per run).
-
-    See :func:`sweep_static_pd` for the ``max_workers`` and
-    observability contracts. Unpicklable factories (lambdas, closures)
-    run serially.
-    """
-    return run_matrix(
-        trace,
-        factories,
-        geometry,
-        timing=timing,
-        max_workers=max_workers,
-        engine=engine,
-        manifest_dir=manifest_dir,
-        on_event=on_event,
-    )
-
-
 def default_pd_candidates(
     associativity: int = 16, d_max: int = 256, step: int = 4
 ) -> list[int]:
@@ -120,7 +92,6 @@ def default_pd_candidates(
 
 __all__ = [
     "best_static_pd",
-    "compare_policies",
     "default_pd_candidates",
     "sweep_static_pd",
 ]

@@ -25,7 +25,7 @@ from repro.sim.parallel import (
     run_matrix,
     run_mix_matrix,
 )
-from repro.sim.runner import compare_policies, sweep_static_pd
+from repro.sim.runner import sweep_static_pd
 from repro.sim.single_core import run_llc
 from repro.traces.trace import Trace
 
@@ -106,7 +106,7 @@ def test_parallel_sweep_accepts_trace_stream(trace, tmp_path):
 def test_parallel_compare_matches_serial(trace):
     factories = {"lru": LRUPolicy, "drrip": DRRIPPolicy}
     serial = _serial_reference(trace, factories)
-    parallel = compare_policies(trace, factories, GEOMETRY, max_workers=2)
+    parallel = run_matrix(trace, factories, GEOMETRY, max_workers=2)
     assert _summaries(parallel) == _summaries(serial)
 
 
@@ -115,8 +115,8 @@ def test_unpicklable_factory_falls_back_to_serial(trace):
     factories = {"lru": lambda: LRUPolicy(), "drrip": lambda: DRRIPPolicy()}
     with pytest.warns(RuntimeWarning, match="running serially"):
         results = run_matrix(trace, factories, GEOMETRY, max_workers=2)
-    reference = compare_policies(
-        trace, {"lru": LRUPolicy, "drrip": DRRIPPolicy}, GEOMETRY
+    reference = run_matrix(
+        trace, {"lru": LRUPolicy, "drrip": DRRIPPolicy}, GEOMETRY, max_workers=1
     )
     assert _summaries(results) == _summaries(reference)
 
@@ -152,7 +152,7 @@ def test_serial_fallback_emits_warning_event_and_manifest_workers(trace, tmp_pat
 def test_serial_fallback_warning_points_at_the_caller(trace, tmp_path, entry):
     """Every entry point reaches the pool through the one runner, so the
     fallback warning lands on the line that called the entry point."""
-    from repro.service.scheduler import run_resumable_matrix
+    from tests.test_service import run_resumable_matrix
 
     lambdas = {"lru": lambda: LRUPolicy(), "drrip": lambda: DRRIPPolicy()}
     calls = {
@@ -214,7 +214,7 @@ def test_stream_sweep_manifest_records_fingerprint(trace, tmp_path, max_workers)
 def test_pooled_stream_matrix_resubmit_skips_every_cell(trace, tmp_path):
     """Resume matching over a pooled stream grid: the resubmitted matrix
     finds every cell's manifest and runs none of them."""
-    from repro.service.scheduler import run_resumable_matrix
+    from tests.test_service import run_resumable_matrix
     from repro.traces.formats import open_trace, write_stream
     from repro.traces.stream import as_stream
 
@@ -295,7 +295,7 @@ def test_spawn_pool_pickles_inputs_or_falls_back_loudly(trace, tmp_path, monkeyp
         parallel, "_pool_context", lambda: multiprocessing.get_context("spawn")
     )
     factories = {"lru": LRUPolicy, "drrip": DRRIPPolicy}
-    serial = compare_policies(trace, factories, GEOMETRY)
+    serial = run_matrix(trace, factories, GEOMETRY, max_workers=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         pooled = run_matrix(trace, factories, GEOMETRY, max_workers=2)

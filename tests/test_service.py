@@ -33,13 +33,9 @@ from repro.service.protocol import (
     encode_message,
     service_socket,
 )
-from repro.service.scheduler import (
-    CorruptManifestError,
-    run_resumable_matrix,
-    run_resumable_mix_matrix,
-)
+from repro.service.scheduler import CorruptManifestError
 from repro.service.server import SweepService
-from repro.sim.parallel import run_matrix
+from repro.sim.parallel import llc_cells, mix_cells, run_cells, run_matrix
 from repro.traces.trace import Trace
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -56,6 +52,32 @@ def _trace(seed: int = 11, n: int = 3000, name: str | None = None) -> Trace:
 
 def _factories(*names: str) -> dict:
     return {name: partial(make_policy, name) for name in names}
+
+
+def run_resumable_matrix(
+    trace, factories, geometry, manifest_dir, window_size=None,
+    max_workers=None, **resume,
+):
+    """A ``matrix`` job's grid as the daemon runs it: :func:`llc_cells`
+    through ``run_cells(..., resume=True)``; ``resume`` takes ``force``,
+    ``match_git_sha`` and ``on_event``."""
+    trace, cells = llc_cells(
+        trace, factories, geometry, None, "vector", manifest_dir, window_size
+    )
+    return run_cells(
+        "matrix", cells, trace, max_workers=max_workers,
+        manifest_dir=manifest_dir, resume=True, **resume,
+    )
+
+
+def run_resumable_mix_matrix(mixes, factories, geometry, manifest_dir, max_workers=None):
+    """A ``mix_matrix`` job's grid as the daemon runs it: :func:`mix_cells`
+    through ``run_cells(..., resume=True)``."""
+    cells = mix_cells(mixes, factories, geometry, None, None, "fast", manifest_dir)
+    return run_cells(
+        "mix_matrix", cells, mixes, config={"mixes": len(mixes)},
+        max_workers=max_workers, manifest_dir=manifest_dir, resume=True,
+    )
 
 
 def _cell_fields(result):
@@ -135,6 +157,21 @@ class TestSweepSpec:
                 "length",
             ),
             ({"kind": "predict", "benchmark": "x", "length": 0}, "length"),
+            ({"benchmark": "999.nope", "policies": ["lru"]}, "unknown benchmark"),
+            ({"kind": "predict", "benchmark": "999.nope"}, "unknown benchmark"),
+            (
+                {"kind": "mix_matrix", "mixes": {"m": ["403.gcc", "999.nope"]},
+                 "policies": ["lru"]},
+                "unknown benchmark",
+            ),
+            (
+                {"kind": "mix_matrix", "mixes": {"m": "403.gcc"}, "policies": ["lru"]},
+                "non-empty list",
+            ),
+            (
+                {"kind": "mix_matrix", "mixes": {"m": []}, "policies": ["lru"]},
+                "non-empty list",
+            ),
         ],
     )
     def test_validate_rejects(self, kwargs, match):
@@ -464,6 +501,88 @@ class TestMixResume:
         assert "workers" not in sweeps[0].config
 
 
+def _identity_cells() -> dict:
+    """One cell of each kind, a simulation cell with a window."""
+    from repro.explore.explorer import ExploreCell, design_space
+    from repro.sim.parallel import LLCCell, SharedLLCCell
+
+    return {
+        "llc": LLCCell(
+            "lru", "svc-test", _factories("lru")["lru"], GEOMETRY, window_size=800
+        ),
+        "shared_llc": SharedLLCCell(("mix0", "lru"), _factories("lru")["lru"], GEOMETRY),
+        "explore": ExploreCell("svc-test", design_space(sets=[16, 32], ways=[4])),
+    }
+
+
+def _satisfying_manifest(cell):
+    """The manifest a completed run of ``cell`` over trace "fp" leaves."""
+    from repro.obs.manifest import Manifest, git_sha
+
+    return Manifest(
+        kind=cell.kind,
+        workload=cell.workload,
+        policy=cell.policy,
+        engine=cell.engine,
+        label=str(cell.key),
+        config={**cell.config, "extra-entry": 1},
+        trace_fingerprint="fp",
+        git_sha=git_sha(),
+        timeseries={"window_size": cell.window_size} if cell.window_size else {},
+    )
+
+
+def _identity_mutations() -> list:
+    """``(cell kind, mutation)`` pairs: each changes exactly one identity
+    dimension of the satisfying manifest."""
+
+    def setter(attr, value):
+        return lambda m: setattr(m, attr, value)
+
+    def config_entry(key):
+        return lambda m: m.config.update({key: ["changed"]})
+
+    cases = []
+    for kind, cell in _identity_cells().items():
+        cases += [
+            (kind, "kind", setter("kind", "other")),
+            (kind, "label", setter("label", "other")),
+            (kind, "workload", setter("workload", "other")),
+            (kind, "engine", setter("engine", "other")),
+            (kind, "git_sha", setter("git_sha", "0" * 40)),
+        ]
+        cases += [(kind, f"config.{key}", config_entry(key)) for key in cell.config]
+        cases.append((kind, "config-missing", setter("config", None)))
+    cases.append(("llc", "window_size", setter("timeseries", {"window_size": 400})))
+    return [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in cases]
+
+
+class TestIdentityRule:
+    """``manifest_satisfies_cell``: the one resume rule of every cell kind."""
+
+    @pytest.mark.parametrize("kind", ["llc", "shared_llc", "explore"])
+    def test_unchanged_manifest_satisfies(self, kind):
+        from repro.sim.parallel import manifest_satisfies_cell
+
+        cell = _identity_cells()[kind]
+        manifest = _satisfying_manifest(cell)
+        assert manifest_satisfies_cell(manifest, cell, "fp")
+        assert manifest_satisfies_cell(manifest, cell, "fp", match_git_sha=True)
+        assert not manifest_satisfies_cell(manifest, cell, "other-fp")
+        assert not manifest_satisfies_cell(manifest, cell, None)
+
+    @pytest.mark.parametrize("kind, dimension, mutate", _identity_mutations())
+    def test_one_changed_dimension_does_not_satisfy(self, kind, dimension, mutate):
+        from repro.sim.parallel import manifest_satisfies_cell
+
+        cell = _identity_cells()[kind]
+        manifest = _satisfying_manifest(cell)
+        mutate(manifest)
+        assert not manifest_satisfies_cell(manifest, cell, "fp", match_git_sha=True)
+        if dimension == "git_sha":
+            assert manifest_satisfies_cell(manifest, cell, "fp")
+
+
 def _submit_and_wait(client: ServiceClient, spec: SweepSpec) -> tuple[dict, list]:
     job = client.submit(spec.to_dict())
     responses = list(client.watch(job["job_id"]))
@@ -779,7 +898,7 @@ class TestPredictTier:
         assert first["ran_cells"] == 1 and first["skipped_cells"] == 0
         assert first["frontier"] and len(first["followups"]) == 2
         manifests = scan_manifests(tmp_path).manifests
-        assert [m.kind for m in manifests] == ["explore"]
+        assert sorted(m.kind for m in manifests) == ["explore", "predict"]
 
         # identical spec resumes from the manifest (no second profiling)
         second = execute_spec(
@@ -818,6 +937,47 @@ class TestPredictTier:
         assert relaxed["skipped_cells"] == 1 and relaxed["ran_cells"] == 0
         strict = execute_spec(self._spec(match_git_sha=True), tmp_path)
         assert strict["skipped_cells"] == 0 and strict["ran_cells"] == 1
+
+    def test_null_config_explore_manifest_reruns(self, tmp_path):
+        """A parseable explore manifest whose ``config`` is null holds no
+        design space: it satisfies no predict cell, so the pass re-runs."""
+        from repro.service.scheduler import execute_spec
+
+        execute_spec(self._spec(), tmp_path)
+        for path in tmp_path.glob("*.json"):
+            data = json.loads(path.read_text())
+            if data.get("kind") == "explore":
+                data["config"] = None
+                path.write_text(json.dumps(data))
+        rerun = execute_spec(self._spec(), tmp_path)
+        assert rerun["skipped_cells"] == 0 and rerun["ran_cells"] == 1
+
+    def test_failed_pass_leaves_sweep_manifest_and_reruns(self, tmp_path, monkeypatch):
+        """A failing explore pass propagates after the grid writes its
+        ``kind="predict"`` sweep manifest with the failure and a
+        ``cell:explore`` span; a resubmit then runs the pass."""
+        import repro.explore.explorer as explorer
+        from repro.obs.spans import SPANS_FILENAME, read_spans
+        from repro.service.scheduler import execute_spec
+
+        def exploding_explore(*args, **kwargs):
+            raise RuntimeError("injected explore failure")
+
+        monkeypatch.setattr(explorer, "explore", exploding_explore)
+        with pytest.raises(RuntimeError, match="injected explore failure"):
+            execute_spec(self._spec(), tmp_path)
+        (sweep,) = scan_manifests(tmp_path).manifests
+        assert sweep.kind == "predict"
+        assert [f.key for f in sweep.failures] == ["explore"]
+        (span,) = [
+            s for s in read_spans(tmp_path / SPANS_FILENAME)
+            if s["name"] == "cell:explore"
+        ]
+        assert span["attributes"]["status"] == "failed"
+
+        monkeypatch.undo()
+        rerun = execute_spec(self._spec(), tmp_path)
+        assert rerun["skipped_cells"] == 0 and rerun["ran_cells"] == 1
 
     def test_daemon_runs_predict_and_auto_submits_followups(self, tmp_path):
         async def scenario():

@@ -7,9 +7,9 @@ from repro.memory.cache import CacheGeometry
 from repro.policies.lru import LRUPolicy
 from repro.sim.config import ExperimentConfig, MachineConfig
 from repro.sim.multi_core import run_shared_llc, single_thread_baselines
+from repro.sim.parallel import run_matrix
 from repro.sim.runner import (
     best_static_pd,
-    compare_policies,
     default_pd_candidates,
     sweep_static_pd,
 )
@@ -116,12 +116,13 @@ class TestSweeps:
         assert candidates[0] == 16
         assert candidates[-1] == 256
 
-    def test_compare_policies(self):
+    def test_run_matrix_serial(self):
         trace = make_benchmark_trace("403.gcc", length=3000, num_sets=16)
-        results = compare_policies(
+        results = run_matrix(
             trace,
             {"lru": LRUPolicy, "pdp": lambda: PDPPolicy(static_pd=40)},
             CacheGeometry(16, 16),
+            max_workers=1,
         )
         assert set(results) == {"lru", "pdp"}
 

@@ -14,7 +14,10 @@ and the real unix-socket protocol:
    namespace holds exactly one cell manifest per policy,
 7. hit the live daemon's ``stats`` verb (queue depth, jobs-by-state,
    latency percentiles) and run ``repro obs scrape --prom`` once,
-   validating the Prometheus text exposition.
+   validating the Prometheus text exposition,
+8. submit one ``predict`` job twice in its own namespace: the first
+   runs its one ``explore`` cell, the resubmit skips it, and
+   ``repro obs trace`` on the namespace lists the ``cell:explore`` span.
 
 Exits non-zero (with a diagnostic) on any violation. Usage::
 
@@ -44,6 +47,7 @@ from repro.service.protocol import ServiceClient, service_socket  # noqa: E402
 
 POLICIES = ["lru", "fifo", "random", "srrip", "drrip", "pdp"]
 NAMESPACE = "smoke"
+PREDICT_NAMESPACE = "smoke-predict"
 
 
 def fail(message: str) -> None:
@@ -129,6 +133,49 @@ def verify_stats_and_scrape(root: Path) -> None:
           f"({len(scrape.stdout.splitlines())} lines)")
 
 
+def verify_predict_resume(root: Path) -> None:
+    """Submit one ``predict`` job twice in its own namespace.
+
+    The predict job is a one-cell grid under the same resume rule as a
+    matrix job: the first submission runs its ``explore`` cell, the
+    resubmit skips it, and the namespace's run log shows the cell.
+    """
+    spec = SweepSpec(
+        kind="predict",
+        benchmark="403.gcc",
+        length=20_000,
+        namespace=PREDICT_NAMESPACE,
+        explore_sets=[16, 64],
+        explore_ways=[4, 16],
+    )
+    done = []
+    with ServiceClient(service_socket(root), timeout=600) as client:
+        for _ in range(2):
+            job = client.submit(spec.to_dict())
+            done.append(list(client.watch(job["job_id"]))[-1]["done"])
+    first, second = done
+    if first["state"] != "done" or first["ran_cells"] != 1:
+        fail(f"first predict job: expected 1 ran cell, got {first}")
+    if second["state"] != "done" or second["skipped_cells"] != 1:
+        fail(f"resubmitted predict job: expected 1 skipped cell, got {second}")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    trace = subprocess.run(
+        [sys.executable, "-m", "repro", "obs", "trace",
+         str(root / "namespaces" / PREDICT_NAMESPACE)],
+        env=env,
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    if trace.returncode != 0:
+        fail(f"obs trace exited {trace.returncode}: {trace.stderr}")
+    if "cell:explore" not in trace.stdout:
+        fail(f"obs trace lacks the cell:explore span:\n{trace.stdout}")
+    print("[smoke] predict OK: first job ran 1 cell, resubmit skipped 1; "
+          "obs trace lists cell:explore")
+
+
 def main() -> int:
     """Run the interrupted-then-resumed smoke scenario."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -187,6 +234,7 @@ def main() -> int:
                 rerun = client.submit(spec.to_dict())
                 list(client.watch(rerun["job_id"]))
             verify_stats_and_scrape(root)
+            verify_predict_resume(root)
         finally:
             stop_daemon(proc)
         return 0
@@ -205,6 +253,7 @@ def main() -> int:
             responses = list(client.watch(job_id))
         done = responses[-1]["done"]
         verify_stats_and_scrape(root)
+        verify_predict_resume(root)
     finally:
         stop_daemon(proc)
 
