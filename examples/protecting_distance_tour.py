@@ -20,6 +20,7 @@ import numpy as np
 
 from repro import ExperimentConfig, RDCounterArray, RDSampler, make_benchmark_trace
 from repro.core.hit_rate_model import evaluate_e_curve, find_best_pd
+from repro.core.pd_grid import pd_grid
 from repro.hardware.pd_processor import run_pd_search
 from repro.sim.runner import sweep_static_pd
 from repro.traces.analysis import reuse_distance_distribution
@@ -67,7 +68,7 @@ def main() -> None:
     )
 
     # -- 4. validate against a static-PD sweep ---------------------------
-    grid = list(range(16, 257, 16))
+    grid = pd_grid(config.associativity, d_max=config.d_max, step=16)
     runs = sweep_static_pd(trace, config.llc, grid, bypass=True)
     measured_best = min(grid, key=lambda pd: runs[pd].misses)
     print(f"measured best static PD (SPDP-B sweep): {measured_best}")

@@ -208,11 +208,12 @@ def _cmd_rdd(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from repro.core.pd_grid import pd_grid
     from repro.sim.runner import sweep_static_pd
 
     config = experiment_common.experiment_config()
     trace = _workload_source(args, config)
-    grid = list(range(16, config.d_max + 1, args.step))
+    grid = pd_grid(config.associativity, d_max=config.d_max, step=args.step)
     # --workers 0 = auto (env REPRO_MAX_WORKERS, else cpu count).
     max_workers = None if args.workers == 0 else args.workers
     results = sweep_static_pd(
@@ -259,15 +260,11 @@ def _cmd_experiment(args) -> int:
             )
         )
         return 0
+    # --workers unset / 0 = auto ($REPRO_MAX_WORKERS, else CPU count).
+    max_workers = args.workers or None
     if args.name == "fig12":
         from repro.experiments import fig12_partitioning
 
-        # --workers 0 = auto (env REPRO_MAX_WORKERS, else cpu count);
-        # unset keeps fig12's historical serial default.
-        if args.workers is None:
-            max_workers = 1
-        else:
-            max_workers = None if args.workers == 0 else args.workers
         results = {
             cores: fig12_partitioning.run_fig12(
                 cores,
@@ -283,13 +280,12 @@ def _cmd_experiment(args) -> int:
         return 0
     if args.name in ("fig4", "fig10"):
         # These drivers take the full observability contract (per-cell
-        # manifests + progress events) and a worker count (unset / 0 =
-        # auto, their historical default).
+        # manifests + progress events) and a worker count.
         module_name, run_name, fmt_name = _EXPERIMENTS[args.name]
         module = importlib.import_module(f"repro.experiments.{module_name}")
         results = getattr(module, run_name)(
             fast=args.fast,
-            max_workers=None if args.workers in (None, 0) else args.workers,
+            max_workers=max_workers,
             manifest_dir=_manifest_dir(args),
             on_event=_progress_callback(args, args.name),
         )
@@ -890,16 +886,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for the parallel drivers (fig4/fig10/fig12). "
-        "0 = auto via $REPRO_MAX_WORKERS or CPU count; unset keeps each "
-        "driver's default (fig12 serial, fig4/fig10 auto)",
+        help="worker processes for each grid of fig4/fig10/fig12 "
+        "(1 = serial). Unset or 0 = auto via $REPRO_MAX_WORKERS or CPU "
+        "count, which fig2/fig9 always use",
     )
     _add_manifest_dir(experiment)
     experiment.add_argument(
         "--progress",
         action="store_true",
         help="print per-cell progress events (with ETA) to stderr "
-        "(fig4/fig10/fig12/objectstore)",
+        "(fig4/fig10/fig12/objectstore); fig4/fig10 count per benchmark "
+        "grid and name the benchmark in each key",
     )
     objstore = experiment.add_argument_group(
         "objectstore", "options for the software-cache scenario driver"

@@ -1,8 +1,9 @@
 """The canonical protecting-distance candidate grid.
 
 Every component that sweeps or searches static protecting distances —
-:func:`repro.sim.runner.sweep_static_pd` callers via
-:func:`repro.sim.runner.default_pd_candidates`, the analytical explorer
+the figure drivers and ``repro sweep`` (callers of
+:func:`repro.sim.runner.sweep_static_pd` and
+:func:`repro.sim.parallel.run_matrix`), the analytical explorer
 (:mod:`repro.explore`), and the cross-validation harness
 (``tools/xval_explorer.py``) — must agree on what "the PD grid" is,
 otherwise acceptance criteria like "predicted best PD within one grid

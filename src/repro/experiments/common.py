@@ -7,10 +7,14 @@ d_max = 256). ``fast=True`` halves trace lengths for quick smoke runs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+from repro.core.pd_grid import pd_grid
 from repro.memory.cache import CacheGeometry
 from repro.memory.timing import TimingModel
 from repro.obs.manifest import format_table
 from repro.sim.config import ExperimentConfig
+from repro.sim.parallel import run_matrix
 from repro.traces.trace import Trace
 from repro.workloads.spec_like import SINGLE_CORE_SUITE, make_benchmark_trace
 
@@ -25,6 +29,9 @@ TRACE_LENGTH = 40_000
 
 #: Dynamic-PD recomputation interval, scaled from the paper's 512K.
 RECOMPUTE_INTERVAL = 4096
+
+#: The static-PD sweep of Figs. 4, 5 and 10: W to d_max in steps of 16.
+STATIC_PD_GRID = pd_grid(step=16)
 
 #: Timing model shared by all experiments.
 TIMING = TimingModel()
@@ -56,15 +63,46 @@ def default_trace(name: str, fast: bool = False, seed: int | None = None) -> Tra
     )
 
 
+def run_trace_grid(
+    trace: Trace,
+    factories: dict,
+    max_workers: int | None = None,
+    manifest_dir: str | None = None,
+    on_event=None,
+) -> dict:
+    """One trace's policy grid at experiment geometry: one
+    :func:`repro.sim.parallel.run_matrix` call, so a figure driver runs
+    one grid per trace. Progress event keys are prefixed with the
+    trace's name, so ``--progress`` lines name the benchmark.
+    """
+    if on_event is not None:
+        forward = on_event
+
+        def on_event(event):
+            forward(replace(event, key=f"{trace.name}/{event.key}"))
+
+    return run_matrix(
+        trace,
+        factories,
+        EXPERIMENT_GEOMETRY,
+        timing=TIMING,
+        max_workers=max_workers,
+        manifest_dir=manifest_dir,
+        on_event=on_event,
+    )
+
+
 __all__ = [
     "EXPERIMENT_GEOMETRY",
     "EXPERIMENT_SUITE",
     "MULTICORE_SETS_PER_CORE",
     "RECOMPUTE_INTERVAL",
+    "STATIC_PD_GRID",
     "TIMING",
     "TRACE_LENGTH",
     "default_trace",
     "experiment_config",
     "format_table",
+    "run_trace_grid",
     "trace_length",
 ]

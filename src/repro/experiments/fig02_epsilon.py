@@ -9,10 +9,10 @@ others a larger one (lines yielded sooner).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from repro.experiments.common import EXPERIMENT_GEOMETRY, TIMING, default_trace, format_table
+from repro.experiments.common import default_trace, format_table, run_trace_grid
 from repro.policies.rrip import DRRIPPolicy
-from repro.sim.single_core import run_llc
 
 FIG2_BENCHMARKS = ("403.gcc", "436.cactusADM", "464.h264ref", "483.xalancbmk.3")
 EPSILONS = (1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128)
@@ -36,16 +36,12 @@ class EpsilonSweep:
 
 
 def run_fig2(fast: bool = False) -> list[EpsilonSweep]:
-    """Sweep DRRIP's epsilon over the Fig. 2 benchmarks."""
+    """Sweep DRRIP's epsilon over the Fig. 2 benchmarks, one grid each."""
+    factories = {eps: partial(DRRIPPolicy, epsilon=eps) for eps in EPSILONS}
     sweeps = []
     for name in FIG2_BENCHMARKS:
-        trace = default_trace(name, fast=fast)
-        mpki = {}
-        for epsilon in EPSILONS:
-            result = run_llc(
-                trace, DRRIPPolicy(epsilon=epsilon), EXPERIMENT_GEOMETRY, timing=TIMING
-            )
-            mpki[epsilon] = result.mpki
+        grid = run_trace_grid(default_trace(name, fast=fast), factories)
+        mpki = {epsilon: result.mpki for epsilon, result in grid.items()}
         sweeps.append(EpsilonSweep(name=name, mpki_by_epsilon=mpki))
     return sweeps
 

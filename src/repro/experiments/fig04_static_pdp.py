@@ -10,25 +10,19 @@ variants beat tuned DRRIP; SPDP-B generally beats SPDP-NB.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
+from repro.core.pdp_policy import PDPPolicy
 from repro.experiments.common import (
-    EXPERIMENT_GEOMETRY,
-    TIMING,
+    STATIC_PD_GRID,
     default_trace,
     format_table,
+    run_trace_grid,
 )
 from repro.policies.rrip import DRRIPPolicy
 from repro.sim.metrics import miss_reduction_percent
-from repro.sim.runner import sweep_static_pd
-from repro.sim.single_core import run_llc
 
 EPSILONS = (1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128)
-
-
-def pd_grid(step: int = 16, d_max: int = 256, ways: int = 16) -> list[int]:
-    """The static-PD sweep grid: associativity .. d_max."""
-    return list(range(ways, d_max + 1, step))
-
 
 @dataclass(frozen=True)
 class StaticPDPResult:
@@ -43,6 +37,26 @@ class StaticPDPResult:
     best_epsilon: float
 
 
+def _drrip_key(epsilon: float) -> str:
+    return f"DRRIP-1/{round(1 / epsilon)}"
+
+
+def _grid_factories() -> dict:
+    """One trace's Fig. 4 grid: DRRIP at every epsilon (``DRRIP-1/<n>``),
+    SPDP-NB (``spdp-nb-<pd>``) and SPDP-B (``spdp-<pd>``) at every PD."""
+    return {
+        **{_drrip_key(eps): partial(DRRIPPolicy, epsilon=eps) for eps in EPSILONS},
+        **{
+            f"spdp-nb-{pd}": partial(PDPPolicy, static_pd=pd, bypass=False)
+            for pd in STATIC_PD_GRID
+        },
+        **{
+            f"spdp-{pd}": partial(PDPPolicy, static_pd=pd, bypass=True)
+            for pd in STATIC_PD_GRID
+        },
+    }
+
+
 def run_fig4(
     benchmarks: tuple[str, ...] | None = None,
     fast: bool = False,
@@ -52,63 +66,41 @@ def run_fig4(
 ) -> list[StaticPDPResult]:
     """Reproduce the Fig. 4 comparison over the suite.
 
-    ``max_workers=None`` parallelizes the per-benchmark PD sweeps across
-    CPUs (serial on single-core hosts); pass 1 to force serial.
-    ``manifest_dir`` / ``on_event`` are forwarded to the underlying
-    static-PD sweeps (per-PD manifests plus a sweep manifest per
-    (benchmark, bypass-mode); progress events keyed by PD).
+    Each benchmark is one :func:`repro.sim.parallel.run_matrix` grid of
+    :func:`_grid_factories` cells; ``max_workers=None`` fans it over a
+    process pool (serial on single-core hosts), 1 forces serial.
+    ``manifest_dir`` / ``on_event`` follow the ``run_matrix``
+    observability contract: a manifest per cell plus a ``matrix`` sweep
+    manifest per benchmark; progress keys are ``<benchmark>/<cell key>``.
     """
     from repro.experiments.common import EXPERIMENT_SUITE
 
-    benchmarks = benchmarks or EXPERIMENT_SUITE
-    grid = pd_grid()
+    factories = _grid_factories()
     results = []
-    for name in benchmarks:
-        trace = default_trace(name, fast=fast)
-        baseline = run_llc(trace, DRRIPPolicy(), EXPERIMENT_GEOMETRY, timing=TIMING)
-        best_eps_misses = baseline.misses
-        best_epsilon = 1 / 32
-        for epsilon in EPSILONS:
-            if epsilon == 1 / 32:
-                continue
-            result = run_llc(
-                trace, DRRIPPolicy(epsilon=epsilon), EXPERIMENT_GEOMETRY, timing=TIMING
-            )
-            if result.misses < best_eps_misses:
-                best_eps_misses = result.misses
-                best_epsilon = epsilon
-        nb = sweep_static_pd(
-            trace,
-            EXPERIMENT_GEOMETRY,
-            grid,
-            bypass=False,
+    for name in benchmarks or EXPERIMENT_SUITE:
+        grid = run_trace_grid(
+            default_trace(name, fast=fast),
+            factories,
             max_workers=max_workers,
             manifest_dir=manifest_dir,
             on_event=on_event,
         )
-        b = sweep_static_pd(
-            trace,
-            EXPERIMENT_GEOMETRY,
-            grid,
-            bypass=True,
-            max_workers=max_workers,
-            manifest_dir=manifest_dir,
-            on_event=on_event,
-        )
-        best_nb = min(nb, key=lambda pd: nb[pd].misses)
-        best_b = min(b, key=lambda pd: b[pd].misses)
+        drrip = {eps: grid[_drrip_key(eps)].misses for eps in EPSILONS}
+        nb = {pd: grid[f"spdp-nb-{pd}"].misses for pd in STATIC_PD_GRID}
+        b = {pd: grid[f"spdp-{pd}"].misses for pd in STATIC_PD_GRID}
+        baseline = drrip[1 / 32]
+        # The first minimum wins, so listing 1/32 first keeps it on a tie.
+        best_epsilon = min((1 / 32, *EPSILONS), key=drrip.get)
+        best_nb = min(nb, key=nb.get)
+        best_b = min(b, key=b.get)
         results.append(
             StaticPDPResult(
                 name=name,
                 drrip_best_reduction=miss_reduction_percent(
-                    best_eps_misses, baseline.misses
+                    drrip[best_epsilon], baseline
                 ),
-                spdp_nb_reduction=miss_reduction_percent(
-                    nb[best_nb].misses, baseline.misses
-                ),
-                spdp_b_reduction=miss_reduction_percent(
-                    b[best_b].misses, baseline.misses
-                ),
+                spdp_nb_reduction=miss_reduction_percent(nb[best_nb], baseline),
+                spdp_b_reduction=miss_reduction_percent(b[best_b], baseline),
                 best_pd_nb=best_nb,
                 best_pd_b=best_b,
                 best_epsilon=best_epsilon,
@@ -157,4 +149,4 @@ def format_report(results: list[StaticPDPResult]) -> str:
     )
 
 
-__all__ = ["StaticPDPResult", "format_report", "pd_grid", "run_fig4"]
+__all__ = ["StaticPDPResult", "format_report", "run_fig4"]

@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.pdp_policy import PDPPolicy
 from repro.experiments.common import (
     EXPERIMENT_GEOMETRY,
+    STATIC_PD_GRID,
     TIMING,
     default_trace,
     format_table,
@@ -78,13 +79,16 @@ def run_fig5a(fast: bool = False) -> list[OccupancyResult]:
     and the windowed recorder; no re-simulation happens after the
     static-PD sweeps pick the SPDP operating points.
     """
-    grid = list(range(16, 257, 16))
     results = []
     for name in FIG5_BENCHMARKS:
         trace = default_trace(name, fast=fast)
         window_size = max(1, len(trace) // FIG5_WINDOW_COUNT)
-        pd_nb, _ = best_static_pd(trace, EXPERIMENT_GEOMETRY, grid, bypass=False)
-        pd_b, _ = best_static_pd(trace, EXPERIMENT_GEOMETRY, grid, bypass=True)
+        pd_nb, _ = best_static_pd(
+            trace, EXPERIMENT_GEOMETRY, STATIC_PD_GRID, bypass=False
+        )
+        pd_b, _ = best_static_pd(
+            trace, EXPERIMENT_GEOMETRY, STATIC_PD_GRID, bypass=True
+        )
         policies = (
             ("DRRIP", DRRIPPolicy()),
             ("SPDP-NB", PDPPolicy(static_pd=pd_nb, bypass=False)),

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.hit_rate_model import evaluate_e_curve
+from repro.core.pd_grid import pd_grid
 from repro.experiments.common import (
     EXPERIMENT_GEOMETRY,
     TIMING,
@@ -47,7 +48,7 @@ class ModelFit:
 def run_fig6(fast: bool = False, grid_step: int = 16) -> list[ModelFit]:
     """Compare E(d_p) with the measured SPDP-B hit-rate curve."""
     fits = []
-    pds = list(range(16, 257, grid_step))
+    pds = pd_grid(step=grid_step)
     for name in FIG6_BENCHMARKS:
         trace = default_trace(name, fast=fast)
         counts, _, total = reuse_distance_distribution(

@@ -9,16 +9,15 @@ trade-off. Table 2's optimal-PD distribution is also computed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.core.pdp_policy import PDPPolicy
 from repro.experiments.common import (
-    EXPERIMENT_GEOMETRY,
     RECOMPUTE_INTERVAL,
-    TIMING,
     default_trace,
     format_table,
+    run_trace_grid,
 )
-from repro.sim.single_core import run_llc
 
 CONFIGS = (
     ("Full, Sc=1", "full", 1),
@@ -48,21 +47,27 @@ def run_fig9(
     from repro.experiments.common import EXPERIMENT_SUITE
 
     benchmarks = benchmarks or EXPERIMENT_SUITE
+    factories = {
+        label: partial(
+            PDPPolicy,
+            sampler_mode=mode,
+            step=step,
+            recompute_interval=RECOMPUTE_INTERVAL,
+        )
+        for label, mode, step in CONFIGS
+    }
     results = []
     for name in benchmarks:
-        trace = default_trace(name, fast=fast)
-        mpki = {}
-        pds = {}
-        for label, mode, step in CONFIGS:
-            policy = PDPPolicy(
-                sampler_mode=mode,
-                step=step,
-                recompute_interval=RECOMPUTE_INTERVAL,
+        grid = run_trace_grid(default_trace(name, fast=fast), factories)
+        results.append(
+            ParamResult(
+                name=name,
+                mpki_by_config={label: run.mpki for label, run in grid.items()},
+                pd_by_config={
+                    label: run.extra["final_pd"] for label, run in grid.items()
+                },
             )
-            run = run_llc(trace, policy, EXPERIMENT_GEOMETRY, timing=TIMING)
-            mpki[label] = run.mpki
-            pds[label] = run.extra["final_pd"]
-        results.append(ParamResult(name=name, mpki_by_config=mpki, pd_by_config=pds))
+        )
     return results
 
 

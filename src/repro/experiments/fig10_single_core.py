@@ -11,24 +11,21 @@ PC-informative profiles and losing on PC-misleading ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
+from functools import partial
 
 from repro.core.pdp_policy import PDPPolicy
 from repro.experiments.common import (
-    EXPERIMENT_GEOMETRY,
     RECOMPUTE_INTERVAL,
-    TIMING,
+    STATIC_PD_GRID,
     default_trace,
     format_table,
+    run_trace_grid,
 )
-from repro.obs.progress import ProgressReporter
 from repro.policies.eelru import EELRUPolicy
 from repro.policies.lip_bip_dip import DIPPolicy
 from repro.policies.rrip import DRRIPPolicy
 from repro.policies.sdp import SDPPolicy
 from repro.sim.metrics import miss_reduction_percent, percent_change
-from repro.sim.runner import best_static_pd
-from repro.sim.single_core import emit_run_manifest, run_llc
 
 
 def policy_factories() -> dict[str, callable]:
@@ -37,9 +34,9 @@ def policy_factories() -> dict[str, callable]:
         "DRRIP": DRRIPPolicy,
         "EELRU": EELRUPolicy,
         "SDP": SDPPolicy,
-        "PDP-2": lambda: PDPPolicy(n_c=2, recompute_interval=RECOMPUTE_INTERVAL),
-        "PDP-3": lambda: PDPPolicy(n_c=3, recompute_interval=RECOMPUTE_INTERVAL),
-        "PDP-8": lambda: PDPPolicy(n_c=8, recompute_interval=RECOMPUTE_INTERVAL),
+        "PDP-2": partial(PDPPolicy, n_c=2, recompute_interval=RECOMPUTE_INTERVAL),
+        "PDP-3": partial(PDPPolicy, n_c=3, recompute_interval=RECOMPUTE_INTERVAL),
+        "PDP-8": partial(PDPPolicy, n_c=8, recompute_interval=RECOMPUTE_INTERVAL),
     }
 
 
@@ -57,7 +54,6 @@ class Fig10Row:
 def run_fig10(
     benchmarks: tuple[str, ...] | None = None,
     fast: bool = False,
-    include_spdp_b: bool = True,
     seeds: tuple[int | None, ...] = (None,),
     max_workers: int | None = None,
     manifest_dir: str | None = None,
@@ -65,101 +61,53 @@ def run_fig10(
 ) -> list[Fig10Row]:
     """The full single-core comparison, optionally averaged over seeds.
 
-    ``max_workers`` parallelizes the SPDP-B sweep (None = auto).
-    ``manifest_dir`` writes one provenance manifest per (policy,
-    benchmark) cell — including the DIP baseline and the derived SPDP-B
-    column — into the directory; ``on_event`` receives per-cell
-    started/finished progress events (see :mod:`repro.obs.progress`).
+    Each (benchmark, seed) is one :func:`repro.sim.parallel.run_matrix`
+    grid: ``DIP``, the :func:`policy_factories` series and a static
+    ``spdp-<pd>`` cell per ``STATIC_PD_GRID`` point, whose first
+    minimum-miss cell in PD order is the SPDP-B column. A non-default
+    seed suffixes every key with ``@seed<n>``. ``max_workers=None`` fans
+    each grid over a process pool, 1 forces serial. ``manifest_dir`` /
+    ``on_event`` follow the ``run_matrix`` observability contract: a
+    manifest per cell plus a ``matrix`` sweep manifest per grid;
+    progress keys are ``<benchmark>/<cell key>``.
     """
     from repro.experiments.common import EXPERIMENT_SUITE
 
-    benchmarks = benchmarks or EXPERIMENT_SUITE
-    series_labels = list(policy_factories())
-    cells_per_trace = 1 + len(series_labels) + (1 if include_spdp_b else 0)
-    reporter = ProgressReporter(
-        len(benchmarks) * len(seeds) * cells_per_trace,
-        on_event=on_event,
-        label="fig10",
-    )
-
-    def cell_key(name: str, label: str, seed) -> str:
-        return f"{name}/{label}" if seed is None else f"{name}/{label}@seed{seed}"
-
+    series = policy_factories()
+    factories = {
+        "DIP": DIPPolicy,
+        **series,
+        **{
+            f"spdp-{pd}": partial(PDPPolicy, static_pd=pd) for pd in STATIC_PD_GRID
+        },
+    }
     rows = []
-    for name in benchmarks:
+    for name in benchmarks or EXPERIMENT_SUITE:
         row = Fig10Row(name=name)
         samples: dict[str, list[tuple[float, float, float]]] = {}
         for seed in seeds:
-            trace = default_trace(name, fast=fast, seed=seed)
-            meta = {"seed": seed} if seed is not None else None
-            key = cell_key(name, "DIP", seed)
-            reporter.started(key)
-            dip = run_llc(
-                trace,
-                DIPPolicy(),
-                EXPERIMENT_GEOMETRY,
-                timing=TIMING,
+            suffix = "" if seed is None else f"@seed{seed}"
+            grid = run_trace_grid(
+                default_trace(name, fast=fast, seed=seed),
+                {key + suffix: factory for key, factory in factories.items()},
+                max_workers=max_workers,
                 manifest_dir=manifest_dir,
-                run_label="DIP",
-                run_meta=meta,
+                on_event=on_event,
             )
-            reporter.finished(key)
-            series = dict(policy_factories())
-            for label, factory in series.items():
-                key = cell_key(name, label, seed)
-                reporter.started(key)
-                run = run_llc(
-                    trace,
-                    factory(),
-                    EXPERIMENT_GEOMETRY,
-                    timing=TIMING,
-                    manifest_dir=manifest_dir,
-                    run_label=label,
-                    run_meta=meta,
-                )
-                reporter.finished(key)
+            runs = {key: grid[key + suffix] for key in factories}
+            dip = runs["DIP"]
+            runs["SPDP-B"] = min(
+                (runs[f"spdp-{pd}"] for pd in STATIC_PD_GRID),
+                key=lambda run: run.misses,
+            )
+            row.final_pd = runs["PDP-8"].extra.get("final_pd")
+            for label in (*series, "SPDP-B"):
+                run = runs[label]
                 samples.setdefault(label, []).append(
                     (
                         miss_reduction_percent(run.misses, dip.misses),
                         percent_change(run.ipc, dip.ipc),
                         run.bypass_fraction,
-                    )
-                )
-                if label == "PDP-8":
-                    row.final_pd = run.extra.get("final_pd")
-            if include_spdp_b:
-                grid = list(range(16, 257, 16))
-                key = cell_key(name, "SPDP-B", seed)
-                reporter.started(key)
-                sweep_start = perf_counter()
-                pd, best = best_static_pd(
-                    trace,
-                    EXPERIMENT_GEOMETRY,
-                    grid,
-                    bypass=True,
-                    max_workers=max_workers,
-                )
-                if manifest_dir is not None:
-                    # The sweep's per-PD runs are internal; record only
-                    # the winning point as this benchmark's SPDP-B cell.
-                    emit_run_manifest(
-                        manifest_dir,
-                        "llc",
-                        trace,
-                        f"SPDP-B(pd={pd})",
-                        EXPERIMENT_GEOMETRY,
-                        "fast",
-                        best,
-                        perf_counter() - sweep_start,
-                        run_label="SPDP-B",
-                        run_meta=meta,
-                    )
-                reporter.finished(key)
-                samples.setdefault("SPDP-B", []).append(
-                    (
-                        miss_reduction_percent(best.misses, dip.misses),
-                        percent_change(best.ipc, dip.ipc),
-                        best.bypass_fraction,
                     )
                 )
         for label, values in samples.items():

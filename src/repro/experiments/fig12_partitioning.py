@@ -63,17 +63,18 @@ def run_fig12(
     length_per_thread: int | None = None,
     seed: int = 7,
     engine: str = "fast",
-    max_workers: int | None = 1,
+    max_workers: int | None = None,
     manifest_dir: str | None = None,
     on_event=None,
 ) -> list[MixResult]:
     """Run the Fig. 12 comparison for one core count.
 
-    ``max_workers=1`` (the default) runs the (mix x policy) grid serially
-    in-process; any other value — including None for auto — fans it out
-    via :func:`repro.sim.parallel.run_mix_matrix`. ``manifest_dir`` /
-    ``on_event`` follow the :func:`run_mix_matrix` observability
-    contract (one manifest per (mix, policy) cell plus a grid manifest).
+    The (mix x policy) grid is one
+    :func:`repro.sim.parallel.run_mix_matrix` call: ``max_workers=None``
+    (the default) fans it over a process pool, 1 forces serial.
+    ``manifest_dir`` / ``on_event`` follow the :func:`run_mix_matrix`
+    observability contract (one manifest per (mix, policy) cell plus a
+    grid manifest).
     """
     if length_per_thread is None:
         length_per_thread = 20_000 if cores <= 4 else 8_000

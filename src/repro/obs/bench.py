@@ -352,17 +352,18 @@ def _trajectory_section(manifest_dir: Path) -> list[str]:
 
 
 def _label_pd(label: str | None) -> int | None:
-    """The static PD a simulation cell's label encodes, or None.
+    """The static PD a bypassing static-PDP cell's label encodes, or None.
 
     Accepts both labeling conventions for static-PD cells: the bare
     distance ``"84"`` (``sweep_static_pd`` names cells by PD) and the
-    ``"spdp-84"`` policy keys of service-submitted follow-up jobs.
+    ``"spdp-84"`` keys of the Fig. 4 / Fig. 10 grids and of
+    service-submitted follow-up jobs, with an optional ``@seed<n>``
+    suffix. Fig. 4's no-bypass ``"spdp-nb-84"`` cells map to None.
     """
     if not label:
         return None
-    tail = label.rsplit("-", 1)[-1] if label.startswith("spdp-") else label
     try:
-        return int(tail)
+        return int(label.split("@", 1)[0].removeprefix("spdp-"))
     except ValueError:
         return None
 

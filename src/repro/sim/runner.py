@@ -76,22 +76,7 @@ def best_static_pd(
     return pd, results[pd]
 
 
-def default_pd_candidates(
-    associativity: int = 16, d_max: int = 256, step: int = 4
-) -> list[int]:
-    """PD sweep grid: associativity up to d_max in S_c steps.
-
-    Delegates to :func:`repro.core.pd_grid.pd_grid` — the canonical
-    grid shared with the analytical explorer and its cross-validation
-    harness, so "within one grid step" means the same thing everywhere.
-    """
-    from repro.core.pd_grid import pd_grid
-
-    return pd_grid(associativity, d_max=d_max, step=step)
-
-
 __all__ = [
     "best_static_pd",
-    "default_pd_candidates",
     "sweep_static_pd",
 ]

@@ -46,7 +46,7 @@ def _check_engine(engine: str) -> None:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
 
 
-def emit_run_manifest(
+def _emit_run_manifest(
     manifest_dir: str | os.PathLike,
     kind: str,
     trace: Trace | TraceStream,
@@ -62,14 +62,10 @@ def emit_run_manifest(
 ) -> None:
     """Write one per-run provenance manifest (see ``repro.obs.manifest``).
 
-    Used by :func:`run_llc` / :func:`run_hierarchy` and by experiment
-    drivers that derive a cell from an existing
-    :class:`SingleCoreResult` (e.g. Fig. 10's SPDP-B column, the best
-    point of a sweep) and still want it represented in the manifest
-    directory. ``fingerprint`` lets a streaming run pass the digest it
-    accumulated while simulating (avoiding a second pass over the file);
-    when omitted it is computed here — for a :class:`TraceStream` that
-    means one extra chunked scan.
+    Used by :func:`run_llc` / :func:`run_hierarchy`. ``fingerprint``
+    lets a streaming run pass the digest it accumulated while simulating
+    (avoiding a second pass over the file); when omitted it is computed
+    here — for a :class:`TraceStream` that means one extra chunked scan.
     """
     meta = dict(run_meta or {})
     if fingerprint is None:
@@ -252,7 +248,7 @@ def run_llc(
         extra=extra,
     )
     if manifest_dir is not None:
-        emit_run_manifest(
+        _emit_run_manifest(
             manifest_dir,
             "llc",
             stream,
@@ -349,7 +345,7 @@ def run_hierarchy(
         extra=hierarchy_extra,
     )
     if manifest_dir is not None:
-        emit_run_manifest(
+        _emit_run_manifest(
             manifest_dir,
             "hierarchy",
             stream,
@@ -371,7 +367,6 @@ def run_hierarchy(
 __all__ = [
     "ENGINES",
     "SingleCoreResult",
-    "emit_run_manifest",
     "run_hierarchy",
     "run_llc",
 ]

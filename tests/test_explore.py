@@ -201,13 +201,6 @@ class TestPDGrid:
         assert grid[0] == 16 and grid[-1] == 256 and grid_step(grid) == 4
         assert grid == list(range(16, 257, 4))
 
-    def test_runner_delegates_to_canonical_grid(self):
-        from repro.sim.runner import default_pd_candidates
-
-        assert default_pd_candidates(8, d_max=64, step=16) == pd_grid(
-            8, d_max=64, step=16
-        )
-
     def test_never_empty(self):
         assert pd_grid(32, d_max=16) == [32]
 

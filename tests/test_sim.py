@@ -2,17 +2,14 @@
 
 import pytest
 
+from repro.core.pd_grid import pd_grid
 from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import CacheGeometry
 from repro.policies.lru import LRUPolicy
 from repro.sim.config import ExperimentConfig, MachineConfig
 from repro.sim.multi_core import run_shared_llc, single_thread_baselines
 from repro.sim.parallel import run_matrix
-from repro.sim.runner import (
-    best_static_pd,
-    default_pd_candidates,
-    sweep_static_pd,
-)
+from repro.sim.runner import best_static_pd, sweep_static_pd
 from repro.sim.single_core import run_hierarchy, run_llc
 from repro.traces.trace import Trace
 from repro.workloads.spec_like import make_benchmark_trace
@@ -112,7 +109,7 @@ class TestSweeps:
         assert pd == 80
 
     def test_default_candidates_grid(self):
-        candidates = default_pd_candidates(16, 256, 16)
+        candidates = pd_grid(16, 256, 16)
         assert candidates[0] == 16
         assert candidates[-1] == 256
 
