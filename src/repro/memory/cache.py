@@ -70,7 +70,8 @@ class SetAssociativeCache:
 
     Observers (e.g. :class:`repro.memory.stats.OccupancyTracker`) receive
     ``on_hit(set, addr, occupancy)``, ``on_evict(set, addr, occupancy,
-    was_reused)``, ``on_bypass(set, addr)`` and ``on_fill(set, addr)``.
+    was_reused)`` and ``on_bypass(set, addr)``. Fills have no observer
+    event; ``stats.fills`` counts them.
     """
 
     def __init__(self, geometry: CacheGeometry, policy) -> None:
@@ -170,8 +171,6 @@ class SetAssociativeCache:
         index[tag] = victim_way
         self.stats.fills += 1
         self.policy.on_fill(set_index, victim_way, access)
-        for observer in self.observers:
-            observer.on_fill(set_index, access.address)
         return AccessResult(hit=False, evicted=evicted_address, way=victim_way)
 
     def run_trace(self, trace) -> None:

@@ -14,15 +14,18 @@ eviction decisions and windowed time-series as the reference loop —
 including invariance under arbitrary permutations of the set-batch
 processing order.
 
-Vectorized policies (exact types; subclasses keep the fast path): LRU,
-MRU, FIFO, SRRIP, and PDP — static and dynamic. Everything else falls
-back per-policy to the fast path inside :func:`run_trace_vector`, which
-is what lets ``run_llc``/``run_matrix`` default to ``engine="vector"``
-safely:
+Vectorized policies (exact types; subclasses keep the fast path): LRU
+and PDP — static and dynamic — the only policies the figures and
+benchmarks run on this tier. Everything else falls back per-policy to
+the fast path inside :func:`run_trace_vector`, with identical results,
+which is what lets ``run_llc``/``run_matrix`` default to
+``engine="vector"`` safely:
 
+- FIFO, MRU and SRRIP are set-local and could be vectorized, but no
+  figure, benchmark or CLI default runs them, so they keep the fast path.
 - BRRIP/DRRIP (and the random policy) consume a shared RNG / set-dueling
   PSEL in *global fill order*, which set grouping would reorder — they
-  cannot be vectorized bit-identically and are not registered.
+  cannot be vectorized bit-identically.
 - Dynamic PDP is vectorized only when
   ``recompute_interval <= counter_max`` (65535 with the paper's 16-bit
   counters): within one recompute epoch the RD counters then provably
@@ -61,9 +64,7 @@ from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import log2_int
 from repro.memory.fastpath import run_trace
 from repro.obs.metrics import METRICS
-from repro.policies.fifo import FIFOPolicy
-from repro.policies.lru import LRUPolicy, MRUPolicy
-from repro.policies.rrip import SRRIPPolicy
+from repro.policies.lru import LRUPolicy
 
 
 class _FallbackKernel:
@@ -203,9 +204,15 @@ class _SetBatchKernel:
 class _LRUKernel(_SetBatchKernel):
     """LRU replay on the policy's own per-set recency lists."""
 
-    _evict_last = False  # MRU flips this
-
     def _run_set(self, s, tag_seq, tid_seq) -> None:
+        """Replay set ``s``'s subsequence on ``policy._order[s]``.
+
+        Invariant: the recency list is a permutation of all ways, least
+        recently touched first. Every hit and fill moves its way to the
+        tail, so a full set's victim is always ``order_row[0]``; while the
+        set fills, ways go in index order, exactly like the reference's
+        lowest-invalid-way fill.
+        """
         cache = self.cache
         index = cache._tag_index[s]
         row_tags = cache.tags[s]
@@ -218,7 +225,6 @@ class _LRUKernel(_SetBatchKernel):
         ways = self.ways
         num_sets = self.num_sets
         set_shift = self.set_shift
-        evict_last = self._evict_last
         get = index.get
         count = cache.set_accesses[s]
         hits = evictions = 0
@@ -245,7 +251,7 @@ class _LRUKernel(_SetBatchKernel):
                 way = filled  # lowest-numbered invalid way
                 valid_row[way] = True
             else:
-                way = order_row[-1] if evict_last else order_row[0]
+                way = order_row[0]
                 old_tag = row_tags[way]
                 evictions += 1
                 if observers:
@@ -265,169 +271,6 @@ class _LRUKernel(_SetBatchKernel):
             if order_row[-1] != way:
                 order_row.remove(way)
                 order_row.append(way)
-            if observers:
-                address = (tag << set_shift) | s
-                for observer in observers:
-                    observer.on_fill(s, address)
-        cache.set_accesses[s] = count
-        self.hits += hits
-        self.evictions += evictions
-
-
-class _MRUKernel(_LRUKernel):
-    """MRU replay: evict the most recently touched way."""
-
-    _evict_last = True
-
-
-class _FIFOKernel(_SetBatchKernel):
-    """FIFO replay on the policy's per-set insertion stamps."""
-
-    def _run_set(self, s, tag_seq, tid_seq) -> None:
-        cache = self.cache
-        policy = self.policy
-        index = cache._tag_index[s]
-        row_tags = cache.tags[s]
-        valid_row = cache.valid[s]
-        reused_row = cache.reused[s]
-        owner_row = cache.owner[s]
-        start_row = cache._interval_start[s]
-        inserted_row = policy._inserted[s]
-        observers = self.observers
-        ways = self.ways
-        num_sets = self.num_sets
-        set_shift = self.set_shift
-        get = index.get
-        count = cache.set_accesses[s]
-        clock = policy._clock[s]
-        hits = evictions = 0
-        tid_seq = repeat(self._tid0) if tid_seq is None else tid_seq
-        for tag, tid in zip(tag_seq, tid_seq):
-            count += 1
-            way = get(tag)
-            if way is not None:
-                hits += 1
-                if observers:
-                    occupancy = count - start_row[way]
-                reused_row[way] = True
-                start_row[way] = count
-                if observers:
-                    address = (tag << set_shift) | s
-                    for observer in observers:
-                        observer.on_hit(s, address, occupancy)
-                continue
-            filled = len(index)
-            if filled < ways:
-                way = filled  # lowest-numbered invalid way
-                valid_row[way] = True
-            else:
-                # First way with the oldest insertion stamp — identical
-                # to min(range(ways), key=row.__getitem__).
-                way = inserted_row.index(min(inserted_row))
-                old_tag = row_tags[way]
-                evictions += 1
-                if observers:
-                    evicted_address = old_tag * num_sets + s
-                    occupancy = count - start_row[way]
-                    was_reused = reused_row[way]
-                    for observer in observers:
-                        observer.on_evict(
-                            s, evicted_address, occupancy, was_reused
-                        )
-                del index[old_tag]
-            row_tags[way] = tag
-            reused_row[way] = False
-            owner_row[way] = tid
-            start_row[way] = count
-            index[tag] = way
-            clock += 1
-            inserted_row[way] = clock
-            if observers:
-                address = (tag << set_shift) | s
-                for observer in observers:
-                    observer.on_fill(s, address)
-        cache.set_accesses[s] = count
-        policy._clock[s] = clock
-        self.hits += hits
-        self.evictions += evictions
-
-
-class _SRRIPKernel(_SetBatchKernel):
-    """SRRIP replay: batched aging instead of the step-by-step scan.
-
-    The reference victim loop ages the whole set by one until a way
-    reaches ``rrpv_max``; since RRPVs never exceed ``rrpv_max``, that is
-    exactly "add ``rrpv_max - max(row)`` to every way, evict the first
-    way that held the maximum" — one ``max``/``index`` pair and one list
-    comprehension per eviction.
-    """
-
-    def _run_set(self, s, tag_seq, tid_seq) -> None:
-        cache = self.cache
-        policy = self.policy
-        index = cache._tag_index[s]
-        row_tags = cache.tags[s]
-        valid_row = cache.valid[s]
-        reused_row = cache.reused[s]
-        owner_row = cache.owner[s]
-        start_row = cache._interval_start[s]
-        rrpv_row = policy._rrpv[s]
-        rrpv_max = policy.rrpv_max
-        insert_value = rrpv_max - 1  # "long" re-reference prediction
-        observers = self.observers
-        ways = self.ways
-        num_sets = self.num_sets
-        set_shift = self.set_shift
-        get = index.get
-        count = cache.set_accesses[s]
-        hits = evictions = 0
-        tid_seq = repeat(self._tid0) if tid_seq is None else tid_seq
-        for tag, tid in zip(tag_seq, tid_seq):
-            count += 1
-            way = get(tag)
-            if way is not None:
-                hits += 1
-                if observers:
-                    occupancy = count - start_row[way]
-                reused_row[way] = True
-                start_row[way] = count
-                rrpv_row[way] = 0  # hit promotion
-                if observers:
-                    address = (tag << set_shift) | s
-                    for observer in observers:
-                        observer.on_hit(s, address, occupancy)
-                continue
-            filled = len(index)
-            if filled < ways:
-                way = filled  # lowest-numbered invalid way
-                valid_row[way] = True
-            else:
-                top = max(rrpv_row)
-                way = rrpv_row.index(top)
-                if top < rrpv_max:
-                    delta = rrpv_max - top
-                    rrpv_row[:] = [value + delta for value in rrpv_row]
-                old_tag = row_tags[way]
-                evictions += 1
-                if observers:
-                    evicted_address = old_tag * num_sets + s
-                    occupancy = count - start_row[way]
-                    was_reused = reused_row[way]
-                    for observer in observers:
-                        observer.on_evict(
-                            s, evicted_address, occupancy, was_reused
-                        )
-                del index[old_tag]
-            row_tags[way] = tag
-            reused_row[way] = False
-            owner_row[way] = tid
-            start_row[way] = count
-            index[tag] = way
-            rrpv_row[way] = insert_value
-            if observers:
-                address = (tag << set_shift) | s
-                for observer in observers:
-                    observer.on_fill(s, address)
         cache.set_accesses[s] = count
         self.hits += hits
         self.evictions += evictions
@@ -530,6 +373,17 @@ class _PDPKernel(_SetBatchKernel):
             self._fifo_states = {}
 
     def _drive(self, set_ids, tags, tids, lo, hi, set_order) -> None:
+        """Replay accesses ``[lo, hi)``, split at recompute epochs.
+
+        Static PD is one segment. Dynamic PD cuts the range wherever the
+        engine's interval runs out: the sampler is fed every access of
+        the epoch, the accesses before the triggering one resolve under
+        the old PD, and the triggering access resolves after
+        ``PDEngine.recompute`` — the reference's ``observe()`` order, so
+        ``pd_history`` and every eviction are bit-identical. The epoch
+        constants (S_d, insertion and fill units) are re-derived after
+        each recompute.
+        """
         policy = self.policy
         engine = policy.engine
         self._refresh_params()
@@ -645,6 +499,22 @@ class _PDPKernel(_SetBatchKernel):
             )
 
     def _run_set(self, s, tag_seq, tid_seq) -> None:
+        """Replay set ``s``'s subsequence in the expiry domain.
+
+        Invariant: a line is protected exactly while its expiry exceeds
+        ``ticks``, and ``minexp`` is only a lower bound on the row's
+        minimum expiry. ``minexp > ticks`` therefore proves every line
+        protected without a scan; otherwise the scan either finds an
+        unprotected way or re-tightens the bound. Hits and fills lower
+        the bound when their new expiry is smaller, since the PD may have
+        shrunk at a recompute.
+
+        S_d = 1 with one thread and no observers (n_c = 8 at the paper's
+        d_max = 256: PDP-8 and every SPDP the figures run) takes its own
+        loop, without the step-counter branch, the observer checks and
+        the thread-id zip. It stays separate on purpose: folding it into
+        the general loop measured 7–9% slower on PDP-8.
+        """
         cache = self.cache
         index = cache._tag_index[s]
         row_tags = cache.tags[s]
@@ -832,10 +702,6 @@ class _PDPKernel(_SetBatchKernel):
             expiry_row[way] = expiry = ticks + fill_units
             if expiry < minexp:
                 minexp = expiry  # see the promotion-path comment above
-            if observers:
-                address = (tag << set_shift) | s
-                for observer in observers:
-                    observer.on_fill(s, address)
         cache.set_accesses[s] = count
         state[1] = ticks
         state[2] = stepc
@@ -850,9 +716,6 @@ class _PDPKernel(_SetBatchKernel):
 #: the bit-identical contract silently.
 _KERNELS: dict[type, type[_SetBatchKernel]] = {
     LRUPolicy: _LRUKernel,
-    MRUPolicy: _MRUKernel,
-    FIFOPolicy: _FIFOKernel,
-    SRRIPPolicy: _SRRIPKernel,
     PDPPolicy: _PDPKernel,
 }
 

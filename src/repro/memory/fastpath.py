@@ -97,11 +97,12 @@ def _run_slice(cache, trace, t_hits, t_bypasses) -> int:
     Hook order per access, as in ``SetAssociativeCache.access``:
     ``on_access``, then either ``on_hit``, or ``choose_victim`` (when
     the set is full) followed by ``on_bypass`` or ``on_evict`` then
-    ``on_fill``; observers fire after the matching policy hook. The loop
-    relies on two invariants the cache maintains: a set's valid ways
-    form the prefix ``[0, len(tag_index))`` (lines are only invalidated
-    wholesale), so the lowest invalid way is ``len(tag_index)``; and at
-    most one valid line per (set, tag).
+    ``on_fill``; observers fire after the matching policy hook, and a
+    fill has no observer event. The loop relies on two invariants the
+    cache maintains: a set's valid ways form the prefix
+    ``[0, len(tag_index))`` (lines are only invalidated wholesale), so
+    the lowest invalid way is ``len(tag_index)``; and at most one valid
+    line per (set, tag).
     """
     geometry = cache.geometry
     num_sets = geometry.num_sets
@@ -190,9 +191,6 @@ def _run_slice(cache, trace, t_hits, t_bypasses) -> int:
         interval_start[set_index][way] = count
         index[tag] = way
         on_fill(set_index, way, scratch)
-        if observers:
-            for observer in observers:
-                observer.on_fill(set_index, address)
     return evictions
 
 

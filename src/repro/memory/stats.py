@@ -126,8 +126,5 @@ class OccupancyTracker:
         if occupancy > self.breakdown.max_eviction_occupancy:
             self.breakdown.max_eviction_occupancy = occupancy
 
-    def on_fill(self, set_index: int, address: int) -> None:
-        pass
-
 
 __all__ = ["CacheStats", "OccupancyBreakdown", "OccupancyTracker"]

@@ -159,7 +159,7 @@ class WindowedRecorder:
             like ``timeseries=None`` and it records nothing.
 
     The recorder doubles as a cache observer (it implements the
-    ``on_hit``/``on_evict``/``on_bypass``/``on_fill`` protocol of
+    ``on_hit``/``on_evict``/``on_bypass`` protocol of
     :class:`repro.memory.cache.SetAssociativeCache`) purely to see
     eviction causes; all other counters come from ``cache.stats`` deltas
     at window boundaries.
@@ -196,9 +196,6 @@ class WindowedRecorder:
 
     def on_hit(self, set_index: int, address: int, occupancy: int) -> None:
         """Observer no-op (hits come from ``cache.stats`` deltas)."""
-
-    def on_fill(self, set_index: int, address: int) -> None:
-        """Observer no-op (fills come from ``cache.stats`` deltas)."""
 
     def on_bypass(self, set_index: int, address: int) -> None:
         """Observer no-op (bypasses come from ``cache.stats`` deltas)."""

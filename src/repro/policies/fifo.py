@@ -19,7 +19,7 @@ class FIFOPolicy(ReplacementPolicy):
 
     def choose_victim(self, set_index: int, access: Access) -> int | None:
         row = self._inserted[set_index]
-        return min(range(len(row)), key=row.__getitem__)
+        return row.index(min(row))  # first way with the oldest stamp
 
     def on_fill(self, set_index: int, way: int, access: Access) -> None:
         self._clock[set_index] += 1

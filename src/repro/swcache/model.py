@@ -228,8 +228,8 @@ class ObjectCache:
     rows — exactly the columns of an
     :class:`repro.traces.objects.ObjectTrace`. ``observers`` follows the
     hardware cache's observer protocol (``on_hit``/``on_evict``/
-    ``on_bypass``/``on_fill``) with ``set_index=0``, which is how the
-    windowed recorder sees eviction causes.
+    ``on_bypass``; an insertion has no event) with ``set_index=0``, which
+    is how the windowed recorder sees eviction causes.
     """
 
     def __init__(
@@ -367,8 +367,6 @@ class ObjectCache:
         stats.fills += 1
         stats.bytes_admitted += size
         self.policy.on_insert(entry, now)
-        for observer in self.observers:
-            observer.on_fill(0, key)
         return False
 
     # -- capacity management -----------------------------------------------

@@ -52,12 +52,6 @@ class MixtureComponent:
     def is_infinite(self) -> bool:
         return self.low is None
 
-    def sample_distance(self, rng: random.Random) -> int | None:
-        """A reuse distance from the band, or None for a fresh block."""
-        if self.is_infinite:
-            return None
-        return rng.randint(self.low, self.high)
-
 
 def peak(
     center: int,

@@ -17,11 +17,6 @@ seed). The version tag is part of the key, so bumping a generator's
 cleanup pass. Entries are published atomically (temp file + rename), so
 concurrent sweep workers can share one cache directory.
 
-Legacy entries written by older builds as ``.npz`` archives are still
-honoured: a lookup that misses on ``.trz`` but hits the legacy file
-loads it and migrates it to the native format in place (the old file is
-left for still-running old workers; the key is unchanged).
-
 Caching is off unless a directory is configured: pass ``directory=`` or
 set ``$REPRO_TRACE_CACHE_DIR``. Cached loads are byte-identical to fresh
 generation (``tests/test_workload_cache.py`` pins this for every
@@ -42,10 +37,8 @@ from repro.traces.trace import Trace
 #: Environment variable naming the cache directory (unset = no caching).
 ENV_TRACE_CACHE_DIR = "REPRO_TRACE_CACHE_DIR"
 
-#: Entry suffixes: the native trace format, and the pre-streaming numpy
-#: archive still readable for migration.
+#: Entry suffix: the native trace format.
 CACHE_SUFFIX = ".trz"
-LEGACY_CACHE_SUFFIX = ".npz"
 
 
 def trace_cache_dir(directory: str | os.PathLike | None = None) -> Path | None:
@@ -109,17 +102,6 @@ def cached_trace(
             return Trace.load(path)
         except (OSError, ValueError, KeyError):
             path.unlink(missing_ok=True)  # corrupt entry: regenerate
-    legacy_path = root / (stem + LEGACY_CACHE_SUFFIX)
-    if legacy_path.exists():
-        try:
-            trace = Trace.load(legacy_path)
-        except (OSError, ValueError, KeyError):
-            legacy_path.unlink(missing_ok=True)  # corrupt legacy: regenerate
-        else:
-            # Migrate in place; keep the legacy file for old workers
-            # still running against this cache directory.
-            _publish(trace, root, path)
-            return trace
     trace = producer()
     _publish(trace, root, path)
     return trace
@@ -144,7 +126,6 @@ def _publish(trace: Trace, root: Path, path: Path) -> None:
 __all__ = [
     "CACHE_SUFFIX",
     "ENV_TRACE_CACHE_DIR",
-    "LEGACY_CACHE_SUFFIX",
     "cached_trace",
     "trace_cache_dir",
     "trace_cache_key",

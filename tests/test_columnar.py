@@ -23,7 +23,6 @@ from repro.memory.cache import CacheGeometry, SetAssociativeCache
 from repro.memory.columnar import run_trace_vector, vectorizable
 from repro.policies.base import make_policy
 from repro.policies.lru import LRUPolicy
-from repro.policies.rrip import SRRIPPolicy
 from repro.sim.single_core import run_llc
 from repro.workloads.streams import random_working_set
 
@@ -31,9 +30,15 @@ GEOMETRY = CacheGeometry(num_sets=16, ways=4)
 
 POLICY_FACTORIES = {
     "lru": LRUPolicy,
-    "srrip": SRRIPPolicy,
     "pdp-static": lambda: PDPPolicy(static_pd=24),
     "pdp-dynamic": lambda: PDPPolicy(recompute_interval=777),
+    # The PDP kernel's general loop: S_d > 1, the inclusive fallback,
+    # insertion_pd=1 and the full sampler.
+    "pdp-2": lambda: PDPPolicy(n_c=2, recompute_interval=777),
+    "pdp-3": lambda: PDPPolicy(n_c=3, recompute_interval=777),
+    "pdp-nb": lambda: PDPPolicy(bypass=False, recompute_interval=777),
+    "pdp-ins1": lambda: PDPPolicy(insertion_pd=1, recompute_interval=777),
+    "pdp-full": lambda: PDPPolicy(sampler_mode="full", recompute_interval=777),
 }
 
 
@@ -85,12 +90,15 @@ class TestSetOrderInvariance:
 
 
 class TestFallbackSeam:
-    def test_unknown_policy_falls_back_and_matches_fast(self):
+    @pytest.mark.parametrize("policy_name", ["dip", "fifo", "mru", "srrip"])
+    def test_unknown_policy_falls_back_and_matches_fast(self, policy_name):
         trace = _trace()
-        policy = make_policy("dip")
+        policy = make_policy(policy_name)
         assert not vectorizable(policy)
-        fast = run_llc(trace, make_policy("dip"), GEOMETRY, engine="fast")
-        vector = run_llc(trace, make_policy("dip"), GEOMETRY, engine="vector")
+        fast = run_llc(trace, make_policy(policy_name), GEOMETRY, engine="fast")
+        vector = run_llc(
+            trace, make_policy(policy_name), GEOMETRY, engine="vector"
+        )
         for field in ("accesses", "hits", "misses", "bypasses", "evictions"):
             assert getattr(vector, field) == getattr(fast, field)
 

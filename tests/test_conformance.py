@@ -20,7 +20,8 @@ the per-window payloads must be bit-identical across all three paths
 (window boundaries sit at absolute positions, so chunking cannot shift
 them) and the sum of the windows must equal the end-of-run aggregates.
 
-The full sweep (every registered policy, several seeds) is marked
+The full sweep (every registered policy plus the PDP configurations of
+``PDP_VARIANTS``, several seeds) is marked
 ``conformance`` + ``slow`` and runs in CI's conformance job; a small
 unmarked smoke subset keeps the default tier-1 gate exercising the
 machinery.
@@ -31,10 +32,12 @@ from __future__ import annotations
 import os
 import random
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import CacheGeometry
 from repro.obs.timeseries import WindowedRecorder
 from repro.policies.base import make_policy, registered_policies
@@ -53,6 +56,18 @@ from repro.workloads.streams import (
 
 #: Policies whose constructors need a thread count (shared-cache only).
 MULTITHREAD = {"pd-partition", "pipp", "ta-drrip", "ucp"}
+
+#: PDP configurations beyond the registered ``pdp``, one per path of the
+#: vector kernel's general loop: S_d > 1 (PDP-2, PDP-3), the inclusive
+#: fallback, ``insertion_pd=1`` and the full sampler. The short interval
+#: makes every run recompute its PD several times.
+PDP_VARIANTS = {
+    "pdp-2": partial(PDPPolicy, n_c=2, recompute_interval=1024),
+    "pdp-3": partial(PDPPolicy, n_c=3, recompute_interval=1024),
+    "pdp-nb": partial(PDPPolicy, bypass=False, recompute_interval=1024),
+    "pdp-ins1": partial(PDPPolicy, insertion_pd=1, recompute_interval=1024),
+    "pdp-full": partial(PDPPolicy, sampler_mode="full", recompute_interval=1024),
+}
 
 #: Fields of SingleCoreResult that must agree bit-for-bit across engines.
 RESULT_FIELDS = ("accesses", "hits", "misses", "bypasses", "evictions", "instructions")
@@ -74,6 +89,8 @@ def _fresh_policy(name: str, trace: Trace):
         return BeladyPolicy(trace.addresses, bypass=True)
     if name in MULTITHREAD:
         return make_policy(name, num_threads=2)
+    if name in PDP_VARIANTS:
+        return PDP_VARIANTS[name]()
     return make_policy(name)
 
 
@@ -180,7 +197,9 @@ def _assert_conformant(policy_name: str, trace: Trace, geometry: CacheGeometry,
 @pytest.mark.conformance
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("policy_name", sorted(registered_policies()))
+@pytest.mark.parametrize(
+    "policy_name", sorted(registered_policies()) + sorted(PDP_VARIANTS)
+)
 def test_single_core_engines_agree(policy_name: str, seed: int):
     rng = _rng("single", policy_name, seed)
     geometry = _random_geometry(rng)

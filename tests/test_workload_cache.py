@@ -7,9 +7,7 @@ import pytest
 
 from repro.traces.trace import Trace
 from repro.workloads.cache import (
-    CACHE_SUFFIX,
     ENV_TRACE_CACHE_DIR,
-    LEGACY_CACHE_SUFFIX,
     cached_trace,
     trace_cache_dir,
     trace_cache_key,
@@ -89,55 +87,6 @@ def test_corrupt_entry_is_regenerated(tmp_path):
     entry.write_bytes(b"not a trace archive")
     trace = cached_trace("gen", {"n": 3}, 0, make, directory=tmp_path)
     assert trace.addresses.tolist() == [4, 5, 6]
-
-
-def test_legacy_npz_entry_is_loaded_and_migrated(tmp_path):
-    """A cache populated by an older build (.npz entries) still hits, and
-    the hit migrates the entry to the native format in place."""
-    produced = Trace([10, 20, 30], pcs=[1, 2, 3], name="legacy")
-    stem = trace_cache_key("gen", 1, {"n": 3}, 0)
-    legacy = tmp_path / (stem + LEGACY_CACHE_SUFFIX)
-    _save_legacy_npz(produced, legacy)
-
-    calls = []
-
-    def produce() -> Trace:
-        calls.append(1)
-        return produced
-
-    loaded = cached_trace("gen", {"n": 3}, 0, produce, directory=tmp_path)
-    assert calls == []  # served from the legacy entry, not regenerated
-    assert loaded.addresses.tolist() == [10, 20, 30]
-    assert loaded.pcs.tolist() == [1, 2, 3]
-    # Migrated to native; legacy file kept for still-running old workers.
-    assert (tmp_path / (stem + CACHE_SUFFIX)).exists()
-    assert legacy.exists()
-    # Second lookup hits the native entry directly.
-    again = cached_trace("gen", {"n": 3}, 0, produce, directory=tmp_path)
-    assert calls == []
-    assert again.addresses.tolist() == [10, 20, 30]
-
-
-def test_corrupt_legacy_entry_is_regenerated(tmp_path):
-    make = lambda: Trace([7, 8], name="t")  # noqa: E731
-    stem = trace_cache_key("gen", 1, {"n": 2}, 0)
-    legacy = tmp_path / (stem + LEGACY_CACHE_SUFFIX)
-    legacy.write_bytes(b"PK\x03\x04 truncated junk")
-    trace = cached_trace("gen", {"n": 2}, 0, make, directory=tmp_path)
-    assert trace.addresses.tolist() == [7, 8]
-    assert not legacy.exists()  # corrupt legacy entry evicted
-
-
-def _save_legacy_npz(trace: Trace, path) -> None:
-    """Write the pre-streaming on-disk format (what old builds produced)."""
-    np.savez_compressed(
-        path,
-        addresses=trace.addresses,
-        pcs=trace.pcs,
-        thread_ids=trace.thread_ids,
-        name=np.array(trace.name),
-        instructions_per_access=np.array(trace.instructions_per_access),
-    )
 
 
 def test_cache_path_that_is_a_file_raises_cleanly(tmp_path):
