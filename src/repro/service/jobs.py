@@ -107,8 +107,17 @@ class SweepSpec:
     d_max: int = 1_024
     top_k: int = 0
 
+    #: Fields that must hold a plain ``int`` (``bool`` is not one), and
+    #: those of them that may also be ``None``.
+    INT_FIELDS = (
+        "length", "seed", "num_sets", "ways", "line_size", "workers",
+        "window_size", "trace_num_sets", "top_k", "pd_max", "pd_step", "d_max",
+    )
+    OPTIONAL_INT_FIELDS = ("seed", "window_size", "trace_num_sets")
+
     def validate(self) -> None:
-        """Reject malformed specs with a actionable :class:`SpecError`."""
+        """Reject malformed specs with an actionable :class:`SpecError`."""
+        self._validate_field_types()
         if self.kind not in VALID_KINDS:
             raise SpecError(f"kind must be one of {VALID_KINDS}, got {self.kind!r}")
         if not self.namespace or "/" in self.namespace or self.namespace in (".", ".."):
@@ -137,7 +146,7 @@ class SweepSpec:
                 ("explore_ways", self.explore_ways),
             ):
                 for value in values:
-                    if not isinstance(value, int) or value < 1:
+                    if type(value) is not int or value < 1:
                         raise SpecError(
                             f"{label} entries must be positive ints, got {value!r}"
                         )
@@ -190,6 +199,34 @@ class SweepSpec:
             raise SpecError(f"window_size must be positive, got {self.window_size}")
         self._validate_benchmarks()
 
+    def _validate_field_types(self) -> None:
+        """Reject fields of the wrong JSON type before any range check.
+
+        Without it, ``5000.0``, ``true`` or ``"5000"`` in an integer
+        field passes the range checks or crashes inside the job (and
+        ``5000`` and ``5000.0`` would key different cached traces), a
+        string flag such as ``"force": "no"`` reads as true, and a
+        wrongly typed namespace, trace file, list or ``mixes`` raises a
+        raw error out of :meth:`validate` or inside the job.
+        """
+        for name in self.INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int and not (
+                value is None and name in self.OPTIONAL_INT_FIELDS
+            ):
+                raise SpecError(f"{name} must be an int, got {value!r}")
+        for names, types, wanted in (
+            (("match_git_sha", "force"), bool, "true or false"),
+            (("namespace",), str, "a string"),
+            (("trace_file", "trace_format"), (str, type(None)), "a string"),
+            (("policies", "explore_sets", "explore_ways"), (list, tuple), "a list"),
+            (("mixes",), dict, "an object of benchmark lists"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not isinstance(value, types):
+                    raise SpecError(f"{name} must be {wanted}, got {value!r}")
+
     def _validate_benchmarks(self) -> None:
         """Reject benchmark names the trace generator does not know, and
         mixes that are not non-empty lists of them, at submit time rather
@@ -218,7 +255,11 @@ class SweepSpec:
         for entry in self.policies:
             if isinstance(entry, str):
                 items.append((entry, entry, {}))
-            elif isinstance(entry, dict) and "name" in entry:
+            elif (
+                isinstance(entry, dict)
+                and "name" in entry
+                and isinstance(entry.get("kwargs", {}), dict)
+            ):
                 items.append(
                     (
                         str(entry.get("key", entry["name"])),
@@ -349,16 +390,20 @@ def predict_followup_specs(spec: SweepSpec, frontier: list) -> list:
 
 
 def load_mix_traces(spec: SweepSpec) -> dict[str, list]:
-    """Materialize a mix_matrix job's per-thread benchmark traces."""
+    """Materialize a mix_matrix job's per-thread benchmark traces,
+    building each distinct benchmark's trace once for the whole job."""
     from repro.workloads.spec_like import make_benchmark_trace
 
+    traces = {
+        name: make_benchmark_trace(
+            name, length=spec.length, num_sets=spec.num_sets, seed=spec.seed
+        )
+        for name in dict.fromkeys(
+            name for names in spec.mixes.values() for name in names
+        )
+    }
     return {
-        str(mix_key): [
-            make_benchmark_trace(
-                name, length=spec.length, num_sets=spec.num_sets, seed=spec.seed
-            )
-            for name in names
-        ]
+        str(mix_key): [traces[name] for name in names]
         for mix_key, names in spec.mixes.items()
     }
 

@@ -7,7 +7,10 @@ socket), accepts sweep specs over the line-delimited JSON protocol
 worker thread — each job one :func:`repro.sim.parallel.run_cells` grid
 (:func:`repro.service.scheduler.execute_spec`), fanning out across a
 process pool with per-cell failure isolation and manifest-driven
-resume.
+resume. Jobs share one in-process trace memo
+(:class:`repro.workloads.cache.TraceMemo`), so a resubmit or a predict
+pass over a job's (benchmark, length, seed) reuses its trace instead of
+regenerating it.
 
 Durability model: every state transition of a job is persisted
 atomically before it is acted on, and cell completion is recorded by the
@@ -48,6 +51,7 @@ from repro.service.protocol import (
     write_message,
 )
 from repro.service.scheduler import execute_spec
+from repro.workloads.cache import TraceMemo, trace_memo_scope
 
 
 class SweepService:
@@ -76,6 +80,7 @@ class SweepService:
         self._server: asyncio.AbstractServer | None = None
         self._worker: asyncio.Task | None = None
         self._stopping = asyncio.Event()
+        self.trace_memo = TraceMemo()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -187,11 +192,16 @@ class SweepService:
             loop.call_soon_threadsafe(self._publish, record.job_id, asdict(event))
 
         namespace_dir = self.store.namespace_dir(record.spec.namespace)
+
+        def job_body() -> dict:
+            # The memo is active on the job thread only: jobs share the
+            # traces they build, nothing else in the process does.
+            with trace_memo_scope(self.trace_memo):
+                return execute_spec(record.spec, namespace_dir, on_event)
+
         run_started = perf_counter()
         try:
-            summary = await asyncio.to_thread(
-                execute_spec, record.spec, namespace_dir, on_event
-            )
+            summary = await asyncio.to_thread(job_body)
         except Exception as exc:  # noqa: BLE001 — job isolation boundary
             record.state = "failed"
             record.error = f"{type(exc).__name__}: {exc}"
@@ -355,11 +365,13 @@ class SweepService:
         """The live ``stats`` response: queue, jobs, latency, metrics.
 
         Refreshes the registry's service gauges (queue depth, jobs per
-        state) so a Prometheus scrape of the embedded snapshot carries
+        state, the trace memo's ``workloads.trace_memo.*`` totals) so a
+        Prometheus scrape of the embedded snapshot carries
         them, then summarizes every histogram into p50/p90/p99 — the
         cell-level ``grid.cell_runtime_s`` / ``grid.cell_queue_wait_s``
         and the job-level ``service.job_*`` distributions are the ones
-        ``repro top`` renders.
+        ``repro top`` renders. ``trace_memo`` carries the trace memo's
+        lifetime hits and misses and its held bytes and entries.
         """
         jobs_by_state: dict[str, int] = {}
         for record in self.store.list_jobs():
@@ -367,6 +379,9 @@ class SweepService:
         METRICS.gauge("service.queue_depth", self._queue.qsize())
         for state, count in jobs_by_state.items():
             METRICS.gauge(f"service.jobs_state_{state}", count)
+        trace_memo = self.trace_memo.stats()
+        for name, value in trace_memo.items():
+            METRICS.gauge(f"workloads.trace_memo.{name}", value)
         snapshot = METRICS.snapshot()
         return {
             "ok": True,
@@ -378,6 +393,7 @@ class SweepService:
             "skipped_cells_total": snapshot["counters"].get(
                 "scheduler.cells_skipped", 0
             ),
+            "trace_memo": trace_memo,
             "percentiles": {
                 name: histogram_percentiles(payload)
                 for name, payload in snapshot["histograms"].items()

@@ -21,15 +21,35 @@ Caching is off unless a directory is configured: pass ``directory=`` or
 set ``$REPRO_TRACE_CACHE_DIR``. Cached loads are byte-identical to fresh
 generation (``tests/test_workload_cache.py`` pins this for every
 generator).
+
+In front of the disk cache sits an optional in-process memo, a
+:class:`TraceMemo`: a thread-safe LRU keyed by the same
+:func:`trace_cache_key` and bounded by the bytes of the traces' columns
+(:data:`TRACE_MEMO_BYTES`, 8 MiB: three 100K-access traces at 24 bytes
+an access). It is active only inside :func:`trace_memo_scope`, which the
+``repro serve`` daemon enters around each job body, so one daemon builds
+a (benchmark, length, seed) trace once for a fresh job, its resubmit and
+a predict pass over it. Library callers, sweeps and figure drivers
+never enter a scope and keep getting a new, writable trace on every
+call. Under a scope every trace :func:`cached_trace` returns, memo hit
+or miss, has read-only columns (so do its ``Trace.slice`` views): a job
+that writes into a shared trace raises ``ValueError`` instead of
+corrupting the next job's input. The memo lives in process memory only;
+a restarted daemon starts with it empty.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
 import tempfile
-from collections.abc import Callable, Mapping
+import threading
+from collections import OrderedDict
+from collections.abc import Callable, Iterator, Mapping
+from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 
 from repro.traces.trace import Trace
@@ -39,6 +59,15 @@ ENV_TRACE_CACHE_DIR = "REPRO_TRACE_CACHE_DIR"
 
 #: Entry suffix: the native trace format.
 CACHE_SUFFIX = ".trz"
+
+#: Byte budget of every :class:`TraceMemo`, over the bytes of the
+#: memoized traces' three int64 columns.
+TRACE_MEMO_BYTES = 8 * 1024 * 1024
+
+#: The memo :func:`cached_trace` consults, set by :func:`trace_memo_scope`.
+_ACTIVE_MEMO: ContextVar["TraceMemo | None"] = ContextVar(
+    "repro_trace_memo", default=None
+)
 
 
 def trace_cache_dir(directory: str | os.PathLike | None = None) -> Path | None:
@@ -76,7 +105,8 @@ def cached_trace(
     version: int | str = 1,
     directory: str | os.PathLike | None = None,
 ) -> Trace:
-    """Return ``producer()``'s trace, memoized to the on-disk cache.
+    """Return ``producer()``'s trace, memoized in process (inside a
+    :func:`trace_memo_scope`) and to the on-disk cache.
 
     Args:
         generator: generator family name (e.g. "spec_like").
@@ -86,16 +116,30 @@ def cached_trace(
         version: generator version tag; bump to invalidate stale entries.
         directory: cache directory override (else the environment rules).
     """
+    memo = _ACTIVE_MEMO.get()
     root = trace_cache_dir(directory)
-    if root is None:
+    if memo is None and root is None:
         return producer()
+    stem = trace_cache_key(generator, version, params, seed)
+    if memo is not None:
+        trace = memo.get(stem)
+        if trace is not None:
+            return trace
+    trace = producer() if root is None else _disk_cached(root, stem, producer)
+    if memo is not None:
+        memo.put(stem, trace)
+    return trace
+
+
+def _disk_cached(root: Path, stem: str, producer: Callable[[], Trace]) -> Trace:
+    """Load entry ``stem`` from the cache directory ``root``, or produce
+    and publish it."""
     try:
         root.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise NotADirectoryError(
             f"trace cache path {root} exists and is not a directory"
         ) from None
-    stem = trace_cache_key(generator, version, params, seed)
     path = root / (stem + CACHE_SUFFIX)
     if path.exists():
         try:
@@ -123,10 +167,85 @@ def _publish(trace: Trace, root: Path, path: Path) -> None:
         raise
 
 
+def _columns_nbytes(trace: Trace) -> int:
+    return trace.addresses.nbytes + trace.pcs.nbytes + trace.thread_ids.nbytes
+
+
+class TraceMemo:
+    """A thread-safe in-process LRU of traces, bounded by
+    :data:`TRACE_MEMO_BYTES`.
+
+    Keys are :func:`trace_cache_key` stems. :meth:`put` makes a trace's
+    columns read-only and keeps a shallow copy, and :meth:`get` returns
+    one, so callers share the column arrays but never a ``Trace``
+    object. A trace larger than the whole budget is not kept; otherwise
+    least recently used entries are evicted until the held bytes fit.
+    """
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self._entries: OrderedDict[str, Trace] = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: str) -> Trace | None:
+        """The memoized trace for ``key`` (a shallow copy), or None."""
+        with self._lock:
+            trace = self._entries.get(key)
+            if trace is None:
+                self.misses += 1
+            else:
+                self._entries.move_to_end(key)
+                self.hits += 1
+        return None if trace is None else copy.copy(trace)
+
+    def put(self, key: str, trace: Trace) -> None:
+        """Make ``trace``'s columns read-only and keep it if it fits."""
+        for column in (trace.addresses, trace.pcs, trace.thread_ids):
+            column.flags.writeable = False
+        size = _columns_nbytes(trace)
+        if size > TRACE_MEMO_BYTES:
+            return
+        with self._lock:
+            previous = self._entries.pop(key, None)
+            if previous is not None:
+                self._bytes -= _columns_nbytes(previous)
+            self._entries[key] = copy.copy(trace)
+            self._bytes += size
+            while self._bytes > TRACE_MEMO_BYTES:
+                _, evicted = self._entries.popitem(last=False)
+                self._bytes -= _columns_nbytes(evicted)
+
+    def stats(self) -> dict:
+        """Lifetime ``hits``/``misses`` and the held ``bytes``/``entries``."""
+        with self._lock:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "bytes": self._bytes,
+                "entries": len(self._entries),
+            }
+
+
+@contextmanager
+def trace_memo_scope(memo: TraceMemo) -> Iterator[None]:
+    """Make :func:`cached_trace` consult ``memo`` within this context
+    (the current thread or task only)."""
+    token = _ACTIVE_MEMO.set(memo)
+    try:
+        yield
+    finally:
+        _ACTIVE_MEMO.reset(token)
+
+
 __all__ = [
     "CACHE_SUFFIX",
     "ENV_TRACE_CACHE_DIR",
+    "TRACE_MEMO_BYTES",
+    "TraceMemo",
     "cached_trace",
     "trace_cache_dir",
     "trace_cache_key",
+    "trace_memo_scope",
 ]

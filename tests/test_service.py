@@ -50,6 +50,10 @@ def _trace(seed: int = 11, n: int = 3000, name: str | None = None) -> Trace:
     return Trace(addresses, name=name or f"svc-test-{seed}")
 
 
+#: The smallest valid matrix spec fields, for validation cases.
+_MATRIX = {"benchmark": "x", "policies": ["lru"]}
+
+
 def _factories(*names: str) -> dict:
     return {name: partial(make_policy, name) for name in names}
 
@@ -172,11 +176,51 @@ class TestSweepSpec:
                 {"kind": "mix_matrix", "mixes": {"m": []}, "policies": ["lru"]},
                 "non-empty list",
             ),
+            # every field holds its JSON type: an int is no float, bool or string
+            ({**_MATRIX, "length": 5000.0}, "length must be an int"),
+            ({**_MATRIX, "length": True}, "length must be an int"),
+            ({**_MATRIX, "length": "5000"}, "length must be an int"),
+            ({**_MATRIX, "seed": 1.5}, "seed must be an int"),
+            ({**_MATRIX, "seed": False}, "seed must be an int"),
+            ({**_MATRIX, "num_sets": 16.0}, "num_sets must be an int"),
+            ({**_MATRIX, "ways": 16.0}, "ways must be an int"),
+            ({**_MATRIX, "line_size": "64"}, "line_size must be an int"),
+            ({**_MATRIX, "workers": True}, "workers must be an int"),
+            ({**_MATRIX, "window_size": 5e2}, "window_size must be an int"),
+            ({**_MATRIX, "trace_num_sets": 16.0}, "trace_num_sets must be an int"),
+            ({"kind": "predict", "benchmark": "x", "top_k": 1.0}, "top_k must be an int"),
+            ({"kind": "predict", "benchmark": "x", "pd_max": "256"}, "pd_max must be an int"),
+            ({"kind": "predict", "benchmark": "x", "pd_step": 4.0}, "pd_step must be an int"),
+            ({"kind": "predict", "benchmark": "x", "d_max": None}, "d_max must be an int"),
+            ({**_MATRIX, "force": "no"}, "force must be true or false"),
+            ({**_MATRIX, "match_git_sha": 1}, "match_git_sha must be true or false"),
+            ({**_MATRIX, "namespace": 5}, "namespace must be a string"),
+            ({"trace_file": 5, "policies": ["lru"]}, "trace_file must be a string"),
+            ({"benchmark": "x", "policies": {"lru": {}}}, "policies must be a list"),
+            (
+                {"benchmark": "x", "policies": [{"name": "lru", "kwargs": 5}]},
+                "policy entries must be",
+            ),
+            ({"kind": "predict", "benchmark": "x", "explore_sets": 64}, "explore_sets must be a list"),
+            (
+                {"trace_file": "t.csv", "trace_format": 1, "policies": ["lru"]},
+                "trace_format must be a string",
+            ),
+            (
+                {"kind": "mix_matrix", "mixes": [["403.gcc"]], "policies": ["lru"]},
+                "mixes must be an object",
+            ),
         ],
     )
     def test_validate_rejects(self, kwargs, match):
         with pytest.raises(SpecError, match=match):
             SweepSpec(**kwargs).validate()
+
+    def test_optional_int_fields_accept_none(self):
+        SweepSpec(
+            benchmark="403.gcc", policies=["lru"], seed=None, window_size=None,
+            trace_num_sets=None,
+        ).validate()
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(SpecError, match="unknown spec fields"):
@@ -438,6 +482,56 @@ class TestMatrixResume:
         assert not plan.skipped and plan.to_run == ["lru"]
 
 
+def test_mix_job_builds_each_benchmark_trace_once(tmp_path, monkeypatch):
+    """Two mixes sharing a benchmark generate it once per job, and the
+    results equal those of per-mix generation."""
+    from repro.service.jobs import load_mix_traces, policy_factories, spec_geometry
+    from repro.service.scheduler import execute_spec
+    from repro.workloads.spec_like import make_benchmark_trace
+    from repro.workloads.synthetic import RDDProfileGenerator
+
+    spec = SweepSpec(
+        kind="mix_matrix",
+        mixes={"a": ["403.gcc", "429.mcf"], "b": ["403.gcc", "433.milc"]},
+        length=1500,
+        num_sets=16,
+        ways=4,
+        policies=["lru", "fifo"],
+    )
+    factories = policy_factories(spec)
+    per_mix = {
+        key: [
+            make_benchmark_trace(name, length=spec.length, num_sets=spec.num_sets)
+            for name in names
+        ]
+        for key, names in spec.mixes.items()
+    }
+    expected, _ = run_resumable_mix_matrix(
+        per_mix, factories, spec_geometry(spec), tmp_path / "per-mix"
+    )
+
+    generated = []
+    real_generate = RDDProfileGenerator.generate
+
+    def counting_generate(self, length):
+        generated.append(self.profile.name)
+        return real_generate(self, length)
+
+    monkeypatch.setattr(RDDProfileGenerator, "generate", counting_generate)
+    shared, _ = run_resumable_mix_matrix(
+        load_mix_traces(spec), factories, spec_geometry(spec), tmp_path / "shared"
+    )
+    assert sorted(generated) == ["403.gcc", "429.mcf", "433.milc"]
+    assert list(shared) == list(expected)
+    for key in expected:
+        assert _mix_fields(shared[key]) == _mix_fields(expected[key])
+
+    generated.clear()
+    summary = execute_spec(spec, tmp_path / "job")
+    assert summary["ran_cells"] == 4
+    assert sorted(generated) == ["403.gcc", "429.mcf", "433.milc"]
+
+
 class TestMixResume:
     def _mixes(self):
         return {
@@ -648,6 +742,11 @@ class TestServiceDaemon:
                             )
                         with pytest.raises(ProtocolError, match="exactly one"):
                             client.submit({"policies": ["lru"]})
+                        with pytest.raises(ProtocolError, match="length must be an int"):
+                            client.submit(
+                                {"benchmark": "429.mcf", "policies": ["lru"],
+                                 "length": "5000"}
+                            )
                         with pytest.raises(ProtocolError, match="unknown op"):
                             client.request({"op": "frobnicate"})
                         with pytest.raises(ProtocolError, match="unknown job"):
@@ -763,6 +862,67 @@ class TestServiceDaemon:
         assert busy["metrics"]["counters"]["service.jobs_done"] == 2
         # the gauges reflect the state at scrape time
         assert busy["metrics"]["gauges"]["service.queue_depth"] == 0
+
+    def test_jobs_share_read_only_traces_through_the_memo(self, tmp_path, monkeypatch):
+        """Three jobs on one (benchmark, length, seed) build the trace
+        once. A job that writes into the shared trace fails with
+        ``ValueError`` and leaves the next job's input intact: its stats
+        equal a memo-free run's."""
+        from repro.service import scheduler
+
+        real_llc_cells = scheduler.llc_cells
+
+        def mutating_llc_cells(trace, *args):
+            trace.addresses[0] += 1
+            return real_llc_cells(trace, *args)
+
+        root = tmp_path / "svc"
+
+        async def scenario():
+            service = SweepService(root, install_signal_handlers=False)
+            await service.start()
+            try:
+                def client_side():
+                    with ServiceClient(service_socket(root)) as client:
+                        warm, _ = _submit_and_wait(client, self._spec(namespace="warm"))
+                        monkeypatch.setattr(scheduler, "llc_cells", mutating_llc_cells)
+                        try:
+                            bad, _ = _submit_and_wait(client, self._spec(namespace="bad"))
+                        finally:
+                            monkeypatch.setattr(scheduler, "llc_cells", real_llc_cells)
+                        good, _ = _submit_and_wait(client, self._spec(namespace="good"))
+                        return warm, bad, good, client.stats()
+
+                return await asyncio.to_thread(client_side)
+            finally:
+                await service.stop()
+
+        warm, bad, good, stats = asyncio.run(scenario())
+        assert warm["state"] == "done" and good["state"] == "done"
+        assert bad["state"] == "failed"
+        assert bad["error"].startswith("ValueError") and "read-only" in bad["error"]
+        assert stats["trace_memo"]["misses"] == 1
+        assert stats["trace_memo"]["hits"] == 2
+        assert stats["trace_memo"]["entries"] == 1
+        assert stats["trace_memo"]["bytes"] == 3 * 8 * 2000
+        gauges = stats["metrics"]["gauges"]
+        for name, value in stats["trace_memo"].items():
+            assert gauges[f"workloads.trace_memo.{name}"] == value
+
+        # the same job outside any daemon: no memo, a fresh trace
+        scheduler.execute_spec(self._spec(), tmp_path / "fresh")
+
+        def cell_stats(directory):
+            return {
+                m.label: m.stats
+                for m in scan_manifests(directory).manifests
+                if m.kind == "llc"
+            }
+
+        fresh = cell_stats(tmp_path / "fresh")
+        assert sorted(fresh) == ["fifo", "lru"]
+        assert cell_stats(root / "namespaces" / "good") == fresh
+        assert cell_stats(root / "namespaces" / "warm") == fresh
 
     def test_jobs_listing_carries_queue_wait_and_runtime(self, tmp_path):
         async def scenario():
@@ -883,6 +1043,8 @@ class TestPredictTier:
             self._spec(explore_sets=[48]).validate()
         with pytest.raises(SpecError, match="positive ints"):
             self._spec(explore_ways=[0]).validate()
+        with pytest.raises(SpecError, match="positive ints"):
+            self._spec(explore_sets=[True]).validate()
         with pytest.raises(SpecError, match="top_k"):
             self._spec(top_k=-1).validate()
         # round-trips through the wire format

@@ -12,12 +12,15 @@ and the real unix-socket protocol:
 6. assert every cell is accounted for (skipped + ran == total), the
    skipped count equals the manifests that survived the kill, and the
    namespace holds exactly one cell manifest per policy,
-7. hit the live daemon's ``stats`` verb (queue depth, jobs-by-state,
+7. assert the restarted daemon's trace memo started empty: the resumed
+   job built its trace anew (one miss, no hit),
+8. hit the live daemon's ``stats`` verb (queue depth, jobs-by-state,
    latency percentiles) and run ``repro obs scrape --prom`` once,
    validating the Prometheus text exposition,
-8. submit one ``predict`` job twice in its own namespace: the first
-   runs its one ``explore`` cell, the resubmit skips it, and
-   ``repro obs trace`` on the namespace lists the ``cell:explore`` span.
+9. submit one ``predict`` job twice in its own namespace: the first
+   runs its one ``explore`` cell, the resubmit skips it and takes its
+   trace from the memo (one more hit), and ``repro obs trace`` on the
+   namespace lists the ``cell:explore`` span.
 
 Exits non-zero (with a diagnostic) on any violation. Usage::
 
@@ -93,6 +96,25 @@ def cell_manifests(namespace_dir: Path) -> list:
     return [m for m in scan_manifests(namespace_dir).manifests if m.kind == "llc"]
 
 
+def trace_memo(root: Path) -> dict:
+    """The live daemon's trace memo counters (``stats`` verb)."""
+    with ServiceClient(service_socket(root)) as client:
+        stats = client.stats()
+    if "trace_memo" not in stats:
+        fail(f"stats payload missing 'trace_memo': {sorted(stats)}")
+    return stats["trace_memo"]
+
+
+def verify_memo_started_empty(root: Path) -> None:
+    """After one job on a freshly started daemon, its trace memo holds
+    exactly that job's trace and has never hit: nothing survives a
+    restart but the manifests the resume rides on."""
+    memo = trace_memo(root)
+    if memo["hits"] != 0 or memo["misses"] != 1 or memo["entries"] != 1:
+        fail(f"restarted daemon's trace memo did not start empty: {memo}")
+    print(f"[smoke] trace memo OK after restart: {memo}")
+
+
 def verify_stats_and_scrape(root: Path) -> None:
     """Hit the live daemon's ``stats`` verb and ``repro obs scrape --prom``.
 
@@ -149,15 +171,22 @@ def verify_predict_resume(root: Path) -> None:
         explore_ways=[4, 16],
     )
     done = []
+    memo = [trace_memo(root)]
     with ServiceClient(service_socket(root), timeout=600) as client:
         for _ in range(2):
             job = client.submit(spec.to_dict())
             done.append(list(client.watch(job["job_id"]))[-1]["done"])
+            memo.append(trace_memo(root))
     first, second = done
     if first["state"] != "done" or first["ran_cells"] != 1:
         fail(f"first predict job: expected 1 ran cell, got {first}")
     if second["state"] != "done" or second["skipped_cells"] != 1:
         fail(f"resubmitted predict job: expected 1 skipped cell, got {second}")
+    before, after_first, after_second = memo
+    if after_first["misses"] != before["misses"] + 1:
+        fail(f"first predict job: expected a trace memo miss, got {memo}")
+    if after_second["hits"] != after_first["hits"] + 1:
+        fail(f"resubmitted predict job: expected a trace memo hit, got {memo}")
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     trace = subprocess.run(
         [sys.executable, "-m", "repro", "obs", "trace",
@@ -172,8 +201,8 @@ def verify_predict_resume(root: Path) -> None:
         fail(f"obs trace exited {trace.returncode}: {trace.stderr}")
     if "cell:explore" not in trace.stdout:
         fail(f"obs trace lacks the cell:explore span:\n{trace.stdout}")
-    print("[smoke] predict OK: first job ran 1 cell, resubmit skipped 1; "
-          "obs trace lists cell:explore")
+    print("[smoke] predict OK: first job ran 1 cell, resubmit skipped 1 "
+          "and hit the trace memo; obs trace lists cell:explore")
 
 
 def main() -> int:
@@ -233,6 +262,7 @@ def main() -> int:
             with ServiceClient(service_socket(root), timeout=600) as client:
                 rerun = client.submit(spec.to_dict())
                 list(client.watch(rerun["job_id"]))
+            verify_memo_started_empty(root)
             verify_stats_and_scrape(root)
             verify_predict_resume(root)
         finally:
@@ -252,6 +282,7 @@ def main() -> int:
         with ServiceClient(service_socket(root), timeout=600) as client:
             responses = list(client.watch(job_id))
         done = responses[-1]["done"]
+        verify_memo_started_empty(root)
         verify_stats_and_scrape(root)
         verify_predict_resume(root)
     finally:
