@@ -26,7 +26,6 @@ Quickstart::
 
 from repro.core import (
     ClassifiedPDPPolicy,
-    MulticoreHitRateModel,
     PDEngine,
     PDPPolicy,
     PrefetchAwarePDPPolicy,
@@ -63,8 +62,6 @@ from repro.policies import (
 )
 from repro.sim import (
     ExperimentConfig,
-    MachineConfig,
-    run_hierarchy,
     run_llc,
     run_shared_llc,
 )
@@ -98,9 +95,7 @@ __all__ = [
     "EELRUPolicy",
     "ExperimentConfig",
     "LRUPolicy",
-    "MachineConfig",
     "Manifest",
-    "MulticoreHitRateModel",
     "OccupancyTracker",
     "PDEngine",
     "PDPPolicy",
@@ -126,7 +121,6 @@ __all__ = [
     "make_benchmark_trace",
     "make_policy",
     "reuse_distance_distribution",
-    "run_hierarchy",
     "run_llc",
     "run_shared_llc",
     "scan_manifests",

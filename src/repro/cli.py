@@ -247,9 +247,32 @@ _EXPERIMENTS = {
 }
 
 
+#: The experiment flags only some drivers take, with those drivers; any
+#: other driver rejects the flag rather than silently ignoring it.
+_EXPERIMENT_FLAG_DRIVERS = {
+    "manifest_dir": ("--manifest-dir", ("fig4", "fig10", "fig12", "objectstore")),
+    "progress": ("--progress", ("fig4", "fig10", "fig12", "objectstore")),
+    "workers": ("--workers", ("fig4", "fig10", "fig12")),
+}
+
+
 def _cmd_experiment(args) -> int:
     import importlib
 
+    known = sorted([*_EXPERIMENTS, "fig5", "fig12", "objectstore", "prefetch"])
+    if args.name not in known:
+        print(
+            f"unknown experiment {args.name!r}; known: {', '.join(known)}",
+            file=sys.stderr,
+        )
+        return 2
+    for dest, (flag, drivers) in _EXPERIMENT_FLAG_DRIVERS.items():
+        if getattr(args, dest) not in (None, False) and args.name not in drivers:
+            print(
+                f"{flag} is taken only by {', '.join(drivers)}, not {args.name}",
+                file=sys.stderr,
+            )
+            return 2
     if args.name == "fig5":
         from repro.experiments import fig05_occupancy
 
@@ -298,14 +321,7 @@ def _cmd_experiment(args) -> int:
         return 0
     if args.name == "objectstore":
         return _cmd_experiment_objectstore(args)
-    try:
-        module_name, run_name, fmt_name = _EXPERIMENTS[args.name]
-    except KeyError:
-        known = ", ".join(
-            sorted([*_EXPERIMENTS, "fig5", "fig12", "objectstore", "prefetch"])
-        )
-        print(f"unknown experiment {args.name!r}; known: {known}", file=sys.stderr)
-        return 2
+    module_name, run_name, fmt_name = _EXPERIMENTS[args.name]
     module = importlib.import_module(f"repro.experiments.{module_name}")
     results = getattr(module, run_name)(fast=args.fast)
     print(getattr(module, fmt_name)(results))

@@ -7,11 +7,12 @@ policy, prefetch-aware variants, and the multi-core hit-rate model (Eq. 2).
 
 from repro.core.classified_pdp import ClassifiedPDPPolicy
 from repro.core.hit_rate_model import (
+    e_m,
     evaluate_e_curve,
     find_best_pd,
+    find_pd_vector,
     find_peaks,
 )
-from repro.core.multicore_model import MulticoreHitRateModel, find_pd_vector
 from repro.core.pd_engine import PDEngine
 from repro.core.pdp_policy import PDPPolicy
 from repro.core.prefetch import PrefetchAwarePDPPolicy, StreamPrefetcher
@@ -20,13 +21,13 @@ from repro.core.sampler import RDSampler
 
 __all__ = [
     "ClassifiedPDPPolicy",
-    "MulticoreHitRateModel",
     "PDEngine",
     "PDPPolicy",
     "PrefetchAwarePDPPolicy",
     "RDCounterArray",
     "RDSampler",
     "StreamPrefetcher",
+    "e_m",
     "evaluate_e_curve",
     "find_best_pd",
     "find_peaks",

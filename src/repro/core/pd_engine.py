@@ -16,7 +16,7 @@ Sec. 4 joint peak-combination search over all classes at once.
 from __future__ import annotations
 
 from repro.core import hit_rate_model
-from repro.core.multicore_model import ThreadRDD, find_pd_vector
+from repro.core.hit_rate_model import find_pd_vector
 from repro.core.rdd import RDCounterArray
 from repro.core.sampler import RDSampler
 
@@ -91,9 +91,11 @@ class PDEngine:
         return self.pds[0] if len(self.pds) == 1 else None
 
     def _record_distance(self, distance: int) -> None:
+        """Count a sampled reuse distance toward the current access's class."""
         self.class_counters[self._class].record_distance(distance)
 
     def _record_access(self) -> None:
+        """Count a sampled access toward the current access's class's N_t."""
         self.class_counters[self._class].record_access()
 
     def observe(self, set_index: int, address: int, access_class: int = 0) -> bool:
@@ -127,7 +129,7 @@ class PDEngine:
                 )
         elif any(array.total > 0 for array in arrays):
             self.pds[:] = find_pd_vector(
-                [ThreadRDD(counts=array.counts, total=array.total) for array in arrays],
+                [(array.counts, array.total) for array in arrays],
                 step=self.step,
                 d_e=d_e,
                 max_peaks=self.max_peaks,

@@ -1,10 +1,10 @@
 """Cache-hierarchy substrate: set-associative caches, hierarchy, timing."""
 
 from repro.memory.cache import CacheGeometry, SetAssociativeCache
-from repro.memory.fastpath import run_hierarchy_trace, run_shared_trace, run_trace
+from repro.memory.fastpath import run_shared_trace, run_trace
 from repro.memory.hierarchy import CacheHierarchy, HierarchyResult
 from repro.memory.stats import CacheStats, OccupancyTracker
-from repro.memory.timing import TimingModel, TimingResult
+from repro.memory.timing import TimingModel
 
 __all__ = [
     "CacheGeometry",
@@ -14,8 +14,6 @@ __all__ = [
     "OccupancyTracker",
     "SetAssociativeCache",
     "TimingModel",
-    "TimingResult",
-    "run_hierarchy_trace",
     "run_shared_trace",
     "run_trace",
 ]

@@ -1,4 +1,4 @@
-"""Batched access kernel — the fast path under ``run_llc``/``run_hierarchy``.
+"""Batched access kernel — the fast path under ``run_llc`` and ``run_shared_llc``.
 
 :func:`run_trace` is semantically identical to::
 
@@ -321,16 +321,4 @@ def run_shared_trace(
     return totals
 
 
-def run_hierarchy_trace(hierarchy, trace) -> None:
-    """Drive a trace through a :class:`CacheHierarchy` without per-access
-    ``Access`` allocation (the per-level caches still use their normal
-    access path, which the tag index already accelerates)."""
-    access = hierarchy.access
-    scratch = ScratchAccess()
-    for scratch.address, scratch.pc, scratch.thread_id in zip(
-        trace.addresses.tolist(), _column(trace.pcs), _column(trace.thread_ids)
-    ):
-        access(scratch)
-
-
-__all__ = ["ScratchAccess", "run_hierarchy_trace", "run_shared_trace", "run_trace"]
+__all__ = ["ScratchAccess", "run_shared_trace", "run_trace"]

@@ -8,7 +8,7 @@ in a higher-level cache").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.memory.cache import CacheGeometry, SetAssociativeCache
 from repro.policies.lru import LRUPolicy
@@ -89,12 +89,6 @@ class CacheHierarchy:
         if llc_outcome.bypassed:
             self.result.llc_bypasses += 1
         return "memory"
-
-    def run(self, accesses) -> HierarchyResult:
-        """Drive the hierarchy with an iterable of accesses."""
-        for access in accesses:
-            self.access(access)
-        return self.result
 
 
 __all__ = ["CacheHierarchy", "HierarchyResult"]

@@ -59,16 +59,4 @@ class TimingModel:
         return instructions / total if total > 0 else 0.0
 
 
-@dataclass(slots=True)
-class TimingResult:
-    """IPC/cycles pair for one run."""
-
-    instructions: int
-    cycles: float
-
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles > 0 else 0.0
-
-
-__all__ = ["TimingModel", "TimingResult"]
+__all__ = ["TimingModel"]

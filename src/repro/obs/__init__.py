@@ -27,10 +27,10 @@ reproducible after it finishes:
   the appending perf trajectory, throughput-regression comparison, and
   the self-contained markdown/HTML report renderer.
 
-The simulation entry points (``run_llc``, ``run_hierarchy``,
-``run_shared_llc``, ``run_matrix``, ``run_mix_matrix``) accept
-``manifest_dir=`` to emit manifests and — for the grid runners —
-``on_event=`` for progress; the three drivers also accept
+The simulation entry points (``run_llc``, ``run_shared_llc``,
+``run_matrix``, ``run_mix_matrix``) accept ``manifest_dir=`` to emit
+manifests and — for the grid runners — ``on_event=`` for progress; the
+two drivers also accept
 ``timeseries=`` / ``window_size=`` to fill a
 :class:`~repro.obs.timeseries.WindowedRecorder`. ``python -m repro obs
 summarize <dir>`` rebuilds the result table from manifests alone, and
@@ -69,7 +69,6 @@ from repro.obs.metrics import (
     ENV_TELEMETRY,
     METRICS,
     MetricsRegistry,
-    get_metrics,
     histogram_percentiles,
     histogram_quantile,
     render_prometheus,
@@ -117,7 +116,6 @@ __all__ = [
     "compare_records",
     "console_reporter",
     "fingerprint_source",
-    "get_metrics",
     "git_sha",
     "histogram_percentiles",
     "histogram_quantile",

@@ -218,7 +218,7 @@ class Manifest:
     """Provenance record of one simulation run (or one sweep of runs).
 
     ``kind`` names the entry point that produced it: ``"llc"``,
-    ``"hierarchy"``, ``"shared_llc"``, ``"explore"``, or a grid's
+    ``"shared_llc"``, ``"explore"``, or a grid's
     ``"matrix"``, ``"mix_matrix"`` or ``"predict"``.
     Single-run manifests carry counters in ``stats`` and derived numbers
     (hit rate, MPKI, IPC, or W/T/H) in ``metrics``; sweep manifests carry

@@ -295,11 +295,6 @@ METRICS = MetricsRegistry(
 )
 
 
-def get_metrics() -> MetricsRegistry:
-    """The default process-wide :class:`MetricsRegistry`."""
-    return METRICS
-
-
 __all__ = [
     "BUCKET_BOUNDS",
     "BUCKET_MAX_EXP",
@@ -309,7 +304,6 @@ __all__ = [
     "MetricsRegistry",
     "NUM_BUCKETS",
     "bucket_index",
-    "get_metrics",
     "histogram_percentiles",
     "histogram_quantile",
     "render_prometheus",

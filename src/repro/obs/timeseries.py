@@ -18,24 +18,23 @@ Design constraints, mirrored from :class:`repro.obs.metrics.MetricsRegistry`:
   ``max_windows`` entries (O(windows) memory, independent of trace
   length); once the budget is exceeded the oldest windows are dropped
   and only counted (``windows_dropped``).
-- **Zero overhead when disabled.** A recorder that is ``None`` or has
-  ``enabled=False`` leaves the drivers on the exact pre-existing code
-  path: no window splitting, no observer registration, no per-access or
-  per-chunk work (``tests/test_timeseries.py`` pins this).
+- **Zero overhead when off.** ``timeseries=None`` (the default) leaves
+  the drivers on the exact pre-existing code path: no window splitting,
+  no observer registration, no per-access or per-chunk work
+  (``tests/test_timeseries.py`` pins this).
 - **Engine independence.** Window boundaries sit at absolute access
   positions (multiples of ``window_size``), and drivers split incoming
   chunks at those boundaries, so the recorded windows are bit-identical
   across the reference loop, the batched fast path, and any chunked
   streaming split (``tests/test_conformance.py``).
 
-Feeding protocol (implemented by ``run_llc`` / ``run_hierarchy`` /
-``run_shared_llc``): call :meth:`WindowedRecorder.attach` once with the
-recorded cache, then alternate ``take = min(remaining,
-recorder.pending())`` slices of simulation with
-:meth:`WindowedRecorder.advance` calls, and finish with
+Feeding protocol (implemented by ``run_llc`` and ``run_shared_llc``):
+call :meth:`WindowedRecorder.attach` once with the recorded cache, then
+alternate ``take = min(remaining, recorder.pending())`` slices of
+simulation with :meth:`WindowedRecorder.advance` calls, and finish with
 :meth:`WindowedRecorder.finalize`. Counters are derived from
 ``cache.stats`` deltas at window boundaries — never from per-access
-bookkeeping — so the enabled-mode cost is one stats snapshot per window
+bookkeeping — so the recording cost is one stats snapshot per window
 plus the (already conditional) observer dispatch for eviction causes.
 """
 
@@ -155,8 +154,6 @@ class WindowedRecorder:
         max_windows: ring-buffer budget; older windows are dropped (and
             counted in ``windows_dropped``) past this many closed
             windows.
-        enabled: a disabled recorder is inert — drivers treat it exactly
-            like ``timeseries=None`` and it records nothing.
 
     The recorder doubles as a cache observer (it implements the
     ``on_hit``/``on_evict``/``on_bypass`` protocol of
@@ -169,7 +166,6 @@ class WindowedRecorder:
         self,
         window_size: int = DEFAULT_WINDOW_SIZE,
         max_windows: int = DEFAULT_MAX_WINDOWS,
-        enabled: bool = True,
     ) -> None:
         if window_size <= 0:
             raise ValueError(f"window_size must be positive, got {window_size}")
@@ -177,7 +173,6 @@ class WindowedRecorder:
             raise ValueError(f"max_windows must be positive, got {max_windows}")
         self.window_size = int(window_size)
         self.max_windows = int(max_windows)
-        self.enabled = bool(enabled)
         self._windows: deque[Window] = deque(maxlen=self.max_windows)
         self.windows_closed = 0
         self._position = 0
@@ -216,10 +211,8 @@ class WindowedRecorder:
         Registers the recorder as a cache observer for eviction causes
         and snapshots the stats baseline. ``num_threads > 0`` switches
         on per-thread window counters (shared-LLC runs). Idempotent per
-        cache; no-op when disabled.
+        cache.
         """
-        if not self.enabled:
-            return
         self._cache = cache
         self._policy = policy if policy is not None else getattr(cache, "policy", None)
         self._num_threads = int(num_threads)
@@ -247,7 +240,7 @@ class WindowedRecorder:
         it accumulates into the open window. Closes the window when the
         boundary is reached.
         """
-        if not self.enabled or n <= 0:
+        if n <= 0:
             return
         if n > self.pending():
             raise ValueError(
@@ -264,8 +257,6 @@ class WindowedRecorder:
 
     def finalize(self) -> None:
         """Close the trailing partial window, if any accesses are open."""
-        if not self.enabled:
-            return
         if self._position > self._window_start:
             self._close_window()
 
@@ -450,27 +441,19 @@ class _WindowFeed:
             self.recorder.finalize()
 
 
-def active_recorder(timeseries: WindowedRecorder | None) -> WindowedRecorder | None:
-    """Normalize a driver's ``timeseries=`` argument: a disabled recorder
-    behaves exactly like None (the zero-overhead contract)."""
-    if timeseries is None or not timeseries.enabled:
-        return None
-    return timeseries
-
-
 def _resolve_recorder(
     timeseries: WindowedRecorder | None, window_size: int | None
 ) -> WindowedRecorder | None:
     """A driver's active recorder from its ``timeseries=`` /
-    ``window_size=`` arguments: an explicit enabled recorder, a fresh
+    ``window_size=`` arguments: the explicit recorder, a fresh
     default-budget one when only ``window_size`` was given, or None
-    (recording disabled — the zero-overhead path). Shared by every
+    (recording off — the zero-overhead path). Shared by every
     simulation driver."""
     if timeseries is not None and window_size is not None:
         raise ValueError("pass either timeseries= or window_size=, not both")
     if window_size is not None:
         return WindowedRecorder(window_size=window_size)
-    return active_recorder(timeseries)
+    return timeseries
 
 
 __all__ = [
@@ -479,6 +462,5 @@ __all__ = [
     "TIMESERIES_SCHEMA_VERSION",
     "Window",
     "WindowedRecorder",
-    "active_recorder",
     "windows_from_payload",
 ]

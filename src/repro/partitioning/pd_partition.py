@@ -5,7 +5,7 @@ distances are in *shared* set-access time — the time base the RPDs tick
 in. Each thread gets its own RD counter array; thread address spaces are
 disjoint, so a sampler match always belongs to the accessing thread. A
 periodic computation runs the peak-combination heuristic
-(:func:`repro.core.multicore_model.find_pd_vector`) to pick one protecting
+(:func:`repro.core.hit_rate_model.find_pd_vector`) to pick one protecting
 distance per thread such that the shared hit rate E_m is maximized.
 Decreasing a thread's PD shrinks its effective partition by retiring its
 lines faster; increasing it grows the partition.

@@ -1,6 +1,6 @@
 """Simulation drivers: configs, single-core and multi-core runs, metrics."""
 
-from repro.sim.config import ExperimentConfig, MachineConfig
+from repro.sim.config import ExperimentConfig
 from repro.sim.metrics import (
     geometric_mean,
     harmonic_mean_normalized_ipc,
@@ -14,18 +14,16 @@ from repro.sim.parallel import (
     run_mix_matrix,
 )
 from repro.sim.runner import sweep_static_pd
-from repro.sim.single_core import ENGINES, SingleCoreResult, run_hierarchy, run_llc
+from repro.sim.single_core import ENGINES, SingleCoreResult, run_llc
 
 __all__ = [
     "ENGINES",
     "ExperimentConfig",
-    "MachineConfig",
     "MultiCoreResult",
     "SingleCoreResult",
     "geometric_mean",
     "harmonic_mean_normalized_ipc",
     "resolve_max_workers",
-    "run_hierarchy",
     "run_llc",
     "run_matrix",
     "run_mix_matrix",

@@ -1,9 +1,9 @@
-"""Machine and experiment configurations.
+"""Experiment configurations.
 
-:class:`MachineConfig` mirrors the paper's Table 1 (Nehalem-like). Pure
-Python cannot simulate 1B-instruction windows, so every experiment takes an
-:class:`ExperimentConfig` with a scaled LLC geometry and trace length;
-``ExperimentConfig.paper_scale()`` restores the full Table 1 geometry.
+Pure Python cannot simulate the paper's 1B-instruction windows on its
+Table 1 machine, so every experiment takes an :class:`ExperimentConfig`
+with a scaled LLC geometry and trace length;
+``ExperimentConfig.paper_scale()`` restores the full Table 1 LLC.
 """
 
 from __future__ import annotations
@@ -12,39 +12,6 @@ from dataclasses import dataclass, field
 
 from repro.memory.cache import CacheGeometry
 from repro.memory.timing import TimingModel
-
-
-@dataclass(frozen=True)
-class MachineConfig:
-    """The paper's Table 1 machine."""
-
-    pipeline_depth: int = 8
-    processor_width: int = 4
-    instruction_window: int = 128
-    l1d: CacheGeometry = field(
-        default_factory=lambda: CacheGeometry.from_capacity(32 * 1024, ways=8)
-    )
-    l2: CacheGeometry = field(
-        default_factory=lambda: CacheGeometry.from_capacity(256 * 1024, ways=8)
-    )
-    llc: CacheGeometry = field(
-        default_factory=lambda: CacheGeometry.from_capacity(2 * 1024 * 1024, ways=16)
-    )
-    l1_latency: int = 2
-    l2_latency: int = 10
-    llc_latency: int = 30
-    memory_latency: int = 200
-
-    def timing(self, mlp: float = 2.0) -> TimingModel:
-        """Timing model with this machine's latencies."""
-        return TimingModel(
-            issue_width=self.processor_width,
-            l1_latency=self.l1_latency,
-            l2_latency=self.l2_latency,
-            llc_latency=self.llc_latency,
-            memory_latency=self.memory_latency,
-            mlp=mlp,
-        )
 
 
 @dataclass(frozen=True)
@@ -107,4 +74,4 @@ class ExperimentConfig:
         )
 
 
-__all__ = ["ExperimentConfig", "MachineConfig"]
+__all__ = ["ExperimentConfig"]

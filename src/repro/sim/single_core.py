@@ -1,11 +1,10 @@
-"""Single-core simulation drivers.
+"""The single-core simulation driver.
 
 ``run_llc`` drives a trace straight into the LLC — the standard mode for
 the paper's experiments, where traces stand for the post-L1/L2 access
-stream. ``run_hierarchy`` drives the full three-level hierarchy for
-end-to-end studies.
+stream.
 
-Both drivers accept either an in-memory :class:`Trace` or a chunked
+It accepts either an in-memory :class:`Trace` or a chunked
 :class:`repro.traces.stream.TraceStream` (e.g. from
 :func:`repro.traces.formats.open_trace`): chunks are fed through the
 selected engine back to back, and because all simulation state lives in
@@ -22,8 +21,7 @@ from time import perf_counter
 
 from repro.memory.cache import CacheGeometry, SetAssociativeCache
 from repro.memory.columnar import run_trace_vector
-from repro.memory.fastpath import run_hierarchy_trace, run_trace
-from repro.memory.hierarchy import CacheHierarchy
+from repro.memory.fastpath import run_trace
 from repro.memory.stats import OccupancyTracker
 from repro.memory.timing import TimingModel
 from repro.obs.manifest import FingerprintAccumulator, Manifest, fingerprint_source
@@ -62,7 +60,7 @@ def _emit_run_manifest(
 ) -> None:
     """Write one per-run provenance manifest (see ``repro.obs.manifest``).
 
-    Used by :func:`run_llc` / :func:`run_hierarchy`. ``fingerprint``
+    Used by :func:`run_llc`. ``fingerprint``
     lets a streaming run pass the digest it accumulated while simulating
     (avoiding a second pass over the file); when omitted it is computed
     here — for a :class:`TraceStream` that means one extra chunked scan.
@@ -267,106 +265,8 @@ def run_llc(
     return result
 
 
-def run_hierarchy(
-    trace: Trace | TraceStream,
-    llc_policy,
-    machine=None,
-    timing: TimingModel | None = None,
-    engine: str = "fast",
-    manifest_dir: str | os.PathLike | None = None,
-    run_label: str | None = None,
-    run_meta: dict | None = None,
-    timeseries: WindowedRecorder | None = None,
-    window_size: int | None = None,
-) -> SingleCoreResult:
-    """Drive ``trace`` through L1 -> L2 -> LLC (Table 1 defaults).
-
-    Accepts an in-memory :class:`Trace` or a chunked
-    :class:`TraceStream` (the :func:`run_llc` streaming contract).
-    ``manifest_dir`` / ``run_label`` / ``run_meta`` follow the
-    :func:`run_llc` contract (manifest ``kind`` is ``"hierarchy"``).
-    ``timeseries`` / ``window_size`` follow :func:`run_llc` too, with one
-    twist: the recorder observes the **LLC**, so window boundaries count
-    trace (L1) positions while the counters are LLC-stat deltas — windows
-    where the upper levels absorb everything are legitimately all-zero.
-    ``engine="vector"`` is accepted as an alias for the fast hierarchy
-    kernel (hierarchy traffic is filtered through L1/L2, so the columnar
-    LLC kernels do not apply).
-    """
-    from repro.sim.config import MachineConfig
-
-    _check_engine(engine)
-    recorder = _resolve_recorder(timeseries, window_size)
-    machine = machine or MachineConfig()
-    start = perf_counter()
-    timing = timing or machine.timing()
-    stream = as_stream(trace)
-    hierarchy = CacheHierarchy(
-        llc_policy,
-        l1_geometry=machine.l1d,
-        l2_geometry=machine.l2,
-        llc_geometry=machine.llc,
-    )
-    if recorder is not None:
-        recorder.attach(hierarchy.llc, llc_policy)
-    feed = _WindowFeed(recorder)
-    fingerprinter = FingerprintAccumulator() if manifest_dir is not None else None
-    total_accesses = 0
-    for chunk in stream.chunks():
-        for sub, take in feed.slices(chunk):
-            if engine in ("fast", "vector"):
-                run_hierarchy_trace(hierarchy, sub)
-            else:
-                hierarchy.run(iter(sub))
-            feed.account(take)
-        total_accesses += len(chunk)
-        if fingerprinter is not None:
-            fingerprinter.update(chunk)
-    feed.finish()
-    result = hierarchy.result
-    instructions = int(round(total_accesses * stream.instructions_per_access))
-    ipc = timing.ipc(
-        instructions,
-        l2_hits=result.l2_hits,
-        llc_hits=result.llc_hits,
-        memory_accesses=result.memory_accesses,
-    )
-    hierarchy_extra: dict = {"hierarchy": result}
-    if recorder is not None:
-        hierarchy_extra["timeseries"] = recorder.to_dict()
-    outcome = SingleCoreResult(
-        name=stream.name,
-        accesses=result.accesses,
-        hits=result.l1_hits + result.l2_hits + result.llc_hits,
-        misses=result.memory_accesses,
-        bypasses=result.llc_bypasses,
-        instructions=instructions,
-        ipc=ipc,
-        extra=hierarchy_extra,
-    )
-    if manifest_dir is not None:
-        _emit_run_manifest(
-            manifest_dir,
-            "hierarchy",
-            stream,
-            type(llc_policy).__name__,
-            machine.llc,
-            engine,
-            outcome,
-            perf_counter() - start,
-            run_label,
-            run_meta,
-            fingerprint=fingerprinter.digest(
-                stream.name, stream.instructions_per_access
-            ),
-            timeseries=recorder.to_dict() if recorder is not None else None,
-        )
-    return outcome
-
-
 __all__ = [
     "ENGINES",
     "SingleCoreResult",
-    "run_hierarchy",
     "run_llc",
 ]

@@ -8,7 +8,7 @@ so the line size only matters when converting capacities to set counts.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class AccessType(enum.Enum):
@@ -54,16 +54,6 @@ class AccessResult:
     way: int = -1
 
 
-@dataclass(slots=True)
-class EvictionEvent:
-    """Notification describing a line leaving the cache (for stats hooks)."""
-
-    set_index: int
-    address: int
-    was_reused: bool
-    occupancy: int
-
-
 def block_address(byte_address: int, line_size: int = 64) -> int:
     """Convert a byte address to a block address for ``line_size`` lines."""
     if line_size <= 0 or line_size & (line_size - 1):
@@ -75,6 +65,5 @@ __all__ = [
     "Access",
     "AccessResult",
     "AccessType",
-    "EvictionEvent",
     "block_address",
 ]

@@ -122,15 +122,16 @@ class TestModelClosedForm:
         """E_m with one thread equals H/A from the same bins."""
         import numpy as np
 
-        from repro.core.multicore_model import MulticoreHitRateModel, ThreadRDD
+        from repro.core.hit_rate_model import _thread_terms, e_m, prefix_sums
 
         counts = np.zeros(8, dtype=np.int64)
         counts[2] = 100  # distances 33..48 with step 16
-        rdd = ThreadRDD(counts=counts, total=300)
-        model = MulticoreHitRateModel(step=16, d_e=16.0)
+        rdd = (counts, 300)
         pd = 48
-        hits, occupancy = model._hits_and_occupancy(rdd, pd)
+        hits, occupancy = _thread_terms(
+            (*prefix_sums(counts, 16), 300), pd, step=16, d_e=16.0
+        )
         assert hits == 100
         midpoint = 2 * 16 + (16 + 1) / 2
         assert occupancy == pytest.approx(100 * midpoint + 200 * (pd + 16.0))
-        assert model.e_m([rdd], [pd]) == pytest.approx(hits / occupancy)
+        assert e_m([rdd], [pd], step=16, d_e=16.0) == pytest.approx(hits / occupancy)

@@ -79,6 +79,25 @@ class TestCommands:
         assert main(["experiment", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--manifest-dir", "manifests"], ["--progress"], ["--workers", "2"]],
+    )
+    def test_experiment_rejects_flags_its_driver_ignores(
+        self, capsys, tmp_path, monkeypatch, flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiment", "fig1", "--fast", *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"{flags[0]} is taken only by fig4, fig10, fig12" in err
+        assert not (tmp_path / "manifests").exists()
+
+    def test_experiment_manifest_dir_env_stays_a_silent_default(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path))
+        assert main(["experiment", "fig1", "--fast"]) == 0
+
 
 class TestObservability:
     def test_sweep_progress_and_manifests(self, capsys, tmp_path):

@@ -194,16 +194,3 @@ def test_run_llc_any_thread_ids_identical_between_engines(name, thread_ids):
         ref.misses,
         ref.bypasses,
     )
-
-
-def test_run_hierarchy_engines_agree():
-    from repro.sim.single_core import run_hierarchy
-
-    trace = _mixed_trace(n=3000)
-    ref = run_hierarchy(trace, make_policy("lru"), engine="reference")
-    fast = run_hierarchy(trace, make_policy("lru"), engine="fast")
-    assert (fast.hits, fast.misses, fast.bypasses) == (
-        ref.hits,
-        ref.misses,
-        ref.bypasses,
-    )

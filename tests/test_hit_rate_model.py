@@ -12,28 +12,103 @@ from repro.core.hit_rate_model import (
 
 def brute_force_e(counts, total, pd, step, d_e):
     """Direct evaluation of Eq. 1 at one candidate d_p."""
+    hits, occupancy = hits_and_occupancy_loop(counts, total, pd, step, d_e)
+    return hits / occupancy if occupancy > 0 else 0.0
+
+
+def hits_and_occupancy_loop(counts, total, pd, step, d_e):
+    """One RDD's hits and total occupancy at ``pd``, summed bin by bin
+    from scratch (the per-thread terms of Eq. 2, as a plain loop)."""
     hits = 0.0
     occupancy = 0.0
     for index, count in enumerate(counts):
         upper = (index + 1) * step
         if upper > pd:
             break
-        hits += count
-        occupancy += count * (index * step + (step + 1) / 2)
-    long_lines = total - hits
-    denominator = occupancy + long_lines * (pd + d_e)
-    return hits / denominator if denominator else 0.0
+        midpoint = index * step + (step + 1) / 2
+        hits += float(count)
+        occupancy += float(count) * midpoint
+    long_lines = max(0.0, float(total) - hits)
+    occupancy += long_lines * (pd + d_e)
+    return hits, occupancy
+
+
+def rdd_strategy():
+    """(counts, total) draws: up to 64 16-bit bins, and N_t either the
+    reuse count plus up to 100K long accesses or 0 (the clamp on
+    N_t - sum N_i)."""
+    from hypothesis import strategies as st
+
+    def with_total(counts):
+        reuses = sum(counts)
+        totals = st.integers(min_value=reuses, max_value=reuses + 100_000)
+        return st.tuples(st.just(counts), st.one_of(st.just(0), totals))
+
+    return st.lists(
+        st.integers(min_value=0, max_value=65_535), max_size=64
+    ).flatmap(with_total)
+
+
+def model_parameters():
+    """S_c in {1, 4, 16} and a (mostly non-integer) d_e."""
+    from hypothesis import strategies as st
+
+    return {
+        "step": st.sampled_from([1, 4, 16]),
+        "d_e": st.floats(min_value=0.25, max_value=64.0, allow_nan=False),
+    }
 
 
 class TestECurve:
     def test_matches_brute_force(self):
-        rng = np.random.default_rng(1)
-        counts = rng.integers(0, 100, size=32)
-        total = int(counts.sum()) + 500
-        points = evaluate_e_curve(counts, total, step=4, d_e=16.0)
-        for point in points:
-            expected = brute_force_e(counts, total, point.pd, 4, 16.0)
-            assert point.e_value == pytest.approx(expected)
+        """Every E value equals Eq. 1 summed bin by bin, exactly."""
+        from hypothesis import given, settings
+
+        @settings(max_examples=300, deadline=None)
+        @given(rdd=rdd_strategy(), **model_parameters())
+        def check(rdd, step, d_e):
+            counts, total = rdd
+            array = np.asarray(counts, dtype=np.int64)
+            points = evaluate_e_curve(array, total, step=step, d_e=d_e)
+            assert [p.pd for p in points] == [
+                (index + 1) * step for index in range(len(counts))
+            ]
+            for point in points:
+                assert point.e_value == brute_force_e(
+                    array, total, point.pd, step, d_e
+                )
+
+        check()
+
+    def test_e_m_matches_per_thread_loop(self):
+        """E_m equals the sum of per-thread hits over the sum of
+        per-thread occupancies, each summed bin by bin, exactly — at any
+        PD, bin edge or not."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.core.hit_rate_model import e_m
+
+        @settings(max_examples=300, deadline=None)
+        @given(
+            threads=st.lists(rdd_strategy(), min_size=1, max_size=4),
+            pd_draws=st.lists(st.integers(min_value=0, max_value=1100), min_size=4),
+            **model_parameters(),
+        )
+        def check(threads, pd_draws, step, d_e):
+            rdds = [(np.asarray(c, dtype=np.int64), total) for c, total in threads]
+            pds = pd_draws[: len(rdds)]
+            hits = occupancy = 0.0
+            for (array, total), pd in zip(rdds, pds):
+                thread_hits, thread_occupancy = hits_and_occupancy_loop(
+                    array, total, pd, step, d_e
+                )
+                hits += thread_hits
+                occupancy += thread_occupancy
+            expected = hits / occupancy if occupancy > 0 else 0.0
+            assert e_m(rdds, pds, step=step, d_e=d_e) == expected
+
+        check()
 
     def test_one_point_per_bin(self):
         counts = np.zeros(10, dtype=np.int64)
@@ -166,28 +241,6 @@ class TestModelProperties:
 
         check()
 
-    def test_predicted_hit_rate_monotone_in_ways(self):
-        """At fixed (RDD, d_p), more ways never predicts fewer hits:
-        h(W) = W*A / (B + C*(pd + W)) has nonnegative derivative."""
-        from hypothesis import given, settings
-
-        @settings(max_examples=200, deadline=None)
-        @given(counts=self._rdds(), extra=st_integers_small(), pd=st_pds())
-        def check(counts, extra, pd):
-            from repro.core.hit_rate_model import predicted_hit_rate
-
-            array = np.asarray(counts, dtype=np.int64)
-            total = int(array.sum()) + extra
-            rates = [
-                predicted_hit_rate(array, total, ways, pd, step=2)
-                for ways in (1, 2, 4, 8, 16, 32)
-            ]
-            for lower, higher in zip(rates, rates[1:]):
-                assert higher >= lower - 1e-12
-            assert all(0.0 <= rate <= 1.0 for rate in rates)
-
-        check()
-
     def test_find_best_pd_returns_grid_point(self):
         """The argmax is always one of the candidate bin boundaries."""
         from hypothesis import given, settings
@@ -218,18 +271,12 @@ class TestModelProperties:
     )
     def test_degenerate_rdds_do_not_raise(self, counts, total):
         """Empty, single-bin and all-infinite RDDs stay well-defined."""
-        from repro.core.hit_rate_model import (
-            evaluate_e_curve,
-            find_best_pd,
-            predicted_hit_rate,
-        )
+        from repro.core.hit_rate_model import evaluate_e_curve, find_best_pd
 
         points = evaluate_e_curve(counts, total, step=4)
         assert all(0.0 <= p.e_value <= 1.0 for p in points)
         pd = find_best_pd(counts, total, step=4, default_pd=16)
         assert pd >= 1
-        rate = predicted_hit_rate(counts, total, ways=8, pd=16, step=4)
-        assert 0.0 <= rate <= 1.0
 
 
 def st_integers_small():
@@ -237,10 +284,3 @@ def st_integers_small():
     from hypothesis import strategies as st
 
     return st.integers(min_value=0, max_value=10_000)
-
-
-def st_pds():
-    """Candidate protecting distances for the property tests."""
-    from hypothesis import strategies as st
-
-    return st.integers(min_value=1, max_value=128)

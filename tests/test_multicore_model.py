@@ -3,47 +3,39 @@
 import numpy as np
 import pytest
 
-from repro.core.multicore_model import (
-    MulticoreHitRateModel,
-    ThreadRDD,
-    find_pd_vector,
-)
+from repro.core.hit_rate_model import e_m, find_pd_vector
 
 
 def make_rdd(peak_bin, mass, total, num_bins=16):
     counts = np.zeros(num_bins, dtype=np.int64)
     counts[peak_bin] = mass
-    return ThreadRDD(counts=counts, total=total)
+    return counts, total
 
 
 class TestEm:
     def test_requires_matching_lengths(self):
-        model = MulticoreHitRateModel(step=16)
         with pytest.raises(ValueError):
-            model.e_m([make_rdd(1, 10, 20)], [16, 32])
+            e_m([make_rdd(1, 10, 20)], [16, 32], step=16)
 
     def test_single_thread_matches_single_core_shape(self):
         """With one thread, E_m has the same argmax as single-core E."""
         from repro.core.hit_rate_model import find_best_pd
 
         rdd = make_rdd(4, 500, 800)
-        model = MulticoreHitRateModel(step=16, d_e=16.0)
         candidates = [(k + 1) * 16 for k in range(16)]
-        best = max(candidates, key=lambda pd: model.e_m([rdd], [pd]))
-        single = find_best_pd(rdd.counts, rdd.total, step=16, d_e=16.0)
+        best = max(candidates, key=lambda pd: e_m([rdd], [pd], step=16, d_e=16.0))
+        single = find_best_pd(*rdd, step=16, d_e=16.0)
         assert best == single
 
     def test_e_m_additive_over_threads(self):
         rdd_a = make_rdd(2, 100, 200)
         rdd_b = make_rdd(8, 100, 200)
-        model = MulticoreHitRateModel(step=16, d_e=16.0)
-        both = model.e_m([rdd_a, rdd_b], [48, 144])
+        both = e_m([rdd_a, rdd_b], [48, 144], step=16, d_e=16.0)
         assert both > 0
 
     def test_zero_total_gives_zero(self):
-        model = MulticoreHitRateModel(step=16)
-        rdd = ThreadRDD(counts=np.zeros(4, dtype=np.int64), total=0)
-        assert model.e_m([rdd], [16]) == 0.0
+        rdd = (np.zeros(4, dtype=np.int64), 0)
+        assert e_m([rdd], [16], step=16) == 0.0
 
 
 class TestPDVectorSearch:
@@ -56,7 +48,7 @@ class TestPDVectorSearch:
     def test_streaming_thread_gets_small_pd(self):
         """A thread with almost no reuse should not hog protection."""
         reuser = make_rdd(3, 900, 1000)
-        streamer = ThreadRDD(counts=np.zeros(16, dtype=np.int64), total=5000)
+        streamer = (np.zeros(16, dtype=np.int64), 5000)
         pds = find_pd_vector([reuser, streamer], step=16, d_e=16.0, default_pd=16)
         assert pds[0] == 64
         assert pds[1] == 16  # default: nothing to protect
@@ -74,20 +66,20 @@ class TestPDVectorSearch:
         rdds = []
         for _ in range(4):
             counts = rng.integers(0, 200, size=16)
-            rdds.append(ThreadRDD(counts=counts, total=int(counts.sum() * 1.5)))
-        model = MulticoreHitRateModel(step=16, d_e=16.0)
+            rdds.append((counts, int(counts.sum() * 1.5)))
         pds = find_pd_vector(rdds, step=16, d_e=16.0)
-        searched = model.e_m(rdds, pds)
+        searched = e_m(rdds, pds, step=16, d_e=16.0)
         for uniform in (16, 64, 128, 256):
-            assert searched >= model.e_m(rdds, [uniform] * 4) - 1e-12
+            assert searched >= e_m(rdds, [uniform] * 4, step=16, d_e=16.0) - 1e-12
 
     def test_refinement_improves_or_keeps(self):
         rng = np.random.default_rng(3)
         rdds = []
         for _ in range(6):
             counts = rng.integers(0, 300, size=16)
-            rdds.append(ThreadRDD(counts=counts, total=int(counts.sum() * 2)))
-        model = MulticoreHitRateModel(step=16, d_e=16.0)
+            rdds.append((counts, int(counts.sum() * 2)))
         no_refine = find_pd_vector(rdds, step=16, d_e=16.0, refine_passes=0)
         refined = find_pd_vector(rdds, step=16, d_e=16.0, refine_passes=2)
-        assert model.e_m(rdds, refined) >= model.e_m(rdds, no_refine) - 1e-12
+        assert e_m(rdds, refined, step=16, d_e=16.0) >= (
+            e_m(rdds, no_refine, step=16, d_e=16.0) - 1e-12
+        )

@@ -6,11 +6,11 @@ from repro.core.pd_grid import pd_grid
 from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import CacheGeometry
 from repro.policies.lru import LRUPolicy
-from repro.sim.config import ExperimentConfig, MachineConfig
+from repro.sim.config import ExperimentConfig
 from repro.sim.multi_core import run_shared_llc, single_thread_baselines
 from repro.sim.parallel import run_matrix
 from repro.sim.runner import best_static_pd, sweep_static_pd
-from repro.sim.single_core import run_hierarchy, run_llc
+from repro.sim.single_core import run_llc
 from repro.traces.trace import Trace
 from repro.workloads.spec_like import make_benchmark_trace
 from repro.workloads.streams import cyclic_loop
@@ -31,13 +31,6 @@ class TestConfig:
         shared = config.shared_llc(4)
         assert shared.num_sets == config.num_sets * 4
         assert shared.ways == config.llc.ways
-
-    def test_machine_config_table1(self):
-        machine = MachineConfig()
-        assert machine.processor_width == 4
-        assert machine.llc.ways == 16
-        timing = machine.timing()
-        assert timing.memory_latency == 200
 
 
 class TestRunLLC:
@@ -83,15 +76,6 @@ class TestRunLLC:
         run_llc(trace, policy, CacheGeometry(4, 4))
         with pytest.raises(RuntimeError):
             run_llc(trace, policy, CacheGeometry(4, 4))
-
-
-class TestRunHierarchy:
-    def test_full_path(self):
-        trace = make_benchmark_trace("473.astar", length=3000, num_sets=16)
-        result = run_hierarchy(trace, LRUPolicy())
-        assert result.accesses == 3000
-        assert result.ipc > 0
-        assert "hierarchy" in result.extra
 
 
 class TestSweeps:

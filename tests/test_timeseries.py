@@ -22,12 +22,11 @@ from repro.obs.timeseries import (
     TIMESERIES_SCHEMA_VERSION,
     Window,
     WindowedRecorder,
-    active_recorder,
     windows_from_payload,
 )
 from repro.policies.lru import LRUPolicy
 from repro.sim.multi_core import run_shared_llc
-from repro.sim.single_core import run_hierarchy, run_llc
+from repro.sim.single_core import run_llc
 from repro.traces.stream import TraceStream
 from repro.traces.trace import Trace
 
@@ -131,25 +130,6 @@ class TestRingBudget:
 
 
 class TestDisabledMode:
-    def test_disabled_recorder_is_inert(self):
-        trace = _trace(n=1500)
-        cache = SetAssociativeCache(GEOMETRY, LRUPolicy())
-        recorder = WindowedRecorder(window_size=100, enabled=False)
-        result = run_llc(trace, LRUPolicy(), GEOMETRY, timeseries=recorder)
-        assert recorder.windows == []
-        assert recorder.accesses_recorded == 0
-        assert "timeseries" not in result.extra
-        # attach() must not register the observer when disabled
-        recorder.attach(cache)
-        assert recorder not in cache.observers
-
-    def test_active_recorder_normalizes(self):
-        assert active_recorder(None) is None
-        disabled = WindowedRecorder(enabled=False)
-        assert active_recorder(disabled) is None
-        enabled = WindowedRecorder()
-        assert active_recorder(enabled) is enabled
-
     def test_results_identical_with_and_without_recorder(self):
         trace = _trace(n=2000)
         plain = run_llc(trace, LRUPolicy(), GEOMETRY)
@@ -277,14 +257,6 @@ class TestSharedLLC:
 
 
 class TestHierarchyAndManifest:
-    def test_hierarchy_windows_count_trace_positions(self):
-        trace = _trace(n=2400)
-        recorder = WindowedRecorder(window_size=800)
-        run_hierarchy(trace, LRUPolicy(), timeseries=recorder)
-        assert [(w.start, w.end) for w in recorder.windows] == [
-            (0, 800), (800, 1600), (1600, 2400)
-        ]
-
     def test_manifest_persists_windows(self, tmp_path):
         trace = _trace(n=1600)
         run_llc(

@@ -103,6 +103,8 @@ class TestHierarchy:
             l2_geometry=CacheGeometry(4, 2),
             llc_geometry=CacheGeometry(8, 4),
         )
-        result = hierarchy.run(Access(a) for a in range(25))
+        for address in range(25):
+            hierarchy.access(Access(address))
+        result = hierarchy.result
         assert result.accesses == 25
         assert result.mpki(1000) == pytest.approx(25.0)
