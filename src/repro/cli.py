@@ -10,7 +10,9 @@ Commands:
 - ``explore`` — analytical design-space explorer: predict hit rates for
   thousands of (sets, ways, d_p) points from one profiling pass (see
   ``docs/EXPLORER.md``).
-- ``experiment`` — run one of the paper's figure/table drivers.
+- ``experiment <driver>`` — run one of the paper's figure/table drivers
+  (``fig1`` … ``fig12``, ``objectstore``, ``prefetch``); each driver is
+  its own subcommand and takes only the flags it reads.
 - ``overhead`` — the hardware overhead report.
 - ``obs summarize`` — rebuild a result table from a manifest directory.
 - ``obs report`` — render the self-contained markdown/HTML observatory
@@ -29,11 +31,12 @@ Commands:
 trace (streamed in chunks, so file size is unbounded by RAM) instead of
 a generated ``--benchmark`` workload.
 
-Observability: ``run``, ``sweep`` and ``experiment`` accept
-``--manifest-dir`` (defaulting to ``$REPRO_MANIFEST_DIR`` when set) to
-write per-run provenance manifests, and ``sweep`` / ``experiment``
-accept ``--progress`` to stream started/finished/failed task events to
-stderr. ``run --window-size N`` records per-window statistics through
+Observability: ``run``, ``sweep``, ``explore`` and the ``experiment``
+drivers fig4, fig10, fig12 and objectstore accept ``--manifest-dir``
+(defaulting to ``$REPRO_MANIFEST_DIR`` when set) to write per-run
+provenance manifests; ``sweep`` and those four drivers accept
+``--progress`` to stream started/finished/failed task events to stderr.
+``run --window-size N`` records per-window statistics through
 :mod:`repro.obs.timeseries`. See :mod:`repro.obs`.
 """
 
@@ -50,13 +53,13 @@ def _manifest_dir(args):
     $REPRO_MANIFEST_DIR environment default, else None (disabled)."""
     from repro.obs.manifest import resolve_manifest_dir
 
-    path = resolve_manifest_dir(getattr(args, "manifest_dir", None))
+    path = resolve_manifest_dir(args.manifest_dir)
     return str(path) if path is not None else None
 
 
 def _progress_callback(args, label: str):
     """A stderr progress printer when --progress was given, else None."""
-    if not getattr(args, "progress", False):
+    if not args.progress:
         return None
     from repro.obs.progress import console_reporter
 
@@ -86,6 +89,13 @@ def _cmd_list_policies(args) -> int:
     return 0
 
 
+def _unknown_name(exc: KeyError) -> SystemExit:
+    """Exit status 2 for a failed benchmark or policy lookup, whose
+    message already lists the known names."""
+    print(exc.args[0], file=sys.stderr)
+    return SystemExit(2)
+
+
 def _make_policy(name: str, config, trace):
     """Instantiate a policy by CLI name, wiring experiment defaults."""
     from repro.core.classified_pdp import ClassifiedPDPPolicy
@@ -101,14 +111,17 @@ def _make_policy(name: str, config, trace):
         return ClassifiedPDPPolicy(recompute_interval=config.recompute_interval)
     if name == "belady":
         return BeladyPolicy(trace.addresses, bypass=True)
-    return make_policy(name)
+    try:
+        return make_policy(name)
+    except KeyError as exc:
+        raise _unknown_name(exc) from None
 
 
 def _workload_source(args, config):
     """Resolve the simulated workload: a generated benchmark trace, or an
     external trace file opened as a chunked stream (``--trace-file``)."""
-    if getattr(args, "trace_file", None) is not None:
-        if getattr(args, "benchmark", None) is not None:
+    if args.trace_file is not None:
+        if args.benchmark is not None:
             raise SystemExit("--benchmark and --trace-file are mutually exclusive")
         from repro.traces.formats import open_trace
 
@@ -117,17 +130,20 @@ def _workload_source(args, config):
             format=args.trace_format,
             chunk_size=args.chunk_size,
         )
-    if getattr(args, "benchmark", None) is None:
+    if args.benchmark is None:
         raise SystemExit("one of --benchmark or --trace-file is required")
     from repro.workloads.spec_like import make_benchmark_trace
 
-    return make_benchmark_trace(
-        args.benchmark,
-        length=args.length,
-        num_sets=config.num_sets,
-        seed=getattr(args, "seed", None),
-        cache_dir=args.trace_cache_dir,
-    )
+    try:
+        return make_benchmark_trace(
+            args.benchmark,
+            length=args.length,
+            num_sets=config.num_sets,
+            seed=getattr(args, "seed", None),
+            cache_dir=args.trace_cache_dir,
+        )
+    except KeyError as exc:
+        raise _unknown_name(exc) from None
 
 
 def _cmd_run(args) -> int:
@@ -190,9 +206,12 @@ def _cmd_rdd(args) -> int:
     from repro.workloads.spec_like import make_benchmark_trace
 
     config = experiment_common.experiment_config()
-    trace = make_benchmark_trace(
-        args.benchmark, length=args.length, num_sets=config.num_sets
-    )
+    try:
+        trace = make_benchmark_trace(
+            args.benchmark, length=args.length, num_sets=config.num_sets
+        )
+    except KeyError as exc:
+        raise _unknown_name(exc) from None
     counts, long_count, total = reuse_distance_distribution(
         trace, num_sets=config.num_sets, d_max=config.d_max
     )
@@ -236,95 +255,58 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+#: The figure drivers run through :func:`_cmd_experiment`: each one's
+#: module and its run function(s). Every run takes ``fast=``, and the
+#: module's ``format_report`` takes the runs' results in order.
 _EXPERIMENTS = {
-    "fig1": ("fig01_rdd", "run_fig1", "format_report"),
-    "fig2": ("fig02_epsilon", "run_fig2", "format_report"),
-    "fig4": ("fig04_static_pdp", "run_fig4", "format_report"),
-    "fig6": ("fig06_model", "run_fig6", "format_report"),
-    "fig9": ("fig09_params", "run_fig9", "format_report"),
-    "fig10": ("fig10_single_core", "run_fig10", "format_report"),
-    "fig11": ("fig11_phases", "run_fig11", "format_report"),
+    "fig1": ("fig01_rdd", ("run_fig1",)),
+    "fig2": ("fig02_epsilon", ("run_fig2",)),
+    "fig4": ("fig04_static_pdp", ("run_fig4",)),
+    "fig5": ("fig05_occupancy", ("run_fig5a", "run_fig5b")),
+    "fig6": ("fig06_model", ("run_fig6",)),
+    "fig9": ("fig09_params", ("run_fig9",)),
+    "fig10": ("fig10_single_core", ("run_fig10",)),
+    "fig11": ("fig11_phases", ("run_fig11",)),
+    "prefetch": ("prefetch_study", ("run_prefetch_study",)),
 }
 
 
-#: The experiment flags only some drivers take, with those drivers; any
-#: other driver rejects the flag rather than silently ignoring it.
-_EXPERIMENT_FLAG_DRIVERS = {
-    "manifest_dir": ("--manifest-dir", ("fig4", "fig10", "fig12", "objectstore")),
-    "progress": ("--progress", ("fig4", "fig10", "fig12", "objectstore")),
-    "workers": ("--workers", ("fig4", "fig10", "fig12")),
-}
-
-
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args, **run_kwargs) -> int:
     import importlib
 
-    known = sorted([*_EXPERIMENTS, "fig5", "fig12", "objectstore", "prefetch"])
-    if args.name not in known:
-        print(
-            f"unknown experiment {args.name!r}; known: {', '.join(known)}",
-            file=sys.stderr,
-        )
-        return 2
-    for dest, (flag, drivers) in _EXPERIMENT_FLAG_DRIVERS.items():
-        if getattr(args, dest) not in (None, False) and args.name not in drivers:
-            print(
-                f"{flag} is taken only by {', '.join(drivers)}, not {args.name}",
-                file=sys.stderr,
-            )
-            return 2
-    if args.name == "fig5":
-        from repro.experiments import fig05_occupancy
-
-        print(
-            fig05_occupancy.format_report(
-                fig05_occupancy.run_fig5a(fast=args.fast),
-                fig05_occupancy.run_fig5b(fast=args.fast),
-            )
-        )
-        return 0
-    # --workers unset / 0 = auto ($REPRO_MAX_WORKERS, else CPU count).
-    max_workers = args.workers or None
-    if args.name == "fig12":
-        from repro.experiments import fig12_partitioning
-
-        results = {
-            cores: fig12_partitioning.run_fig12(
-                cores,
-                num_mixes=args.mixes,
-                engine=args.engine,
-                max_workers=max_workers,
-                manifest_dir=_manifest_dir(args),
-                on_event=_progress_callback(args, f"fig12-{cores}core"),
-            )
-            for cores in (4, 16)
-        }
-        print(fig12_partitioning.format_report(results))
-        return 0
-    if args.name in ("fig4", "fig10"):
-        # These drivers take the full observability contract (per-cell
-        # manifests + progress events) and a worker count.
-        module_name, run_name, fmt_name = _EXPERIMENTS[args.name]
-        module = importlib.import_module(f"repro.experiments.{module_name}")
-        results = getattr(module, run_name)(
-            fast=args.fast,
-            max_workers=max_workers,
-            manifest_dir=_manifest_dir(args),
-            on_event=_progress_callback(args, args.name),
-        )
-        print(getattr(module, fmt_name)(results))
-        return 0
-    if args.name == "prefetch":
-        from repro.experiments import prefetch_study
-
-        print(prefetch_study.format_report(prefetch_study.run_prefetch_study(args.fast)))
-        return 0
-    if args.name == "objectstore":
-        return _cmd_experiment_objectstore(args)
-    module_name, run_name, fmt_name = _EXPERIMENTS[args.name]
+    module_name, runs = _EXPERIMENTS[args.driver]
     module = importlib.import_module(f"repro.experiments.{module_name}")
-    results = getattr(module, run_name)(fast=args.fast)
-    print(getattr(module, fmt_name)(results))
+    results = [getattr(module, run)(fast=args.fast, **run_kwargs) for run in runs]
+    print(module.format_report(*results))
+    return 0
+
+
+def _cmd_experiment_grid(args) -> int:
+    """fig4/fig10: one ``run_matrix`` grid per trace, with a worker
+    count, per-cell manifests and progress events."""
+    return _cmd_experiment(
+        args,
+        max_workers=args.workers or None,
+        manifest_dir=_manifest_dir(args),
+        on_event=_progress_callback(args, args.driver),
+    )
+
+
+def _cmd_experiment_fig12(args) -> int:
+    from repro.experiments import fig12_partitioning
+
+    results = {
+        cores: fig12_partitioning.run_fig12(
+            cores,
+            num_mixes=args.mixes,
+            engine=args.engine,
+            max_workers=args.workers or None,
+            manifest_dir=_manifest_dir(args),
+            on_event=_progress_callback(args, f"fig12-{cores}core"),
+        )
+        for cores in (4, 16)
+    }
+    print(fig12_partitioning.format_report(results))
     return 0
 
 
@@ -370,13 +352,11 @@ def _cmd_explore(args) -> int:
 
     config = experiment_common.experiment_config()
     source = _workload_source(args, config)
-    sets = tuple(int(s) for s in args.sets.split(",") if s.strip())
-    ways = tuple(int(w) for w in args.ways.split(",") if w.strip())
     try:
         result = explore(
             source,
-            sets=sets,
-            ways=ways,
+            sets=tuple(args.sets),
+            ways=tuple(args.ways),
             pd_max=args.pd_max,
             pd_step=args.pd_step,
             d_max=args.d_max,
@@ -448,7 +428,7 @@ def _spec_from_args(args):
     """Build a SweepSpec from ``repro submit`` options (or --spec-file)."""
     import json
 
-    from repro.service.jobs import SweepSpec
+    from repro.service.jobs import SpecError, SweepSpec
 
     if args.spec_file is not None:
         with open(args.spec_file, encoding="utf-8") as fh:
@@ -458,13 +438,11 @@ def _spec_from_args(args):
         if "=" in entry:
             key, _, rest = entry.partition("=")
             name, _, kwargs_json = rest.partition(":")
-            policies.append(
-                {
-                    "key": key,
-                    "name": name,
-                    "kwargs": json.loads(kwargs_json) if kwargs_json else {},
-                }
-            )
+            try:
+                kwargs = json.loads(kwargs_json) if kwargs_json else {}
+            except json.JSONDecodeError as exc:
+                raise SpecError(f"--policy {entry!r}: bad kwargs JSON: {exc}") from None
+            policies.append({"key": key, "name": name, "kwargs": kwargs})
         else:
             policies.append(entry)
     mixes = {}
@@ -493,17 +471,21 @@ def _spec_from_args(args):
         window_size=args.window_size,
         match_git_sha=args.match_git_sha,
         force=args.force,
-        explore_sets=_parse_int_list(args.explore_sets),
-        explore_ways=_parse_int_list(args.explore_ways),
+        explore_sets=args.explore_sets or [],
+        explore_ways=args.explore_ways or [],
         top_k=args.top_k,
     )
 
 
-def _parse_int_list(text: str | None) -> list:
-    """``"16,32,64"`` → [16, 32, 64]; None/empty → []."""
-    if not text:
-        return []
-    return [int(token) for token in text.split(",") if token.strip()]
+def _parse_int_list(text: str) -> list:
+    """``"16,32,64"`` → [16, 32, 64]; the ``type=`` of the list flags,
+    so a malformed list is a usage error (exit 2)."""
+    try:
+        return [int(token) for token in text.split(",") if token.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}"
+        ) from None
 
 
 def _print_watch_stream(client, job_id: str, replay: bool) -> int:
@@ -813,6 +795,24 @@ def _add_manifest_dir(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_workers(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker processes for each grid (1 = serial). Unset or 0 = "
+        "auto via $REPRO_MAX_WORKERS or CPU count",
+    )
+
+
+def _add_progress(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--progress",
+        action="store_true",
+        help="print per-task progress events (with ETA) to stderr",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -879,44 +879,49 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_TRACE_CACHE_DIR, unset = no caching)",
     )
     _add_manifest_dir(sweep)
-    sweep.add_argument(
-        "--progress",
-        action="store_true",
-        help="print per-task progress events (with ETA) to stderr",
-    )
+    _add_progress(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     experiment = sub.add_parser("experiment", help="run a paper figure driver")
-    experiment.add_argument("name")
-    experiment.add_argument("--fast", action="store_true")
-    experiment.add_argument("--mixes", type=int, default=3)
-    experiment.add_argument(
+    experiment_sub = experiment.add_subparsers(dest="driver", required=True)
+    driver = {
+        name: experiment_sub.add_parser(name)
+        for name in sorted([*_EXPERIMENTS, "fig12", "objectstore"])
+    }
+    for name in _EXPERIMENTS:
+        driver[name].add_argument(
+            "--fast", action="store_true", help="halve the trace lengths"
+        )
+        driver[name].set_defaults(func=_cmd_experiment)
+    for name in ("fig4", "fig10"):
+        _add_workers(driver[name])
+        _add_manifest_dir(driver[name])
+        _add_progress(driver[name])
+        driver[name].set_defaults(func=_cmd_experiment_grid)
+
+    fig12 = driver["fig12"]
+    fig12.add_argument("--mixes", type=int, default=3)
+    fig12.add_argument(
         "--engine",
         choices=("vector", "fast", "reference"),
         default="fast",
-        help="simulation engine for fig12's shared-LLC runs "
-        "(vector is accepted as an alias for fast there; "
-        "reference = original per-access loop)",
+        help="simulation engine for the shared-LLC runs (vector is "
+        "accepted as an alias for fast; reference = original per-access "
+        "loop)",
     )
-    experiment.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for each grid of fig4/fig10/fig12 "
-        "(1 = serial). Unset or 0 = auto via $REPRO_MAX_WORKERS or CPU "
-        "count, which fig2/fig9 always use",
-    )
-    _add_manifest_dir(experiment)
-    experiment.add_argument(
-        "--progress",
+    _add_workers(fig12)
+    _add_manifest_dir(fig12)
+    _add_progress(fig12)
+    fig12.set_defaults(func=_cmd_experiment_fig12)
+
+    objstore = driver["objectstore"]
+    objstore.add_argument(
+        "--fast",
         action="store_true",
-        help="print per-cell progress events (with ETA) to stderr "
-        "(fig4/fig10/fig12/objectstore); fig4/fig10 count per benchmark "
-        "grid and name the benchmark in each key",
+        help="shrink the generated workload 5x, with a smaller catalog",
     )
-    objstore = experiment.add_argument_group(
-        "objectstore", "options for the software-cache scenario driver"
-    )
+    _add_manifest_dir(objstore)
+    _add_progress(objstore)
     objstore.add_argument(
         "--trace-file",
         default=None,
@@ -957,7 +962,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="accesses per recorded time-series window "
         "(default: 1/64 of the stream)",
     )
-    experiment.set_defaults(func=_cmd_experiment)
+    objstore.set_defaults(func=_cmd_experiment_objectstore)
 
     explore_p = sub.add_parser(
         "explore",
@@ -975,11 +980,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_file(explore_p)
     explore_p.add_argument(
         "--sets",
+        type=_parse_int_list,
         default="16,32,64,128,256,512",
         help="comma-separated candidate set counts (powers of two)",
     )
     explore_p.add_argument(
         "--ways",
+        type=_parse_int_list,
         default="1,2,4,8,16",
         help="comma-separated candidate associativities",
     )
@@ -1141,12 +1148,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--explore-sets",
+        type=_parse_int_list,
         default=None,
         help="predict jobs: comma-separated candidate set counts "
         "(default: the explorer's built-in grid)",
     )
     submit.add_argument(
         "--explore-ways",
+        type=_parse_int_list,
         default=None,
         help="predict jobs: comma-separated candidate associativities",
     )

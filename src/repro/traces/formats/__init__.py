@@ -3,8 +3,8 @@
 Four formats ship:
 
 - ``native`` (``.trz``) — our gzip-compressed chunked columnar format,
-  the canonical on-disk representation (:meth:`Trace.save`, the workload
-  cache, parallel-sweep payloads). Carries name and
+  the canonical on-disk representation (:meth:`Trace.save` and the
+  workload cache). Carries name and
   instructions-per-access metadata and a validated terminator.
 - ``champsim`` (``.champsim[.gz]``) — fixed 24-byte binary records in
   the style of ChampSim's published trace suites.
@@ -21,9 +21,6 @@ traces flow through the simulators in O(chunk) memory.
 :func:`open_trace` is the single entry point (format inferred from the
 file suffix or content magic); :func:`convert_trace` and
 :func:`trace_info` back the ``repro trace`` CLI.
-
-Legacy ``.npz`` archives (the pre-streaming ``Trace.save`` format)
-remain readable as the ``npz`` pseudo-format.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ import numpy as np
 from repro.traces.formats import champsim, csvfmt, native, objectstore
 from repro.traces.formats.errors import TraceFormatError
 from repro.traces.stream import DEFAULT_CHUNK_SIZE, TraceStream
-from repro.traces.trace import Trace
 
 #: Readable/writable format modules, keyed by format name.
 FORMATS = {
@@ -45,9 +41,6 @@ FORMATS = {
     objectstore.FORMAT_NAME: objectstore,
 }
 
-#: Legacy numpy-archive pseudo-format (readable, not a chunked writer).
-NPZ_FORMAT = "npz"
-
 #: Suffix -> format name, longest suffixes first (``.champsim.gz`` must
 #: win over ``.gz``-agnostic checks).
 _SUFFIX_MAP: list[tuple[str, str]] = sorted(
@@ -55,17 +48,15 @@ _SUFFIX_MAP: list[tuple[str, str]] = sorted(
         (suffix, name)
         for name, module in FORMATS.items()
         for suffix in module.SUFFIXES
-    ]
-    + [(".npz", NPZ_FORMAT)],
+    ],
     key=lambda pair: -len(pair[0]),
 )
 
 
 def format_names() -> list[str]:
-    """Names accepted by the ``format=`` arguments, fully sorted (the
-    legacy ``npz`` pseudo-format sorts in with the rest — error
+    """Names accepted by the ``format=`` arguments, sorted (error
     messages and ``--help`` listings stay alphabetical)."""
-    return sorted([*FORMATS, NPZ_FORMAT])
+    return sorted(FORMATS)
 
 
 def _sniff_format(path: Path) -> str | None:
@@ -89,8 +80,6 @@ def _sniff_format(path: Path) -> str | None:
         if objectstore.matches_magic(inner):
             return objectstore.FORMAT_NAME
         return None
-    if head.startswith(b"PK"):
-        return NPZ_FORMAT
     if objectstore.matches_magic(head):
         return objectstore.FORMAT_NAME
     return None
@@ -118,7 +107,7 @@ def detect_format(path: str | Path) -> str:
 
 def _resolve(path: Path, format: str | None) -> str:
     name = format or detect_format(path)
-    if name not in FORMATS and name != NPZ_FORMAT:
+    if name not in FORMATS:
         raise TraceFormatError(
             f"unknown trace format {name!r}; known: {', '.join(format_names())}"
         )
@@ -152,19 +141,6 @@ def open_trace(
     if not path.exists():
         raise FileNotFoundError(f"trace file not found: {path}")
     resolved = _resolve(path, format)
-
-    if resolved == NPZ_FORMAT:
-        from repro.traces.io import load_trace
-
-        trace = load_trace(path)
-        stream = TraceStream.from_trace(trace, chunk_size=chunk_size)
-        stream.source = path
-        stream.format = NPZ_FORMAT
-        if name is not None:
-            stream.name = name
-        if instructions_per_access is not None:
-            stream.instructions_per_access = instructions_per_access
-        return stream
 
     module = FORMATS[resolved]
     if resolved == native.FORMAT_NAME:
@@ -214,10 +190,6 @@ def write_stream(
             format = detect_format(path)
         except TraceFormatError:
             format = native.FORMAT_NAME
-    if format == NPZ_FORMAT:
-        raise TraceFormatError(
-            "the legacy npz format is read-only; write native/champsim/csv"
-        )
     module = FORMATS.get(format)
     if module is None:
         raise TraceFormatError(
@@ -303,7 +275,6 @@ def trace_info(
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "FORMATS",
-    "NPZ_FORMAT",
     "TraceFormatError",
     "TraceStream",
     "convert_trace",

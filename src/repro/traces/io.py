@@ -1,19 +1,14 @@
-"""Trace persistence: the native compressed format, with a legacy shim.
+"""Trace persistence in the native compressed format.
 
 ``save_trace`` writes the chunked gzip native format
 (:mod:`repro.traces.formats.native`) — the one on-disk representation
-shared by :meth:`Trace.save`, the workload cache and the parallel-sweep
-payloads. ``load_trace`` sniffs the file content and also accepts the
-legacy ``.npz`` archives written before the native format existed, so
-old workload-cache entries and saved traces keep loading.
+shared by :meth:`Trace.save` and the workload cache. ``load_trace``
+reads it back, checking the content rather than the suffix.
 """
 
 from __future__ import annotations
 
-import zipfile
 from pathlib import Path
-
-import numpy as np
 
 from repro.traces.trace import Trace
 
@@ -30,33 +25,11 @@ def save_trace(trace: Trace, path: str | Path) -> None:
     )
 
 
-def _load_legacy_npz(path: Path) -> Trace:
-    """Read a pre-native ``.npz`` archive (the old ``save_trace`` format)."""
-    from repro.traces.formats import TraceFormatError
-
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            trace = Trace.__new__(Trace)
-            trace.addresses = archive["addresses"]
-            trace.pcs = archive["pcs"]
-            trace.thread_ids = archive["thread_ids"]
-            trace.name = str(archive["name"])
-            trace.instructions_per_access = float(
-                archive["instructions_per_access"]
-            )
-            return trace
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise TraceFormatError(
-            f"{path}: corrupt legacy .npz trace archive: {exc}"
-        ) from exc
-
-
 def load_trace(path: str | Path) -> Trace:
     """Read a trace previously written by :func:`save_trace`.
 
-    Dispatches on content, not suffix: native files (gzip magic) load
-    through the chunked reader; legacy numpy ``.npz`` archives (zip
-    magic) load through the compatibility shim. Anything else raises
+    Checks content, not suffix: a native file (gzip magic) loads through
+    the chunked reader; anything else raises
     :class:`repro.traces.formats.TraceFormatError`.
     """
     from repro.traces.formats import TraceFormatError, native
@@ -68,12 +41,8 @@ def load_trace(path: str | Path) -> Trace:
             head = fh.read(2)
     except OSError as exc:
         raise TraceFormatError(f"{path}: unreadable trace file: {exc}") from exc
-    if head.startswith(b"PK"):
-        return _load_legacy_npz(path)
     if not head.startswith(b"\x1f\x8b"):
-        raise TraceFormatError(
-            f"{path}: neither a native trace (gzip) nor a legacy .npz archive"
-        )
+        raise TraceFormatError(f"{path}: not a native trace (no gzip magic)")
     header = native.read_header(path)
     stream = TraceStream(
         lambda: native.read_chunks(path),

@@ -135,8 +135,7 @@ class Trace:
 
     @classmethod
     def load(cls, path) -> Trace:
-        """Read a trace previously written by :meth:`save` (legacy
-        ``.npz`` archives are also accepted)."""
+        """Read a trace previously written by :meth:`save`."""
         from repro.traces.io import load_trace
 
         return load_trace(path)

@@ -12,7 +12,7 @@ class TestParser:
 
     def test_run_defaults(self):
         args = build_parser().parse_args(["run", "--benchmark", "403.gcc"])
-        args.policy == "pdp"
+        assert args.policy == "pdp"
 
 
 class TestCommands:
@@ -76,20 +76,40 @@ class TestCommands:
         assert "PDP-3" in out
 
     def test_unknown_experiment(self, capsys):
-        assert main(["experiment", "fig99"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "fig99"])
+        assert exc.value.code == 2
+        assert "'fig99'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",
-        [["--manifest-dir", "manifests"], ["--progress"], ["--workers", "2"]],
+        [
+            # A driver, then a flag that driver does not read.
+            ["fig1", "--manifest-dir", "manifests"],
+            ["fig1", "--progress"],
+            ["fig1", "--workers", "2"],
+            ["fig10", "--engine", "reference"],
+            ["fig4", "--mixes", "9"],
+            ["fig1", "--trace-file", "/nonexistent.trz"],
+            ["fig2", "--accesses", "1000"],
+            ["fig12", "--capacity-mb", "1"],
+            ["fig5", "--ttl-ms", "10"],
+            ["fig6", "--policies", "lru"],
+            ["fig9", "--seed", "3"],
+            ["prefetch", "--window-size", "64"],
+            ["fig12", "--fast"],
+        ],
     )
     def test_experiment_rejects_flags_its_driver_ignores(
         self, capsys, tmp_path, monkeypatch, flags
     ):
         monkeypatch.chdir(tmp_path)
-        assert main(["experiment", "fig1", "--fast", *flags]) == 2
+        driver, *rejected = flags
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", driver, *rejected])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"{flags[0]} is taken only by fig4, fig10, fig12" in err
+        assert f"unrecognized arguments: {' '.join(rejected)}" in err
         assert not (tmp_path / "manifests").exists()
 
     def test_experiment_manifest_dir_env_stays_a_silent_default(
@@ -97,6 +117,50 @@ class TestCommands:
     ):
         monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path))
         assert main(["experiment", "fig1", "--fast"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv, known",
+        [
+            (["run", "--benchmark", "nope"], "benchmark 'nope'; known: 403.gcc,"),
+            (["sweep", "--benchmark", "nope"], "benchmark 'nope'; known: 403.gcc,"),
+            (["rdd", "--benchmark", "nope"], "benchmark 'nope'; known: 403.gcc,"),
+            (["explore", "--benchmark", "nope"], "benchmark 'nope'; known: 403.gcc,"),
+            (["run", "--benchmark", "473.astar", "--policy", "nope"],
+             "policy 'nope'; known: belady, bip,"),
+        ],
+    )
+    def test_unknown_name_is_a_usage_error(self, capsys, argv, known):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--length", "1000"])
+        assert exc.value.code == 2
+        assert f"unknown {known}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explore", "--benchmark", "473.astar", "--sets", "16,x"],
+            ["explore", "--benchmark", "473.astar", "--ways", "4,x"],
+            ["submit", "--kind", "predict", "--benchmark", "473.astar",
+             "--explore-sets", "16,x"],
+            ["submit", "--kind", "predict", "--benchmark", "473.astar",
+             "--explore-ways", "4,x"],
+        ],
+    )
+    def test_malformed_int_list_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--length", "1000"])
+        assert exc.value.code == 2
+        assert f"not a comma-separated list of integers: '{argv[-1]}'" in (
+            capsys.readouterr().err
+        )
+
+    def test_malformed_policy_kwargs_is_an_invalid_spec(self, capsys, tmp_path):
+        code = main(["submit", "--root", str(tmp_path), "--benchmark",
+                     "473.astar", "--policy", "p=pdp:{bad"])
+        assert code == 2
+        assert "invalid spec: --policy 'p=pdp:{bad': bad kwargs JSON" in (
+            capsys.readouterr().err
+        )
 
 
 class TestObservability:

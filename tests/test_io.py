@@ -1,11 +1,11 @@
-"""Tests for trace persistence (native format + legacy .npz shim)."""
+"""Tests for trace persistence in the native format."""
 
 import gzip
 
 import numpy as np
 import pytest
 
-from repro.traces.formats import TraceFormatError
+from repro.traces.formats import TraceFormatError, open_trace
 from repro.traces.io import load_trace, save_trace
 from repro.traces.trace import Trace
 
@@ -48,44 +48,17 @@ def test_save_writes_native_gzip_format(tmp_path):
         assert fh.read(8) == b"REPROTRC"
 
 
-def test_load_accepts_legacy_npz_archive(tmp_path):
-    """Archives written by the pre-native ``save_trace`` still load."""
-    trace = Trace(
-        [5, 6, 7],
-        pcs=[50, 60, 70],
-        thread_ids=[1, 0, 1],
-        name="legacy",
-        instructions_per_access=3.5,
-    )
-    path = tmp_path / "legacy.npz"
-    np.savez_compressed(
-        path,
-        addresses=trace.addresses,
-        pcs=trace.pcs,
-        thread_ids=trace.thread_ids,
-        name=np.array(trace.name),
-        instructions_per_access=np.array(trace.instructions_per_access),
-    )
-    loaded = load_trace(path)
-    assert list(loaded.addresses) == [5, 6, 7]
-    assert list(loaded.pcs) == [50, 60, 70]
-    assert list(loaded.thread_ids) == [1, 0, 1]
-    assert loaded.name == "legacy"
-    assert loaded.instructions_per_access == 3.5
-
-
 def test_load_rejects_unknown_content(tmp_path):
-    path = tmp_path / "junk.npz"
-    path.write_bytes(b"definitely not a trace")
-    with pytest.raises(TraceFormatError, match="neither a native trace"):
-        load_trace(path)
-
-
-def test_load_rejects_corrupt_legacy_archive(tmp_path):
-    path = tmp_path / "bad.npz"
-    path.write_bytes(b"PK\x03\x04 truncated zip")
-    with pytest.raises(TraceFormatError, match="corrupt legacy"):
-        load_trace(path)
+    junk = tmp_path / "junk.npz"
+    junk.write_bytes(b"definitely not a trace")
+    # A numpy archive, the format Trace.save wrote before the native one.
+    archive = tmp_path / "archive.npz"
+    np.savez_compressed(archive, addresses=np.arange(3), pcs=np.arange(3))
+    for path in (junk, archive):
+        with pytest.raises(TraceFormatError, match="not a native trace"):
+            load_trace(path)
+        with pytest.raises(TraceFormatError, match="cannot infer trace format"):
+            open_trace(path)
 
 
 def test_load_missing_file_raises_format_error(tmp_path):

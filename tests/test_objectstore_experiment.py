@@ -10,6 +10,7 @@ conformance job (``-m "slow or not slow"``).
 
 from __future__ import annotations
 
+import re
 import weakref
 
 import numpy as np
@@ -122,12 +123,19 @@ def test_objectstore_report_renders_in_obs_report(tmp_path):
 def test_cli_unknown_experiment_lists_sorted_names(capsys):
     from repro.cli import main
 
-    code = main(["experiment", "definitely-not-real"])
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "definitely-not-real"])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    listed = err.split("known: ", 1)[1].strip().split(", ")
+    assert "'definitely-not-real'" in err
+    # Python versions differ in whether argparse quotes the choices, so
+    # read the names by position rather than by exact text.
+    listed = re.findall(r"\w+", err.split("choose from", 1)[1])
     assert listed == sorted(listed)
-    assert "objectstore" in listed
+    assert set(listed) == {
+        "fig1", "fig2", "fig4", "fig5", "fig6", "fig9", "fig10", "fig11",
+        "fig12", "objectstore", "prefetch",
+    }
 
 
 # -- streaming acceptance --------------------------------------------------

@@ -212,7 +212,7 @@ def test_format_registry_errors_list_sorted_names(tmp_path):
     with pytest.raises(TraceFormatError) as excinfo:
         write_stream(_stream(trace), tmp_path / "x.objtrace", format="bogus")
     message = str(excinfo.value)
-    assert "champsim, csv, native, npz, objectstore" in message
+    assert "champsim, csv, native, objectstore" in message
 
 
 def test_metadata_comment_round_trips_name_and_dilution(tmp_path):

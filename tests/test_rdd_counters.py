@@ -69,6 +69,18 @@ class TestSaturation:
         array.record_distance(2)
         assert array.counts[1] == 0  # frozen: shape preserved
 
+    def test_default_widths_are_the_papers_16_and_32_bits(self):
+        """Sec. 3: 16-bit N_i counters freeze the array at 2**16 - 1."""
+        array = RDCounterArray(d_max=4, step=1)
+        assert array.total_max == 2**32 - 1
+        for _ in range(65_534):
+            array.record_distance(1)
+        assert not array.frozen
+        array.record_distance(1)
+        assert array.frozen
+        array.record_distance(1)
+        assert array.counts[0] == 65_535
+
     def test_total_saturation_freezes(self):
         array = RDCounterArray(d_max=4, step=1, total_bits=2)
         for _ in range(5):

@@ -228,11 +228,6 @@ def test_open_trace_missing_file(tmp_path):
         open_trace(tmp_path / "nope.trz")
 
 
-def test_npz_write_rejected(tmp_path):
-    with pytest.raises(TraceFormatError, match="read-only"):
-        write_stream(as_stream(_trace(n=3)), tmp_path / "t.npz", format="npz")
-
-
 def test_convert_between_all_writable_formats(tmp_path):
     trace = Trace([5, 6, 7], pcs=[1, 2, 3], thread_ids=[0, 1, 0], name="c")
     src = tmp_path / "src.csv"
@@ -263,7 +258,7 @@ def test_trace_info_reports_the_stream(tmp_path):
 
 
 def test_format_names_is_stable():
-    assert format_names() == ["champsim", "csv", "native", "npz", "objectstore"]
+    assert format_names() == ["champsim", "csv", "native", "objectstore"]
 
 
 def test_stream_is_reiterable(tmp_path):
