@@ -117,21 +117,27 @@ def _make_policy(name: str, config, trace):
         raise _unknown_name(exc) from None
 
 
+def _open_trace_file(path: str, **kwargs):
+    """``open_trace`` for a CLI flag: a missing file exits 2 with the
+    message instead of a traceback."""
+    from repro.traces.formats import open_trace
+
+    try:
+        return open_trace(path, **kwargs)
+    except FileNotFoundError as exc:
+        print(exc, file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _workload_source(args, config):
     """Resolve the simulated workload: a generated benchmark trace, or an
     external trace file opened as a chunked stream (``--trace-file``)."""
     if args.trace_file is not None:
-        if args.benchmark is not None:
-            raise SystemExit("--benchmark and --trace-file are mutually exclusive")
-        from repro.traces.formats import open_trace
-
-        return open_trace(
+        return _open_trace_file(
             args.trace_file,
             format=args.trace_format,
             chunk_size=args.chunk_size,
         )
-    if args.benchmark is None:
-        raise SystemExit("one of --benchmark or --trace-file is required")
     from repro.workloads.spec_like import make_benchmark_trace
 
     try:
@@ -319,9 +325,7 @@ def _cmd_experiment_objectstore(args) -> int:
 
     stream = None
     if args.trace_file:
-        from repro.traces.formats import open_trace
-
-        stream = open_trace(args.trace_file)
+        stream = _open_trace_file(args.trace_file)
     policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
     unknown = [p for p in policies if p not in SOFTWARE_POLICIES]
     if unknown:
@@ -431,8 +435,12 @@ def _spec_from_args(args):
     from repro.service.jobs import SpecError, SweepSpec
 
     if args.spec_file is not None:
-        with open(args.spec_file, encoding="utf-8") as fh:
-            return SweepSpec.from_dict(json.load(fh))
+        try:
+            with open(args.spec_file, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise SpecError(f"--spec-file {args.spec_file}: {exc}") from None
+        return SweepSpec.from_dict(data)
     policies = []
     for entry in args.policy or []:
         if "=" in entry:
@@ -761,12 +769,16 @@ def _cmd_trace_info(args) -> int:
     return 0
 
 
-def _add_trace_file(parser: argparse.ArgumentParser) -> None:
-    """The external-trace-input options shared by ``run`` and ``sweep``."""
+def _add_workload_source(parser: argparse.ArgumentParser) -> None:
+    """The workload options of ``run``, ``sweep`` and ``explore``: exactly
+    one of ``--benchmark`` or ``--trace-file``, plus the trace-file
+    reading options."""
     from repro.traces.formats import format_names
     from repro.traces.stream import DEFAULT_CHUNK_SIZE
 
-    parser.add_argument(
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--benchmark", default=None)
+    source.add_argument(
         "--trace-file",
         default=None,
         help="simulate this on-disk trace (streamed in chunks) instead of "
@@ -824,11 +836,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-policies").set_defaults(func=_cmd_list_policies)
 
     run = sub.add_parser("run", help="run one benchmark under one policy")
-    run.add_argument("--benchmark", default=None)
     run.add_argument("--policy", default="pdp")
     run.add_argument("--length", type=int, default=40_000)
     run.add_argument("--seed", type=int, default=None)
-    _add_trace_file(run)
+    _add_workload_source(run)
     run.add_argument(
         "--engine",
         choices=("vector", "fast", "reference"),
@@ -860,11 +871,10 @@ def build_parser() -> argparse.ArgumentParser:
     rdd.set_defaults(func=_cmd_rdd)
 
     sweep = sub.add_parser("sweep", help="static protecting-distance sweep")
-    sweep.add_argument("--benchmark", default=None)
     sweep.add_argument("--length", type=int, default=40_000)
     sweep.add_argument("--step", type=int, default=16)
     sweep.add_argument("--no-bypass", action="store_true")
-    _add_trace_file(sweep)
+    _add_workload_source(sweep)
     sweep.add_argument(
         "--workers",
         type=int,
@@ -969,7 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="analytical design-space explorer: predict hit rates for "
         "thousands of (sets, ways, d_p) points from one profiling pass",
     )
-    explore_p.add_argument("--benchmark", default=None)
     explore_p.add_argument("--length", type=int, default=40_000)
     explore_p.add_argument("--seed", type=int, default=None)
     explore_p.add_argument(
@@ -977,7 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cache generated benchmark traces in this directory",
     )
-    _add_trace_file(explore_p)
+    _add_workload_source(explore_p)
     explore_p.add_argument(
         "--sets",
         type=_parse_int_list,

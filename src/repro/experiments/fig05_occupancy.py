@@ -30,7 +30,7 @@ from repro.experiments.common import (
 )
 from repro.memory.stats import OccupancyBreakdown
 from repro.obs.bench import sparkline
-from repro.obs.timeseries import Window, WindowedRecorder
+from repro.obs.timeseries import Window, windows_from_payload
 from repro.policies.rrip import DRRIPPolicy
 from repro.sim.runner import best_static_pd
 from repro.sim.single_core import run_llc
@@ -95,7 +95,6 @@ def run_fig5a(fast: bool = False) -> list[OccupancyResult]:
             ("SPDP-B", PDPPolicy(static_pd=pd_b, bypass=True)),
         )
         for label, policy in policies:
-            recorder = WindowedRecorder(window_size=window_size)
             run = run_llc(
                 trace,
                 policy,
@@ -103,7 +102,7 @@ def run_fig5a(fast: bool = False) -> list[OccupancyResult]:
                 timing=TIMING,
                 track_occupancy=True,
                 occupancy_threshold=16,
-                timeseries=recorder,
+                window_size=window_size,
             )
             results.append(
                 OccupancyResult(
@@ -111,7 +110,7 @@ def run_fig5a(fast: bool = False) -> list[OccupancyResult]:
                     policy=label,
                     breakdown=run.extra["occupancy"],
                     bypass_fraction=run.bypass_fraction,
-                    windows=recorder.windows,
+                    windows=windows_from_payload(run.extra["timeseries"]),
                 )
             )
     return results

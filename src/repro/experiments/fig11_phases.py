@@ -4,11 +4,10 @@
 phase-changing workloads; (b) policy comparison on those workloads;
 (c) the PD trajectory over time, which must move when the phase changes.
 
-The PD trajectory and the per-window hit-rate profile both come from a
-:class:`repro.obs.timeseries.WindowedRecorder` attached to the run
-(window size = the PD recompute interval, so each window closes with the
-PD in force for that stretch of the trace) — the recorder replaces the
-driver's former reliance on the PD engine's internal history plumbing.
+The PD trajectory and the per-window hit-rate profile both come from the
+run's windowed time series (``run_llc(window_size=...)``, see
+:mod:`repro.obs.timeseries`; window size = the PD recompute interval, so
+each window closes with the PD in force for that stretch of the trace).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 from repro.core.pdp_policy import PDPPolicy
 from repro.experiments.common import EXPERIMENT_GEOMETRY, TIMING, format_table
 from repro.obs.bench import sparkline
-from repro.obs.timeseries import WindowedRecorder
+from repro.obs.timeseries import windows_from_payload
 from repro.policies.lip_bip_dip import DIPPolicy
 from repro.policies.rrip import DRRIPPolicy
 from repro.sim.metrics import percent_change
@@ -66,15 +65,15 @@ def run_fig11(fast: bool = False, phase_length: int | None = None) -> list[Phase
         best_hit_rates: list[float] = []
         for interval in RESET_INTERVALS:
             policy = PDPPolicy(recompute_interval=interval)
-            recorder = WindowedRecorder(window_size=interval)
             run = run_llc(
                 trace, policy, EXPERIMENT_GEOMETRY, timing=TIMING,
-                timeseries=recorder,
+                window_size=interval,
             )
             ipc_by_interval[interval] = run.ipc
             if interval == TRAJECTORY_INTERVAL:
-                best_history = recorder.pd_trajectory()
-                best_hit_rates = [w.hit_rate for w in recorder.windows]
+                windows = windows_from_payload(run.extra["timeseries"])
+                best_history = [(w.end, w.pd) for w in windows if w.pd is not None]
+                best_hit_rates = [w.hit_rate for w in windows]
         dip = run_llc(trace, DIPPolicy(), EXPERIMENT_GEOMETRY, timing=TIMING)
         drrip = run_llc(trace, DRRIPPolicy(), EXPERIMENT_GEOMETRY, timing=TIMING)
         results.append(

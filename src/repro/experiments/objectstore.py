@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from repro.experiments.common import format_table
 from repro.obs.progress import ProgressReporter
-from repro.obs.timeseries import WindowedRecorder, windows_from_payload
+from repro.obs.timeseries import windows_from_payload
 from repro.swcache.driver import ObjectCacheResult, run_object_cache
 from repro.swcache.policies import make_software_policy
 from repro.traces.stream import TraceStream, as_stream
@@ -136,7 +136,7 @@ def run_objectstore(
             manifest_dir=manifest_dir,
             run_label=name,
             run_meta={"seed": seed} if trace is None else None,
-            timeseries=WindowedRecorder(window_size=window_size),
+            window_size=window_size,
         )
         reporter.finished(name)
         hit_series, byte_series = _window_series(result)

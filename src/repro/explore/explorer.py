@@ -26,7 +26,7 @@ from time import perf_counter
 from repro.core.pd_grid import pd_grid
 from repro.explore.model import MODEL_VARIANTS, build_view, predict_curve
 from repro.explore.profile import TraceProfile, profile_trace
-from repro.obs.manifest import fingerprint_source
+from repro.obs.manifest import Manifest, fingerprint_source
 
 #: Default candidate set counts (powers of two within the profiled range).
 DEFAULT_SETS = (16, 32, 64, 128, 256, 512)
@@ -228,59 +228,39 @@ def explore(
         model_variant=model_variant,
     )
     if manifest_dir is not None:
-        result.manifest_path, result.run_id = _emit_explore_manifest(
-            result, manifest_dir, run_label=run_label,
+        summary = result.profile_summary
+        frontier = result.frontier
+        manifest = Manifest.for_run(
+            "explore",
+            summary.get("name", "trace"),
+            ExploreCell.policy,
+            elapsed,
+            summary.get("total_accesses", 0),
+            run_meta={
+                "profile": summary,
+                "predictions": [p.to_dict() for p in predictions],
+                "frontier": result.frontier_rows(),
+            },
+            engine=ExploreCell.engine,
+            label=run_label,
             config=design_space(
                 sets, ways, pd_max, pd_step, d_max, line_size, model_variant
             ),
+            trace_fingerprint=summary.get("fingerprint"),
+            stats={
+                "geometries": len(predictions),
+                "points": n_points,
+                "unique_blocks": summary.get("unique_blocks", 0),
+                "total_reuses": summary.get("total_reuses", 0),
+            },
+            metrics={
+                "best_hit_rate": frontier[0].best_hit_rate if frontier else 0.0,
+                "elapsed_s": elapsed,
+            },
         )
+        result.manifest_path = str(manifest.save(manifest_dir))
+        result.run_id = manifest.run_id
     return result
-
-
-def _emit_explore_manifest(
-    result: ExplorationResult,
-    manifest_dir: str | os.PathLike,
-    run_label: str | None,
-    config: dict,
-) -> tuple[str, str]:
-    """Persist one ``kind="explore"`` manifest; returns (path, run_id)."""
-    from repro.obs.manifest import Manifest
-
-    summary = result.profile_summary
-    frontier = result.frontier
-    manifest = Manifest(
-        kind="explore",
-        workload=summary.get("name", "trace"),
-        policy=ExploreCell.policy,
-        engine=ExploreCell.engine,
-        label=run_label,
-        config=config,
-        trace_fingerprint=summary.get("fingerprint"),
-        wall_time_s=result.elapsed_s,
-        accesses=summary.get("total_accesses", 0),
-        accesses_per_sec=(
-            summary.get("total_accesses", 0) / result.elapsed_s
-            if result.elapsed_s > 0
-            else 0.0
-        ),
-        stats={
-            "geometries": len(result.predictions),
-            "points": result.n_points,
-            "unique_blocks": summary.get("unique_blocks", 0),
-            "total_reuses": summary.get("total_reuses", 0),
-        },
-        metrics={
-            "best_hit_rate": frontier[0].best_hit_rate if frontier else 0.0,
-            "elapsed_s": result.elapsed_s,
-        },
-        extra={
-            "profile": summary,
-            "predictions": [p.to_dict() for p in result.predictions],
-            "frontier": result.frontier_rows(),
-        },
-    )
-    path = manifest.save(manifest_dir)
-    return str(path), manifest.run_id
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ reproducible after it finishes:
 - :mod:`repro.obs.manifest` — per-run JSON provenance records (config,
   policy, engine, seed, trace fingerprint, git SHA, timing, statistics,
   failures), written atomically and round-trippable via
-  :meth:`Manifest.load`.
+  :meth:`Manifest.load`; every writer builds its record through
+  :meth:`Manifest.for_run`.
 - :mod:`repro.obs.progress` — started/finished/failed events with ETA
   for grid runs, delivered to an ``on_event`` callback.
 - :mod:`repro.obs.timeseries` — fixed-budget windowed recorder turning
@@ -28,11 +29,11 @@ reproducible after it finishes:
   the self-contained markdown/HTML report renderer.
 
 The simulation entry points (``run_llc``, ``run_shared_llc``,
-``run_matrix``, ``run_mix_matrix``) accept ``manifest_dir=`` to emit
-manifests and — for the grid runners — ``on_event=`` for progress; the
-two drivers also accept
-``timeseries=`` / ``window_size=`` to fill a
-:class:`~repro.obs.timeseries.WindowedRecorder`. ``python -m repro obs
+``run_object_cache``, ``run_matrix``, ``run_mix_matrix``) accept
+``manifest_dir=`` to emit manifests and — for the grid runners —
+``on_event=`` for progress; the three drivers and ``run_matrix`` also
+accept ``window_size=`` to record a windowed time series into
+``result.extra["timeseries"]``. ``python -m repro obs
 summarize <dir>`` rebuilds the result table from manifests alone, and
 ``python -m repro obs report <dir>`` renders the full observatory
 report with zero re-simulation.

@@ -218,8 +218,9 @@ class Manifest:
     """Provenance record of one simulation run (or one sweep of runs).
 
     ``kind`` names the entry point that produced it: ``"llc"``,
-    ``"shared_llc"``, ``"explore"``, or a grid's
-    ``"matrix"``, ``"mix_matrix"`` or ``"predict"``.
+    ``"shared_llc"``, ``"objectstore"``, ``"explore"``, or a grid's
+    ``"matrix"``, ``"mix_matrix"`` or ``"predict"``. Writers build it
+    with :meth:`for_run`.
     Single-run manifests carry counters in ``stats`` and derived numbers
     (hit rate, MPKI, IPC, or W/T/H) in ``metrics``; sweep manifests carry
     the task list in ``tasks`` and any :class:`TaskFailure` records in
@@ -251,6 +252,37 @@ class Manifest:
     extra: dict = field(default_factory=dict)
     run_id: str = field(default_factory=new_run_id)
     schema_version: int = MANIFEST_SCHEMA_VERSION
+
+    @classmethod
+    def for_run(
+        cls,
+        kind: str,
+        workload: str,
+        policy: str,
+        wall_time_s: float,
+        accesses: int,
+        run_meta: dict | None = None,
+        **fields,
+    ) -> "Manifest":
+        """The manifest of one run or one grid: the constructor every
+        writer uses. It fills ``git_sha`` with HEAD, computes
+        ``accesses_per_sec`` (0.0 when ``wall_time_s`` is 0), lifts a
+        ``seed`` key out of ``run_meta`` and keeps the rest of
+        ``run_meta`` as ``extra``. ``fields`` set the remaining fields
+        (``engine``, ``label``, ``config``, ``stats``, ...)."""
+        meta = dict(run_meta or {})
+        return cls(
+            kind=kind,
+            workload=workload,
+            policy=policy,
+            seed=meta.pop("seed", None),
+            git_sha=git_sha(),
+            wall_time_s=wall_time_s,
+            accesses=accesses,
+            accesses_per_sec=accesses / wall_time_s if wall_time_s > 0 else 0.0,
+            extra=meta,
+            **fields,
+        )
 
     def to_dict(self) -> dict:
         """The JSON-ready dictionary form (``failures`` become dicts)."""

@@ -18,9 +18,9 @@ Design constraints, mirrored from :class:`repro.obs.metrics.MetricsRegistry`:
   ``max_windows`` entries (O(windows) memory, independent of trace
   length); once the budget is exceeded the oldest windows are dropped
   and only counted (``windows_dropped``).
-- **Zero overhead when off.** ``timeseries=None`` (the default) leaves
-  the drivers on the exact pre-existing code path: no window splitting,
-  no observer registration, no per-access or per-chunk work
+- **Zero overhead when off.** ``window_size=None`` (the drivers'
+  default) leaves them on the exact unrecorded code path: no window
+  splitting, no observer registration, no per-access or per-chunk work
   (``tests/test_timeseries.py`` pins this).
 - **Engine independence.** Window boundaries sit at absolute access
   positions (multiples of ``window_size``), and drivers split incoming
@@ -28,8 +28,12 @@ Design constraints, mirrored from :class:`repro.obs.metrics.MetricsRegistry`:
   across the reference loop, the batched fast path, and any chunked
   streaming split (``tests/test_conformance.py``).
 
-Feeding protocol (implemented by ``run_llc`` and ``run_shared_llc``):
-call :meth:`WindowedRecorder.attach` once with the recorded cache, then
+Each driver (``run_llc``, ``run_shared_llc``, ``run_object_cache``)
+builds its own default-budget recorder from ``window_size=`` and returns
+the payload in ``result.extra["timeseries"]``;
+:func:`windows_from_payload` turns it back into :class:`Window` records.
+Feeding protocol (what the drivers implement): call
+:meth:`WindowedRecorder.attach` once with the recorded cache, then
 alternate ``take = min(remaining, recorder.pending())`` slices of
 simulation with :meth:`WindowedRecorder.advance` calls, and finish with
 :meth:`WindowedRecorder.finalize`. Counters are derived from
@@ -340,42 +344,6 @@ class WindowedRecorder:
         """Closed windows evicted from the ring buffer."""
         return self.windows_closed - len(self._windows)
 
-    @property
-    def accesses_recorded(self) -> int:
-        """Total accesses accounted via :meth:`advance`."""
-        return self._position
-
-    def totals(self) -> dict[str, int]:
-        """Summed counters over the *retained* windows.
-
-        Equals the run's aggregate statistics whenever no window was
-        dropped (``tests/test_timeseries.py`` pins the equality).
-        """
-        keys = (
-            "accesses",
-            "hits",
-            "misses",
-            "bypasses",
-            "evictions",
-            "fills",
-            "evictions_reused",
-            "evictions_dead",
-        )
-        sums = dict.fromkeys(keys, 0)
-        byte_keys = ("bytes_requested", "bytes_hit")
-        for window in self._windows:
-            for key in keys:
-                sums[key] += getattr(window, key)
-            for key in byte_keys:
-                value = getattr(window, key)
-                if value is not None:
-                    sums[key] = sums.get(key, 0) + value
-        return sums
-
-    def pd_trajectory(self) -> list[tuple[int, int]]:
-        """``(window_end, pd)`` pairs for windows that recorded a PD."""
-        return [(w.end, w.pd) for w in self._windows if w.pd is not None]
-
     def to_dict(self) -> dict:
         """The schema-versioned JSON payload persisted into manifests."""
         return {
@@ -439,21 +407,6 @@ class _WindowFeed:
         """Close the recorder's trailing partial window."""
         if self.recorder is not None:
             self.recorder.finalize()
-
-
-def _resolve_recorder(
-    timeseries: WindowedRecorder | None, window_size: int | None
-) -> WindowedRecorder | None:
-    """A driver's active recorder from its ``timeseries=`` /
-    ``window_size=`` arguments: the explicit recorder, a fresh
-    default-budget one when only ``window_size`` was given, or None
-    (recording off — the zero-overhead path). Shared by every
-    simulation driver."""
-    if timeseries is not None and window_size is not None:
-        raise ValueError("pass either timeseries= or window_size=, not both")
-    if window_size is not None:
-        return WindowedRecorder(window_size=window_size)
-    return timeseries
 
 
 __all__ = [

@@ -281,6 +281,8 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
         """Rebuild a spec from :meth:`to_dict` output (tolerates extras)."""
+        if not isinstance(data, dict):
+            raise SpecError(f"a spec is a JSON object, got {type(data).__name__}")
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:

@@ -19,22 +19,21 @@ match exactly (``tests/test_fastpath_multicore.py``).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
 from repro.memory.cache import CacheGeometry, SetAssociativeCache
 from repro.memory.fastpath import run_shared_trace
 from repro.memory.timing import TimingModel
 from repro.obs.manifest import Manifest, trace_fingerprint
-from repro.obs.manifest import git_sha as _git_sha
-from repro.obs.timeseries import WindowedRecorder, _WindowFeed, _resolve_recorder
+from repro.obs.timeseries import WindowedRecorder, _WindowFeed
 from repro.policies.lru import LRUPolicy
 from repro.sim.metrics import (
     harmonic_mean_normalized_ipc,
     throughput,
     weighted_ipc,
 )
-from repro.sim.single_core import _check_engine, run_llc
+from repro.sim.single_core import _check_engine, _geometry_config, run_llc
 from repro.traces.trace import Trace
 from repro.workloads.mixes import interleave_traces
 
@@ -128,7 +127,6 @@ def run_shared_llc(
     manifest_dir: str | os.PathLike | None = None,
     run_label: str | None = None,
     run_meta: dict | None = None,
-    timeseries: WindowedRecorder | None = None,
     window_size: int | None = None,
 ) -> MultiCoreResult:
     """Run a multi-programmed mix on a shared LLC under ``policy``.
@@ -156,19 +154,17 @@ def run_shared_llc(
             (mix, policy) grid key); defaults to the policy class name.
         run_meta: extra JSON-native manifest context; a ``seed`` key is
             lifted into the manifest's ``seed`` field.
-        timeseries: a :class:`repro.obs.timeseries.WindowedRecorder` for
-            per-window statistics over the interleaved stream, including
-            per-thread ``thread_accesses``/``thread_hits``/... shares
-            that honour the freeze rule (a finished thread stops
-            contributing). Windows are bit-identical across engines and
-            chunk sizes; the payload lands in
-            ``result.extra["timeseries"]`` and the manifest.
-        window_size: convenience alternative to ``timeseries`` — record
-            with a fresh default-budget recorder of this window size
-            (mutually exclusive with ``timeseries``).
+        window_size: when set, record per-window statistics over the
+            interleaved stream with a default-budget
+            :class:`repro.obs.timeseries.WindowedRecorder` of this window
+            size, including per-thread ``thread_accesses``/
+            ``thread_hits``/... shares that honour the freeze rule (a
+            finished thread stops contributing). Windows are
+            bit-identical across engines and chunk sizes; the payload
+            lands in ``result.extra["timeseries"]`` and the manifest.
     """
     _check_engine(engine)
-    recorder = _resolve_recorder(timeseries, window_size)
+    recorder = None if window_size is None else WindowedRecorder(window_size)
     if chunk_size is not None and chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     timing = timing or TimingModel()
@@ -230,39 +226,19 @@ def run_shared_llc(
     if recorder is not None:
         result.extra["timeseries"] = recorder.to_dict()
     if manifest_dir is not None:
-        meta = dict(run_meta or {})
-        total_accesses = len(mixed)
-        wall = perf_counter() - start
-        Manifest(
-            kind="shared_llc",
-            workload=name,
-            policy=type(policy).__name__,
+        Manifest.for_run(
+            "shared_llc",
+            name,
+            type(policy).__name__,
+            perf_counter() - start,
+            len(mixed),
+            run_meta,
             engine=engine,
             label=run_label,
-            seed=meta.pop("seed", None),
-            config={
-                "num_sets": geometry.num_sets,
-                "ways": geometry.ways,
-                "line_size": geometry.line_size,
-                "threads": num_threads,
-            },
+            config={**_geometry_config(geometry), "threads": num_threads},
             trace_fingerprint=trace_fingerprint(mixed),
-            git_sha=_git_sha(),
-            wall_time_s=wall,
-            accesses=total_accesses,
-            accesses_per_sec=total_accesses / wall if wall > 0 else 0.0,
             stats={
-                "threads": [
-                    {
-                        "accesses": t.accesses,
-                        "hits": t.hits,
-                        "misses": t.misses,
-                        "bypasses": t.bypasses,
-                        "instructions": t.instructions,
-                        "ipc": t.ipc,
-                    }
-                    for t in outcomes
-                ],
+                "threads": [asdict(t) for t in outcomes],
                 "singles": list(singles),
             },
             metrics={
@@ -270,8 +246,7 @@ def run_shared_llc(
                 "throughput": result.throughput,
                 "hmean": result.hmean,
             },
-            timeseries=recorder.to_dict() if recorder is not None else {},
-            extra=meta,
+            timeseries=result.extra.get("timeseries", {}),
         ).save(manifest_dir)
     return result
 

@@ -120,7 +120,7 @@ from repro.obs.metrics import METRICS
 from repro.obs.progress import ProgressEvent, ProgressReporter
 from repro.obs.spans import SpanTracer
 from repro.sim.multi_core import MultiCoreResult, ThreadOutcome, run_shared_llc
-from repro.sim.single_core import SingleCoreResult, run_llc
+from repro.sim.single_core import SingleCoreResult, _geometry_config, run_llc
 from repro.traces.stream import TraceStream
 from repro.traces.trace import Trace
 from repro.workloads.mixes import interleave_traces
@@ -419,15 +419,6 @@ def multi_core_result_from_manifest(manifest: Manifest) -> MultiCoreResult:
 
 
 # -- cell kinds -------------------------------------------------------------
-
-
-def _geometry_config(geometry: CacheGeometry) -> dict:
-    """A simulation cell's ``config``: the geometry its manifest records."""
-    return {
-        "num_sets": geometry.num_sets,
-        "ways": geometry.ways,
-        "line_size": geometry.line_size,
-    }
 
 
 @dataclass(frozen=True)
@@ -841,18 +832,15 @@ def _sweep_manifest(
     policies and credited accesses (over their ``fresh`` results),
     per-task status and failures, the first cell's ``config`` plus
     ``config``, and the metrics snapshot (when enabled)."""
-    accesses = sum(cell.credited(fresh.get(cell.key)) for cell in ran)
-    return Manifest(
-        kind=kind,
-        workload=",".join(dict.fromkeys(cell.workload for cell in ran)),
-        policy=",".join(dict.fromkeys(cell.policy for cell in ran)),
+    return Manifest.for_run(
+        kind,
+        ",".join(dict.fromkeys(cell.workload for cell in ran)),
+        ",".join(dict.fromkeys(cell.policy for cell in ran)),
+        wall,
+        sum(cell.credited(fresh.get(cell.key)) for cell in ran),
         engine=ran[0].engine,
         config={**ran[0].config, **config},
         trace_fingerprint=_grid_fingerprint(inputs),
-        git_sha=_git_sha(),
-        wall_time_s=wall,
-        accesses=accesses,
-        accesses_per_sec=accesses / wall if wall > 0 else 0.0,
         tasks=observer.task_records(),
         failures=list(observer.failures),
         metrics=METRICS.snapshot() if METRICS.enabled else {},

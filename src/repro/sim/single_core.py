@@ -24,9 +24,8 @@ from repro.memory.columnar import run_trace_vector
 from repro.memory.fastpath import run_trace
 from repro.memory.stats import OccupancyTracker
 from repro.memory.timing import TimingModel
-from repro.obs.manifest import FingerprintAccumulator, Manifest, fingerprint_source
-from repro.obs.manifest import git_sha as _git_sha
-from repro.obs.timeseries import WindowedRecorder, _WindowFeed, _resolve_recorder
+from repro.obs.manifest import FingerprintAccumulator, Manifest
+from repro.obs.timeseries import WindowedRecorder, _WindowFeed
 from repro.traces.stream import TraceStream, as_stream
 from repro.traces.trace import Trace
 
@@ -44,64 +43,13 @@ def _check_engine(engine: str) -> None:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
 
 
-def _emit_run_manifest(
-    manifest_dir: str | os.PathLike,
-    kind: str,
-    trace: Trace | TraceStream,
-    policy_name: str,
-    geometry: CacheGeometry,
-    engine: str,
-    result: SingleCoreResult,
-    wall_time_s: float,
-    run_label: str | None = None,
-    run_meta: dict | None = None,
-    fingerprint: str | None = None,
-    timeseries: dict | None = None,
-) -> None:
-    """Write one per-run provenance manifest (see ``repro.obs.manifest``).
-
-    Used by :func:`run_llc`. ``fingerprint``
-    lets a streaming run pass the digest it accumulated while simulating
-    (avoiding a second pass over the file); when omitted it is computed
-    here — for a :class:`TraceStream` that means one extra chunked scan.
-    """
-    meta = dict(run_meta or {})
-    if fingerprint is None:
-        fingerprint = fingerprint_source(trace)
-    Manifest(
-        kind=kind,
-        workload=trace.name,
-        policy=policy_name,
-        engine=engine,
-        label=run_label,
-        seed=meta.pop("seed", None),
-        config={
-            "num_sets": geometry.num_sets,
-            "ways": geometry.ways,
-            "line_size": geometry.line_size,
-        },
-        trace_fingerprint=fingerprint,
-        git_sha=_git_sha(),
-        wall_time_s=wall_time_s,
-        accesses=result.accesses,
-        accesses_per_sec=result.accesses / wall_time_s if wall_time_s > 0 else 0.0,
-        stats={
-            "accesses": result.accesses,
-            "hits": result.hits,
-            "misses": result.misses,
-            "bypasses": result.bypasses,
-            "evictions": result.evictions,
-            "instructions": result.instructions,
-        },
-        metrics={
-            "hit_rate": result.hit_rate,
-            "mpki": result.mpki,
-            "ipc": result.ipc,
-            "bypass_fraction": result.bypass_fraction,
-        },
-        timeseries=timeseries or {},
-        extra=meta,
-    ).save(manifest_dir)
+def _geometry_config(geometry: CacheGeometry) -> dict:
+    """The ``config`` of a simulation manifest: the cache geometry."""
+    return {
+        "num_sets": geometry.num_sets,
+        "ways": geometry.ways,
+        "line_size": geometry.line_size,
+    }
 
 
 @dataclass(slots=True)
@@ -147,7 +95,6 @@ def run_llc(
     manifest_dir: str | os.PathLike | None = None,
     run_label: str | None = None,
     run_meta: dict | None = None,
-    timeseries: WindowedRecorder | None = None,
     window_size: int | None = None,
 ) -> SingleCoreResult:
     """Drive ``trace`` into an LLC governed by ``policy``.
@@ -174,19 +121,17 @@ def run_llc(
             sweep cell key); defaults to the policy class name.
         run_meta: extra JSON-native context for the manifest; a ``seed``
             key is lifted into the manifest's ``seed`` field.
-        timeseries: a :class:`repro.obs.timeseries.WindowedRecorder` to
-            fill with per-window statistics. The simulation is split at
-            absolute window boundaries, so the recorded windows are
-            bit-identical across engines and chunk sizes; a disabled (or
-            absent) recorder keeps the exact pre-existing code path.
-            The window payload lands in ``result.extra["timeseries"]``
-            and in the manifest when one is written.
-        window_size: convenience alternative to ``timeseries``: record
-            with a fresh default-budget recorder of this window size
-            (mutually exclusive with ``timeseries``).
+        window_size: when set, record per-window statistics with a
+            default-budget :class:`repro.obs.timeseries.WindowedRecorder`
+            of this window size. The simulation is split at absolute
+            window boundaries, so the recorded windows are bit-identical
+            across engines and chunk sizes; None keeps the exact
+            unrecorded code path. The window payload lands in
+            ``result.extra["timeseries"]`` and in the manifest when one
+            is written.
     """
     _check_engine(engine)
-    recorder = _resolve_recorder(timeseries, window_size)
+    recorder = None if window_size is None else WindowedRecorder(window_size)
     timing = timing or TimingModel()
     start = perf_counter()
     stream = as_stream(trace)
@@ -230,8 +175,6 @@ def run_llc(
     if pd_engine is not None:
         extra["pd_history"] = list(pd_engine.pd_history)
         extra["final_pd"] = pd_engine.current_pd
-    if hasattr(policy, "current_pd"):
-        extra["current_pd"] = policy.current_pd
     if recorder is not None:
         extra["timeseries"] = recorder.to_dict()
     result = SingleCoreResult(
@@ -246,22 +189,35 @@ def run_llc(
         extra=extra,
     )
     if manifest_dir is not None:
-        _emit_run_manifest(
-            manifest_dir,
+        Manifest.for_run(
             "llc",
-            stream,
+            stream.name,
             type(policy).__name__,
-            geometry,
-            engine,
-            result,
             perf_counter() - start,
-            run_label,
+            result.accesses,
             run_meta,
-            fingerprint=fingerprinter.digest(
+            engine=engine,
+            label=run_label,
+            config=_geometry_config(geometry),
+            trace_fingerprint=fingerprinter.digest(
                 stream.name, stream.instructions_per_access
             ),
-            timeseries=recorder.to_dict() if recorder is not None else None,
-        )
+            stats={
+                "accesses": result.accesses,
+                "hits": result.hits,
+                "misses": result.misses,
+                "bypasses": result.bypasses,
+                "evictions": result.evictions,
+                "instructions": result.instructions,
+            },
+            metrics={
+                "hit_rate": result.hit_rate,
+                "mpki": result.mpki,
+                "ipc": result.ipc,
+                "bypass_fraction": result.bypass_fraction,
+            },
+            timeseries=extra.get("timeseries", {}),
+        ).save(manifest_dir)
     return result
 
 

@@ -21,11 +21,7 @@ end; ``docs/SCENARIOS.md`` is the narrative guide.
 """
 
 from repro.traces.objects import OP_DELETE, OP_GET, OP_HEAD, OP_PUT
-from repro.swcache.driver import (
-    ObjectCacheResult,
-    emit_objectstore_manifest,
-    run_object_cache,
-)
+from repro.swcache.driver import ObjectCacheResult, run_object_cache
 from repro.swcache.model import (
     CacheEntry,
     ObjectCache,
@@ -56,7 +52,6 @@ __all__ = [
     "SizeAwareLRUPolicy",
     "SoftwareCachePolicy",
     "TinyLFUAdmissionPolicy",
-    "emit_objectstore_manifest",
     "make_software_policy",
     "run_object_cache",
 ]

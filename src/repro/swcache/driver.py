@@ -16,13 +16,12 @@ workload doubles as a line-sized object stream.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
 from repro.obs.manifest import FingerprintAccumulator, Manifest
-from repro.obs.manifest import git_sha as _git_sha
 from repro.obs.metrics import METRICS
-from repro.obs.timeseries import WindowedRecorder, _WindowFeed, _resolve_recorder
+from repro.obs.timeseries import WindowedRecorder, _WindowFeed
 from repro.swcache.model import ObjectCache, ObjectCacheStats, SoftwareCachePolicy
 from repro.traces.objects import ObjectTrace
 from repro.traces.stream import TraceStream, as_stream
@@ -85,7 +84,6 @@ def run_object_cache(
     manifest_dir: str | os.PathLike | None = None,
     run_label: str | None = None,
     run_meta: dict | None = None,
-    timeseries: WindowedRecorder | None = None,
     window_size: int | None = None,
 ) -> ObjectCacheResult:
     """Drive an object-request stream into a byte-budget cache.
@@ -104,13 +102,13 @@ def run_object_cache(
             policy's registry name.
         run_meta: extra JSON-native manifest context (a ``seed`` key is
             lifted into the manifest's ``seed`` field).
-        timeseries: a :class:`WindowedRecorder` to fill; windows carry
-            ``bytes_requested``/``bytes_hit`` on top of the standard
-            counters, and PDP's PD/protected-object series for free.
-        window_size: record with a fresh default-budget recorder of
-            this window size (mutually exclusive with ``timeseries``).
+        window_size: when set, record per-window statistics with a
+            default-budget :class:`WindowedRecorder` of this window
+            size; windows carry ``bytes_requested``/``bytes_hit`` on top
+            of the standard counters, and PDP's PD/protected-object
+            series for free.
     """
-    recorder = _resolve_recorder(timeseries, window_size)
+    recorder = None if window_size is None else WindowedRecorder(window_size)
     start = perf_counter()
     stream = as_stream(trace)
     cache = ObjectCache(capacity_bytes, policy, ttl=ttl)
@@ -153,86 +151,31 @@ def run_object_cache(
         extra=extra,
     )
     if manifest_dir is not None:
-        emit_objectstore_manifest(
-            manifest_dir,
-            stream,
-            result,
-            ttl=ttl,
-            run_label=run_label,
-            run_meta=run_meta,
-            fingerprint=fingerprinter.digest(
+        Manifest.for_run(
+            "objectstore",
+            stream.name,
+            result.policy,
+            wall_time_s,
+            result.accesses,
+            run_meta,
+            engine="swcache",
+            label=run_label or result.policy,
+            config={"capacity_bytes": capacity_bytes, "ttl": ttl},
+            trace_fingerprint=fingerprinter.digest(
                 stream.name, stream.instructions_per_access
             ),
-            timeseries=recorder.to_dict() if recorder is not None else None,
-        )
+            stats=asdict(result.stats),
+            metrics={
+                "hit_rate": result.hit_rate,
+                "byte_hit_rate": result.byte_hit_rate,
+                "bypass_fraction": result.bypass_fraction,
+            },
+            timeseries=extra.get("timeseries", {}),
+        ).save(manifest_dir)
     return result
-
-
-def emit_objectstore_manifest(
-    manifest_dir: str | os.PathLike,
-    stream: TraceStream,
-    result: ObjectCacheResult,
-    ttl: float | None = None,
-    run_label: str | None = None,
-    run_meta: dict | None = None,
-    fingerprint: str | None = None,
-    timeseries: dict | None = None,
-) -> None:
-    """Write one ``kind="objectstore"`` provenance manifest.
-
-    The ``config`` block records the byte budget and TTL instead of a
-    cache geometry; ``stats`` carries the full byte-counter set and
-    ``metrics`` the hit / byte-hit / bypass ratios the comparison
-    tables and ``repro obs report`` render.
-    """
-    meta = dict(run_meta or {})
-    stats = result.stats
-    Manifest(
-        kind="objectstore",
-        workload=stream.name,
-        policy=result.policy,
-        engine="swcache",
-        label=run_label or result.policy,
-        seed=meta.pop("seed", None),
-        config={
-            "capacity_bytes": result.capacity_bytes,
-            "ttl": ttl,
-        },
-        trace_fingerprint=fingerprint,
-        git_sha=_git_sha(),
-        wall_time_s=result.wall_time_s,
-        accesses=result.accesses,
-        accesses_per_sec=(
-            result.accesses / result.wall_time_s if result.wall_time_s > 0 else 0.0
-        ),
-        stats={
-            "accesses": stats.accesses,
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "bypasses": stats.bypasses,
-            "evictions": stats.evictions,
-            "fills": stats.fills,
-            "expirations": stats.expirations,
-            "invalidations": stats.invalidations,
-            "writes": stats.writes,
-            "bytes_requested": stats.bytes_requested,
-            "bytes_hit": stats.bytes_hit,
-            "bytes_missed": stats.bytes_missed,
-            "bytes_admitted": stats.bytes_admitted,
-            "bytes_evicted": stats.bytes_evicted,
-        },
-        metrics={
-            "hit_rate": stats.hit_rate,
-            "byte_hit_rate": stats.byte_hit_rate,
-            "bypass_fraction": stats.bypass_fraction,
-        },
-        timeseries=timeseries or {},
-        extra=meta,
-    ).save(manifest_dir)
 
 
 __all__ = [
     "ObjectCacheResult",
-    "emit_objectstore_manifest",
     "run_object_cache",
 ]

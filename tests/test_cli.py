@@ -162,6 +162,58 @@ class TestCommands:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("{bad", "--spec-file {}: Expecting property name"),
+            ("5", "a spec is a JSON object, got int"),
+        ],
+    )
+    def test_malformed_spec_file_is_an_invalid_spec(
+        self, capsys, tmp_path, content, message
+    ):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(content)
+        code = main(["submit", "--root", str(tmp_path), "--spec-file",
+                     str(spec_file)])
+        assert code == 2
+        assert f"invalid spec: {message.format(spec_file)}" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run"],
+            ["sweep"],
+            ["explore"],
+            ["experiment", "objectstore"],
+        ],
+    )
+    def test_missing_trace_file_is_a_usage_error(self, capsys, tmp_path, argv):
+        missing = tmp_path / "missing.trz"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--trace-file", str(missing)])
+        assert exc.value.code == 2
+        assert f"trace file not found: {missing}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "explore"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--benchmark", "473.astar", "--trace-file", "x.trz"],
+             "argument --trace-file: not allowed with argument --benchmark"),
+            ([], "one of the arguments --benchmark --trace-file is required"),
+        ],
+    )
+    def test_workload_source_is_exactly_one_flag(
+        self, capsys, command, flags, message
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestObservability:
     def test_sweep_progress_and_manifests(self, capsys, tmp_path):

@@ -15,8 +15,8 @@ column. Policies the columnar module does not vectorize fall back to the
 fast path inside the vector engine — the vector column therefore sweeps
 *every* registered policy, proving the fallback seam too.
 
-Every run also carries a :class:`repro.obs.timeseries.WindowedRecorder`:
-the per-window payloads must be bit-identical across all three paths
+Every run also records a windowed time series (``window_size=``): the
+per-window payloads must be bit-identical across all three paths
 (window boundaries sit at absolute positions, so chunking cannot shift
 them) and the sum of the windows must equal the end-of-run aggregates.
 
@@ -39,7 +39,7 @@ import pytest
 
 from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import CacheGeometry
-from repro.obs.timeseries import WindowedRecorder
+from repro.obs.timeseries import windows_from_payload
 from repro.policies.base import make_policy, registered_policies
 from repro.policies.belady import BeladyPolicy
 from repro.sim.multi_core import run_shared_llc
@@ -141,31 +141,25 @@ def _random_geometry(rng: random.Random) -> CacheGeometry:
 def _assert_conformant(policy_name: str, trace: Trace, geometry: CacheGeometry,
                        chunk_size: int) -> None:
     """Reference and every engine under test (one-shot and chunked) must
-    agree exactly — including every per-window payload of an attached
-    recorder."""
+    agree exactly — including every per-window payload of the recorded
+    time series."""
     window_size = max(64, len(trace) // 5)
-    labels = ["reference"]
-    for engine in CONFORMANCE_ENGINES:
-        labels += [engine, f"{engine}-chunked"]
-    recorders = {
-        label: WindowedRecorder(window_size=window_size) for label in labels
-    }
     reference = run_llc(
         trace, _fresh_policy(policy_name, trace), geometry, engine="reference",
-        timeseries=recorders["reference"],
+        window_size=window_size,
     )
     results = {}
     for engine in CONFORMANCE_ENGINES:
         results[engine] = run_llc(
             trace, _fresh_policy(policy_name, trace), geometry, engine=engine,
-            timeseries=recorders[engine],
+            window_size=window_size,
         )
         results[f"{engine}-chunked"] = run_llc(
             TraceStream.from_trace(trace, chunk_size=chunk_size),
             _fresh_policy(policy_name, trace),
             geometry,
             engine=engine,
-            timeseries=recorders[f"{engine}-chunked"],
+            window_size=window_size,
         )
     for field in RESULT_FIELDS:
         ref_value = getattr(reference, field)
@@ -175,22 +169,16 @@ def _assert_conformant(policy_name: str, trace: Trace, geometry: CacheGeometry,
                 f"{trace.name} ({len(trace)} accesses, "
                 f"chunk_size={chunk_size})"
             )
-    ref_windows = recorders["reference"].to_dict()
-    for label in labels[1:]:
-        assert recorders[label].to_dict() == ref_windows, (
+    ref_windows = reference.extra["timeseries"]
+    for label, result in results.items():
+        assert result.extra["timeseries"] == ref_windows, (
             f"{policy_name}: {label} windowed stats diverge from reference "
             f"(window_size={window_size}, chunk_size={chunk_size})"
         )
-    totals = recorders["reference"].totals()
-    for window_field, result_field in (
-        ("accesses", "accesses"),
-        ("hits", "hits"),
-        ("misses", "misses"),
-        ("bypasses", "bypasses"),
-        ("evictions", "evictions"),
-    ):
-        assert totals[window_field] == getattr(reference, result_field), (
-            f"{policy_name}: sum of per-window {window_field} != aggregate"
+    windows = windows_from_payload(ref_windows)
+    for field in ("accesses", "hits", "misses", "bypasses", "evictions"):
+        assert sum(getattr(w, field) for w in windows) == getattr(reference, field), (
+            f"{policy_name}: sum of per-window {field} != aggregate"
         )
 
 
@@ -230,53 +218,44 @@ def _shared_policy(name: str, traces: list[Trace]):
 def _assert_shared_conformant(policy_name: str, traces: list[Trace],
                               geometry: CacheGeometry, chunk_size: int) -> None:
     """Per-thread frozen statistics must agree across every path —
-    including per-window shares from an attached recorder. The vector
+    including per-window shares of the recorded time series. The vector
     engine is an alias for the fast kernel on shared runs; the column
     still proves the alias wiring end to end."""
     total = sum(len(t) for t in traces)
     window_size = max(64, total // 5)
-    labels = ["reference"]
-    for engine in CONFORMANCE_ENGINES:
-        labels += [engine, f"{engine}-chunked"]
-    recorders = {
-        label: WindowedRecorder(window_size=window_size) for label in labels
-    }
     singles = [1.0] * len(traces)  # skip baselines: not under test
     runs = {
         "reference": run_shared_llc(
             traces, _shared_policy(policy_name, traces), geometry,
-            singles=singles, engine="reference",
-            timeseries=recorders["reference"],
+            singles=singles, engine="reference", window_size=window_size,
         ),
     }
     for engine in CONFORMANCE_ENGINES:
         runs[engine] = run_shared_llc(
             traces, _shared_policy(policy_name, traces), geometry,
-            singles=singles, engine=engine,
-            timeseries=recorders[engine],
+            singles=singles, engine=engine, window_size=window_size,
         )
         runs[f"{engine}-chunked"] = run_shared_llc(
             traces, _shared_policy(policy_name, traces), geometry,
             singles=singles, engine=engine, chunk_size=chunk_size,
-            timeseries=recorders[f"{engine}-chunked"],
+            window_size=window_size,
         )
-    reference = runs["reference"]
-    for label in labels[1:]:
-        result = runs[label]
+    reference = runs.pop("reference")
+    for label, result in runs.items():
         for thread, (got, want) in enumerate(zip(result.threads, reference.threads)):
             for field in ("accesses", "hits", "misses", "bypasses", "instructions"):
                 assert getattr(got, field) == getattr(want, field), (
                     f"{policy_name}: {label} thread {thread} {field} diverges "
                     f"from reference (chunk_size={chunk_size})"
                 )
-    ref_windows = recorders["reference"].to_dict()
-    for label in labels[1:]:
-        assert recorders[label].to_dict() == ref_windows, (
+    ref_windows = reference.extra["timeseries"]
+    for label, result in runs.items():
+        assert result.extra["timeseries"] == ref_windows, (
             f"{policy_name}: {label} shared windowed stats diverge from "
             f"reference (window_size={window_size}, chunk_size={chunk_size})"
         )
     # Per-window thread shares must sum to the frozen per-thread aggregates.
-    windows = recorders["reference"].windows
+    windows = windows_from_payload(ref_windows)
     for thread, want in enumerate(reference.threads):
         for field, slot in (("accesses", "thread_accesses"),
                             ("hits", "thread_hits"),

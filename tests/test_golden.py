@@ -151,7 +151,7 @@ def test_windowed_sums_match_golden_aggregates(golden):
     the windowed recorder is a decomposition of the same run, not a
     second measurement."""
     from repro.memory.cache import CacheGeometry
-    from repro.obs.timeseries import WindowedRecorder
+    from repro.obs.timeseries import windows_from_payload
     from repro.policies.base import make_policy
     from repro.sim.single_core import run_llc
 
@@ -159,17 +159,17 @@ def test_windowed_sums_match_golden_aggregates(golden):
     geometry = CacheGeometry(num_sets=16, ways=8)
     for workload_name, trace in sorted(regen._workloads().items()):
         for policy_name in regen.POLICIES:
-            recorder = WindowedRecorder(window_size=700)  # partial tail
-            run_llc(
+            result = run_llc(
                 trace, make_policy(policy_name), geometry,
-                timeseries=recorder,
+                window_size=700,  # partial tail
             )
-            totals = recorder.totals()
+            windows = windows_from_payload(result.extra["timeseries"])
             pinned = golden["cells"][f"{workload_name}/{policy_name}"]
             for field in ("accesses", "hits", "misses", "bypasses", "evictions"):
-                assert totals[field] == pinned[field], (
+                total = sum(getattr(w, field) for w in windows)
+                assert total == pinned[field], (
                     f"{workload_name}/{policy_name}: windowed {field} sum "
-                    f"{totals[field]} != golden aggregate {pinned[field]}"
+                    f"{total} != golden aggregate {pinned[field]}"
                 )
 
 

@@ -1100,6 +1100,16 @@ class TestPredictTier:
         strict = execute_spec(self._spec(match_git_sha=True), tmp_path)
         assert strict["skipped_cells"] == 0 and strict["ran_cells"] == 1
 
+    def test_match_git_sha_resumes_predict_at_same_head(self, tmp_path):
+        """The explore manifest records HEAD like every other kind, so a
+        strict resubmit at the same HEAD skips the pass."""
+        from repro.service.scheduler import execute_spec
+
+        first = execute_spec(self._spec(match_git_sha=True), tmp_path)
+        assert first["ran_cells"] == 1
+        again = execute_spec(self._spec(match_git_sha=True), tmp_path)
+        assert again["skipped_cells"] == 1 and again["ran_cells"] == 0
+
     def test_null_config_explore_manifest_reruns(self, tmp_path):
         """A parseable explore manifest whose ``config`` is null holds no
         design space: it satisfies no predict cell, so the pass re-runs."""

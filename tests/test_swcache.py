@@ -19,7 +19,7 @@ import pytest
 
 import repro.swcache.driver as swdriver
 import repro.swcache.policies as swpolicies
-from repro.obs.timeseries import WindowedRecorder
+from repro.obs.timeseries import windows_from_payload
 from repro.swcache.driver import run_object_cache
 from repro.swcache.model import ObjectCache
 from repro.swcache.policies import (
@@ -161,27 +161,23 @@ def test_ttl_expiry_on_exact_window_boundary():
     # 50) — and that access is the 4th, exactly closing window 0.
     timestamps = [0, 1, 2, 100, 101, 102, 103, 104]
     trace = ObjectTrace(keys, sizes, timestamps=timestamps)
-    recorder = WindowedRecorder(window_size=window)
     result = run_object_cache(
         trace,
         SizeAwareLRUPolicy(),
         capacity_bytes=10_000,
         ttl=50.0,
-        timeseries=recorder,
+        window_size=window,
     )
     stats = result.stats
     assert stats.expirations == 1
-    windows = recorder.windows
+    windows = windows_from_payload(result.extra["timeseries"])
     assert [w.accesses for w in windows] == [4, 4]
     # The boundary access (index 3) was a miss in window 0: the expired
     # entry was dropped and re-filled there, not in window 1.
     assert windows[0].misses == 4 and windows[0].fills == 4
     assert windows[1].hits == 3  # 9,9 re-reads + final key-1 re-read
-    totals = recorder.totals()
-    assert totals["accesses"] == stats.accesses
-    assert totals["hits"] == stats.hits
-    assert totals["misses"] == stats.misses
-    assert totals["fills"] == stats.fills
+    for field in ("accesses", "hits", "misses", "fills"):
+        assert sum(getattr(w, field) for w in windows) == getattr(stats, field)
 
 
 # -- admission + recorder reconciliation -----------------------------------
@@ -196,21 +192,21 @@ def test_admission_rejections_reconcile_with_windowed_sums():
     keys = rng.integers(0, 300, n)
     sizes = rng.integers(50, 500, n)
     trace = ObjectTrace(keys, sizes)
-    recorder = WindowedRecorder(window_size=512)
     result = run_object_cache(
         trace,
         TinyLFUAdmissionPolicy(sketch_width=1 << 10),
         capacity_bytes=20_000,
-        timeseries=recorder,
+        window_size=512,
     )
     stats = result.stats
     assert stats.bypasses > 0  # the filter must actually reject here
-    totals = recorder.totals()
-    for field in ("accesses", "hits", "misses", "bypasses", "evictions", "fills"):
-        assert totals[field] == getattr(stats, field), field
-    assert totals["bytes_requested"] == stats.bytes_requested
-    assert totals["bytes_hit"] == stats.bytes_hit
-    for window in recorder.windows:
+    windows = windows_from_payload(result.extra["timeseries"])
+    for field in (
+        "accesses", "hits", "misses", "bypasses", "evictions", "fills",
+        "bytes_requested", "bytes_hit",
+    ):
+        assert sum(getattr(w, field) for w in windows) == getattr(stats, field), field
+    for window in windows:
         assert window.bypasses <= window.misses
         assert window.misses == window.fills + window.bypasses
         assert window.accesses == window.hits + window.misses
@@ -218,12 +214,12 @@ def test_admission_rejections_reconcile_with_windowed_sums():
 
 def test_windows_carry_byte_axis_only_for_byte_capable_caches():
     trace = ObjectTrace([1, 2, 1, 2], [10, 10, 10, 10])
-    recorder = WindowedRecorder(window_size=2)
-    run_object_cache(trace, SizeAwareLRUPolicy(), 1000, timeseries=recorder)
-    for window in recorder.windows:
+    result = run_object_cache(trace, SizeAwareLRUPolicy(), 1000, window_size=2)
+    payload = result.extra["timeseries"]
+    assert len(payload["windows"]) == 2
+    for window in windows_from_payload(payload):
         assert window.bytes_requested is not None
         assert window.bytes_hit is not None
-    payload = recorder.to_dict()
     assert all("bytes_requested" in w for w in payload["windows"])
 
 
@@ -307,7 +303,6 @@ def test_pdp_recomputes_pd_from_sampled_reuse_distances():
     # Bin width is 4 (64/16); an all-8 RDD must pick a small PD bin.
     assert policy.current_pd <= 16
     # Recorder integration: PD and protected counts land in windows.
-    recorder = WindowedRecorder(window_size=256)
     trace = ObjectTrace(
         np.arange(1000, dtype=np.int64) % 8, np.full(1000, 10, dtype=np.int64)
     )
@@ -315,11 +310,12 @@ def test_pdp_recomputes_pd_from_sampled_reuse_distances():
         trace,
         PDPProtectionPolicy(max_pd=64, bins=16, recompute_interval=200),
         10_000,
-        timeseries=recorder,
+        window_size=256,
     )
-    assert all(w.pd is not None for w in recorder.windows)
-    assert all(w.protected_lines is not None for w in recorder.windows)
-    assert result.extra["final_pd"] == recorder.windows[-1].pd
+    windows = windows_from_payload(result.extra["timeseries"])
+    assert all(w.pd is not None for w in windows)
+    assert all(w.protected_lines is not None for w in windows)
+    assert result.extra["final_pd"] == windows[-1].pd
 
 
 def test_policy_registry_rejects_unknown_names_sorted():

@@ -38,12 +38,15 @@ def _trace(seed: int = 3, n: int = 5000, universe: int = 700) -> Trace:
     return Trace(rng.integers(0, universe, size=n), name=f"ts-{seed}")
 
 
+def _windows(result) -> list[Window]:
+    """The windows a driver recorded into ``result.extra``."""
+    return windows_from_payload(result.extra["timeseries"])
+
+
 class TestWindowBoundaries:
     def test_exact_boundaries_and_partial_tail(self):
         trace = _trace(n=2500)
-        recorder = WindowedRecorder(window_size=1000)
-        run_llc(trace, LRUPolicy(), GEOMETRY, timeseries=recorder)
-        windows = recorder.windows
+        windows = _windows(run_llc(trace, LRUPolicy(), GEOMETRY, window_size=1000))
         assert [(w.start, w.end) for w in windows] == [
             (0, 1000), (1000, 2000), (2000, 2500)
         ]
@@ -52,41 +55,34 @@ class TestWindowBoundaries:
 
     def test_totals_equal_aggregates(self):
         trace = _trace(n=4321)
-        recorder = WindowedRecorder(window_size=997)  # deliberately odd
-        result = run_llc(trace, LRUPolicy(), GEOMETRY, timeseries=recorder)
-        totals = recorder.totals()
-        assert totals["accesses"] == result.accesses
-        assert totals["hits"] == result.hits
-        assert totals["misses"] == result.misses
-        assert totals["bypasses"] == result.bypasses
-        assert totals["evictions"] == result.evictions
-        assert (
-            totals["evictions_reused"] + totals["evictions_dead"]
-            == result.evictions
-        )
+        # deliberately odd window size
+        result = run_llc(trace, LRUPolicy(), GEOMETRY, window_size=997)
+        windows = _windows(result)
+        for field in ("accesses", "hits", "misses", "bypasses", "evictions"):
+            assert sum(getattr(w, field) for w in windows) == getattr(result, field)
+        assert sum(
+            w.evictions_reused + w.evictions_dead for w in windows
+        ) == result.evictions
 
     @pytest.mark.parametrize("chunk_size", [64, 333, 1000, 4096])
     def test_windows_identical_across_chunk_sizes(self, chunk_size):
         trace = _trace(n=3000)
-        baseline = WindowedRecorder(window_size=512)
-        run_llc(trace, LRUPolicy(), GEOMETRY, timeseries=baseline)
-        chunked = WindowedRecorder(window_size=512)
-        run_llc(
+        baseline = run_llc(trace, LRUPolicy(), GEOMETRY, window_size=512)
+        chunked = run_llc(
             TraceStream.from_trace(trace, chunk_size=chunk_size),
             LRUPolicy(),
             GEOMETRY,
-            timeseries=chunked,
+            window_size=512,
         )
-        assert chunked.to_dict() == baseline.to_dict()
+        assert chunked.extra["timeseries"] == baseline.extra["timeseries"]
 
     def test_windows_identical_across_engines(self):
         trace = _trace(n=3000)
         payloads = []
         for engine in ("fast", "reference"):
-            recorder = WindowedRecorder(window_size=777)
-            run_llc(trace, LRUPolicy(), GEOMETRY, engine=engine,
-                    timeseries=recorder)
-            payloads.append(recorder.to_dict())
+            result = run_llc(trace, LRUPolicy(), GEOMETRY, engine=engine,
+                             window_size=777)
+            payloads.append(result.extra["timeseries"])
         assert payloads[0] == payloads[1]
 
     def test_window_size_shorthand(self):
@@ -96,19 +92,16 @@ class TestWindowBoundaries:
         assert payload["windows_closed"] == 4
         assert payload["window_size"] == 500
 
-    def test_window_size_and_timeseries_conflict(self):
-        with pytest.raises(ValueError, match="both"):
-            run_llc(
-                _trace(n=100), LRUPolicy(), GEOMETRY,
-                timeseries=WindowedRecorder(window_size=50), window_size=50,
-            )
-
 
 class TestRingBudget:
     def test_ring_eviction_keeps_last_n(self):
-        trace = _trace(n=5000)
         recorder = WindowedRecorder(window_size=500, max_windows=4)
-        run_llc(trace, LRUPolicy(), GEOMETRY, timeseries=recorder)
+        cache = SetAssociativeCache(GEOMETRY, LRUPolicy())
+        recorder.attach(cache)
+        for access in _trace(n=5000):
+            cache.access(access)
+            recorder.advance(1)
+        recorder.finalize()
         assert recorder.windows_closed == 10
         assert recorder.windows_dropped == 6
         assert [w.index for w in recorder.windows] == [6, 7, 8, 9]
@@ -133,10 +126,7 @@ class TestDisabledMode:
     def test_results_identical_with_and_without_recorder(self):
         trace = _trace(n=2000)
         plain = run_llc(trace, LRUPolicy(), GEOMETRY)
-        recorded = run_llc(
-            trace, LRUPolicy(), GEOMETRY,
-            timeseries=WindowedRecorder(window_size=300),
-        )
+        recorded = run_llc(trace, LRUPolicy(), GEOMETRY, window_size=300)
         for field in ("accesses", "hits", "misses", "bypasses",
                       "evictions", "instructions"):
             assert getattr(recorded, field) == getattr(plain, field)
@@ -184,13 +174,17 @@ class TestSerialization:
         assert "thread_accesses" not in data
 
     def test_payload_round_trip(self):
-        trace = _trace(n=1200)
         recorder = WindowedRecorder(window_size=400)
-        run_llc(trace, LRUPolicy(), GEOMETRY, timeseries=recorder)
+        cache = SetAssociativeCache(GEOMETRY, LRUPolicy())
+        recorder.attach(cache)
+        for access in _trace(n=1200):
+            cache.access(access)
+            recorder.advance(1)
         payload = recorder.to_dict()
         assert payload["schema_version"] == TIMESERIES_SCHEMA_VERSION
         rebuilt = windows_from_payload(payload)
         assert rebuilt == recorder.windows
+        assert len(rebuilt) == 3
 
     def test_windows_from_payload_degrades(self):
         assert windows_from_payload({}) == []
@@ -201,23 +195,23 @@ class TestSerialization:
 class TestPDPFields:
     def test_pd_and_protected_lines_recorded(self):
         trace = _trace(n=4000, universe=400)
-        recorder = WindowedRecorder(window_size=1000)
-        run_llc(
+        result = run_llc(
             trace, PDPPolicy(recompute_interval=1000), GEOMETRY,
-            timeseries=recorder,
+            window_size=1000,
         )
-        assert all(w.pd is not None and w.pd > 0 for w in recorder.windows)
-        assert all(w.protected_lines is not None for w in recorder.windows)
-        assert recorder.pd_trajectory() == [
-            (w.end, w.pd) for w in recorder.windows
-        ]
+        windows = _windows(result)
+        assert len(windows) == 4
+        assert all(w.pd is not None and w.pd > 0 for w in windows)
+        assert all(w.protected_lines is not None for w in windows)
+        assert windows[-1].pd == result.extra["final_pd"]
 
     def test_non_pdp_policy_leaves_fields_none(self):
-        recorder = WindowedRecorder(window_size=500)
-        run_llc(_trace(n=1000), LRUPolicy(), GEOMETRY, timeseries=recorder)
-        assert all(w.pd is None for w in recorder.windows)
-        assert all(w.protected_lines is None for w in recorder.windows)
-        assert recorder.pd_trajectory() == []
+        windows = _windows(
+            run_llc(_trace(n=1000), LRUPolicy(), GEOMETRY, window_size=500)
+        )
+        assert len(windows) == 2
+        assert all(w.pd is None for w in windows)
+        assert all(w.protected_lines is None for w in windows)
 
 
 class TestSharedLLC:
@@ -226,18 +220,14 @@ class TestSharedLLC:
 
     def test_thread_shares_sum_to_frozen_aggregates(self):
         traces = self._traces()
-        recorder = WindowedRecorder(window_size=700)
         result = run_shared_llc(
             traces, LRUPolicy(), GEOMETRY, singles=[1.0, 1.0],
-            timeseries=recorder,
+            window_size=700,
         )
+        windows = _windows(result)
         for thread, stats in enumerate(result.threads):
-            assert sum(
-                w.thread_accesses[thread] for w in recorder.windows
-            ) == stats.accesses
-            assert sum(
-                w.thread_hits[thread] for w in recorder.windows
-            ) == stats.hits
+            assert sum(w.thread_accesses[thread] for w in windows) == stats.accesses
+            assert sum(w.thread_hits[thread] for w in windows) == stats.hits
 
     def test_shared_windows_identical_across_paths(self):
         traces = self._traces()
@@ -247,12 +237,11 @@ class TestSharedLLC:
             {"engine": "fast", "chunk_size": 513},
             {"engine": "reference"},
         ):
-            recorder = WindowedRecorder(window_size=617)
-            run_shared_llc(
+            result = run_shared_llc(
                 traces, LRUPolicy(), GEOMETRY, singles=[1.0, 1.0],
-                timeseries=recorder, **kwargs,
+                window_size=617, **kwargs,
             )
-            payloads.append(recorder.to_dict())
+            payloads.append(result.extra["timeseries"])
         assert payloads[0] == payloads[1] == payloads[2]
 
 
