@@ -290,7 +290,6 @@ class _PDPKernel(_SetBatchKernel):
     def __init__(self, cache) -> None:
         super().__init__(cache)
         self._sets: dict[int, list] = {}
-        self._fifo_states: dict[int, list] = {}
         self._sampled_lut = None
         engine = self.policy.engine
         if engine is not None:
@@ -346,8 +345,7 @@ class _PDPKernel(_SetBatchKernel):
         return state
 
     def _sync(self) -> None:
-        """Materialize ``_rpd``/``_step_counter`` for the touched sets and
-        rebuild the touched sampler FIFO rows from their stamp maps."""
+        """Materialize ``_rpd``/``_step_counter`` for the touched sets."""
         policy = self.policy
         rpd = policy._rpd
         step_counter = policy._step_counter
@@ -360,17 +358,6 @@ class _PDPKernel(_SetBatchKernel):
                 rpd[s] = expiry_row
             step_counter[s] = stepc
         self._sets = {}
-        if self._fifo_states:
-            fifos = policy.engine.sampler._fifos
-            set_shift = self.set_shift
-            for s, (stamps, pushes, length) in self._fifo_states.items():
-                entries: list = [None] * length
-                for tag, stamp in stamps.items():
-                    position = pushes - 1 - stamp
-                    if 0 <= position < length:
-                        entries[position] = (tag << set_shift) | s
-                fifos[s].entries = entries
-            self._fifo_states = {}
 
     def _drive(self, set_ids, tags, tids, lo, hi, set_order) -> None:
         """Replay accesses ``[lo, hi)``, split at recompute epochs.
@@ -421,7 +408,10 @@ class _PDPKernel(_SetBatchKernel):
         Sampler FIFOs and sampling counters are per-set, and the RD
         counter array cannot freeze within an epoch (the
         :meth:`supports` gate), so distance counts and N_t commute —
-        grouped feeding is bit-identical to arrival order.
+        grouped feeding is bit-identical to arrival order. The loop is
+        ``RDSampler.observe`` inlined on the sampler's own FIFO stamp
+        maps (see :mod:`repro.core.sampler`): one dict probe per access,
+        each FIFO's fields written back once per set.
         """
         engine = self.policy.engine
         sampler = engine.sampler
@@ -431,7 +421,6 @@ class _PDPKernel(_SetBatchKernel):
         insertion_rate = sampler.insertion_rate
         d_max = counters.d_max
         bin_step = counters.step
-        set_shift = self.set_shift
         segment_sets = set_ids[lo:hi]
         segment_tags = tags[lo:hi]
         if len(fifos) < self.num_sets:
@@ -442,56 +431,45 @@ class _PDPKernel(_SetBatchKernel):
         if not sampled:
             return
         order, group_sets, starts, ends = _group_by_set(segment_sets)
-        sorted_tags = segment_tags[order].tolist()
+        sorted_addresses = (
+            (segment_tags << self.set_shift) | segment_sets
+        )[order].tolist()
         bins: list[int] = []
         append_bin = bins.append
         for g, s in enumerate(group_sets):
             fifo = fifos[s]
             depth = fifo.depth
-            # The FIFO as a stamp map: an entry pushed as the p-th push
-            # sits at position ``pushes - 1 - p`` (insert-at-front shifts
-            # everything by one per push) and is live while that position
-            # is inside the list. Existing rows seed with negative
-            # stamps. Turns the per-access O(depth) ``list.index`` scan
-            # into one dict probe; ``_sync`` rebuilds the real row.
-            state = self._fifo_states.get(s)
-            if state is None:
-                stamps = {}
-                for i, entry in enumerate(fifo.entries):
-                    if entry is not None:
-                        stamps[entry >> set_shift] = -1 - i
-                state = [stamps, 0, len(fifo.entries)]
-                self._fifo_states[s] = state
-            stamps, pushes, length = state
+            stamps = fifo.stamps
+            pushes = fifo.pushes
+            length = fifo.length
             prune_at = 8 * depth
             counter = sampling_counters[s]
-            stamp_get = stamps.get
-            for tag in sorted_tags[starts[g]:ends[g]]:
+            pop_stamp = stamps.pop
+            for address in sorted_addresses[starts[g]:ends[g]]:
                 counter += 1
-                stamp = stamp_get(tag)
-                if stamp is not None:
-                    del stamps[tag]  # found or stale: either way gone
+                stamp = pop_stamp(address, None)
+                if stamp is not None:  # found or stale: either way gone
                     position = pushes - 1 - stamp
                     if position < length:
                         distance = position * insertion_rate + counter
                         if distance <= d_max:  # >= 1 since counter >= 1
                             append_bin((distance - 1) // bin_step)
                 if counter >= insertion_rate:
-                    stamps[tag] = pushes
+                    stamps[address] = pushes
                     pushes += 1
                     if length < depth:
                         length += 1
                     elif len(stamps) > prune_at:
                         cutoff = pushes - length
                         stamps = {
-                            t: p for t, p in stamps.items() if p >= cutoff
+                            a: p for a, p in stamps.items() if p >= cutoff
                         }
-                        state[0] = stamps
-                        stamp_get = stamps.get
+                        pop_stamp = stamps.pop
                     counter = 0
             sampling_counters[s] = counter
-            state[1] = pushes
-            state[2] = length
+            fifo.stamps = stamps
+            fifo.pushes = pushes
+            fifo.length = length
         counters.total += sampled
         if bins:
             counters.counts += np.bincount(

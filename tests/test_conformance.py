@@ -40,6 +40,7 @@ import pytest
 from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import CacheGeometry
 from repro.obs.timeseries import windows_from_payload
+from repro.partitioning.pd_partition import PDPartitionPolicy
 from repro.policies.base import make_policy, registered_policies
 from repro.policies.belady import BeladyPolicy
 from repro.sim.multi_core import run_shared_llc
@@ -67,6 +68,15 @@ PDP_VARIANTS = {
     "pdp-nb": partial(PDPPolicy, bypass=False, recompute_interval=1024),
     "pdp-ins1": partial(PDPPolicy, insertion_pd=1, recompute_interval=1024),
     "pdp-full": partial(PDPPolicy, sampler_mode="full", recompute_interval=1024),
+}
+
+#: Shared-LLC configurations beyond the registered policies: Fig. 12's own
+#: PD partitioning, full sampler included. The short interval makes every
+#: run recompute its PD vector several times.
+SHARED_VARIANTS = {
+    "pd-partition-full": partial(
+        PDPartitionPolicy, sampler_mode="full", recompute_interval=256
+    ),
 }
 
 #: Fields of SingleCoreResult that must agree bit-for-bit across engines.
@@ -210,6 +220,8 @@ def _shared_policy(name: str, traces: list[Trace]):
     if name == "belady":
         mixed, _ = interleave_traces(traces)
         return BeladyPolicy(mixed.addresses, bypass=True)
+    if name in SHARED_VARIANTS:
+        return SHARED_VARIANTS[name](num_threads=len(traces))
     if name in MULTITHREAD:
         return make_policy(name, num_threads=len(traces))
     return make_policy(name)
@@ -218,29 +230,35 @@ def _shared_policy(name: str, traces: list[Trace]):
 def _assert_shared_conformant(policy_name: str, traces: list[Trace],
                               geometry: CacheGeometry, chunk_size: int) -> None:
     """Per-thread frozen statistics must agree across every path —
-    including per-window shares of the recorded time series. The vector
-    engine is an alias for the fast kernel on shared runs; the column
-    still proves the alias wiring end to end."""
+    including per-window shares of the recorded time series and, for the
+    PDP family, the PD history. The vector engine is an alias for the
+    fast kernel on shared runs; the column still proves the alias wiring
+    end to end."""
     total = sum(len(t) for t in traces)
     window_size = max(64, total // 5)
     singles = [1.0] * len(traces)  # skip baselines: not under test
+    policies = {"reference": _shared_policy(policy_name, traces)}
     runs = {
         "reference": run_shared_llc(
-            traces, _shared_policy(policy_name, traces), geometry,
+            traces, policies["reference"], geometry,
             singles=singles, engine="reference", window_size=window_size,
         ),
     }
     for engine in CONFORMANCE_ENGINES:
-        runs[engine] = run_shared_llc(
-            traces, _shared_policy(policy_name, traces), geometry,
-            singles=singles, engine=engine, window_size=window_size,
-        )
-        runs[f"{engine}-chunked"] = run_shared_llc(
-            traces, _shared_policy(policy_name, traces), geometry,
-            singles=singles, engine=engine, chunk_size=chunk_size,
-            window_size=window_size,
-        )
+        for label, chunking in ((engine, None), (f"{engine}-chunked", chunk_size)):
+            policies[label] = _shared_policy(policy_name, traces)
+            runs[label] = run_shared_llc(
+                traces, policies[label], geometry,
+                singles=singles, engine=engine, chunk_size=chunking,
+                window_size=window_size,
+            )
     reference = runs.pop("reference")
+    ref_engine = getattr(policies.pop("reference"), "engine", None)
+    if ref_engine is not None:
+        for label, policy in policies.items():
+            assert policy.engine.pd_history == ref_engine.pd_history, (
+                f"{policy_name}: {label} PD history diverges from reference"
+            )
     for label, result in runs.items():
         for thread, (got, want) in enumerate(zip(result.threads, reference.threads)):
             for field in ("accesses", "hits", "misses", "bypasses", "instructions"):
@@ -287,7 +305,9 @@ def test_shared_llc_engines_agree(policy_name: str, seed: int):
     _assert_shared_conformant(policy_name, traces, geometry, chunk_size)
 
 
-@pytest.mark.parametrize("policy_name", ["lru", "ucp", "ta-drrip"])
+@pytest.mark.parametrize(
+    "policy_name", ["lru", "ucp", "ta-drrip", "pd-partition-full"]
+)
 def test_shared_llc_engines_agree_smoke(policy_name: str):
     rng = _rng("shared-smoke", policy_name)
     geometry = CacheGeometry(num_sets=16, ways=8)

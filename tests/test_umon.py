@@ -1,6 +1,7 @@
 """Tests for the utility monitors (UMON)."""
 
 import numpy as np
+import pytest
 
 from repro.partitioning.umon import UtilityMonitor
 
@@ -65,3 +66,11 @@ class TestUtilityMonitor:
             monitor.observe(0, 7)
         monitor.decay()
         assert monitor.position_hits[0] == 1  # 3 hits halved
+
+    @pytest.mark.parametrize("num_sets", [48, 64, 100, 2048])
+    def test_monitors_exactly_num_sampled_sets(self, num_sets):
+        monitor = UtilityMonitor(num_sets=num_sets, ways=4, num_sampled_sets=32)
+        monitored = [s for s in range(num_sets) if monitor.is_sampled(s)]
+        assert len(monitored) == 32
+        if num_sets == 2048:  # power-of-two geometries keep their stride
+            assert monitored == list(range(0, 2048, 64))

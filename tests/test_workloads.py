@@ -238,3 +238,91 @@ class TestMixes:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             interleave_traces([])
+
+
+def _interleave_oracle(traces, total_length=None):
+    """The per-access round-robin loop ``interleave_traces`` replaced:
+    one cursor per thread, rewind at the end, completion recorded at the
+    first rewind."""
+    from repro.traces.trace import Trace
+
+    num_threads = len(traces)
+    lengths = [len(trace) for trace in traces]
+    if total_length is None:
+        total_length = max(lengths) * num_threads
+    addresses = np.empty(total_length, dtype=np.int64)
+    pcs = np.empty(total_length, dtype=np.int64)
+    thread_ids = np.empty(total_length, dtype=np.int64)
+    cursors = [0] * num_threads
+    completion = [-1] * num_threads
+    position = 0
+    while position < total_length:
+        for thread in range(num_threads):
+            if position >= total_length:
+                break
+            cursor = cursors[thread]
+            addresses[position] = int(traces[thread].addresses[cursor]) + (thread << 40)
+            pcs[position] = int(traces[thread].pcs[cursor])
+            thread_ids[position] = thread
+            cursor += 1
+            if cursor >= lengths[thread]:
+                cursor = 0
+                if completion[thread] < 0:
+                    completion[thread] = position + 1
+            cursors[thread] = cursor
+            position += 1
+    completion = [c if c >= 0 else total_length for c in completion]
+    mixed = Trace(
+        addresses,
+        pcs=pcs,
+        thread_ids=thread_ids,
+        name="+".join(trace.name for trace in traces),
+        instructions_per_access=sum(t.instructions_per_access for t in traces)
+        / num_threads,
+    )
+    return mixed, completion
+
+
+class TestInterleaveOracle:
+    """``interleave_traces`` is byte-identical to the per-access loop."""
+
+    @staticmethod
+    def _traces(lengths, seed):
+        from repro.traces.trace import Trace
+
+        rng = np.random.default_rng(seed)
+        return [
+            Trace(
+                rng.integers(0, 1 << 34, length),
+                pcs=rng.integers(0, 1 << 20, length),
+                name=f"t{thread}",
+                instructions_per_access=1.0 + 0.37 * thread,
+            )
+            for thread, length in enumerate(lengths)
+        ]
+
+    @pytest.mark.parametrize(
+        "lengths, total_length",
+        [
+            ([50, 50, 50, 50], None),  # equal lengths
+            ([13, 50, 7], None),  # unequal lengths
+            ([13, 50, 7], 40),  # shorter than max(len) * T
+            ([13, 50, 7], 400),  # longer than max(len) * T
+            ([29], None),  # one thread
+            ([5 + 3 * t for t in range(16)], None),  # 16 threads
+            ([5 + 3 * t for t in range(16)], 1_000),
+            ([13, 50, 7], 0),
+        ],
+    )
+    def test_matches_per_access_loop(self, lengths, total_length):
+        traces = self._traces(lengths, seed=len(lengths) + (total_length or 0))
+        got, got_completion = interleave_traces(traces, total_length)
+        want, want_completion = _interleave_oracle(traces, total_length)
+        assert got_completion == want_completion
+        for column in ("addresses", "pcs", "thread_ids"):
+            got_column = getattr(got, column)
+            want_column = getattr(want, column)
+            assert got_column.dtype == want_column.dtype, column
+            assert got_column.tobytes() == want_column.tobytes(), column
+        assert got.name == want.name
+        assert got.instructions_per_access == want.instructions_per_access
