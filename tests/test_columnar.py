@@ -6,6 +6,9 @@ bit-identical-stats contract already swept by ``test_conformance.py``):
 - **Set-order invariance**: sets are independent, so processing the
   set batches of a chunk in *any* permutation must leave identical
   statistics and identical per-set cache/policy state.
+- **The sampler feed**: the PDP kernel runs the RD sampler's loop
+  inline on the sampler's own FIFOs, so after a run the sampler must
+  hold what per-access ``observe`` calls would have left there.
 - **The fallback seam**: policies without a kernel (or whose kernel
   declines via ``supports``) must silently run the fast path under
   ``engine="vector"``, and the gates themselves must classify policies
@@ -21,9 +24,11 @@ import pytest
 from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import CacheGeometry, SetAssociativeCache
 from repro.memory.columnar import run_trace_vector, vectorizable
+from repro.memory.fastpath import run_trace
 from repro.policies.base import make_policy
 from repro.policies.lru import LRUPolicy
 from repro.sim.single_core import run_llc
+from repro.traces.trace import Trace
 from repro.workloads.streams import random_working_set
 
 GEOMETRY = CacheGeometry(num_sets=16, ways=4)
@@ -87,6 +92,61 @@ class TestSetOrderInvariance:
         present = sorted({int(a) % GEOMETRY.num_sets for a in trace.addresses})
         with pytest.raises(ValueError):
             run_trace_vector(cache, trace, set_order=present[:-1])
+
+
+def _live_fifos(sampler) -> dict:
+    """Each sampled set's live FIFO entries as address -> position, plus
+    its sampling counter."""
+    return {
+        s: (
+            {
+                address: fifo.pushes - 1 - stamp
+                for address, stamp in fifo.stamps.items()
+                if fifo.pushes - 1 - stamp < fifo.length
+            },
+            fifo.length,
+            sampler._sampling_counter[s],
+        )
+        for s, fifo in sampler._fifos.items()
+    }
+
+
+class TestSamplerFeed:
+    @pytest.mark.parametrize("sampler_mode", ["real", "full"])
+    def test_prune_then_tail_probe_matches_per_access_feed(self, sampler_mode):
+        """Unique addresses in one set until the stamp map prunes, then
+        a reuse of the FIFO's oldest live entry, where the prune cutoff
+        sits; then a random tail. RD counts and FIFO state must match
+        the per-access path."""
+        def policy():
+            return PDPPolicy(sampler_mode=sampler_mode, recompute_interval=60_000)
+
+        model = SetAssociativeCache(GEOMETRY, policy()).policy.engine.sampler
+        fifo = model._fifos[0]
+        addresses = []
+        while True:  # model the feed to find the first prune in set 0
+            addresses.append((len(addresses) + 1) * GEOMETRY.num_sets)
+            before = len(fifo.stamps)
+            model.observe(0, addresses[-1])
+            if len(fifo.stamps) < before:
+                break
+        oldest = min(fifo.stamps, key=fifo.stamps.get)
+        addresses.append(oldest)
+        addresses.extend(int(a) for a in _trace(length=3_000).addresses)
+        trace = Trace(addresses)
+        runs = {}
+        for label, run in (("fast", run_trace), ("vector", run_trace_vector)):
+            cache = SetAssociativeCache(GEOMETRY, policy())
+            run(cache, trace)
+            engine = cache.policy.engine
+            (counters,) = engine.class_counters
+            runs[label] = (
+                counters.counts.tolist(),
+                counters.total,
+                _live_fifos(engine.sampler),
+                engine.pd_history,
+            )
+        assert runs["vector"] == runs["fast"]
 
 
 class TestFallbackSeam:
