@@ -121,12 +121,12 @@ def _grid_triple(mixes, geometry, workers: int, repeats: int) -> dict:
         serial_ref = min(serial_ref, t)
         _, t = _timed(
             run_mix_matrix, mixes, factories, geometry,
-            timing=TIMING, singles=singles, max_workers=1,
+            timing=TIMING, singles=singles, max_workers=1, engine="fast",
         )
         serial_fast = min(serial_fast, t)
         _, t = _timed(
             run_mix_matrix, mixes, factories, geometry,
-            timing=TIMING, singles=singles, max_workers=workers,
+            timing=TIMING, singles=singles, max_workers=workers, engine="fast",
         )
         parallel = min(parallel, t)
     return {

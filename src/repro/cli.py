@@ -914,10 +914,11 @@ def build_parser() -> argparse.ArgumentParser:
     fig12.add_argument(
         "--engine",
         choices=("vector", "fast", "reference"),
-        default="fast",
-        help="simulation engine for the shared-LLC runs (vector is "
-        "accepted as an alias for fast; reference = original per-access "
-        "loop)",
+        default="vector",
+        help="simulation engine for the shared-LLC runs (vector = "
+        "set-batched kernels for PD partitioning and the LRU baselines, "
+        "fast for the other policies; fast = batched per-access loop; "
+        "reference = original per-access loop; all give identical results)",
     )
     _add_workers(fig12)
     _add_manifest_dir(fig12)

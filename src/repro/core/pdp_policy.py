@@ -99,8 +99,11 @@ class PDPPolicy(ReplacementPolicy):
     # -- wiring ------------------------------------------------------------
 
     def _allocate(self, num_sets: int, ways: int) -> None:
+        """Size the per-line expiries and per-set ticks, and attach the
+        dynamic engine (K = ``num_classes`` RD counter arrays)."""
         self._ways = ways
-        self._rpd = [[0] * ways for _ in range(num_sets)]
+        self._expiry = [[0] * ways for _ in range(num_sets)]
+        self._tick = [0] * num_sets
         self._step_counter = [0] * num_sets
         if self.static_pd is None:
             self.engine = PDEngine(
@@ -143,8 +146,20 @@ class PDPPolicy(ReplacementPolicy):
         return min(self.rpd_max, max(1, units))
 
     # -- hooks ---------------------------------------------------------------
+    #
+    # RPDs are held as expiry ticks. Each set counts ticks in ``_tick``
+    # (one per S_d accesses to the set) and each line stores the tick at
+    # which it stops being protected, so a line's RPD is
+    # ``max(0, expiry - tick)``. Invariant: a line is protected exactly
+    # while ``expiry > tick``. Setting an RPD of ``v`` stores
+    # ``tick + v``, and the paper's all-ways decrement is one
+    # ``tick += 1``.
 
     def on_access(self, set_index: int, access: Access) -> None:
+        """Feed the dynamic engine, then age the set: every S_d-th access
+        advances the set's tick, which lowers every line's RPD by one
+        (saturating at 0, since a line with ``expiry <= tick`` stays
+        unprotected)."""
         engine = self.engine
         if engine is not None:
             access_class = self._class = self._class_of(access)
@@ -154,20 +169,23 @@ class PDPPolicy(ReplacementPolicy):
         # the per-set counter counts bypasses too).
         counter = self._step_counter[set_index] + 1
         if counter >= self.distance_step:
-            row = self._rpd[set_index]
-            for way in range(self._ways):
-                if row[way] > 0:
-                    row[way] -= 1
+            self._tick[set_index] += 1
             counter = 0
         self._step_counter[set_index] = counter
 
     def on_hit(self, set_index: int, way: int, access: Access) -> None:
-        self._rpd[set_index][way] = self._insertion_rpd()
+        """Promotion re-protects the line: its expiry becomes the set's
+        tick plus the accessing class's PD in RPD units."""
+        self._expiry[set_index][way] = self._tick[set_index] + self._insertion_rpd()
 
     def choose_victim(self, set_index: int, access: Access) -> int | None:
-        row = self._rpd[set_index]
-        for way in range(self._ways):
-            if row[way] == 0:
+        """The first unprotected way (``expiry <= tick``); else bypass,
+        or the inclusive fallback when bypass is off. The fallback runs
+        only with every line protected, where expiry order is RPD order."""
+        row = self._expiry[set_index]
+        tick = self._tick[set_index]
+        for way, expiry in enumerate(row):
+            if expiry <= tick:
                 return way
         if self.bypass:
             return None
@@ -179,21 +197,25 @@ class PDPPolicy(ReplacementPolicy):
         return max(candidates, key=row.__getitem__)
 
     def on_fill(self, set_index: int, way: int, access: Access) -> None:
+        """Protect the new line: expiry is the set's tick plus the
+        inserting class's PD (or ``insertion_pd``) in RPD units."""
         if self.insertion_pd is not None:
             units = -(-self.insertion_pd // self.distance_step)
-            self._rpd[set_index][way] = min(self.rpd_max, max(1, units))
+            units = min(self.rpd_max, max(1, units))
         else:
-            self._rpd[set_index][way] = self._insertion_rpd()
+            units = self._insertion_rpd()
+        self._expiry[set_index][way] = self._tick[set_index] + units
 
     # -- introspection --------------------------------------------------------
 
     def protected_count(self, set_index: int) -> int:
         """Number of currently protected lines in ``set_index``."""
-        return sum(1 for value in self._rpd[set_index] if value > 0)
+        tick = self._tick[set_index]
+        return sum(1 for expiry in self._expiry[set_index] if expiry > tick)
 
     def rpd_of(self, set_index: int, way: int) -> int:
         """Current RPD (in S_d units) of one line."""
-        return self._rpd[set_index][way]
+        return max(0, self._expiry[set_index][way] - self._tick[set_index])
 
 
 def make_spdp_nb(pd: int, **kwargs) -> PDPPolicy:

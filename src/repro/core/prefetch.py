@@ -123,7 +123,7 @@ class PrefetchAwarePDPPolicy(PDPPolicy):
 
     def on_fill(self, set_index: int, way: int, access: Access) -> None:
         if self.prefetch_mode == "pd1" and access.kind is AccessType.PREFETCH:
-            self._rpd[set_index][way] = 1
+            self._expiry[set_index][way] = self._tick[set_index] + 1
         else:
             super().on_fill(set_index, way, access)
 

@@ -62,7 +62,7 @@ def run_fig12(
     num_mixes: int = 4,
     length_per_thread: int | None = None,
     seed: int = 7,
-    engine: str = "fast",
+    engine: str = "vector",
     max_workers: int | None = None,
     manifest_dir: str | None = None,
     on_event=None,

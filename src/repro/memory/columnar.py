@@ -14,47 +14,59 @@ eviction decisions and windowed time-series as the reference loop —
 including invariance under arbitrary permutations of the set-batch
 processing order.
 
-Vectorized policies (exact types; subclasses keep the fast path): LRU
-and PDP — static and dynamic — the only policies the figures and
-benchmarks run on this tier. Everything else falls back per-policy to
-the fast path inside :func:`run_trace_vector`, with identical results,
-which is what lets ``run_llc``/``run_matrix`` default to
-``engine="vector"`` safely:
+Vectorized policies (exact types; subclasses keep the fast path): LRU,
+PDP — static and dynamic — and PD partitioning
+(:class:`~repro.partitioning.pd_partition.PDPartitionPolicy`), the only
+policies the figures and benchmarks run on this tier. Everything else
+falls back per-policy to the fast path, with identical results, which is
+what lets ``run_llc``/``run_matrix`` and the shared-LLC drivers default
+to ``engine="vector"`` safely:
 
 - FIFO, MRU and SRRIP are set-local and could be vectorized, but no
   figure, benchmark or CLI default runs them, so they keep the fast path.
-- BRRIP/DRRIP (and the random policy) consume a shared RNG / set-dueling
-  PSEL in *global fill order*, which set grouping would reorder — they
-  cannot be vectorized bit-identically.
+- BRRIP/DRRIP and TA-DRRIP (and the random policy) consume a shared RNG
+  / set-dueling PSEL in *global fill order*, which set grouping would
+  reorder — they cannot be vectorized bit-identically. UCP and PIPP
+  repartition from global access counts and shared utility monitors,
+  so they keep the fast path too.
 - Dynamic PDP is vectorized only when
   ``recompute_interval <= counter_max`` (65535 with the paper's 16-bit
-  counters): within one recompute epoch the RD counters then provably
-  cannot saturate, so the order-dependent freeze rule of
+  counters): within one recompute epoch no class's RD counters can then
+  saturate, so the order-dependent freeze rule of
   :class:`repro.core.rdd.RDCounterArray` can never fire mid-epoch and
   batched counter accumulation is exact. The paper-scale 512K interval
   (which *does* rely on freezing) keeps the fast path.
 
-The PDP kernel replaces the per-access all-ways RPD decrement loop with
-an *expiry* representation: with ``T`` the set's tick count, a line whose
-RPD was set to ``v`` at tick ``T0`` is protected exactly while
-``T < T0 + v``, so storing ``expiry = T0 + v`` turns the O(ways)
-decrement into a single ``T += 1`` and victim selection into a scan for
+The PDP kernel runs on the policy's own expiry representation (see
+:mod:`repro.core.pdp_policy`): with ``T`` the set's tick count, a line
+whose RPD was set to ``v`` at tick ``T0`` is protected exactly while
+``T < T0 + v``, so the policy stores ``expiry = T0 + v``, the O(ways)
+decrement is a single ``T += 1`` and victim selection is a scan for
 ``expiry <= T``. A cached per-set lower bound on the minimum expiry
 short-circuits the all-protected case (the common one under bypass) to
-O(1). Policy-visible state (``_rpd``/``_step_counter``) is rebuilt from
-the expiry columns at the end of every kernel call, so
-:meth:`~repro.core.pdp_policy.PDPPolicy.protected_count` and windowed
-recorders observe exactly the reference values at every window boundary.
+O(1). The kernel copies each touched set's tick back at the end of every
+call, so :meth:`~repro.core.pdp_policy.PDPPolicy.protected_count` and
+windowed recorders observe exactly the reference values at every window
+boundary. An access's class is ``thread_id % num_classes`` — one class
+for PDP, one per thread for PD partitioning — and picks the PD its line
+is protected with and the RD counter array its sampled distance lands in.
 
 Dynamic PDP splits each call at the same absolute recompute epochs as
 the reference: the sampler FIFOs and RD counters are fed set-grouped
 (their state is per-set and the counter sums commute), and
 ``PDEngine.recompute`` fires at the exact access positions the
 per-access loop would trigger it — ``pd_history`` is bit-identical.
+
+The shared-LLC path, :func:`run_shared_trace_vector`, is the same kernel
+under :func:`repro.memory.fastpath.run_frozen_segments`: the interleaved
+mix is cut at each thread's completion position, each segment is
+set-batched on its own, and the kernel counts hits and bypasses per
+thread, so each thread's frozen statistics match the reference loop.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import repeat
 from time import perf_counter
 
@@ -62,8 +74,16 @@ import numpy as np
 
 from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import log2_int
-from repro.memory.fastpath import run_trace
+from repro.memory.fastpath import (
+    _flush_stats,
+    _run_slice,
+    _thread_slots,
+    _total,
+    run_frozen_segments,
+    run_trace,
+)
 from repro.obs.metrics import METRICS
+from repro.partitioning.pd_partition import PDPartitionPolicy
 from repro.policies.lru import LRUPolicy
 
 
@@ -78,6 +98,10 @@ class _FallbackKernel:
     def run(self, trace, set_order=None) -> None:
         """Delegate to :func:`repro.memory.fastpath.run_trace`."""
         run_trace(self.cache, trace)
+
+    def run_slice(self, trace, t_hits, t_bypasses, set_order=None) -> int:
+        """Delegate to the fast path's per-access loop."""
+        return _run_slice(self.cache, trace, t_hits, t_bypasses)
 
 
 def _group_by_set(set_ids: np.ndarray):
@@ -121,6 +145,7 @@ class _SetBatchKernel:
         self.bypasses = 0
         self.evictions = 0
         self._tid0 = 0
+        self._t_hits = self._t_bypasses = None
 
     @classmethod
     def supports(cls, policy) -> bool:
@@ -128,7 +153,8 @@ class _SetBatchKernel:
         return True
 
     def run(self, trace, set_order=None) -> None:
-        """Drive every access of ``trace`` through the cache, set-batched.
+        """Drive every access of ``trace`` through the cache, set-batched,
+        and add the run's totals to ``cache.stats``.
 
         ``set_order`` optionally fixes the order in which set batches are
         replayed (any permutation covering the sets present in the
@@ -141,6 +167,27 @@ class _SetBatchKernel:
             return
         obs_enabled = METRICS.enabled
         obs_start = perf_counter() if obs_enabled else 0.0
+        t_hits = _thread_slots(trace.thread_ids)
+        t_bypasses = t_hits.copy()
+        evictions = self.run_slice(trace, t_hits, t_bypasses, set_order)
+        _flush_stats(self.cache, n, _total(t_hits), _total(t_bypasses), evictions)
+        if obs_enabled:
+            METRICS.observe("columnar.run_trace_s", perf_counter() - obs_start)
+            METRICS.inc("columnar.accesses", n)
+
+    def run_slice(self, trace, t_hits, t_bypasses, set_order=None) -> int:
+        """Replay ``trace`` set-batched under the fast path's slice
+        contract (:func:`repro.memory.fastpath._run_slice`).
+
+        Each hit adds one to ``t_hits[tid]`` and each bypass one to
+        ``t_bypasses[tid]`` for the accessing thread ``tid``; the
+        evictions are returned and ``cache.stats`` is left to the
+        caller. Kernel-private state is written back before returning,
+        so the policy is reference-identical between slices.
+        """
+        n = len(trace)
+        if n == 0:
+            return 0
         addresses = trace.addresses
         set_ids = addresses & self.set_mask
         tags = addresses >> self.set_shift
@@ -151,19 +198,15 @@ class _SetBatchKernel:
         else:
             tids = thread_ids
         self.hits = self.bypasses = self.evictions = 0
+        self._t_hits = t_hits
+        self._t_bypasses = t_bypasses
         self._drive(set_ids, tags, tids, 0, n, set_order)
-        misses = n - self.hits
-        stats = self.cache.stats
-        stats.accesses += n
-        stats.hits += self.hits
-        stats.misses += misses
-        stats.bypasses += self.bypasses
-        stats.evictions += self.evictions
-        stats.fills += misses - self.bypasses
+        if self.hits or self.bypasses:
+            # Only single-thread slices count into the scalars.
+            t_hits[self._tid0] += self.hits
+            t_bypasses[self._tid0] += self.bypasses
         self._sync()
-        if obs_enabled:
-            METRICS.observe("columnar.run_trace_s", perf_counter() - obs_start)
-            METRICS.inc("columnar.accesses", n)
+        return self.evictions
 
     def _drive(self, set_ids, tags, tids, lo, hi, set_order) -> None:
         """Replay accesses ``[lo, hi)``; one segment for static policies
@@ -227,13 +270,14 @@ class _LRUKernel(_SetBatchKernel):
         set_shift = self.set_shift
         get = index.get
         count = cache.set_accesses[s]
-        hits = evictions = 0
+        evictions = 0
+        t_hits = self._t_hits
         tid_seq = repeat(self._tid0) if tid_seq is None else tid_seq
         for tag, tid in zip(tag_seq, tid_seq):
             count += 1
             way = get(tag)
             if way is not None:
-                hits += 1
+                t_hits[tid] += 1
                 if observers:
                     occupancy = count - start_row[way]
                 reused_row[way] = True
@@ -272,24 +316,32 @@ class _LRUKernel(_SetBatchKernel):
                 order_row.remove(way)
                 order_row.append(way)
         cache.set_accesses[s] = count
-        self.hits += hits
         self.evictions += evictions
 
 
 class _PDPKernel(_SetBatchKernel):
-    """PDP replay: expiry columns, epoch-exact dynamic recomputation.
+    """PDP replay: K access classes, epoch-exact dynamic recomputation.
 
-    Per touched set the kernel keeps ``[expiry_row, ticks, step_counter,
-    min_expiry]``, seeded lazily from the policy's ``_rpd`` /
-    ``_step_counter`` at first touch in a call and written back (RPDs
-    clamped at zero, exactly the reference's saturating decrement) in
-    :meth:`_sync` — so window-boundary introspection and any engine
-    switch between chunks see reference-identical state.
+    The policy already holds RPDs as expiry ticks (see
+    :mod:`repro.core.pdp_policy`), so the kernel replays each set on the
+    policy's own ``_expiry`` row. Per touched set it keeps ``[expiry_row,
+    ticks, step_counter, min_expiry]``, seeded from the policy's
+    ``_expiry``/``_tick``/``_step_counter`` at first touch in a slice;
+    :meth:`_sync` copies the tick and step counter back, so
+    window-boundary introspection and any engine switch between slices
+    see reference-identical state.
+
+    An access's class is ``thread_id % num_classes``: one class for
+    :class:`~repro.core.pdp_policy.PDPPolicy`, one per thread for
+    :class:`~repro.partitioning.pd_partition.PDPartitionPolicy` — each
+    type's own ``_class_of``. Each class has its own PD, so insertion
+    and promotion units are per class.
     """
 
     def __init__(self, cache) -> None:
         super().__init__(cache)
         self._sets: dict[int, list] = {}
+        self._num_classes = self.policy.num_classes
         self._sampled_lut = None
         engine = self.policy.engine
         if engine is not None:
@@ -301,61 +353,69 @@ class _PDPKernel(_SetBatchKernel):
     @classmethod
     def supports(cls, policy) -> bool:
         """Static PDP always; dynamic PDP only when the recompute
-        interval rules out a counter freeze within one epoch (the freeze
-        rule is order-dependent, so batching must prove it cannot fire).
+        interval rules out a counter freeze within one epoch, for every
+        class's counter array (the freeze rule is order-dependent, so
+        batching must prove it cannot fire).
         """
         if policy.static_pd is not None:
             return True
         engine = policy.engine
         if engine is None:  # not attached yet: decide from parameters
             return policy.recompute_interval <= (1 << 16) - 1
-        (counters,) = engine.class_counters
-        return (
-            engine.recompute_interval <= counters.counter_max
-            and engine.recompute_interval <= counters.total_max
+        interval = engine.recompute_interval
+        return all(
+            interval <= counters.counter_max
+            and interval <= counters.total_max
             and not counters.frozen
+            for counters in engine.class_counters
         )
 
     def _refresh_params(self) -> None:
         """Re-derive the per-epoch constants from the policy (called
-        after every PD recomputation)."""
+        after every PD recomputation): S_d, and each class's insertion
+        and fill units. ``_units``/``_fill_units`` are those of the
+        class of the slice's single thread, for the fast loop."""
         policy = self.policy
         step = policy.distance_step
         self._step = step
-        self._units = policy._insertion_rpd()
+        rpd_max = policy.rpd_max
+        engine = policy.engine
+        pds = [policy.static_pd] * self._num_classes if engine is None else engine.pds
+        self._class_units = [
+            min(rpd_max, max(1, -(-pd // step))) for pd in pds  # ceil division
+        ]
         if policy.insertion_pd is not None:
-            units = -(-policy.insertion_pd // step)  # ceil division
-            self._fill_units = min(policy.rpd_max, max(1, units))
+            units = -(-policy.insertion_pd // step)
+            self._class_fill_units = [min(rpd_max, max(1, units))] * len(pds)
         else:
-            self._fill_units = self._units
+            self._class_fill_units = self._class_units
+        single = self._tid0 % self._num_classes
+        self._units = self._class_units[single]
+        self._fill_units = self._class_fill_units[single]
         self._bypass = policy.bypass
 
     def _set_state(self, s: int) -> list:
         """The expiry-domain state of one set, seeded on first touch."""
         state = self._sets.get(s)
         if state is None:
-            expiry_row = self.policy._rpd[s][:]
+            policy = self.policy
+            expiry_row = policy._expiry[s]
             state = [
                 expiry_row,
-                0,
-                self.policy._step_counter[s],
+                policy._tick[s],
+                policy._step_counter[s],
                 min(expiry_row),
             ]
             self._sets[s] = state
         return state
 
     def _sync(self) -> None:
-        """Materialize ``_rpd``/``_step_counter`` for the touched sets."""
-        policy = self.policy
-        rpd = policy._rpd
-        step_counter = policy._step_counter
-        for s, (expiry_row, ticks, stepc, _minexp) in self._sets.items():
-            if ticks:
-                rpd[s] = [
-                    e - ticks if e > ticks else 0 for e in expiry_row
-                ]
-            else:
-                rpd[s] = expiry_row
+        """Copy the touched sets' ticks and step counters back to the
+        policy (the expiry rows were updated in place)."""
+        tick = self.policy._tick
+        step_counter = self.policy._step_counter
+        for s, (_row, ticks, stepc, _minexp) in self._sets.items():
+            tick[s] = ticks
             step_counter[s] = stepc
         self._sets = {}
 
@@ -385,7 +445,7 @@ class _PDPKernel(_SetBatchKernel):
         offset = resolve_start = lo
         while offset < hi:
             segment = min(interval - engine.accesses_since_recompute, hi - offset)
-            self._feed_sampler(set_ids, tags, offset, offset + segment)
+            self._feed_sampler(set_ids, tags, tids, offset, offset + segment)
             engine._total_accesses += segment
             engine.accesses_since_recompute += segment
             offset += segment
@@ -401,32 +461,40 @@ class _PDPKernel(_SetBatchKernel):
         if resolve_start < hi:
             self._resolve_range(set_ids, tags, tids, resolve_start, hi, set_order)
 
-    def _feed_sampler(self, set_ids, tags, lo, hi) -> None:
+    def _feed_sampler(self, set_ids, tags, tids, lo, hi) -> None:
         """Feed accesses ``[lo, hi)`` (one epoch's worth at most) to the
         RD sampler, set-grouped.
 
-        Sampler FIFOs and sampling counters are per-set, and the RD
-        counter array cannot freeze within an epoch (the
-        :meth:`supports` gate), so distance counts and N_t commute —
-        grouped feeding is bit-identical to arrival order. The loop is
-        ``RDSampler.observe`` inlined on the sampler's own FIFO stamp
-        maps (see :mod:`repro.core.sampler`): one dict probe per access,
-        each FIFO's fields written back once per set.
+        Sampler FIFOs and sampling counters are per-set, and no class's
+        RD counter array can freeze within an epoch (the :meth:`supports`
+        gate), so distance counts and N_t commute — grouped feeding is
+        bit-identical to arrival order. The loop is ``RDSampler.observe``
+        inlined on the sampler's own FIFO stamp maps (see
+        :mod:`repro.core.sampler`): one dict probe per access, each
+        FIFO's fields written back once per set. Each measured distance
+        lands in a flat ``class * num_counters + bin`` index, so one
+        ``np.bincount`` fills every class's counter array; each class's
+        N_t is its count of sampled accesses.
         """
         engine = self.policy.engine
         sampler = engine.sampler
-        (counters,) = engine.class_counters
+        arrays = engine.class_counters
+        num_classes = self._num_classes
         fifos = sampler._fifos
         sampling_counters = sampler._sampling_counter
         insertion_rate = sampler.insertion_rate
-        d_max = counters.d_max
-        bin_step = counters.step
+        num_counters = arrays[0].num_counters
+        d_max = arrays[0].d_max
+        bin_step = arrays[0].step
         segment_sets = set_ids[lo:hi]
         segment_tags = tags[lo:hi]
+        segment_classes = None if tids is None else tids[lo:hi] % num_classes
         if len(fifos) < self.num_sets:
             mask = self._sampled_lut[segment_sets]
             segment_sets = segment_sets[mask]
             segment_tags = segment_tags[mask]
+            if segment_classes is not None:
+                segment_classes = segment_classes[mask]
         sampled = len(segment_sets)
         if not sampled:
             return
@@ -434,6 +502,17 @@ class _PDPKernel(_SetBatchKernel):
         sorted_addresses = (
             (segment_tags << self.set_shift) | segment_sets
         )[order].tolist()
+        if segment_classes is None:
+            single = self._tid0 % num_classes
+            class_totals = [0] * num_classes
+            class_totals[single] = sampled
+            sorted_bases = None
+            bases = repeat(single * num_counters)
+        else:
+            class_totals = np.bincount(
+                segment_classes, minlength=num_classes
+            ).tolist()
+            sorted_bases = (segment_classes * num_counters)[order].tolist()
         bins: list[int] = []
         append_bin = bins.append
         for g, s in enumerate(group_sets):
@@ -445,7 +524,10 @@ class _PDPKernel(_SetBatchKernel):
             prune_at = 8 * depth
             counter = sampling_counters[s]
             pop_stamp = stamps.pop
-            for address in sorted_addresses[starts[g]:ends[g]]:
+            first, last = starts[g], ends[g]
+            if sorted_bases is not None:
+                bases = sorted_bases[first:last]
+            for address, base in zip(sorted_addresses[first:last], bases):
                 counter += 1
                 stamp = pop_stamp(address, None)
                 if stamp is not None:  # found or stale: either way gone
@@ -453,7 +535,7 @@ class _PDPKernel(_SetBatchKernel):
                     if position < length:
                         distance = position * insertion_rate + counter
                         if distance <= d_max:  # >= 1 since counter >= 1
-                            append_bin((distance - 1) // bin_step)
+                            append_bin(base + (distance - 1) // bin_step)
                 if counter >= insertion_rate:
                     stamps[address] = pushes
                     pushes += 1
@@ -470,11 +552,14 @@ class _PDPKernel(_SetBatchKernel):
             fifo.stamps = stamps
             fifo.pushes = pushes
             fifo.length = length
-        counters.total += sampled
+        for counters, total in zip(arrays, class_totals):
+            counters.total += total
         if bins:
-            counters.counts += np.bincount(
-                bins, minlength=counters.num_counters
-            )
+            counts = np.bincount(
+                bins, minlength=num_classes * num_counters
+            ).reshape(num_classes, num_counters)
+            for counters, row in zip(arrays, counts):
+                counters.counts += row
 
     def _run_set(self, s, tag_seq, tid_seq) -> None:
         """Replay set ``s``'s subsequence in the expiry domain.
@@ -491,7 +576,9 @@ class _PDPKernel(_SetBatchKernel):
         d_max = 256: PDP-8 and every SPDP the figures run) takes its own
         loop, without the step-counter branch, the observer checks and
         the thread-id zip. It stays separate on purpose: folding it into
-        the general loop measured 7–9% slower on PDP-8.
+        the general loop measured 7–9% slower on PDP-8. The general loop
+        counts hits and bypasses per thread and takes each access's
+        insertion units from its class.
         """
         cache = self.cache
         index = cache._tag_index[s]
@@ -588,6 +675,11 @@ class _PDPKernel(_SetBatchKernel):
             self.bypasses += bypasses
             self.evictions += evictions
             return
+        t_hits = self._t_hits
+        t_bypasses = self._t_bypasses
+        class_units = self._class_units
+        class_fill_units = self._class_fill_units
+        num_classes = self._num_classes
         tid_seq = repeat(self._tid0) if tid_seq is None else tid_seq
         for tag, tid in zip(tag_seq, tid_seq):
             count += 1
@@ -600,12 +692,13 @@ class _PDPKernel(_SetBatchKernel):
                     stepc = 0
             way = get(tag)
             if way is not None:
-                hits += 1
+                t_hits[tid] += 1
                 if observers:
                     occupancy = count - start_row[way]
                 reused_row[way] = True
                 start_row[way] = count
-                expiry_row[way] = expiry = ticks + units  # promotion re-protects
+                # Promotion re-protects with the accessing class's PD.
+                expiry_row[way] = expiry = ticks + class_units[tid % num_classes]
                 if expiry < minexp:
                     # The PD may have shrunk since the bound was taken, so
                     # a promotion can expire *before* the cached minimum —
@@ -635,7 +728,7 @@ class _PDPKernel(_SetBatchKernel):
                         minexp = min(expiry_row)  # re-tighten the bound
                 if way < 0:
                     if bypass_mode:
-                        bypasses += 1
+                        t_bypasses[tid] += 1
                         if observers:
                             address = (tag << set_shift) | s
                             for observer in observers:
@@ -677,15 +770,13 @@ class _PDPKernel(_SetBatchKernel):
             owner_row[way] = tid
             start_row[way] = count
             index[tag] = way
-            expiry_row[way] = expiry = ticks + fill_units
+            expiry_row[way] = expiry = ticks + class_fill_units[tid % num_classes]
             if expiry < minexp:
                 minexp = expiry  # see the promotion-path comment above
         cache.set_accesses[s] = count
         state[1] = ticks
         state[2] = stepc
         state[3] = minexp
-        self.hits += hits
-        self.bypasses += bypasses
         self.evictions += evictions
 
 
@@ -695,6 +786,7 @@ class _PDPKernel(_SetBatchKernel):
 _KERNELS: dict[type, type[_SetBatchKernel]] = {
     LRUPolicy: _LRUKernel,
     PDPPolicy: _PDPKernel,
+    PDPartitionPolicy: _PDPKernel,
 }
 
 
@@ -710,6 +802,20 @@ def vectorizable(policy) -> bool:
     return kernel is not None and kernel.supports(policy)
 
 
+def _kernel_for(cache):
+    """The kernel cached on ``cache`` for its policy, built on first use
+    (the fast-path fallback when no kernel supports the policy), so
+    chunked streaming pays the dispatch once."""
+    kernel = getattr(cache, "_vector_kernel", None)
+    if kernel is None or kernel.policy is not cache.policy:
+        kernel_cls = _KERNELS.get(type(cache.policy))
+        if kernel_cls is None or not kernel_cls.supports(cache.policy):
+            kernel_cls = _FallbackKernel
+        kernel = kernel_cls(cache)
+        cache._vector_kernel = kernel
+    return kernel
+
+
 def run_trace_vector(cache, trace, set_order=None) -> None:
     """Drive every access of ``trace`` through ``cache``, set-batched.
 
@@ -718,23 +824,51 @@ def run_trace_vector(cache, trace, set_order=None) -> None:
     hook-visible state, observer events (in set-grouped order; all
     shipped observers aggregate commutatively) and windowed time-series.
     Falls back to the fast path per policy when no kernel supports the
-    cache's policy. The kernel instance is cached on the cache, so
-    chunked streaming pays the dispatch once.
+    cache's policy.
 
     ``set_order`` optionally permutes the set-batch processing order
     (testing hook; results are invariant).
     """
-    kernel = getattr(cache, "_vector_kernel", None)
-    if kernel is None or kernel.policy is not cache.policy:
-        kernel_cls = _KERNELS.get(type(cache.policy))
-        if kernel_cls is None or not kernel_cls.supports(cache.policy):
-            kernel_cls = _FallbackKernel
-        kernel = kernel_cls(cache)
-        cache._vector_kernel = kernel
-    kernel.run(trace, set_order=set_order)
+    _kernel_for(cache).run(trace, set_order=set_order)
+
+
+def run_shared_trace_vector(
+    cache, trace, completion: list[int], position_offset: int = 0, set_order=None
+) -> list[list[int]]:
+    """Drive an interleaved multi-thread trace through ``cache``,
+    set-batched, with per-thread stat freezing.
+
+    The ``engine="vector"`` counterpart of
+    :func:`repro.memory.fastpath.run_shared_trace`, with the same
+    arguments and return value: :func:`~repro.memory.fastpath.run_frozen_segments`
+    applies the freeze rule around the cached kernel's
+    :meth:`~_SetBatchKernel.run_slice`. Freeze segments are cut on the
+    global access order, and each segment is set-batched on its own, so
+    dynamic-PDP recomputes and every thread's counts land exactly where
+    the reference loop puts them. Records one
+    ``columnar.run_shared_trace_s`` observation per call.
+
+    ``set_order`` optionally permutes the set-batch processing order
+    (testing hook; results are invariant).
+    """
+    obs_enabled = METRICS.enabled
+    obs_start = perf_counter() if obs_enabled else 0.0
+    kernel = _kernel_for(cache)
+    totals = run_frozen_segments(
+        cache,
+        trace,
+        completion,
+        position_offset,
+        partial(kernel.run_slice, set_order=set_order),
+    )
+    if obs_enabled:
+        METRICS.observe("columnar.run_shared_trace_s", perf_counter() - obs_start)
+        METRICS.inc("columnar.accesses", len(trace))
+    return totals
 
 
 __all__ = [
+    "run_shared_trace_vector",
     "run_trace_vector",
     "vectorizable",
 ]

@@ -19,10 +19,12 @@ observers when ``cache.observers`` is non-empty. Hits and bypasses are
 counted per thread, and ``cache.stats`` is updated once per call.
 
 Every kernel here runs one per-access loop, :func:`_run_slice`.
-:func:`run_shared_trace` applies the paper's stat-freeze rule (Sec. 5)
-outside that loop: it cuts its slice at the completion positions that
-fall inside it and credits each segment's per-thread counts only to the
-threads still running at the segment's start.
+:func:`run_frozen_segments` applies the paper's stat-freeze rule (Sec. 5)
+outside any per-segment runner: it cuts its slice at the completion
+positions that fall inside it and credits each segment's per-thread
+counts only to the threads still running at the segment's start.
+:func:`run_shared_trace` runs it around :func:`_run_slice`; the columnar
+tier runs it around its set-batched kernels.
 
 Policies see the exact same hook sequence with the exact same values as
 under the reference loop, so any :class:`ReplacementPolicy` works
@@ -34,6 +36,7 @@ observer does).
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import repeat
 from time import perf_counter
 
@@ -249,6 +252,58 @@ def run_trace(cache, trace) -> None:
         METRICS.inc("fastpath.accesses", n)
 
 
+def run_frozen_segments(
+    cache, trace, completion: list[int], position_offset: int, run_segment
+) -> list[list[int]]:
+    """The paper's stat-freeze rule (Sec. 5), for any per-segment runner.
+
+    ``run_segment(segment, t_hits, t_bypasses)`` drives one slice of
+    ``trace`` through ``cache`` with the :func:`_run_slice` contract:
+    it adds each hit and bypass to the accessing thread's slot, leaves
+    ``cache.stats`` alone and returns the evictions. The ``fast`` tier
+    passes :func:`_run_slice`, the ``vector`` tier its columnar kernel.
+
+    The freeze is a segment split, not a per-access test: the slice is
+    cut at every completion position strictly inside it (at most
+    ``len(completion)`` cuts) and ``run_segment`` runs once per segment.
+    No completion lies strictly inside a segment, so a thread counts
+    either every access of the segment or none: its counts are credited
+    iff its completion lies beyond the segment's start. Per-thread
+    accesses are a ``np.bincount`` of the segment's thread ids, and
+    misses are accesses minus hits. ``cache.stats`` gets the whole
+    slice, frozen portion included.
+
+    Returns ``[accesses, hits, misses, bypasses]``, each a per-thread
+    list of frozen counters.
+    """
+    num_threads = len(completion)
+    n = len(trace)
+    totals = [[0] * num_threads for _ in range(4)]
+    accesses, hits, misses, bypasses = totals
+    all_hits = all_bypasses = evictions = 0
+
+    cuts = {c - position_offset for c in completion if 0 < c - position_offset < n}
+    bounds = [0, *sorted(cuts), n]
+    for start, stop in zip(bounds, bounds[1:]):
+        segment = trace.slice(start, stop)
+        t_hits = [0] * num_threads
+        t_bypasses = [0] * num_threads
+        evictions += run_segment(segment, t_hits, t_bypasses)
+        all_hits += sum(t_hits)
+        all_bypasses += sum(t_bypasses)
+        t_accesses = np.bincount(segment.thread_ids, minlength=num_threads).tolist()
+        position = position_offset + start
+        for tid in range(num_threads):
+            if position < completion[tid]:
+                accesses[tid] += t_accesses[tid]
+                hits[tid] += t_hits[tid]
+                misses[tid] += t_accesses[tid] - t_hits[tid]
+                bypasses[tid] += t_bypasses[tid]
+
+    _flush_stats(cache, n, all_hits, all_bypasses, evictions)
+    return totals
+
+
 def run_shared_trace(
     cache, trace, completion: list[int], position_offset: int = 0
 ) -> list[list[int]]:
@@ -264,16 +319,8 @@ def run_shared_trace(
     its first pass; accesses at positions ``>= completion[t]`` still hit
     the cache (the thread keeps pressuring it after rewinding) but no
     longer count toward thread ``t``'s statistics — the paper's
-    stat-freezing rule (Sec. 5).
-
-    The freeze is a segment split, not a per-access test: the slice is
-    cut at every completion position strictly inside it (at most
-    ``len(completion)`` cuts) and :func:`_run_slice` runs once per
-    segment. No completion lies strictly inside a segment, so a thread
-    counts either every access of the segment or none: its counts are
-    credited iff its completion lies beyond the segment's start.
-    Per-thread accesses are a ``np.bincount`` of the segment's thread
-    ids, and misses are accesses minus hits.
+    stat-freezing rule (Sec. 5), applied by :func:`run_frozen_segments`
+    around :func:`_run_slice`.
 
     ``position_offset`` is the absolute position of ``trace``'s first
     access within the full interleaved run — pass the chunk's start
@@ -290,35 +337,13 @@ def run_shared_trace(
     """
     obs_enabled = METRICS.enabled
     obs_start = perf_counter() if obs_enabled else 0.0
-    num_threads = len(completion)
-    n = len(trace)
-    totals = [[0] * num_threads for _ in range(4)]
-    accesses, hits, misses, bypasses = totals
-    all_hits = all_bypasses = evictions = 0
-
-    cuts = {c - position_offset for c in completion if 0 < c - position_offset < n}
-    bounds = [0, *sorted(cuts), n]
-    for start, stop in zip(bounds, bounds[1:]):
-        segment = trace.slice(start, stop)
-        t_hits = [0] * num_threads
-        t_bypasses = [0] * num_threads
-        evictions += _run_slice(cache, segment, t_hits, t_bypasses)
-        all_hits += sum(t_hits)
-        all_bypasses += sum(t_bypasses)
-        t_accesses = np.bincount(segment.thread_ids, minlength=num_threads).tolist()
-        position = position_offset + start
-        for tid in range(num_threads):
-            if position < completion[tid]:
-                accesses[tid] += t_accesses[tid]
-                hits[tid] += t_hits[tid]
-                misses[tid] += t_accesses[tid] - t_hits[tid]
-                bypasses[tid] += t_bypasses[tid]
-
-    _flush_stats(cache, n, all_hits, all_bypasses, evictions)
+    totals = run_frozen_segments(
+        cache, trace, completion, position_offset, partial(_run_slice, cache)
+    )
     if obs_enabled:
         METRICS.observe("fastpath.run_shared_trace_s", perf_counter() - obs_start)
-        METRICS.inc("fastpath.accesses", n)
+        METRICS.inc("fastpath.accesses", len(trace))
     return totals
 
 
-__all__ = ["ScratchAccess", "run_shared_trace", "run_trace"]
+__all__ = ["ScratchAccess", "run_frozen_segments", "run_shared_trace", "run_trace"]

@@ -100,6 +100,9 @@ class UCPPolicy(ReplacementPolicy):
         self.allocation: list[int] = []
 
     def _allocate(self, num_sets: int, ways: int) -> None:
+        """Size the recency stamps and one UMON per thread, and start
+        from an even way quota (the first ``ways % num_threads`` threads
+        get one extra way)."""
         self._ways = ways
         self._stamp = [[0] * ways for _ in range(num_sets)]
         self._clock = [0] * num_sets
@@ -114,10 +117,13 @@ class UCPPolicy(ReplacementPolicy):
         ]
 
     def _touch(self, set_index: int, way: int) -> None:
+        """Make ``way`` the most recently used line of its set."""
         self._clock[set_index] += 1
         self._stamp[set_index][way] = self._clock[set_index]
 
     def on_access(self, set_index: int, access: Access) -> None:
+        """Feed the accessing thread's UMON; every
+        ``repartition_interval`` accesses, re-derive the way quotas."""
         thread = access.thread_id % self.num_threads
         self.monitors[thread].observe(set_index, access.address)
         self._accesses += 1
@@ -133,28 +139,40 @@ class UCPPolicy(ReplacementPolicy):
         return self.allocation
 
     def on_hit(self, set_index: int, way: int, access: Access) -> None:
+        """A hit refreshes the line's recency; quotas are untouched."""
         self._touch(set_index, way)
 
     def choose_victim(self, set_index: int, access: Access) -> int | None:
-        thread = access.thread_id % self.num_threads
+        """Enforce the quota rule on a full set.
+
+        A thread (``thread_id % num_threads``) holding at least its
+        quota of the set's ways loses its own LRU line. A thread under
+        quota steals the LRU line of the donor: the thread with lines in
+        the set whose occupancy most exceeds its quota, the lowest
+        thread number winning a tie. UCP never bypasses.
+        """
+        num_threads = self.num_threads
+        thread = access.thread_id % num_threads
         owners = self.cache.owner[set_index]
         stamps = self._stamp[set_index]
-        counts = [0] * self.num_threads
-        for way in range(self._ways):
-            counts[owners[way] % self.num_threads] += 1
-        if counts[thread] >= self.allocation[thread]:
-            own = [w for w in range(self._ways) if owners[w] % self.num_threads == thread]
+        own = [w for w, o in enumerate(owners) if o % num_threads == thread]
+        if len(own) >= self.allocation[thread]:
             return min(own, key=stamps.__getitem__)
         # Steal from the most over-allocated thread.
-        overage = [counts[t] - self.allocation[t] for t in range(self.num_threads)]
+        counts = [0] * num_threads
+        for owner in owners:
+            counts[owner % num_threads] += 1
+        allocation = self.allocation
         donor = max(
-            (t for t in range(self.num_threads) if counts[t] > 0),
-            key=lambda t: overage[t],
+            (t for t in range(num_threads) if counts[t] > 0),
+            key=lambda t: counts[t] - allocation[t],
         )
-        donor_ways = [w for w in range(self._ways) if owners[w] % self.num_threads == donor]
+        donor_ways = [w for w, o in enumerate(owners) if o % num_threads == donor]
         return min(donor_ways, key=stamps.__getitem__)
 
     def on_fill(self, set_index: int, way: int, access: Access) -> None:
+        """A fill makes the new line the set's most recently used; the
+        cache records its owner."""
         self._touch(set_index, way)
 
 

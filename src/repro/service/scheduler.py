@@ -96,9 +96,9 @@ def execute_spec(
     else:
         factories = policy_factories(spec)
         inputs = load_mix_traces(spec)
-        engine = "fast" if spec.engine == "vector" else spec.engine
         cells = mix_cells(
-            inputs, factories, spec_geometry(spec), None, None, engine, manifest_dir
+            inputs, factories, spec_geometry(spec), None, None, spec.engine,
+            manifest_dir,
         )
         config = {"mixes": len(inputs)}
     results, plan = run_cells(

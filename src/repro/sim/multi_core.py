@@ -7,13 +7,17 @@ thread's IPC is normalized against the stand-alone LRU run on the same
 shared-size LLC, the paper's baseline for W/T/H.
 
 Both drivers accept the same ``engine=`` contract as
-:func:`repro.sim.single_core.run_llc`: ``"fast"`` (the default) batches
-the interleaved run through
-:func:`repro.memory.fastpath.run_shared_trace`; ``"reference"`` keeps the
-original per-``Access`` loop (:func:`_reference_shared_slice`). The two
-share one slice contract and one driver loop, and are observationally
-identical — per-thread frozen statistics and the derived W/T/H metrics
-match exactly (``tests/test_fastpath_multicore.py``).
+:func:`repro.sim.single_core.run_llc`: ``"vector"`` (the default)
+set-batches the interleaved run through
+:func:`repro.memory.columnar.run_shared_trace_vector` when the columnar
+tier has a kernel for the policy (LRU, PDP, PD partitioning), and
+otherwise runs ``"fast"``; ``"fast"`` batches it access by access
+through :func:`repro.memory.fastpath.run_shared_trace`; ``"reference"``
+keeps the original per-``Access`` loop (:func:`_reference_shared_slice`).
+All three share one slice contract and one driver loop, and are
+observationally identical — per-thread frozen statistics and the
+derived W/T/H metrics match exactly (``tests/test_fastpath_multicore.py``,
+``tests/test_conformance.py``).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
 from repro.memory.cache import CacheGeometry, SetAssociativeCache
+from repro.memory.columnar import run_shared_trace_vector, vectorizable
 from repro.memory.fastpath import run_shared_trace
 from repro.memory.timing import TimingModel
 from repro.obs.manifest import Manifest, trace_fingerprint
@@ -73,9 +78,10 @@ def single_thread_baselines(
     traces: list[Trace],
     geometry: CacheGeometry,
     timing: TimingModel | None = None,
-    engine: str = "fast",
+    engine: str = "vector",
 ) -> list[float]:
-    """Stand-alone LRU IPC of each thread on the shared-size LLC."""
+    """Stand-alone LRU IPC of each thread on the shared-size LLC
+    (``run_llc`` with ``engine``; every engine gives the same IPCs)."""
     timing = timing or TimingModel()
     return [
         run_llc(trace, LRUPolicy(), geometry, timing=timing, engine=engine).ipc
@@ -122,7 +128,7 @@ def run_shared_llc(
     timing: TimingModel | None = None,
     singles: list[float] | None = None,
     name: str = "mix",
-    engine: str = "fast",
+    engine: str = "vector",
     chunk_size: int | None = None,
     manifest_dir: str | os.PathLike | None = None,
     run_label: str | None = None,
@@ -136,11 +142,15 @@ def run_shared_llc(
         policy: fresh thread-aware policy instance for the shared LLC.
         geometry: shared LLC shape.
         singles: stand-alone LRU IPCs (computed here when omitted).
-        engine: "fast" (batched kernel) or "reference" (per-Access loop);
-            both produce identical per-thread statistics. ``"vector"`` is
-            accepted as an alias for the fast kernel — the columnar
-            kernels do not cover thread-freeze bookkeeping, and shared
-            policies are thread-aware (global state) anyway.
+        engine: "vector" (set-batched columnar kernels, the default),
+            "fast" (batched per-access kernel) or "reference"
+            (per-Access loop); all produce identical per-thread
+            statistics. ``"vector"`` runs a policy the columnar tier
+            vectorizes (LRU, PDP, PD partitioning with a recompute
+            interval that cannot freeze its counters) set-batched
+            between freeze cuts, and any other policy (TA-DRRIP, UCP,
+            PIPP, class-based PDP) on ``"fast"``. The stand-alone
+            baselines computed here use the same engine.
         chunk_size: when set, feed the interleaved mix to the engine in
             zero-copy chunks of this many accesses, summing the
             per-thread counters — identical statistics to the one-shot
@@ -177,7 +187,12 @@ def run_shared_llc(
     if recorder is not None:
         recorder.attach(cache, policy, num_threads=num_threads)
 
-    simulate = _reference_shared_slice if engine == "reference" else run_shared_trace
+    if engine == "reference":
+        simulate = _reference_shared_slice
+    elif engine == "vector" and vectorizable(policy):
+        simulate = run_shared_trace_vector
+    else:
+        simulate = run_shared_trace
     accesses, hits, misses, bypasses = totals = [
         [0] * num_threads for _ in range(4)
     ]

@@ -491,7 +491,7 @@ class SharedLLCCell:
     geometry: CacheGeometry
     timing: TimingModel | None = None
     singles: list[float] | None = None
-    engine: str = "fast"
+    engine: str = "vector"
     manifest_dir: str | None = None
     accesses: int = 0
 
@@ -1069,7 +1069,7 @@ def run_mix_matrix(
     timing: TimingModel | None = None,
     singles: dict[str, list[float]] | None = None,
     max_workers: int | None = None,
-    engine: str = "fast",
+    engine: str = "vector",
     manifest_dir: str | os.PathLike | None = None,
     on_event: Callable[[ProgressEvent], None] | None = None,
 ) -> dict[tuple[str, str], MultiCoreResult]:

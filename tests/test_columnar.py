@@ -13,6 +13,10 @@ bit-identical-stats contract already swept by ``test_conformance.py``):
   declines via ``supports``) must silently run the fast path under
   ``engine="vector"``, and the gates themselves must classify policies
   correctly (exact-type dispatch, the dynamic-PDP freeze rule).
+- **The shared path**: PD partitioning (one access class per thread)
+  set-batched between freeze cuts must match the reference loop per
+  thread and in its PD history, under any set order, and must fall
+  back to the fast path when its counters could freeze mid-epoch.
 """
 
 from __future__ import annotations
@@ -23,12 +27,21 @@ import pytest
 
 from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import CacheGeometry, SetAssociativeCache
-from repro.memory.columnar import run_trace_vector, vectorizable
+from repro.memory.columnar import (
+    run_shared_trace_vector,
+    run_trace_vector,
+    vectorizable,
+)
 from repro.memory.fastpath import run_trace
+from repro.partitioning.pd_partition import PDPartitionPolicy
 from repro.policies.base import make_policy
 from repro.policies.lru import LRUPolicy
+from repro.sim import multi_core
+from repro.sim.multi_core import run_shared_llc
 from repro.sim.single_core import run_llc
 from repro.traces.trace import Trace
+from repro.workloads.mixes import interleave_traces
+from repro.workloads.spec_like import make_benchmark_trace
 from repro.workloads.streams import random_working_set
 
 GEOMETRY = CacheGeometry(num_sets=16, ways=4)
@@ -184,3 +197,112 @@ class TestFallbackSeam:
         assert not vectorizable(PDPPolicy(recompute_interval=1 << 20))
 
 
+
+
+#: Fig. 12's shared LLC for four cores at 16 sets per core.
+SHARED_GEOMETRY = CacheGeometry(num_sets=64, ways=16)
+
+#: Four threads of unequal length, so each freezes at its own position.
+SHARED_MIX = (
+    ("403.gcc", 3_000),
+    ("429.mcf", 3_600),
+    ("450.soplex", 2_400),
+    ("436.cactusADM", 3_200),
+)
+
+
+def _shared_traces() -> list[Trace]:
+    return [
+        make_benchmark_trace(
+            name, length=length, num_sets=SHARED_GEOMETRY.num_sets, seed=slot
+        )
+        for slot, (name, length) in enumerate(SHARED_MIX)
+    ]
+
+
+def _pd_partition(recompute_interval: int = 4_096) -> PDPartitionPolicy:
+    """Fig. 12's PD partitioning: full sampler, one class per thread."""
+    return PDPartitionPolicy(
+        num_threads=4, sampler_mode="full", recompute_interval=recompute_interval
+    )
+
+
+def _policy_state(policy) -> tuple:
+    """The hook-visible PDP state: every line's RPD, the per-set step
+    counters and the PD history."""
+    return (
+        [
+            [policy.rpd_of(s, w) for w in range(SHARED_GEOMETRY.ways)]
+            for s in range(SHARED_GEOMETRY.num_sets)
+        ],
+        list(policy._step_counter),
+        policy.engine.pd_history,
+    )
+
+
+class TestSharedPath:
+    def test_pd_partition_vector_matches_reference_per_thread(self):
+        traces = _shared_traces()
+        runs, policies = {}, {}
+        for engine in ("reference", "vector"):
+            policies[engine] = _pd_partition()
+            assert engine == "reference" or vectorizable(policies[engine])
+            runs[engine] = run_shared_llc(
+                traces, policies[engine], SHARED_GEOMETRY,
+                singles=[1.0] * 4, engine=engine,
+            )
+        history = policies["reference"].engine.pd_history
+        assert len(history) >= 3, "the mix must cross at least 2 recomputes"
+        assert len({pds for _, pds in history}) > 1
+        for thread, (got, want) in enumerate(
+            zip(runs["vector"].threads, runs["reference"].threads)
+        ):
+            for field in ("accesses", "hits", "misses", "bypasses"):
+                assert getattr(got, field) == getattr(want, field), (
+                    f"thread {thread} {field}"
+                )
+        assert _policy_state(policies["vector"]) == _policy_state(
+            policies["reference"]
+        )
+
+    def test_any_set_permutation_is_equivalent(self):
+        mixed, completion = interleave_traces(_shared_traces())
+
+        def run(set_order):
+            policy = _pd_partition(recompute_interval=2_048)
+            cache = SetAssociativeCache(SHARED_GEOMETRY, policy)
+            totals = run_shared_trace_vector(
+                cache, mixed, completion, set_order=set_order
+            )
+            return totals, _state_snapshot(cache), _policy_state(policy)
+
+        want = run(None)
+        rng = random.Random(5)
+        for _ in range(3):
+            order = list(range(SHARED_GEOMETRY.num_sets))
+            rng.shuffle(order)
+            assert run(order) == want, f"set order {order} changed the outcome"
+
+    def test_freezable_interval_falls_back_to_fast(self, monkeypatch):
+        """Four classes with an epoch longer than a counter can count:
+        the kernel declines, and ``engine="vector"`` runs the fast path
+        with identical per-thread results."""
+        interval = (1 << 16) + 1
+        assert not vectorizable(_pd_partition(interval))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a freezable config reached the vector kernel")
+
+        monkeypatch.setattr(multi_core, "run_shared_trace_vector", refuse)
+        traces = _shared_traces()
+        fast, vector = (
+            run_shared_llc(
+                traces, _pd_partition(interval), SHARED_GEOMETRY,
+                singles=[1.0] * 4, engine=engine,
+            )
+            for engine in ("fast", "vector")
+        )
+        for got, want in zip(vector.threads, fast.threads):
+            assert (got.accesses, got.hits, got.misses, got.bypasses) == (
+                want.accesses, want.hits, want.misses, want.bypasses
+            )

@@ -304,11 +304,22 @@ class TestTelemetry:
     def test_shared_fastpath_records_when_enabled(self):
         threads = [_trace(seed=1, n=700), _trace(seed=2, n=500)]
         mixed, _ = interleave_traces(threads)
-        run_shared_llc(threads, LRUPolicy(), GEOMETRY, singles=[1.0, 1.0])
+        run_shared_llc(
+            threads, LRUPolicy(), GEOMETRY, singles=[1.0, 1.0], engine="fast"
+        )
         snapshot = METRICS.snapshot()
         assert snapshot["histograms"]["fastpath.run_shared_trace_s"]["count"] == 1
         assert snapshot["counters"]["fastpath.accesses"] == len(mixed)
         assert "fastpath.run_trace_s" not in snapshot["histograms"]
+
+    def test_shared_vector_records_when_enabled(self):
+        threads = [_trace(seed=1, n=700), _trace(seed=2, n=500)]
+        mixed, _ = interleave_traces(threads)
+        run_shared_llc(threads, LRUPolicy(), GEOMETRY, singles=[1.0, 1.0])
+        snapshot = METRICS.snapshot()
+        assert snapshot["histograms"]["columnar.run_shared_trace_s"]["count"] == 1
+        assert snapshot["counters"]["columnar.accesses"] == len(mixed)
+        assert "fastpath.accesses" not in snapshot["counters"]
 
     def test_manifest_embeds_telemetry_snapshot(self, tmp_path):
         """The sweep manifest embeds the registry snapshot; per-run

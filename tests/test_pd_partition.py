@@ -53,7 +53,7 @@ class TestPDPartition:
         policy.engine.pds[:] = [64, 4]
         way0 = cache.access(Access(0, thread_id=0)).way
         way1 = cache.access(Access(4, thread_id=1)).way
-        assert policy._rpd[0][way0] > policy._rpd[0][way1]
+        assert policy.rpd_of(0, way0) > policy.rpd_of(0, way1)
 
     def test_bypass_when_all_protected(self):
         policy = PDPartitionPolicy(num_threads=1, recompute_interval=10**9)

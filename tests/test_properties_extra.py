@@ -138,7 +138,7 @@ def test_classified_pdp_never_evicts_protected_over_unprotected(addresses):
     cache = SetAssociativeCache(CacheGeometry(4, 4), policy)
     for address in addresses:
         rpds = {
-            (s, w): policy._rpd[s][w] for s in range(4) for w in range(4)
+            (s, w): policy.rpd_of(s, w) for s in range(4) for w in range(4)
         }
         result = cache.access(Access(address, pc=address * 4))
         if result.evicted is not None:

@@ -77,7 +77,7 @@ def run_resumable_matrix(
 def run_resumable_mix_matrix(mixes, factories, geometry, manifest_dir, max_workers=None):
     """A ``mix_matrix`` job's grid as the daemon runs it: :func:`mix_cells`
     through ``run_cells(..., resume=True)``."""
-    cells = mix_cells(mixes, factories, geometry, None, None, "fast", manifest_dir)
+    cells = mix_cells(mixes, factories, geometry, None, None, "vector", manifest_dir)
     return run_cells(
         "mix_matrix", cells, mixes, config={"mixes": len(mixes)},
         max_workers=max_workers, manifest_dir=manifest_dir, resume=True,
@@ -530,6 +530,34 @@ def test_mix_job_builds_each_benchmark_trace_once(tmp_path, monkeypatch):
     summary = execute_spec(spec, tmp_path / "job")
     assert summary["ran_cells"] == 4
     assert sorted(generated) == ["403.gcc", "429.mcf", "433.milc"]
+
+
+def test_resubmitted_vector_mix_job_skips_every_cell(tmp_path):
+    """A ``mix_matrix`` job keeps its ``vector`` engine: its manifests
+    record it, so resubmitting the identical spec skips every cell."""
+    from repro.service.scheduler import execute_spec
+
+    spec = SweepSpec(
+        kind="mix_matrix",
+        mixes={"a": ["403.gcc", "429.mcf"], "b": ["433.milc", "450.soplex"]},
+        length=1500,
+        num_sets=16,
+        ways=4,
+        policies=[
+            "lru",
+            {"name": "pd-partition", "kwargs": {"num_threads": 2}},
+            {"name": "ucp", "kwargs": {"num_threads": 2}},
+        ],
+    )
+    assert spec.engine == "vector"
+    first = execute_spec(spec, tmp_path)
+    assert first["ran_cells"] == first["total_cells"] == 6
+    cells = [
+        m for m in scan_manifests(tmp_path).manifests if m.kind == "shared_llc"
+    ]
+    assert len(cells) == 6 and {m.engine for m in cells} == {"vector"}
+    second = execute_spec(spec, tmp_path)
+    assert second["skipped_cells"] == 6 and second["ran_cells"] == 0
 
 
 class TestMixResume:

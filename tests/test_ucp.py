@@ -103,3 +103,49 @@ class TestUCPPolicy:
         assert result.evicted == 0
         owners = cache.owner[0]
         assert 1 in owners
+
+
+def _three_pass_victim(owners, stamps, allocation, thread, num_threads):
+    """The quota rule as first written: count every thread's occupancy,
+    then pick the own-LRU or the donor's LRU line."""
+    ways = len(owners)
+    counts = [0] * num_threads
+    for way in range(ways):
+        counts[owners[way] % num_threads] += 1
+    if counts[thread] >= allocation[thread]:
+        own = [w for w in range(ways) if owners[w] % num_threads == thread]
+        return min(own, key=stamps.__getitem__)
+    overage = [counts[t] - allocation[t] for t in range(num_threads)]
+    donor = max(
+        (t for t in range(num_threads) if counts[t] > 0),
+        key=lambda t: overage[t],
+    )
+    donor_ways = [w for w in range(ways) if owners[w] % num_threads == donor]
+    return min(donor_ways, key=stamps.__getitem__)
+
+
+@pytest.mark.parametrize("num_threads", [2, 3, 4])
+def test_choose_victim_matches_three_pass_rule(num_threads):
+    """The one-pass victim choice equals the three-pass oracle on random
+    owner/stamp rows. Few distinct stamps and quotas make ties common,
+    both among LRU candidates and among donors."""
+    import random
+
+    rng = random.Random(num_threads)
+    ways = 8
+    policy = UCPPolicy(num_threads=num_threads)
+    cache = SetAssociativeCache(CacheGeometry(1, ways), policy)
+    for _ in range(2_000):
+        # Owner ids beyond num_threads exercise the modulo.
+        owners = [rng.randrange(2 * num_threads) for _ in range(ways)]
+        stamps = [rng.randrange(4) for _ in range(ways)]
+        allocation = [rng.randrange(1, ways) for _ in range(num_threads)]
+        tid = rng.randrange(2 * num_threads)
+        cache.owner[0] = owners
+        policy._stamp[0] = stamps
+        policy.allocation = allocation
+        got = policy.choose_victim(0, Access(0, thread_id=tid))
+        want = _three_pass_victim(
+            owners, stamps, allocation, tid % num_threads, num_threads
+        )
+        assert got == want, (owners, stamps, allocation, tid)
