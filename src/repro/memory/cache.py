@@ -173,16 +173,6 @@ class SetAssociativeCache:
         self.policy.on_fill(set_index, victim_way, access)
         return AccessResult(hit=False, evicted=evicted_address, way=victim_way)
 
-    def run_trace(self, trace) -> None:
-        """Drive a whole :class:`repro.traces.trace.Trace` (fast path).
-
-        Batched equivalent of ``for access in trace: self.access(access)``
-        — see :mod:`repro.memory.fastpath`.
-        """
-        from repro.memory.fastpath import run_trace
-
-        run_trace(self, trace)
-
     def invalidate_all(self) -> None:
         """Drop all lines (used between experiment phases)."""
         for set_index in range(self.geometry.num_sets):

@@ -17,10 +17,11 @@ processing order.
 Vectorized policies (exact types; subclasses keep the fast path): LRU,
 PDP — static and dynamic — and PD partitioning
 (:class:`~repro.partitioning.pd_partition.PDPartitionPolicy`), the only
-policies the figures and benchmarks run on this tier. Everything else
-falls back per-policy to the fast path, with identical results, which is
-what lets ``run_llc``/``run_matrix`` and the shared-LLC drivers default
-to ``engine="vector"`` safely:
+policies the figures and benchmarks run on this tier. ``run_llc`` and
+``run_shared_llc`` ask :func:`engine_tier` once per run which tier runs,
+and run every other policy on the fast path with identical results —
+which is what lets them default to ``engine="vector"`` safely. The entry points here run a
+kernel only:
 
 - FIFO, MRU and SRRIP are set-local and could be vectorized, but no
   figure, benchmark or CLI default runs them, so they keep the fast path.
@@ -57,8 +58,10 @@ the reference: the sampler FIFOs and RD counters are fed set-grouped
 ``PDEngine.recompute`` fires at the exact access positions the
 per-access loop would trigger it — ``pd_history`` is bit-identical.
 
-The shared-LLC path, :func:`run_shared_trace_vector`, is the same kernel
-under :func:`repro.memory.fastpath.run_frozen_segments`: the interleaved
+The single-core path, :func:`run_trace_vector`, is the kernel under
+:func:`repro.memory.fastpath.run_whole_trace`. The shared-LLC path,
+:func:`run_shared_trace_vector`, is the same kernel under
+:func:`repro.memory.fastpath.run_frozen_segments`: the interleaved
 mix is cut at each thread's completion position, each segment is
 set-batched on its own, and the kernel counts hits and bypasses per
 thread, so each thread's frozen statistics match the reference loop.
@@ -68,40 +71,17 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import repeat
-from time import perf_counter
 
 import numpy as np
 
 from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import log2_int
-from repro.memory.fastpath import (
-    _flush_stats,
-    _run_slice,
-    _thread_slots,
-    _total,
-    run_frozen_segments,
-    run_trace,
-)
+from repro.memory.fastpath import run_frozen_segments, run_whole_trace
+# Unused here; kept because bench/harness.py wraps columnar.run_trace by name.
+from repro.memory.fastpath import run_trace  # noqa: F401
 from repro.obs.metrics import METRICS
 from repro.partitioning.pd_partition import PDPartitionPolicy
 from repro.policies.lru import LRUPolicy
-
-
-class _FallbackKernel:
-    """Cached dispatch decision for a policy with no vector kernel:
-    every chunk goes straight to the fast path."""
-
-    def __init__(self, cache) -> None:
-        self.cache = cache
-        self.policy = cache.policy
-
-    def run(self, trace, set_order=None) -> None:
-        """Delegate to :func:`repro.memory.fastpath.run_trace`."""
-        run_trace(self.cache, trace)
-
-    def run_slice(self, trace, t_hits, t_bypasses, set_order=None) -> int:
-        """Delegate to the fast path's per-access loop."""
-        return _run_slice(self.cache, trace, t_hits, t_bypasses)
 
 
 def _group_by_set(set_ids: np.ndarray):
@@ -122,7 +102,7 @@ def _group_by_set(set_ids: np.ndarray):
 
 
 class _SetBatchKernel:
-    """Base vector kernel: grouping, stats flushing, common layout.
+    """Base vector kernel: set grouping and the common layout.
 
     Subclasses implement ``_run_set(set_index, tags, tids)`` — the
     policy-specialized replay of one set's subsequence, mutating the
@@ -149,31 +129,9 @@ class _SetBatchKernel:
 
     @classmethod
     def supports(cls, policy) -> bool:
-        """Whether this kernel can run ``policy`` bit-identically."""
+        """Whether this kernel can run the attached ``policy``
+        bit-identically (asked by :func:`engine_tier` only)."""
         return True
-
-    def run(self, trace, set_order=None) -> None:
-        """Drive every access of ``trace`` through the cache, set-batched,
-        and add the run's totals to ``cache.stats``.
-
-        ``set_order`` optionally fixes the order in which set batches are
-        replayed (any permutation covering the sets present in the
-        chunk); the default is ascending set index. The end state is
-        identical either way — the permutation hook exists so tests can
-        assert exactly that.
-        """
-        n = len(trace)
-        if n == 0:
-            return
-        obs_enabled = METRICS.enabled
-        obs_start = perf_counter() if obs_enabled else 0.0
-        t_hits = _thread_slots(trace.thread_ids)
-        t_bypasses = t_hits.copy()
-        evictions = self.run_slice(trace, t_hits, t_bypasses, set_order)
-        _flush_stats(self.cache, n, _total(t_hits), _total(t_bypasses), evictions)
-        if obs_enabled:
-            METRICS.observe("columnar.run_trace_s", perf_counter() - obs_start)
-            METRICS.inc("columnar.accesses", n)
 
     def run_slice(self, trace, t_hits, t_bypasses, set_order=None) -> int:
         """Replay ``trace`` set-batched under the fast path's slice
@@ -355,13 +313,12 @@ class _PDPKernel(_SetBatchKernel):
         """Static PDP always; dynamic PDP only when the recompute
         interval rules out a counter freeze within one epoch, for every
         class's counter array (the freeze rule is order-dependent, so
-        batching must prove it cannot fire).
+        batching must prove it cannot fire). ``policy`` is attached, so
+        its PD engine and counters exist.
         """
         if policy.static_pd is not None:
             return True
         engine = policy.engine
-        if engine is None:  # not attached yet: decide from parameters
-            return policy.recompute_interval <= (1 << 16) - 1
         interval = engine.recompute_interval
         return all(
             interval <= counters.counter_max
@@ -790,30 +747,41 @@ _KERNELS: dict[type, type[_SetBatchKernel]] = {
 }
 
 
-def vectorizable(policy) -> bool:
-    """Whether ``policy`` runs on the vector engine bit-identically.
-
-    Exact-type lookup plus the kernel's own ``supports`` gate (e.g. the
-    dynamic-PDP freeze rule). Policies that fail this check silently use
-    the fast path under ``engine="vector"`` — same results, baseline
-    speed.
+def engine_tier(cache, engine: str) -> str:
+    """The tier that runs ``engine`` on ``cache``: the one
+    vector-or-fast decision of ``run_llc`` and ``run_shared_llc``.
+    ``"reference"`` and ``"fast"`` come back as asked; ``"vector"`` only
+    when :data:`_KERNELS` has the exact type of the cache's attached
+    policy and that kernel's ``supports`` gate holds, and the kernel is
+    then built and cached on ``cache``. Any other policy gets ``"fast"``
+    (same results, baseline speed) and one ``columnar.fallback.<type>``
+    counter increment.
     """
-    kernel = _KERNELS.get(type(policy))
-    return kernel is not None and kernel.supports(policy)
+    if engine != "vector":
+        return engine
+    policy = cache.policy
+    kernel_cls = _KERNELS.get(type(policy))
+    if kernel_cls is None or not kernel_cls.supports(policy):
+        METRICS.inc(f"columnar.fallback.{type(policy).__name__}")
+        return "fast"
+    kernel = getattr(cache, "_vector_kernel", None)
+    if kernel is None or kernel.policy is not policy:
+        cache._vector_kernel = kernel_cls(cache)
+    return "vector"
 
 
 def _kernel_for(cache):
-    """The kernel cached on ``cache`` for its policy, built on first use
-    (the fast-path fallback when no kernel supports the policy), so
-    chunked streaming pays the dispatch once."""
+    """The kernel :func:`engine_tier` cached on ``cache`` (asking it on
+    first use); raises ``ValueError`` when no kernel runs the policy."""
     kernel = getattr(cache, "_vector_kernel", None)
-    if kernel is None or kernel.policy is not cache.policy:
-        kernel_cls = _KERNELS.get(type(cache.policy))
-        if kernel_cls is None or not kernel_cls.supports(cache.policy):
-            kernel_cls = _FallbackKernel
-        kernel = kernel_cls(cache)
-        cache._vector_kernel = kernel
-    return kernel
+    if kernel is not None and kernel.policy is cache.policy:
+        return kernel
+    if engine_tier(cache, "vector") != "vector":
+        raise ValueError(
+            f"no vector kernel runs {type(cache.policy).__name__}; "
+            "run the tier engine_tier(cache, engine) returns"
+        )
+    return cache._vector_kernel
 
 
 def run_trace_vector(cache, trace, set_order=None) -> None:
@@ -823,13 +791,18 @@ def run_trace_vector(cache, trace, set_order=None) -> None:
     :func:`repro.memory.fastpath.run_trace` — identical statistics,
     hook-visible state, observer events (in set-grouped order; all
     shipped observers aggregate commutatively) and windowed time-series.
-    Falls back to the fast path per policy when no kernel supports the
-    cache's policy.
+    Runs a kernel only: raises ``ValueError`` for a policy
+    :func:`engine_tier` puts on the fast path. Records the
+    ``columnar.*`` metrics of
+    :func:`~repro.memory.fastpath.run_whole_trace`.
 
     ``set_order`` optionally permutes the set-batch processing order
     (testing hook; results are invariant).
     """
-    _kernel_for(cache).run(trace, set_order=set_order)
+    kernel = _kernel_for(cache)
+    run_whole_trace(
+        cache, trace, partial(kernel.run_slice, set_order=set_order), "columnar"
+    )
 
 
 def run_shared_trace_vector(
@@ -845,30 +818,26 @@ def run_shared_trace_vector(
     :meth:`~_SetBatchKernel.run_slice`. Freeze segments are cut on the
     global access order, and each segment is set-batched on its own, so
     dynamic-PDP recomputes and every thread's counts land exactly where
-    the reference loop puts them. Records one
-    ``columnar.run_shared_trace_s`` observation per call.
+    the reference loop puts them. Like :func:`run_trace_vector` it runs
+    a kernel only, and it records the ``columnar.*`` metrics of
+    :func:`~repro.memory.fastpath.run_frozen_segments`.
 
     ``set_order`` optionally permutes the set-batch processing order
     (testing hook; results are invariant).
     """
-    obs_enabled = METRICS.enabled
-    obs_start = perf_counter() if obs_enabled else 0.0
     kernel = _kernel_for(cache)
-    totals = run_frozen_segments(
+    return run_frozen_segments(
         cache,
         trace,
         completion,
         position_offset,
         partial(kernel.run_slice, set_order=set_order),
+        "columnar",
     )
-    if obs_enabled:
-        METRICS.observe("columnar.run_shared_trace_s", perf_counter() - obs_start)
-        METRICS.inc("columnar.accesses", len(trace))
-    return totals
 
 
 __all__ = [
+    "engine_tier",
     "run_shared_trace_vector",
     "run_trace_vector",
-    "vectorizable",
 ]

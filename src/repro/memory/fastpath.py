@@ -18,13 +18,15 @@ skips ``AccessResult`` construction entirely, and only dispatches to
 observers when ``cache.observers`` is non-empty. Hits and bypasses are
 counted per thread, and ``cache.stats`` is updated once per call.
 
-Every kernel here runs one per-access loop, :func:`_run_slice`.
-:func:`run_frozen_segments` applies the paper's stat-freeze rule (Sec. 5)
-outside any per-segment runner: it cuts its slice at the completion
-positions that fall inside it and credits each segment's per-thread
-counts only to the threads still running at the segment's start.
-:func:`run_shared_trace` runs it around :func:`_run_slice`; the columnar
-tier runs it around its set-batched kernels.
+Every kernel here runs one per-access loop, :func:`_run_slice`. Two
+wrappers take any runner with its slice contract, and the columnar tier
+passes them its set-batched kernels. :func:`run_whole_trace` runs the
+whole trace as one slice and flushes ``cache.stats``; :func:`run_trace`
+is it around :func:`_run_slice`. :func:`run_frozen_segments` applies
+the paper's stat-freeze rule (Sec. 5): it cuts its slice at the
+completion positions that fall inside it and credits each segment's
+per-thread counts only to the threads still running at the segment's
+start; :func:`run_shared_trace` is it around :func:`_run_slice`.
 
 Policies see the exact same hook sequence with the exact same values as
 under the reference loop, so any :class:`ReplacementPolicy` works
@@ -231,29 +233,39 @@ def _flush_stats(cache, accesses: int, hits: int, bypasses: int, evictions: int)
     stats.fills += misses - bypasses
 
 
-def run_trace(cache, trace) -> None:
-    """Drive every access of ``trace`` through ``cache``, batched.
+def run_whole_trace(cache, trace, run_slice, tier: str = "fastpath") -> None:
+    """Drive ``trace`` through ``run_slice`` as one slice and add its
+    totals to ``cache.stats``: the whole-trace wrapper of the ``fast``
+    tier (:func:`_run_slice`) and the ``vector`` tier (its columnar
+    kernel), both under the :func:`_run_slice` contract.
 
-    Metrics: when the process-wide registry is enabled this records one
-    ``fastpath.run_trace_s`` histogram observation and a
-    ``fastpath.accesses`` counter increment per call — the check is per
-    *run*, so the disabled mode adds no per-access work (the 2%-overhead
-    budget of BENCH_engine.json).
+    Metrics: when the registry is enabled, one ``<tier>.run_trace_s``
+    observation and one ``<tier>.accesses`` increment per call; the
+    check is per *run*, so the disabled mode adds no per-access work
+    (the 2%-overhead budget of BENCH_engine.json).
     """
     obs_enabled = METRICS.enabled
     obs_start = perf_counter() if obs_enabled else 0.0
     t_hits = _thread_slots(trace.thread_ids)
     t_bypasses = t_hits.copy()
-    evictions = _run_slice(cache, trace, t_hits, t_bypasses)
+    evictions = run_slice(trace, t_hits, t_bypasses)
     n = len(trace)
     _flush_stats(cache, n, _total(t_hits), _total(t_bypasses), evictions)
     if obs_enabled:
-        METRICS.observe("fastpath.run_trace_s", perf_counter() - obs_start)
-        METRICS.inc("fastpath.accesses", n)
+        METRICS.observe(f"{tier}.run_trace_s", perf_counter() - obs_start)
+        METRICS.inc(f"{tier}.accesses", n)
+
+
+def run_trace(cache, trace) -> None:
+    """Drive every access of ``trace`` through ``cache``, batched:
+    :func:`run_whole_trace` around :func:`_run_slice`, recording the
+    ``fastpath.*`` metrics."""
+    run_whole_trace(cache, trace, partial(_run_slice, cache))
 
 
 def run_frozen_segments(
-    cache, trace, completion: list[int], position_offset: int, run_segment
+    cache, trace, completion: list[int], position_offset: int, run_segment,
+    tier: str = "fastpath",
 ) -> list[list[int]]:
     """The paper's stat-freeze rule (Sec. 5), for any per-segment runner.
 
@@ -274,8 +286,12 @@ def run_frozen_segments(
     slice, frozen portion included.
 
     Returns ``[accesses, hits, misses, bypasses]``, each a per-thread
-    list of frozen counters.
+    list of frozen counters. Metrics follow :func:`run_whole_trace`:
+    one ``<tier>.run_shared_trace_s`` observation and a
+    ``<tier>.accesses`` increment per call.
     """
+    obs_enabled = METRICS.enabled
+    obs_start = perf_counter() if obs_enabled else 0.0
     num_threads = len(completion)
     n = len(trace)
     totals = [[0] * num_threads for _ in range(4)]
@@ -301,6 +317,9 @@ def run_frozen_segments(
                 bypasses[tid] += t_bypasses[tid]
 
     _flush_stats(cache, n, all_hits, all_bypasses, evictions)
+    if obs_enabled:
+        METRICS.observe(f"{tier}.run_shared_trace_s", perf_counter() - obs_start)
+        METRICS.inc(f"{tier}.accesses", n)
     return totals
 
 
@@ -329,21 +348,19 @@ def run_shared_trace(
     per-thread counters across chunks; the result is identical to one
     whole-trace call (``tests/test_conformance.py``).
 
-    Returns ``[accesses, hits, misses, bypasses]``, each a
-    per-thread list of frozen counters. Global ``cache.stats`` covers the
-    *whole* run (frozen portion included), exactly as under the
-    reference loop. Metrics follow the :func:`run_trace` contract (one
-    ``fastpath.run_shared_trace_s`` observation per call).
+    Returns what :func:`run_frozen_segments` returns (per-thread frozen
+    counters; ``cache.stats`` covers the *whole* run, as under the
+    reference loop) and records its ``fastpath.*`` metrics.
     """
-    obs_enabled = METRICS.enabled
-    obs_start = perf_counter() if obs_enabled else 0.0
-    totals = run_frozen_segments(
+    return run_frozen_segments(
         cache, trace, completion, position_offset, partial(_run_slice, cache)
     )
-    if obs_enabled:
-        METRICS.observe("fastpath.run_shared_trace_s", perf_counter() - obs_start)
-        METRICS.inc("fastpath.accesses", len(trace))
-    return totals
 
 
-__all__ = ["ScratchAccess", "run_frozen_segments", "run_shared_trace", "run_trace"]
+__all__ = [
+    "ScratchAccess",
+    "run_frozen_segments",
+    "run_shared_trace",
+    "run_trace",
+    "run_whole_trace",
+]

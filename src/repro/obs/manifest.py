@@ -224,8 +224,9 @@ class Manifest:
     Single-run manifests carry counters in ``stats`` and derived numbers
     (hit rate, MPKI, IPC, or W/T/H) in ``metrics``; sweep manifests carry
     the task list in ``tasks`` and any :class:`TaskFailure` records in
-    ``failures``. Runs recorded with a
-    :class:`repro.obs.timeseries.WindowedRecorder` persist its
+    ``failures``. ``engine`` is the requested tier; ``engine_ran``,
+    set by ``run_llc`` and ``run_shared_llc``, the one that ran. Runs
+    recorded with a :class:`repro.obs.timeseries.WindowedRecorder` persist its
     schema-versioned window payload in ``timeseries`` (schema v2; v1
     documents load with it empty). All values are JSON-native so
     ``save`` → ``load`` round-trips to an equal object.
@@ -235,6 +236,7 @@ class Manifest:
     workload: str
     policy: str
     engine: str = "fast"
+    engine_ran: str | None = None
     label: str | None = None
     seed: int | None = None
     config: dict = field(default_factory=dict)
@@ -311,32 +313,39 @@ class Manifest:
     def save(self, directory: str | os.PathLike) -> Path:
         """Atomically write ``<directory>/<run_id>.json``; returns the path.
 
-        Uses temp-file + ``os.replace`` so concurrent sweep workers can
-        share one manifest directory without readers ever observing a
-        partial document.
+        Goes through :func:`write_json_atomic`, so concurrent sweep
+        workers can share one manifest directory without readers ever
+        observing a partial document.
         """
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
-        path = root / f"{self.run_id}.json"
-        payload = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        handle, temp_path = tempfile.mkstemp(dir=root, suffix=".json.tmp")
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
-        return path
+        return write_json_atomic(root / f"{self.run_id}.json", self.to_dict())
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "Manifest":
         """Read one manifest previously written by :meth:`save`."""
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def write_json_atomic(path: Path, document) -> Path:
+    """Write ``document`` as JSON to ``path`` via a ``*.json.tmp`` file
+    and ``os.replace``, so readers never see a partial document; on any
+    failure the temp file is removed and an existing ``path`` is left
+    unchanged. Returns ``path``. Manifests and job records use it."""
+    payload = json.dumps(document, indent=2, sort_keys=True)
+    handle, temp_path = tempfile.mkstemp(dir=path.parent, suffix=".json.tmp")
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8") as fh:
+            fh.write(payload + "\n")
+        os.replace(temp_path, path)
+    except BaseException:
+        try:
+            os.unlink(temp_path)
+        except OSError:
+            pass
+        raise
+    return path
 
 
 @dataclass
@@ -440,8 +449,10 @@ def summarize_manifests(
 
     Single-run manifests become one row each (workload x policy cell),
     including eviction and recorded-window counts when the manifest
-    carries them; sweep-level manifests contribute a trailing status
-    section listing task counts and any recorded failures. Manifests
+    carries them, and the tier that ran next to the requested engine
+    when the two differ (``vector (ran fast)``); sweep-level manifests
+    contribute a trailing status section listing task counts and any
+    recorded failures. Manifests
     written by older schema versions degrade gracefully: missing
     columns render blank and a trailing note records the version skew
     instead of crashing. ``skipped`` (from :func:`scan_manifests`)
@@ -462,11 +473,14 @@ def summarize_manifests(
         evictions = stats.get("evictions")
         timeseries = manifest.timeseries if isinstance(manifest.timeseries, dict) else {}
         window_count = timeseries.get("windows_closed")
+        engine = manifest.engine
+        if manifest.engine_ran not in (None, engine):
+            engine = f"{engine} (ran {manifest.engine_ran})"
         rows.append(
             [
                 manifest.workload,
                 manifest.label or manifest.policy,
-                manifest.engine,
+                engine,
                 str(manifest.accesses),
                 _format_metric(metrics.get("hit_rate", stats.get("hit_rate", ""))),
                 _format_metric(metrics.get("mpki", "")),
@@ -549,4 +563,5 @@ __all__ = [
     "summarize_manifests",
     "trace_fingerprint",
     "utc_now_iso",
+    "write_json_atomic",
 ]

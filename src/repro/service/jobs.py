@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable
 
-from repro.obs.manifest import new_run_id, utc_now_iso
+from repro.obs.manifest import new_run_id, utc_now_iso, write_json_atomic
 
 #: Sweep kinds the service can schedule.
 VALID_KINDS = ("matrix", "mix_matrix", "predict")
@@ -501,22 +500,12 @@ class JobStore:
         return path
 
     def save(self, record: JobRecord) -> Path:
-        """Atomically persist one record; returns its path."""
+        """Atomically persist one record (:func:`write_json_atomic`);
+        returns its path."""
         self.ensure_layout()
-        path = self.jobs_dir / f"{record.job_id}.json"
-        payload = json.dumps(record.to_dict(), indent=2, sort_keys=True)
-        handle, temp_path = tempfile.mkstemp(dir=self.jobs_dir, suffix=".json.tmp")
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
-        return path
+        return write_json_atomic(
+            self.jobs_dir / f"{record.job_id}.json", record.to_dict()
+        )
 
     def get(self, job_id: str) -> JobRecord | None:
         """Load one record, or None when unknown/unreadable."""

@@ -7,17 +7,19 @@ thread's IPC is normalized against the stand-alone LRU run on the same
 shared-size LLC, the paper's baseline for W/T/H.
 
 Both drivers accept the same ``engine=`` contract as
-:func:`repro.sim.single_core.run_llc`: ``"vector"`` (the default)
-set-batches the interleaved run through
+:func:`repro.sim.single_core.run_llc`, and ask
+:func:`repro.memory.columnar.engine_tier` once per run which tier runs
+it. ``"vector"`` (the default) set-batches the interleaved run through
 :func:`repro.memory.columnar.run_shared_trace_vector` when the columnar
 tier has a kernel for the policy (LRU, PDP, PD partitioning), and
 otherwise runs ``"fast"``; ``"fast"`` batches it access by access
 through :func:`repro.memory.fastpath.run_shared_trace`; ``"reference"``
 keeps the original per-``Access`` loop (:func:`_reference_shared_slice`).
-All three share one slice contract and one driver loop, and are
-observationally identical — per-thread frozen statistics and the
-derived W/T/H metrics match exactly (``tests/test_fastpath_multicore.py``,
-``tests/test_conformance.py``).
+The manifest records the requested ``engine`` and the tier that ran as
+``engine_ran``. All three share one slice contract and one driver loop,
+and are observationally identical — per-thread frozen statistics and
+the derived W/T/H metrics match exactly
+(``tests/test_fastpath_multicore.py``, ``tests/test_conformance.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
 from repro.memory.cache import CacheGeometry, SetAssociativeCache
-from repro.memory.columnar import run_shared_trace_vector, vectorizable
+from repro.memory.columnar import engine_tier, run_shared_trace_vector
 from repro.memory.fastpath import run_shared_trace
 from repro.memory.timing import TimingModel
 from repro.obs.manifest import Manifest, trace_fingerprint
@@ -149,7 +151,9 @@ def run_shared_llc(
             vectorizes (LRU, PDP, PD partitioning with a recompute
             interval that cannot freeze its counters) set-batched
             between freeze cuts, and any other policy (TA-DRRIP, UCP,
-            PIPP, class-based PDP) on ``"fast"``. The stand-alone
+            PIPP, class-based PDP) on ``"fast"``, as
+            :func:`repro.memory.columnar.engine_tier` decides; the
+            manifest's ``engine_ran`` records the tier. The stand-alone
             baselines computed here use the same engine.
         chunk_size: when set, feed the interleaved mix to the engine in
             zero-copy chunks of this many accesses, summing the
@@ -184,12 +188,13 @@ def run_shared_llc(
         singles = single_thread_baselines(traces, geometry, timing, engine=engine)
     mixed, completion = interleave_traces(traces)
     cache = SetAssociativeCache(geometry, policy)
+    tier = engine_tier(cache, engine)
     if recorder is not None:
         recorder.attach(cache, policy, num_threads=num_threads)
 
-    if engine == "reference":
+    if tier == "reference":
         simulate = _reference_shared_slice
-    elif engine == "vector" and vectorizable(policy):
+    elif tier == "vector":
         simulate = run_shared_trace_vector
     else:
         simulate = run_shared_trace
@@ -249,6 +254,7 @@ def run_shared_llc(
             len(mixed),
             run_meta,
             engine=engine,
+            engine_ran=tier,
             label=run_label,
             config={**_geometry_config(geometry), "threads": num_threads},
             trace_fingerprint=trace_fingerprint(mixed),

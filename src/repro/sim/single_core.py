@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from repro.memory.cache import CacheGeometry, SetAssociativeCache
-from repro.memory.columnar import run_trace_vector
+from repro.memory.columnar import engine_tier, run_trace_vector
 from repro.memory.fastpath import run_trace
 from repro.memory.stats import OccupancyTracker
 from repro.memory.timing import TimingModel
@@ -30,8 +30,9 @@ from repro.traces.stream import TraceStream, as_stream
 from repro.traces.trace import Trace
 
 #: Engine modes accepted by the drivers: "vector" (columnar set-batched
-#: kernels with per-policy fallback to the fast path — the ``run_llc``
-#: default), "fast" (batched kernel) and "reference" (the original
+#: kernels — the ``run_llc`` default; ``columnar.engine_tier`` runs any
+#: policy without a kernel on "fast" and the manifest's ``engine_ran``
+#: records it), "fast" (batched kernel) and "reference" (the original
 #: per-Access loop, kept for equivalence testing — see
 #: tests/test_fastpath.py and tests/test_conformance.py).
 ENGINES = ("vector", "fast", "reference")
@@ -108,10 +109,13 @@ def run_llc(
         geometry: LLC shape.
         timing: IPC model; defaults to :class:`TimingModel` defaults.
         track_occupancy: attach an occupancy tracker (Fig. 5a data).
-        engine: "vector" (columnar set-batched kernels, falling back to
-            the fast path per policy — the default), "fast" (batched
-            kernel) or "reference" (per-Access loop); all three produce
-            identical results.
+        engine: "vector" (columnar set-batched kernels — the
+            default), "fast" (batched kernel) or "reference"
+            (per-Access loop); all three produce identical results.
+            :func:`repro.memory.columnar.engine_tier` decides once, after
+            the cache attaches ``policy``, which tier runs: a policy with
+            no vector kernel runs ``"fast"``. The manifest records the
+            request as ``engine`` and the tier as ``engine_ran``.
         manifest_dir: when set, write a provenance manifest for this run
             into the directory (see :mod:`repro.obs.manifest`). Never
             read from the environment here — nested helper runs must not
@@ -136,6 +140,7 @@ def run_llc(
     start = perf_counter()
     stream = as_stream(trace)
     cache = SetAssociativeCache(geometry, policy)
+    tier = engine_tier(cache, engine)
     tracker = None
     if track_occupancy:
         tracker = OccupancyTracker(short_threshold=occupancy_threshold)
@@ -145,10 +150,10 @@ def run_llc(
     feed = _WindowFeed(recorder)
     fingerprinter = FingerprintAccumulator() if manifest_dir is not None else None
     total_accesses = 0
-    kernel = run_trace_vector if engine == "vector" else run_trace
+    kernel = run_trace_vector if tier == "vector" else run_trace
     for chunk in stream.chunks():
         for sub, take in feed.slices(chunk):
-            if engine == "reference":
+            if tier == "reference":
                 for access in sub:
                     cache.access(access)
             else:
@@ -197,6 +202,7 @@ def run_llc(
             result.accesses,
             run_meta,
             engine=engine,
+            engine_ran=tier,
             label=run_label,
             config=_geometry_config(geometry),
             trace_fingerprint=fingerprinter.digest(

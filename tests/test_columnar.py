@@ -9,10 +9,13 @@ bit-identical-stats contract already swept by ``test_conformance.py``):
 - **The sampler feed**: the PDP kernel runs the RD sampler's loop
   inline on the sampler's own FIFOs, so after a run the sampler must
   hold what per-access ``observe`` calls would have left there.
-- **The fallback seam**: policies without a kernel (or whose kernel
-  declines via ``supports``) must silently run the fast path under
-  ``engine="vector"``, and the gates themselves must classify policies
-  correctly (exact-type dispatch, the dynamic-PDP freeze rule).
+- **The tier decision**: ``engine_tier`` must classify attached
+  policies correctly (exact-type dispatch, the dynamic-PDP freeze
+  rule); a policy it refuses must run the fast path under
+  ``engine="vector"`` with identical results and record ``engine_ran:
+  "fast"``; ``run_llc`` and ``run_shared_llc`` must each ask it exactly
+  once per run; and the vector entry points must refuse a policy with
+  no kernel.
 - **The shared path**: PD partitioning (one access class per thread)
   set-batched between freeze cuts must match the reference loop per
   thread and in its PD history, under any set order, and must fall
@@ -28,17 +31,22 @@ import pytest
 from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import CacheGeometry, SetAssociativeCache
 from repro.memory.columnar import (
+    engine_tier,
     run_shared_trace_vector,
     run_trace_vector,
-    vectorizable,
 )
 from repro.memory.fastpath import run_trace
+from repro.obs.manifest import scan_manifests
+from repro.obs.metrics import METRICS
 from repro.partitioning.pd_partition import PDPartitionPolicy
+from repro.partitioning.ucp import UCPPolicy
 from repro.policies.base import make_policy
+from repro.policies.rrip import DRRIPPolicy
 from repro.policies.lru import LRUPolicy
-from repro.sim import multi_core
+from repro.sim import multi_core, single_core
 from repro.sim.multi_core import run_shared_llc
 from repro.sim.single_core import run_llc
+from repro.traces.stream import TraceStream
 from repro.traces.trace import Trace
 from repro.workloads.mixes import interleave_traces
 from repro.workloads.spec_like import make_benchmark_trace
@@ -162,12 +170,16 @@ class TestSamplerFeed:
         assert runs["vector"] == runs["fast"]
 
 
+def _tier(policy, engine: str = "vector", geometry=GEOMETRY) -> str:
+    """The tier :func:`engine_tier` picks once a cache attaches ``policy``."""
+    return engine_tier(SetAssociativeCache(geometry, policy), engine)
+
+
 class TestFallbackSeam:
     @pytest.mark.parametrize("policy_name", ["dip", "fifo", "mru", "srrip"])
     def test_unknown_policy_falls_back_and_matches_fast(self, policy_name):
         trace = _trace()
-        policy = make_policy(policy_name)
-        assert not vectorizable(policy)
+        assert _tier(make_policy(policy_name)) == "fast"
         fast = run_llc(trace, make_policy(policy_name), GEOMETRY, engine="fast")
         vector = run_llc(
             trace, make_policy(policy_name), GEOMETRY, engine="vector"
@@ -181,7 +193,7 @@ class TestFallbackSeam:
 
         # Exact-type dispatch: a subclass may override hooks the kernel
         # never calls, so it must take the fast path.
-        assert not vectorizable(TracingLRU())
+        assert _tier(TracingLRU()) == "fast"
         trace = _trace(length=2_000)
         fast = run_llc(trace, TracingLRU(), GEOMETRY, engine="fast")
         vector = run_llc(trace, TracingLRU(), GEOMETRY, engine="vector")
@@ -189,14 +201,90 @@ class TestFallbackSeam:
 
     def test_supported_policies_are_vectorizable(self):
         for name, factory in POLICY_FACTORIES.items():
-            assert vectorizable(factory()), name
+            assert _tier(factory()) == "vector", name
+            for engine in ("fast", "reference"):
+                assert _tier(factory(), engine) == engine, name
+
+    def test_kernel_is_built_once_per_cache(self):
+        cache = SetAssociativeCache(GEOMETRY, LRUPolicy())
+        assert engine_tier(cache, "vector") == "vector"
+        kernel = cache._vector_kernel
+        assert engine_tier(cache, "vector") == "vector"
+        assert cache._vector_kernel is kernel
 
     def test_dynamic_pdp_freeze_gate(self):
         # An epoch longer than the RD counters can count saturates the
         # sampling counters mid-epoch; the kernel declines such configs.
-        assert not vectorizable(PDPPolicy(recompute_interval=1 << 20))
+        assert _tier(PDPPolicy(recompute_interval=1 << 20)) == "fast"
+        assert _tier(PDPPolicy(recompute_interval=(1 << 16) - 1)) == "vector"
+        # The gate reads the attached counters: a frozen class declines.
+        policy = PDPPolicy(recompute_interval=1024)
+        cache = SetAssociativeCache(GEOMETRY, policy)
+        policy.engine.class_counters[0].frozen = True
+        assert engine_tier(cache, "vector") == "fast"
 
+    def test_fallbacks_are_counted_per_policy_type(self):
+        was_enabled = METRICS.enabled
+        METRICS.reset()
+        METRICS.enable()
+        try:
+            for policy in (DRRIPPolicy(), DRRIPPolicy(), LRUPolicy()):
+                _tier(policy)
+            _tier(DRRIPPolicy(), "fast")
+            counters = METRICS.snapshot()["counters"]
+        finally:
+            METRICS.enabled = was_enabled
+            METRICS.reset()
+        fallbacks = {k: v for k, v in counters.items() if ".fallback." in k}
+        assert fallbacks == {"columnar.fallback.DRRIPPolicy": 2}
 
+    def test_vector_entry_points_refuse_a_policy_without_kernel(self):
+        trace = _trace(length=500)
+        cache = SetAssociativeCache(GEOMETRY, DRRIPPolicy())
+        with pytest.raises(ValueError, match="engine_tier"):
+            run_trace_vector(cache, trace)
+        assert cache.stats.accesses == 0
+        mixed, completion = interleave_traces([_trace(length=300, seed=s) for s in (1, 2)])
+        cache = SetAssociativeCache(GEOMETRY, UCPPolicy(num_threads=2))
+        with pytest.raises(ValueError, match="engine_tier"):
+            run_shared_trace_vector(cache, mixed, completion)
+        assert cache.stats.accesses == 0
+
+    @pytest.mark.parametrize("engine", ["vector", "fast", "reference"])
+    def test_each_run_asks_engine_tier_once(self, monkeypatch, engine):
+        calls = []
+
+        def counting(cache, requested):
+            calls.append(requested)
+            return engine_tier(cache, requested)
+
+        monkeypatch.setattr(single_core, "engine_tier", counting)
+        monkeypatch.setattr(multi_core, "engine_tier", counting)
+        trace = _trace(length=3_000)
+        # Three chunks, each cut again at window boundaries.
+        stream = TraceStream(
+            lambda: (trace.slice(i, i + 1_000) for i in range(0, 3_000, 1_000)),
+            name=trace.name,
+        )
+        run_llc(stream, PDPPolicy(recompute_interval=512), GEOMETRY,
+                engine=engine, window_size=700)
+        assert calls == [engine]
+        calls.clear()
+        run_shared_llc(
+            [_trace(length=900, seed=1), _trace(length=700, seed=2)],
+            PDPartitionPolicy(num_threads=2, recompute_interval=512),
+            GEOMETRY, singles=[1.0, 1.0], engine=engine, chunk_size=256,
+            window_size=300,
+        )
+        assert calls == [engine]
+
+    @pytest.mark.parametrize(
+        "policy, ran", [(DRRIPPolicy, "fast"), (LRUPolicy, "vector")]
+    )
+    def test_manifest_records_the_tier_that_ran(self, tmp_path, policy, ran):
+        run_llc(_trace(length=1_000), policy(), GEOMETRY, manifest_dir=tmp_path)
+        (manifest,) = scan_manifests(tmp_path).manifests
+        assert (manifest.engine, manifest.engine_ran) == ("vector", ran)
 
 
 #: Fig. 12's shared LLC for four cores at 16 sets per core.
@@ -246,7 +334,9 @@ class TestSharedPath:
         runs, policies = {}, {}
         for engine in ("reference", "vector"):
             policies[engine] = _pd_partition()
-            assert engine == "reference" or vectorizable(policies[engine])
+            assert engine_tier(
+                SetAssociativeCache(SHARED_GEOMETRY, _pd_partition()), engine
+            ) == engine
             runs[engine] = run_shared_llc(
                 traces, policies[engine], SHARED_GEOMETRY,
                 singles=[1.0] * 4, engine=engine,
@@ -288,7 +378,7 @@ class TestSharedPath:
         the kernel declines, and ``engine="vector"`` runs the fast path
         with identical per-thread results."""
         interval = (1 << 16) + 1
-        assert not vectorizable(_pd_partition(interval))
+        assert _tier(_pd_partition(interval), geometry=SHARED_GEOMETRY) == "fast"
 
         def refuse(*args, **kwargs):
             raise AssertionError("a freezable config reached the vector kernel")

@@ -36,6 +36,7 @@ TOP_LEVEL = {
     "config",
     "created_at",
     "engine",
+    "engine_ran",
     "extra",
     "failures",
     "git_sha",
@@ -218,10 +219,13 @@ def test_run_meta_seed_is_lifted(runs):
 def test_labels_and_engines(runs):
     llc = _only(runs, "llc")
     assert (llc["label"], llc["policy"], llc["engine"]) == ("lru", "LRUPolicy", "vector")
+    assert llc["engine_ran"] == "vector"
     obj = _only(runs, "objectstore")
     assert (obj["label"], obj["engine"]) == (obj["policy"], "swcache")
+    assert obj["engine_ran"] is None  # only run_llc / run_shared_llc pick one
     shared = _only(runs, "shared_llc")
     assert (shared["label"], shared["workload"]) == (None, "mix")
+    assert (shared["engine"], shared["engine_ran"]) == ("vector", "vector")
     assert _only(runs, "explore")["label"] == "solo"
     (cell,) = runs["predict"]["explore"]
     assert (cell["label"], cell["engine"]) == ("explore", "analytic")

@@ -186,6 +186,19 @@ class TestManifest:
         row = next(line for line in text.splitlines() if "obs-test" in line)
         assert " 7 " in row or row.rstrip().endswith(" 7")
 
+    def test_summarize_shows_the_tier_only_when_it_differs(self):
+        run = self._rich_manifest()
+        run.tasks = []
+        run.engine = "vector"
+        rows = {}
+        for ran in (None, "vector", "fast"):
+            run.engine_ran = ran
+            text = summarize_manifests([run])
+            rows[ran] = next(line for line in text.splitlines() if "obs-test" in line)
+        assert rows[None] == rows["vector"]
+        assert "(ran" not in rows[None]
+        assert "vector (ran fast)" in rows["fast"]
+
     def test_summarize_degrades_gracefully_on_old_schema(self):
         """A v1 manifest (no timeseries field) must render with blank
         columns and a version-skew note, not crash."""

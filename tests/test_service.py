@@ -9,6 +9,7 @@ uninterrupted run, including windowed time-series payloads.
 from __future__ import annotations
 
 import asyncio
+import errno
 import json
 import os
 import signal
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.memory.cache import CacheGeometry
-from repro.obs.manifest import scan_manifests
+from repro.obs.manifest import Manifest, scan_manifests
 from repro.policies.base import make_policy
 from repro.service.jobs import JobRecord, JobStore, SpecError, SweepSpec
 from repro.service.protocol import (
@@ -261,6 +262,32 @@ class TestJobStore:
         assert store.get("missing") is None
         # atomic write leaves no temp litter
         assert list((tmp_path / "jobs").glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("writer", ["manifest", "job_record"])
+    def test_full_disk_keeps_the_stored_record(self, tmp_path, monkeypatch, writer):
+        """A write that fails with ENOSPC at ``os.replace`` leaves the
+        record already on disk byte for byte and no ``*.json.tmp``."""
+        if writer == "manifest":
+            record = Manifest(kind="llc", workload="w", policy="LRUPolicy")
+            save = partial(record.save, tmp_path)
+            counter = "accesses"
+        else:
+            record = JobRecord.new(SweepSpec(benchmark="x", policies=["lru"]))
+            save = partial(JobStore(tmp_path).save, record)
+            counter = "ran_cells"
+        path = save()
+        before = path.read_bytes()
+
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        setattr(record, counter, 7)
+        with pytest.raises(OSError) as excinfo:
+            save()
+        assert excinfo.value.errno == errno.ENOSPC
+        assert path.read_bytes() == before
+        assert list(tmp_path.rglob("*.json.tmp")) == []
 
     def test_recover_requeues_running_jobs(self, tmp_path):
         store = JobStore(tmp_path)
@@ -556,6 +583,11 @@ def test_resubmitted_vector_mix_job_skips_every_cell(tmp_path):
         m for m in scan_manifests(tmp_path).manifests if m.kind == "shared_llc"
     ]
     assert len(cells) == 6 and {m.engine for m in cells} == {"vector"}
+    # The requested engine is the resume identity; the tier that ran is
+    # recorded beside it: UCP has no vector kernel.
+    assert {(m.policy, m.engine_ran) for m in cells} == {
+        ("LRUPolicy", "vector"), ("PDPartitionPolicy", "vector"), ("UCPPolicy", "fast"),
+    }
     second = execute_spec(spec, tmp_path)
     assert second["skipped_cells"] == 6 and second["ran_cells"] == 0
 
