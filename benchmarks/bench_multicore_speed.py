@@ -9,17 +9,20 @@ smoke test::
 Measures, on a 4-thread random mix at the shared experiment geometry
 (64 sets x 16 ways):
 
-- interleaved accesses/second for LRU, TA-DRRIP and PDP under both
-  ``run_shared_llc`` engines (the headline fast-vs-reference speedup;
-  the acceptance bar is >= 1.5x on the full-length TA-DRRIP run);
+- interleaved accesses/second for LRU, TA-DRRIP, PDP and UCP under all
+  three ``run_shared_llc`` engines (the headline fast-vs-reference
+  speedup, the acceptance bar being >= 1.5x on the full-length TA-DRRIP
+  run, and the vector-vs-reference speedup; TA-DRRIP has no vector
+  kernel, so its ``vector`` column times the fast path that
+  :func:`~repro.memory.columnar.engine_tier` picks for it);
 - a (2 mixes x 3 policies) Fig. 12-style grid three ways: serial with
   the reference engine (the pre-fast-path pipeline), serial with the
   batched kernel, and ``run_mix_matrix``. On a single-CPU host the grid
   runner falls back to serial and only the engine speedup shows; on
   multicore hosts the worker scaling appears on top of it.
 
-``--check`` exits non-zero if the fast engine is slower than the
-reference for any measured policy. Results land in
+``--check`` exits non-zero if the fast or the vector engine is slower
+than the reference for any measured policy. Results land in
 ``BENCH_multicore.json`` at the repo root (override with ``--out``),
 wrapped in the canonical benchmark schema of :mod:`repro.obs.bench`;
 ``--trajectory FILE`` additionally appends the record to the JSONL
@@ -42,6 +45,7 @@ from repro.core.pdp_policy import PDPPolicy  # noqa: E402
 from repro.experiments.common import TIMING  # noqa: E402
 from repro.obs.bench import append_trajectory, canonical_record  # noqa: E402
 from repro.experiments.fig12_partitioning import shared_geometry  # noqa: E402
+from repro.partitioning.ucp import UCPPolicy  # noqa: E402
 from repro.policies.lru import LRUPolicy  # noqa: E402
 from repro.policies.ta_drrip import TADRRIPPolicy  # noqa: E402
 from repro.sim.multi_core import (  # noqa: E402
@@ -71,34 +75,36 @@ def _mix_traces(length: int, num_mixes: int):
     }
 
 
+ENGINES = ("reference", "fast", "vector")
+
+
 def _engine_pair(traces, geometry, singles, factory, repeats: int) -> dict:
-    """Best-of-``repeats`` interleaved accesses/second for both engines."""
-    times = {"reference": float("inf"), "fast": float("inf")}
-    results = {}
+    """Best-of-``repeats`` interleaved accesses/second for every engine;
+    ``speedup`` is fast over reference, ``vector_speedup`` vector over
+    reference."""
+    times = dict.fromkeys(ENGINES, float("inf"))
+    stats = {}
     for _ in range(repeats):
-        for engine in ("reference", "fast"):
+        for engine in ENGINES:
             result, elapsed = _timed(
                 run_shared_llc, traces, factory(), geometry,
                 timing=TIMING, singles=singles, engine=engine,
             )
             times[engine] = min(times[engine], elapsed)
-            results[engine] = result
-    ref, fast = results["reference"], results["fast"]
-    assert [
-        (t.accesses, t.hits, t.misses, t.bypasses) for t in fast.threads
-    ] == [
-        (t.accesses, t.hits, t.misses, t.bypasses) for t in ref.threads
-    ], "engines diverged"
+            stats[engine] = [
+                (t.accesses, t.hits, t.misses, t.bypasses) for t in result.threads
+            ]
+    for engine in ENGINES:
+        assert stats[engine] == stats["reference"], f"{engine} engine diverged"
     # The interleaved run is len(longest thread) x threads accesses long.
     n = max(len(trace) for trace in traces) * len(traces)
-    return {
-        "interleaved_accesses": n,
-        "reference_seconds": round(times["reference"], 4),
-        "fast_seconds": round(times["fast"], 4),
-        "reference_accesses_per_sec": round(n / times["reference"]),
-        "fast_accesses_per_sec": round(n / times["fast"]),
-        "speedup": round(times["reference"] / times["fast"], 2),
-    }
+    report = {"interleaved_accesses": n}
+    for engine in ENGINES:
+        report[f"{engine}_seconds"] = round(times[engine], 4)
+        report[f"{engine}_accesses_per_sec"] = round(n / times[engine])
+    report["speedup"] = round(times["reference"] / times["fast"], 2)
+    report["vector_speedup"] = round(times["reference"] / times["vector"], 2)
+    return report
 
 
 def _grid_triple(mixes, geometry, workers: int, repeats: int) -> dict:
@@ -160,6 +166,10 @@ def run_benchmark(length: int, repeats: int, workers: int) -> dict:
                 first, geometry, singles,
                 partial(PDPPolicy, recompute_interval=8192), repeats,
             ),
+            "ucp": _engine_pair(
+                first, geometry, singles,
+                partial(UCPPolicy, num_threads=CORES), repeats,
+            ),
         },
         "grid": _grid_triple(mixes, geometry, workers, repeats),
     }
@@ -173,7 +183,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="exit non-zero if the fast engine is slower than the reference",
+        help="exit non-zero if the fast or vector engine is slower than "
+        "the reference",
     )
     parser.add_argument(
         "--length", type=int, default=None,
@@ -213,15 +224,16 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.check:
         slow = [
-            name
+            f"{engine}/{name}"
             for name, pair in report["kernels"].items()
-            if pair["speedup"] < 1.0
+            for engine, key in (("fast", "speedup"), ("vector", "vector_speedup"))
+            if pair[key] < 1.0
         ]
         if slow:
-            print(f"FAIL: fast engine slower than reference for {slow}",
+            print(f"FAIL: slower than the reference engine: {slow}",
                   file=sys.stderr)
             return 1
-        print("CHECK OK: fast engine >= reference for all policies",
+        print("CHECK OK: fast and vector engines >= reference for all policies",
               file=sys.stderr)
     return 0
 

@@ -15,21 +15,20 @@ including invariance under arbitrary permutations of the set-batch
 processing order.
 
 Vectorized policies (exact types; subclasses keep the fast path): LRU,
-PDP — static and dynamic — and PD partitioning
-(:class:`~repro.partitioning.pd_partition.PDPartitionPolicy`), the only
-policies the figures and benchmarks run on this tier. ``run_llc`` and
-``run_shared_llc`` ask :func:`engine_tier` once per run which tier runs,
-and run every other policy on the fast path with identical results —
-which is what lets them default to ``engine="vector"`` safely. The entry points here run a
+PDP — static and dynamic — PD partitioning
+(:class:`~repro.partitioning.pd_partition.PDPartitionPolicy`) and UCP
+(:class:`~repro.partitioning.ucp.UCPPolicy`), the policies the figures
+and benchmarks run on this tier. ``run_llc`` and ``run_shared_llc`` ask
+:func:`engine_tier` once per run which tier runs, and run every other
+policy on the fast path with identical results — which is what lets
+them default to ``engine="vector"`` safely. The entry points here run a
 kernel only:
 
 - FIFO, MRU and SRRIP are set-local and could be vectorized, but no
   figure, benchmark or CLI default runs them, so they keep the fast path.
-- BRRIP/DRRIP and TA-DRRIP (and the random policy) consume a shared RNG
-  / set-dueling PSEL in *global fill order*, which set grouping would
-  reorder — they cannot be vectorized bit-identically. UCP and PIPP
-  repartition from global access counts and shared utility monitors,
-  so they keep the fast path too.
+- BRRIP/DRRIP, TA-DRRIP and PIPP (and the random policy) consume a
+  shared RNG / set-dueling PSEL in *global fill or hit order*, which set
+  grouping would reorder — they cannot be vectorized bit-identically.
 - Dynamic PDP is vectorized only when
   ``recompute_interval <= counter_max`` (65535 with the paper's 16-bit
   counters): within one recompute epoch no class's RD counters can then
@@ -52,11 +51,15 @@ boundary. An access's class is ``thread_id % num_classes`` — one class
 for PDP, one per thread for PD partitioning — and picks the PD its line
 is protected with and the RD counter array its sampled distance lands in.
 
-Dynamic PDP splits each call at the same absolute recompute epochs as
-the reference: the sampler FIFOs and RD counters are fed set-grouped
-(their state is per-set and the counter sums commute), and
-``PDEngine.recompute`` fires at the exact access positions the
-per-access loop would trigger it — ``pd_history`` is bit-identical.
+Dynamic PDP and UCP each split into a stream-only monitor, a decision
+made at fixed global access positions and set-local replacement, and
+run under one epoch driver (:class:`_SetBatchKernel`): each call is cut
+at the same absolute epochs as the reference, the monitor is fed
+set-grouped (its state is per set, or per (thread, set), and its
+counter sums commute), and the decision — ``PDEngine.recompute``, or
+UCP's lookahead ``repartition`` — fires at the exact access positions
+the per-access loop would trigger it, so ``pd_history`` and every UCP
+allocation are bit-identical.
 
 The single-core path, :func:`run_trace_vector`, is the kernel under
 :func:`repro.memory.fastpath.run_whole_trace`. The shared-LLC path,
@@ -81,6 +84,7 @@ from repro.memory.fastpath import run_frozen_segments, run_whole_trace
 from repro.memory.fastpath import run_trace  # noqa: F401
 from repro.obs.metrics import METRICS
 from repro.partitioning.pd_partition import PDPartitionPolicy
+from repro.partitioning.ucp import UCPPolicy
 from repro.policies.lru import LRUPolicy
 
 
@@ -102,7 +106,8 @@ def _group_by_set(set_ids: np.ndarray):
 
 
 class _SetBatchKernel:
-    """Base vector kernel: set grouping and the common layout.
+    """Base vector kernel: set grouping, the epoch driver and the common
+    layout.
 
     Subclasses implement ``_run_set(set_index, tags, tids)`` — the
     policy-specialized replay of one set's subsequence, mutating the
@@ -110,6 +115,26 @@ class _SetBatchKernel:
     ``_interval_start``/``_tag_index``) and the policy's own per-set
     state so that no separate write-back is needed and any engine can
     take over on the next chunk.
+
+    Epoch contract. A policy whose decision changes at fixed global
+    access positions (dynamic PDP's PD recompute, UCP's way
+    repartition) splits into a stream-only monitor and set-local
+    replacement. Its kernel supplies three hooks:
+
+    - ``_epoch_left()``: accesses left in the current epoch, the
+      boundary access included; ``None`` (the default) for a kernel
+      without epochs, which resolves the whole range as one segment;
+    - ``_monitor(set_ids, tags, tids, lo, hi)``: the monitor pass over
+      accesses ``[lo, hi)``, never more than one epoch, which also
+      advances the policy's epoch position by ``hi - lo``;
+    - ``_epoch_end()``: the decision at the epoch boundary.
+
+    :meth:`_drive` feeds the monitor one epoch at a time, resolves the
+    accesses before the boundary one under the old decision, fires
+    ``_epoch_end`` and resolves the boundary access under the new one.
+    That is where ``fastpath._run_slice`` fires the policy's epoch end:
+    inside the boundary access's ``on_access`` bookkeeping, before its
+    replacement.
     """
 
     def __init__(self, cache) -> None:
@@ -166,10 +191,32 @@ class _SetBatchKernel:
         self._sync()
         return self.evictions
 
+    def _epoch_left(self) -> int | None:
+        """Accesses left in the current epoch; ``None``: no epochs."""
+        return None
+
     def _drive(self, set_ids, tags, tids, lo, hi, set_order) -> None:
-        """Replay accesses ``[lo, hi)``; one segment for static policies
-        (the dynamic-PDP kernel overrides this with epoch splitting)."""
-        self._resolve_range(set_ids, tags, tids, lo, hi, set_order)
+        """Replay accesses ``[lo, hi)``, split at the policy's epochs
+        (the class docstring's contract)."""
+        offset = resolve_start = lo
+        while offset < hi:
+            left = self._epoch_left()
+            if left is None:
+                break
+            segment = min(left, hi - offset)
+            self._monitor(set_ids, tags, tids, offset, offset + segment)
+            offset += segment
+            if segment == left:
+                # The monitor has seen the boundary access; it resolves
+                # under the decision the epoch end makes.
+                if resolve_start < offset - 1:
+                    self._resolve_range(
+                        set_ids, tags, tids, resolve_start, offset - 1, set_order
+                    )
+                self._epoch_end()
+                resolve_start = offset - 1
+        if resolve_start < hi:
+            self._resolve_range(set_ids, tags, tids, resolve_start, hi, set_order)
 
     def _resolve_range(self, set_ids, tags, tids, lo, hi, set_order) -> None:
         """Group ``[lo, hi)`` by set and replay each batch."""
@@ -377,46 +424,35 @@ class _PDPKernel(_SetBatchKernel):
         self._sets = {}
 
     def _drive(self, set_ids, tags, tids, lo, hi, set_order) -> None:
-        """Replay accesses ``[lo, hi)``, split at recompute epochs.
-
-        Static PD is one segment. Dynamic PD cuts the range wherever the
-        engine's interval runs out: the sampler is fed every access of
-        the epoch, the accesses before the triggering one resolve under
-        the old PD, and the triggering access resolves after
-        ``PDEngine.recompute`` — the reference's ``observe()`` order, so
-        ``pd_history`` and every eviction are bit-identical. The epoch
-        constants (S_d, insertion and fill units) are re-derived after
-        each recompute.
-        """
-        policy = self.policy
-        engine = policy.engine
+        """Re-derive the epoch constants for this slice's thread, then
+        run the base epoch driver: static PD is one segment, dynamic PD
+        is cut at recompute epochs, so ``pd_history`` and every eviction
+        are bit-identical to the reference's ``observe()`` order."""
         self._refresh_params()
+        super()._drive(set_ids, tags, tids, lo, hi, set_order)
+
+    def _epoch_left(self) -> int | None:
+        """Accesses until the PD engine's next recompute (static PD has
+        no epochs)."""
+        engine = self.policy.engine
         if engine is None:
-            self._resolve_range(set_ids, tags, tids, lo, hi, set_order)
-            return
-        # Dynamic PD: split the call at recompute epochs. The sampler
-        # sees accesses *through* the triggering one before the
-        # recomputation, while the triggering access itself resolves
-        # under the new PD — exactly the reference's observe() ordering.
-        interval = engine.recompute_interval
-        offset = resolve_start = lo
-        while offset < hi:
-            segment = min(interval - engine.accesses_since_recompute, hi - offset)
-            self._feed_sampler(set_ids, tags, tids, offset, offset + segment)
-            engine._total_accesses += segment
-            engine.accesses_since_recompute += segment
-            offset += segment
-            if engine.accesses_since_recompute >= interval:
-                if resolve_start < offset - 1:
-                    self._resolve_range(
-                        set_ids, tags, tids, resolve_start, offset - 1, set_order
-                    )
-                engine.recompute()
-                policy._pds_changed()
-                self._refresh_params()
-                resolve_start = offset - 1
-        if resolve_start < hi:
-            self._resolve_range(set_ids, tags, tids, resolve_start, hi, set_order)
+            return None
+        return engine.recompute_interval - engine.accesses_since_recompute
+
+    def _epoch_end(self) -> None:
+        """Recompute the PDs, then re-derive S_d and the insertion and
+        fill units from them."""
+        self.policy.engine.recompute()
+        self.policy._pds_changed()
+        self._refresh_params()
+
+    def _monitor(self, set_ids, tags, tids, lo, hi) -> None:
+        """Count accesses ``[lo, hi)`` into the PD engine's epoch, then
+        feed them to its RD sampler (:meth:`_feed_sampler`)."""
+        engine = self.policy.engine
+        engine._total_accesses += hi - lo
+        engine.accesses_since_recompute += hi - lo
+        self._feed_sampler(set_ids, tags, tids, lo, hi)
 
     def _feed_sampler(self, set_ids, tags, tids, lo, hi) -> None:
         """Feed accesses ``[lo, hi)`` (one epoch's worth at most) to the
@@ -737,6 +773,192 @@ class _PDPKernel(_SetBatchKernel):
         self.evictions += evictions
 
 
+class _UCPKernel(_SetBatchKernel):
+    """UCP replay: UMON fed set-grouped, lookahead at the reference's
+    epochs, the quota rule on per-thread recency queues.
+
+    The monitor is each thread's UMON, whose stacks are per sampled set;
+    the decision is the way allocation, re-derived every
+    ``repartition_interval`` accesses; replacement reads only the set's
+    owners and recency stamps under the allocation in force. The kernel
+    works on the policy's own ``_stamp``/``_clock`` rows, the monitors'
+    own stacks and counters and the cache's ``owner`` row, and keeps no
+    state across calls, so any engine can take over between slices.
+    """
+
+    def __init__(self, cache) -> None:
+        super().__init__(cache)
+        monitors = self.policy.monitors
+        lut = np.zeros(self.num_sets, dtype=bool)
+        lut[list(monitors[0]._stacks)] = True  # every UMON samples the same sets
+        self._sampled_lut = lut
+
+    def _epoch_left(self) -> int:
+        """Accesses until the next repartition (``on_access`` fires it
+        when the global access count reaches a multiple of the
+        interval)."""
+        interval = self.policy.repartition_interval
+        return interval - self.policy._accesses % interval
+
+    def _epoch_end(self) -> None:
+        """Lookahead over the current curves, then UMON decay."""
+        self.policy.repartition()
+
+    def _monitor(self, set_ids, tags, tids, lo, hi) -> None:
+        """Count accesses ``[lo, hi)`` into the policy's epoch and feed
+        the sampled-set ones to their thread's UMON.
+
+        UMON stacks are per (thread, set) and its counters are sums, so
+        replaying each (set, thread) group in arrival order (one stable
+        sort on ``set * threads + thread``) leaves every stack,
+        ``position_hits``, ``accesses`` and ``misses`` as per-access
+        ``observe`` calls would; the range is one epoch at most, so no
+        decay falls inside it. Each hit lands at ``thread * ways +
+        position``, so one ``np.bincount`` fills every monitor.
+        """
+        policy = self.policy
+        policy._accesses += hi - lo
+        num_threads = policy.num_threads
+        ways = self.ways
+        segment_sets = set_ids[lo:hi]
+        mask = self._sampled_lut[segment_sets]
+        sets = segment_sets[mask]
+        if not len(sets):
+            return
+        addresses = (tags[lo:hi][mask] << self.set_shift) | sets
+        if tids is None:
+            keys = sets * num_threads + self._tid0 % num_threads
+        else:
+            keys = sets * num_threads + tids[lo:hi][mask] % num_threads
+        order, group_keys, starts, ends = _group_by_set(keys)
+        sorted_addresses = addresses[order].tolist()
+        monitors = policy.monitors
+        bins: list[int] = []
+        append_bin = bins.append
+        for key, first, last in zip(group_keys, starts, ends):
+            s, thread = divmod(key, num_threads)
+            monitor = monitors[thread]
+            stack = monitor._stacks[s]
+            base = thread * ways
+            misses = 0
+            for address in sorted_addresses[first:last]:
+                if address in stack:
+                    position = stack.index(address)
+                    append_bin(base + position)
+                    del stack[position]
+                else:
+                    misses += 1
+                    if len(stack) >= ways:
+                        stack.pop()
+                stack.insert(0, address)
+            monitor.accesses += last - first
+            monitor.misses += misses
+        if bins:
+            counts = np.bincount(bins, minlength=num_threads * ways)
+            for monitor, row in zip(monitors, counts.reshape(num_threads, ways)):
+                monitor.position_hits += row
+
+    def _run_set(self, s, tag_seq, tid_seq) -> None:
+        """Replay set ``s``'s subsequence under the current allocation.
+
+        Invariant: ``own[t]`` lists the valid ways whose owner is thread
+        ``t`` (``owner % threads``), oldest stamp first — built once per
+        call by sorting on the policy's stamps. Every access touches its
+        line (UCP never bypasses), so a hit moves its way to the tail of
+        its *owner's* queue and a fill appends to the filler's. The
+        quota rule of ``UCPPolicy.choose_victim`` then needs no scan: a
+        thread at or over quota loses ``own[thread][0]``, one under
+        quota takes ``own[donor][0]`` from the thread with lines in the
+        set whose count most exceeds its quota, the lowest thread number
+        winning a tie.
+        """
+        cache = self.cache
+        policy = self.policy
+        index = cache._tag_index[s]
+        row_tags = cache.tags[s]
+        valid_row = cache.valid[s]
+        reused_row = cache.reused[s]
+        owner_row = cache.owner[s]
+        start_row = cache._interval_start[s]
+        stamp_row = policy._stamp[s]
+        clock = policy._clock[s]
+        allocation = policy.allocation
+        num_threads = policy.num_threads
+        threads = range(num_threads)
+        observers = self.observers
+        ways = self.ways
+        num_sets = self.num_sets
+        set_shift = self.set_shift
+        get = index.get
+        count = cache.set_accesses[s]
+        filled = len(index)
+        own = [[] for _ in threads]
+        for w in sorted(range(filled), key=stamp_row.__getitem__):
+            own[owner_row[w] % num_threads].append(w)
+        evictions = 0
+        t_hits = self._t_hits
+        tid_seq = repeat(self._tid0) if tid_seq is None else tid_seq
+        for tag, tid in zip(tag_seq, tid_seq):
+            count += 1
+            clock += 1
+            way = get(tag)
+            if way is not None:
+                t_hits[tid] += 1
+                if observers:
+                    occupancy = count - start_row[way]
+                reused_row[way] = True
+                start_row[way] = count
+                stamp_row[way] = clock
+                queue = own[owner_row[way] % num_threads]
+                if queue[-1] != way:
+                    queue.remove(way)
+                    queue.append(way)
+                if observers:
+                    address = (tag << set_shift) | s
+                    for observer in observers:
+                        observer.on_hit(s, address, occupancy)
+                continue
+            thread = tid % num_threads
+            queue = own[thread]
+            if filled < ways:
+                way = filled  # lowest-numbered invalid way
+                filled += 1
+                valid_row[way] = True
+            else:
+                if len(queue) >= allocation[thread]:
+                    way = queue.pop(0)
+                else:
+                    donor = -1
+                    surplus = 0
+                    for t in threads:
+                        held = len(own[t])
+                        if held and (donor < 0 or held - allocation[t] > surplus):
+                            donor = t
+                            surplus = held - allocation[t]
+                    way = own[donor].pop(0)
+                old_tag = row_tags[way]
+                evictions += 1
+                if observers:
+                    evicted_address = old_tag * num_sets + s
+                    occupancy = count - start_row[way]
+                    was_reused = reused_row[way]
+                    for observer in observers:
+                        observer.on_evict(
+                            s, evicted_address, occupancy, was_reused
+                        )
+                del index[old_tag]
+            row_tags[way] = tag
+            reused_row[way] = False
+            owner_row[way] = tid
+            start_row[way] = count
+            stamp_row[way] = clock
+            index[tag] = way
+            queue.append(way)
+        cache.set_accesses[s] = count
+        policy._clock[s] = clock
+        self.evictions += evictions
+
+
 #: Exact policy type -> kernel class. Subclasses deliberately do NOT
 #: inherit a kernel: a subclass may override any hook, which would break
 #: the bit-identical contract silently.
@@ -744,6 +966,7 @@ _KERNELS: dict[type, type[_SetBatchKernel]] = {
     LRUPolicy: _LRUKernel,
     PDPPolicy: _PDPKernel,
     PDPartitionPolicy: _PDPKernel,
+    UCPPolicy: _UCPKernel,
 }
 
 

@@ -58,6 +58,10 @@ class PIPPPolicy(ReplacementPolicy):
         self._interval_accesses = [0] * num_threads
 
     def _allocate(self, num_sets: int, ways: int) -> None:
+        """Size the per-set priority lists (way order, victim end first)
+        and one UMON per thread, and start from an even way allocation
+        (the first ``ways % num_threads`` threads get one extra way)
+        with no thread streaming."""
         self._ways = ways
         # order[s] lists ways from lowest (index 0, victim) to highest priority.
         self._order = [list(range(ways)) for _ in range(num_sets)]
@@ -73,6 +77,8 @@ class PIPPPolicy(ReplacementPolicy):
         self.streaming = [False] * self.num_threads
 
     def on_access(self, set_index: int, access: Access) -> None:
+        """Feed the accessing thread's UMON and interval access count;
+        every ``repartition_interval`` accesses, :meth:`repartition`."""
         thread = access.thread_id % self.num_threads
         self.monitors[thread].observe(set_index, access.address)
         self._interval_accesses[thread] += 1
@@ -97,6 +103,9 @@ class PIPPPolicy(ReplacementPolicy):
             monitor.decay()
 
     def on_hit(self, set_index: int, way: int, access: Access) -> None:
+        """Promote the hit line one priority slot with probability
+        ``p_prom`` (``stream_promote_prob`` for a streaming thread); one
+        RNG draw per hit, in global hit order."""
         thread = access.thread_id % self.num_threads
         promote_prob = (
             self.stream_promote_prob if self.streaming[thread] else self.p_prom
@@ -109,9 +118,13 @@ class PIPPPolicy(ReplacementPolicy):
             order[position], order[position + 1] = order[position + 1], order[position]
 
     def choose_victim(self, set_index: int, access: Access) -> int | None:
+        """Evict the lowest-priority line; PIPP never bypasses."""
         return self._order[set_index][0]
 
     def on_fill(self, set_index: int, way: int, access: Access) -> None:
+        """Count the filling thread's miss and insert the line at its
+        allocation's priority position (``p_stream`` for a streaming
+        thread), capped below the top."""
         thread = access.thread_id % self.num_threads
         self._interval_misses[thread] += 1
         if self.streaming[thread]:

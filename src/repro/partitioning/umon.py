@@ -35,6 +35,8 @@ class UtilityMonitor:
         self.misses = 0
 
     def is_sampled(self, set_index: int) -> bool:
+        """Whether ``set_index`` is one of the monitored sets (the only
+        sets :meth:`observe` records)."""
         return set_index in self._stacks
 
     def observe(self, set_index: int, address: int) -> None:

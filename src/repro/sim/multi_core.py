@@ -148,10 +148,10 @@ def run_shared_llc(
             "fast" (batched per-access kernel) or "reference"
             (per-Access loop); all produce identical per-thread
             statistics. ``"vector"`` runs a policy the columnar tier
-            vectorizes (LRU, PDP, PD partitioning with a recompute
+            vectorizes (LRU, PDP, UCP, PD partitioning with a recompute
             interval that cannot freeze its counters) set-batched
-            between freeze cuts, and any other policy (TA-DRRIP, UCP,
-            PIPP, class-based PDP) on ``"fast"``, as
+            between freeze cuts, and any other policy (TA-DRRIP, PIPP,
+            class-based PDP) on ``"fast"``, as
             :func:`repro.memory.columnar.engine_tier` decides; the
             manifest's ``engine_ran`` records the tier. The stand-alone
             baselines computed here use the same engine.

@@ -20,6 +20,10 @@ bit-identical-stats contract already swept by ``test_conformance.py``):
   set-batched between freeze cuts must match the reference loop per
   thread and in its PD history, under any set order, and must fall
   back to the fast path when its counters could freeze mid-epoch.
+- **UCP**: its kernel must match the fast path at 4 and 16 cores, in
+  thread stats, every allocation, stamp, clock, owner and UMON counter,
+  under any set order, chunked, windowed, and with engines switched
+  between slices.
 """
 
 from __future__ import annotations
@@ -35,10 +39,11 @@ from repro.memory.columnar import (
     run_shared_trace_vector,
     run_trace_vector,
 )
-from repro.memory.fastpath import run_trace
+from repro.memory.fastpath import run_shared_trace, run_trace
 from repro.obs.manifest import scan_manifests
 from repro.obs.metrics import METRICS
 from repro.partitioning.pd_partition import PDPartitionPolicy
+from repro.partitioning.pipp import PIPPPolicy
 from repro.partitioning.ucp import UCPPolicy
 from repro.policies.base import make_policy
 from repro.policies.rrip import DRRIPPolicy
@@ -48,7 +53,7 @@ from repro.sim.multi_core import run_shared_llc
 from repro.sim.single_core import run_llc
 from repro.traces.stream import TraceStream
 from repro.traces.trace import Trace
-from repro.workloads.mixes import interleave_traces
+from repro.workloads.mixes import generate_mixes, interleave_traces
 from repro.workloads.spec_like import make_benchmark_trace
 from repro.workloads.streams import random_working_set
 
@@ -245,7 +250,7 @@ class TestFallbackSeam:
             run_trace_vector(cache, trace)
         assert cache.stats.accesses == 0
         mixed, completion = interleave_traces([_trace(length=300, seed=s) for s in (1, 2)])
-        cache = SetAssociativeCache(GEOMETRY, UCPPolicy(num_threads=2))
+        cache = SetAssociativeCache(GEOMETRY, PIPPPolicy(num_threads=2))
         with pytest.raises(ValueError, match="engine_tier"):
             run_shared_trace_vector(cache, mixed, completion)
         assert cache.stats.accesses == 0
@@ -396,3 +401,166 @@ class TestSharedPath:
             assert (got.accesses, got.hits, got.misses, got.bypasses) == (
                 want.accesses, want.hits, want.misses, want.bypasses
             )
+
+
+def _ucp_traces(cores: int, length: int) -> list[Trace]:
+    """One Fig. 12 mix of ``cores`` threads, each a little shorter than
+    the last, so every thread freezes at its own position."""
+    (mix,) = generate_mixes(1, cores=cores, seed=11)
+    return [
+        make_benchmark_trace(
+            name, length=length - 37 * slot, num_sets=16 * cores, seed=slot
+        )
+        for slot, name in enumerate(mix.benchmarks)
+    ]
+
+
+def _ucp(cores: int, interval: int) -> UCPPolicy:
+    """A UCP policy that records every allocation ``repartition`` makes
+    (an instance attribute, so the exact type keeps its kernel)."""
+    policy = UCPPolicy(num_threads=cores, repartition_interval=interval)
+    policy.history = []
+    repartition = policy.repartition
+
+    def recording():
+        allocation = repartition()
+        policy.history.append(list(allocation))
+        return allocation
+
+    policy.repartition = recording
+    return policy
+
+
+def _ucp_state(policy) -> tuple:
+    """Everything a UCP run leaves behind: the allocation history, the
+    recency stamps and clocks, the owners, and each UMON's stacks and
+    counters."""
+    return (
+        policy.history,
+        policy.allocation,
+        policy._accesses,
+        [list(row) for row in policy._stamp],
+        list(policy._clock),
+        [list(row) for row in policy.cache.owner],
+        [
+            (
+                monitor.position_hits.tolist(),
+                monitor.accesses,
+                monitor.misses,
+                {s: list(stack) for s, stack in monitor._stacks.items()},
+            )
+            for monitor in policy.monitors
+        ],
+    )
+
+
+def _thread_stats(result) -> list[tuple]:
+    return [
+        (t.accesses, t.hits, t.misses, t.bypasses) for t in result.threads
+    ]
+
+
+class TestUCPKernel:
+    """UCP on the vector tier: UMON fed set-grouped per (set, thread),
+    lookahead at the reference's epochs, the quota rule on per-thread
+    recency queues — all on the policy's own state."""
+
+    @pytest.mark.parametrize("cores, length", [(4, 3_000), (16, 1_500)])
+    @pytest.mark.parametrize("interval", [4_096, 1_000])
+    def test_vector_matches_fast(self, cores, length, interval):
+        traces = _ucp_traces(cores, length)
+        geometry = CacheGeometry(num_sets=16 * cores, ways=16)
+        assert _tier(_ucp(cores, interval), geometry=geometry) == "vector"
+        runs = {}
+        for engine in ("fast", "vector"):
+            policy = _ucp(cores, interval)
+            result = run_shared_llc(
+                traces, policy, geometry, singles=[1.0] * cores, engine=engine
+            )
+            runs[engine] = (_thread_stats(result), _ucp_state(policy))
+        history = runs["fast"][1][0]
+        assert len(history) >= 2, "the mix must cross at least 2 repartitions"
+        if cores < geometry.ways:  # 16 threads x 1-way floor fill 16 ways
+            assert len({tuple(a) for a in history}) > 1
+        assert runs["vector"] == runs["fast"]
+
+    def test_any_set_permutation_is_equivalent(self):
+        mixed, completion = interleave_traces(_ucp_traces(4, 3_000))
+
+        def run(set_order):
+            policy = _ucp(4, 1_000)
+            cache = SetAssociativeCache(SHARED_GEOMETRY, policy)
+            totals = run_shared_trace_vector(
+                cache, mixed, completion, set_order=set_order
+            )
+            return totals, _state_snapshot(cache), _ucp_state(policy)
+
+        want = run(None)
+        rng = random.Random(9)
+        for _ in range(3):
+            order = list(range(SHARED_GEOMETRY.num_sets))
+            rng.shuffle(order)
+            assert run(order) == want, f"set order {order} changed the outcome"
+
+    def test_chunked_and_windowed_match_one_shot(self):
+        """Chunks of 3,001 cut epochs of 1,000 mid-way; windows of 2,500
+        cut both again and attach an observer. Stats and state match the
+        one-shot run, and the windows match the fast path's."""
+        traces = _ucp_traces(4, 3_000)
+
+        def run(engine, **kwargs):
+            policy = _ucp(4, 1_000)
+            result = run_shared_llc(
+                traces, policy, SHARED_GEOMETRY, singles=[1.0] * 4,
+                engine=engine, **kwargs,
+            )
+            return result, (_thread_stats(result), _ucp_state(policy))
+
+        _, want = run("vector")
+        _, chunked = run("vector", chunk_size=3_001)
+        assert chunked == want
+        windowed, state = run("vector", window_size=2_500)
+        assert state == want
+        fast_windowed, _ = run("fast", window_size=2_500)
+        assert windowed.extra["timeseries"] == fast_windowed.extra["timeseries"]
+
+    def test_engines_can_switch_between_slices(self):
+        """Vector, then fast, then vector on one cache: the kernel keeps
+        no state of its own, so the run equals one fast pass."""
+        mixed, completion = interleave_traces(_ucp_traces(4, 3_000))
+        cuts = [0, 4_003, 8_117, len(mixed)]
+        policy = _ucp(4, 1_000)
+        cache = SetAssociativeCache(SHARED_GEOMETRY, policy)
+        totals = [[0] * 4 for _ in range(4)]
+        engines = (run_shared_trace_vector, run_shared_trace, run_shared_trace_vector)
+        for run, lo, hi in zip(engines, cuts, cuts[1:]):
+            part = run(cache, mixed.slice(lo, hi), completion, position_offset=lo)
+            for total, counts in zip(totals, part):
+                for thread, count in enumerate(counts):
+                    total[thread] += count
+        reference_policy = _ucp(4, 1_000)
+        reference = SetAssociativeCache(SHARED_GEOMETRY, reference_policy)
+        want = run_shared_trace(reference, mixed, completion)
+        assert totals == want
+        assert _state_snapshot(cache) == _state_snapshot(reference)
+        assert _ucp_state(policy) == _ucp_state(reference_policy)
+
+    def test_hits_on_another_threads_line(self):
+        """Mixes give each thread a private address space; here three
+        threads (ids up to 5, so the modulo matters) share one working
+        set, so hits land on lines another thread filled and must
+        refresh the *owner's* recency queue."""
+        rng = random.Random(3)
+        n = 6_000
+        trace = Trace(
+            [rng.randrange(200) for _ in range(n)],
+            thread_ids=[rng.randrange(6) for _ in range(n)],
+        )
+        completion = [n] * 6
+        runs = []
+        for run in (run_shared_trace, run_shared_trace_vector):
+            policy = _ucp(3, 500)
+            cache = SetAssociativeCache(GEOMETRY, policy)
+            totals = run(cache, trace, completion)
+            runs.append((totals, _state_snapshot(cache), _ucp_state(policy)))
+        assert runs[1] == runs[0]

@@ -584,9 +584,9 @@ def test_resubmitted_vector_mix_job_skips_every_cell(tmp_path):
     ]
     assert len(cells) == 6 and {m.engine for m in cells} == {"vector"}
     # The requested engine is the resume identity; the tier that ran is
-    # recorded beside it: UCP has no vector kernel.
+    # recorded beside it: all three policies have a vector kernel.
     assert {(m.policy, m.engine_ran) for m in cells} == {
-        ("LRUPolicy", "vector"), ("PDPartitionPolicy", "vector"), ("UCPPolicy", "fast"),
+        ("LRUPolicy", "vector"), ("PDPartitionPolicy", "vector"), ("UCPPolicy", "vector"),
     }
     second = execute_spec(spec, tmp_path)
     assert second["skipped_cells"] == 6 and second["ran_cells"] == 0

@@ -81,6 +81,15 @@ class TestUCPPolicy:
         )
         assert sum(policy.allocation) == 8
 
+    def test_repartition_reads_the_curves_before_decay(self):
+        """One hit per stack position is enough to win thread 0 every
+        spare way; halved first, it would be no utility at all."""
+        policy = UCPPolicy(num_threads=2)
+        SetAssociativeCache(CacheGeometry(2, 4), policy)
+        policy.monitors[0].position_hits[:] = 1
+        assert policy.repartition() == [3, 1]
+        assert policy.monitors[0].position_hits.tolist() == [0, 0, 0, 0]
+
     def test_over_quota_thread_loses_own_lines(self):
         policy = UCPPolicy(num_threads=2, repartition_interval=10**9)
         cache = SetAssociativeCache(CacheGeometry(2, 4), policy)
