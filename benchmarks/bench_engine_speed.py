@@ -8,10 +8,11 @@ smoke test::
 Measures, on a 403.gcc-like trace at the experiment geometry (64 sets x
 16 ways):
 
-- accesses/second for LRU and PDP under all three engines (reference,
-  fast, and the columnar vector tier; acceptance bars are >= 3x
-  fast-vs-reference on the 500K LRU run and >= 5x vector-vs-the-committed
-  fast baseline for PDP);
+- accesses/second for LRU, PDP and DRRIP under all three engines
+  (reference, fast, and the columnar vector tier, where DRRIP runs its
+  arrival-order kernel; acceptance bars are >= 3x fast-vs-reference on
+  the 500K LRU run and >= 5x vector-vs-the-committed fast baseline for
+  PDP);
 - an 8-point static-PD sweep four ways: serial with the reference
   engine (the pre-fast-path pipeline), serial with the batched kernel,
   serial with the vector engine, and the parallel runner. On a
@@ -45,6 +46,7 @@ from repro.core.pdp_policy import PDPPolicy  # noqa: E402
 from repro.experiments.common import EXPERIMENT_GEOMETRY, TIMING  # noqa: E402
 from repro.obs.bench import append_trajectory, canonical_record  # noqa: E402
 from repro.policies.lru import LRUPolicy  # noqa: E402
+from repro.policies.rrip import DRRIPPolicy  # noqa: E402
 from repro.sim.runner import sweep_static_pd  # noqa: E402
 from repro.sim.single_core import run_llc  # noqa: E402
 from repro.workloads.spec_like import make_benchmark_trace  # noqa: E402
@@ -137,6 +139,7 @@ def profile_cells(length: int, top: int) -> None:
     kernels = {
         "lru": LRUPolicy,
         "pdp": lambda: PDPPolicy(recompute_interval=8192),
+        "drrip": DRRIPPolicy,
     }
     for name, factory in kernels.items():
         for engine in ENGINES:
@@ -170,6 +173,7 @@ def run_benchmark(length: int, repeats: int, workers: int) -> dict:
             "pdp": _engine_pair(
                 trace, lambda: PDPPolicy(recompute_interval=8192), repeats
             ),
+            "drrip": _engine_pair(trace, DRRIPPolicy, repeats),
         },
         "sweep": _sweep_triple(trace, workers, repeats),
     }

@@ -9,12 +9,12 @@ smoke test::
 Measures, on a 4-thread random mix at the shared experiment geometry
 (64 sets x 16 ways):
 
-- interleaved accesses/second for LRU, TA-DRRIP, PDP and UCP under all
-  three ``run_shared_llc`` engines (the headline fast-vs-reference
-  speedup, the acceptance bar being >= 1.5x on the full-length TA-DRRIP
-  run, and the vector-vs-reference speedup; TA-DRRIP has no vector
-  kernel, so its ``vector`` column times the fast path that
-  :func:`~repro.memory.columnar.engine_tier` picks for it);
+- interleaved accesses/second for LRU, TA-DRRIP, PDP, UCP and PIPP
+  under all three ``run_shared_llc`` engines (the headline
+  fast-vs-reference speedup, the acceptance bar being >= 1.5x on the
+  full-length TA-DRRIP run, and the vector-vs-reference speedup; every
+  one of them has a vector kernel, set-batched or, for TA-DRRIP and
+  PIPP, in arrival order);
 - a (2 mixes x 3 policies) Fig. 12-style grid three ways: serial with
   the reference engine (the pre-fast-path pipeline), serial with the
   batched kernel, and ``run_mix_matrix``. On a single-CPU host the grid
@@ -45,6 +45,7 @@ from repro.core.pdp_policy import PDPPolicy  # noqa: E402
 from repro.experiments.common import TIMING  # noqa: E402
 from repro.obs.bench import append_trajectory, canonical_record  # noqa: E402
 from repro.experiments.fig12_partitioning import shared_geometry  # noqa: E402
+from repro.partitioning.pipp import PIPPPolicy  # noqa: E402
 from repro.partitioning.ucp import UCPPolicy  # noqa: E402
 from repro.policies.lru import LRUPolicy  # noqa: E402
 from repro.policies.ta_drrip import TADRRIPPolicy  # noqa: E402
@@ -169,6 +170,10 @@ def run_benchmark(length: int, repeats: int, workers: int) -> dict:
             "ucp": _engine_pair(
                 first, geometry, singles,
                 partial(UCPPolicy, num_threads=CORES), repeats,
+            ),
+            "pipp": _engine_pair(
+                first, geometry, singles,
+                partial(PIPPPolicy, num_threads=CORES), repeats,
             ),
         },
         "grid": _grid_triple(mixes, geometry, workers, repeats),

@@ -1,34 +1,40 @@
-"""Columnar set-batched engine — the ``engine="vector"`` tier.
+"""Columnar engine — the ``engine="vector"`` tier.
 
 :func:`run_trace_vector` is the third engine behind the drivers'
 ``engine=`` seam (reference → fast → vector). Like
 :func:`repro.memory.fastpath.run_trace` it is semantically identical to
-``for access in trace: cache.access(access)``, but instead of resolving
-the trace in arrival order it *groups a chunk by set index* (one stable
-numpy argsort + one bulk ``tolist``) and replays each set's subsequence
-through a policy-specialized kernel with every per-access Python hook
-call eliminated. Sets are independent under every vectorized policy, so
-the grouped replay reaches the exact same final state, statistics,
-eviction decisions and windowed time-series as the reference loop —
-``tests/test_conformance.py`` and ``tests/test_columnar.py`` pin this,
-including invariance under arbitrary permutations of the set-batch
-processing order.
+``for access in trace: cache.access(access)``, but it runs a
+policy-specific kernel with every per-access Python hook call
+eliminated, in one of two resolve modes:
 
-Vectorized policies (exact types; subclasses keep the fast path): LRU,
-PDP — static and dynamic — PD partitioning
-(:class:`~repro.partitioning.pd_partition.PDPartitionPolicy`) and UCP
-(:class:`~repro.partitioning.ucp.UCPPolicy`), the policies the figures
-and benchmarks run on this tier. ``run_llc`` and ``run_shared_llc`` ask
+- **Set-batched**, where sets are independent: the kernel *groups a
+  chunk by set index* (one stable numpy argsort + one bulk ``tolist``)
+  and replays each set's subsequence. The grouped replay reaches the
+  exact same final state, statistics, eviction decisions and windowed
+  time-series as the reference loop, under any permutation of the
+  set-batch processing order. LRU, PDP — static and dynamic — PD
+  partitioning
+  (:class:`~repro.partitioning.pd_partition.PDPartitionPolicy`) and UCP
+  (:class:`~repro.partitioning.ucp.UCPPolicy`) run this way.
+- **Arrival order**, where a policy consumes shared state in global
+  fill or hit order: DRRIP's and TA-DRRIP's set-dueling PSELs and
+  BRRIP draws, PIPP's promotion draws. Set grouping would reorder
+  those, so :class:`_OrderedKernel` replays the range access by access
+  with the hooks inlined; the gain is the hook calls, not batching.
+  PIPP's UMON is a stream-only monitor and is still fed set-grouped.
+
+``tests/test_conformance.py`` and ``tests/test_columnar.py`` pin both
+modes against the other engines. Kernels are registered by exact type
+(subclasses keep the fast path). ``run_llc`` and ``run_shared_llc`` ask
 :func:`engine_tier` once per run which tier runs, and run every other
 policy on the fast path with identical results — which is what lets
 them default to ``engine="vector"`` safely. The entry points here run a
 kernel only:
 
-- FIFO, MRU and SRRIP are set-local and could be vectorized, but no
-  figure, benchmark or CLI default runs them, so they keep the fast path.
-- BRRIP/DRRIP, TA-DRRIP and PIPP (and the random policy) consume a
-  shared RNG / set-dueling PSEL in *global fill or hit order*, which set
-  grouping would reorder — they cannot be vectorized bit-identically.
+- Every other policy has no kernel and keeps the fast path. FIFO, MRU
+  and SRRIP are set-local, and EELRU and SDP split into a stream-only
+  monitor and set-local replacement, so all five could be set-batched;
+  DIP, BRRIP, SHiP and Random could run in arrival order.
 - Dynamic PDP is vectorized only when
   ``recompute_interval <= counter_max`` (65535 with the paper's 16-bit
   counters): within one recompute epoch no class's RD counters can then
@@ -51,22 +57,22 @@ boundary. An access's class is ``thread_id % num_classes`` — one class
 for PDP, one per thread for PD partitioning — and picks the PD its line
 is protected with and the RD counter array its sampled distance lands in.
 
-Dynamic PDP and UCP each split into a stream-only monitor, a decision
-made at fixed global access positions and set-local replacement, and
+Dynamic PDP, UCP and PIPP each split into a stream-only monitor, a
+decision made at fixed global access positions and replacement, and
 run under one epoch driver (:class:`_SetBatchKernel`): each call is cut
 at the same absolute epochs as the reference, the monitor is fed
 set-grouped (its state is per set, or per (thread, set), and its
 counter sums commute), and the decision — ``PDEngine.recompute``, or
-UCP's lookahead ``repartition`` — fires at the exact access positions
-the per-access loop would trigger it, so ``pd_history`` and every UCP
-allocation are bit-identical.
+the lookahead ``repartition`` of UCP and PIPP — fires at the exact
+access positions the per-access loop would trigger it, so
+``pd_history`` and every allocation are bit-identical.
 
 The single-core path, :func:`run_trace_vector`, is the kernel under
 :func:`repro.memory.fastpath.run_whole_trace`. The shared-LLC path,
 :func:`run_shared_trace_vector`, is the same kernel under
 :func:`repro.memory.fastpath.run_frozen_segments`: the interleaved
 mix is cut at each thread's completion position, each segment is
-set-batched on its own, and the kernel counts hits and bypasses per
+resolved on its own, and the kernel counts hits and bypasses per
 thread, so each thread's frozen statistics match the reference loop.
 """
 
@@ -84,8 +90,12 @@ from repro.memory.fastpath import run_frozen_segments, run_whole_trace
 from repro.memory.fastpath import run_trace  # noqa: F401
 from repro.obs.metrics import METRICS
 from repro.partitioning.pd_partition import PDPartitionPolicy
+from repro.partitioning.pipp import PIPPPolicy
 from repro.partitioning.ucp import UCPPolicy
+from repro.policies.dueling import SetDuelingMonitor
 from repro.policies.lru import LRUPolicy
+from repro.policies.rrip import DRRIPPolicy
+from repro.policies.ta_drrip import TADRRIPPolicy
 
 
 def _group_by_set(set_ids: np.ndarray):
@@ -105,21 +115,33 @@ def _group_by_set(set_ids: np.ndarray):
     return order, sorted_sets[starts].tolist(), starts.tolist(), ends.tolist()
 
 
-class _SetBatchKernel:
-    """Base vector kernel: set grouping, the epoch driver and the common
-    layout.
+def _set_flags(num_sets: int, sets) -> np.ndarray:
+    """Per-set flags, true for the sets in ``sets`` (a monitor's
+    sampled sets), to mask a chunk's accesses with one lookup."""
+    flags = np.zeros(num_sets, dtype=bool)
+    flags[list(sets)] = True
+    return flags
 
-    Subclasses implement ``_run_set(set_index, tags, tids)`` — the
-    policy-specialized replay of one set's subsequence, mutating the
-    cache's own per-set rows (``tags``/``valid``/``reused``/``owner``/
-    ``_interval_start``/``_tag_index``) and the policy's own per-set
-    state so that no separate write-back is needed and any engine can
+
+class _SetBatchKernel:
+    """Base vector kernel: the epoch driver, the two resolve modes and
+    the common layout.
+
+    A kernel resolves each range its driver hands it in one of two
+    modes. Set-batched (this class's :meth:`_resolve_range`): the range
+    is grouped by set and subclasses implement ``_run_set(set_index,
+    tags, tids)`` — the policy-specialized replay of one set's
+    subsequence. Arrival order (:class:`_OrderedKernel`): the range is
+    replayed access by access, for policies whose RNG or PSEL follows
+    global order. Either way the kernel mutates the cache's own per-set
+    rows (``tags``/``valid``/``reused``/``owner``/``_interval_start``/
+    ``_tag_index``) and the policy's own state, so that any engine can
     take over on the next chunk.
 
     Epoch contract. A policy whose decision changes at fixed global
-    access positions (dynamic PDP's PD recompute, UCP's way
-    repartition) splits into a stream-only monitor and set-local
-    replacement. Its kernel supplies three hooks:
+    access positions (dynamic PDP's PD recompute, the way repartition
+    of UCP and PIPP) splits into a stream-only monitor and replacement.
+    Its kernel supplies three hooks:
 
     - ``_epoch_left()``: accesses left in the current epoch, the
       boundary access included; ``None`` (the default) for a kernel
@@ -350,9 +372,8 @@ class _PDPKernel(_SetBatchKernel):
         self._sampled_lut = None
         engine = self.policy.engine
         if engine is not None:
-            lut = np.zeros(self.num_sets, dtype=bool)
-            lut[list(engine.sampler._fifos)] = True
-            self._sampled_lut = lut
+            sampled = engine.sampler._fifos
+            self._sampled_lut = _set_flags(self.num_sets, sampled)
         self._refresh_params()
 
     @classmethod
@@ -773,25 +794,18 @@ class _PDPKernel(_SetBatchKernel):
         self.evictions += evictions
 
 
-class _UCPKernel(_SetBatchKernel):
-    """UCP replay: UMON fed set-grouped, lookahead at the reference's
-    epochs, the quota rule on per-thread recency queues.
-
-    The monitor is each thread's UMON, whose stacks are per sampled set;
-    the decision is the way allocation, re-derived every
-    ``repartition_interval`` accesses; replacement reads only the set's
-    owners and recency stamps under the allocation in force. The kernel
-    works on the policy's own ``_stamp``/``_clock`` rows, the monitors'
-    own stacks and counters and the cache's ``owner`` row, and keeps no
-    state across calls, so any engine can take over between slices.
+class _UMONEpochs:
+    """The monitor and epochs UCP and PIPP share, mixed in ahead of a
+    kernel base: one UMON per thread, stacks per sampled set, and a
+    lookahead ``repartition`` every ``repartition_interval`` accesses
+    counted by ``policy._accesses``.
     """
 
     def __init__(self, cache) -> None:
         super().__init__(cache)
-        monitors = self.policy.monitors
-        lut = np.zeros(self.num_sets, dtype=bool)
-        lut[list(monitors[0]._stacks)] = True  # every UMON samples the same sets
-        self._sampled_lut = lut
+        # Every thread's UMON samples the same sets.
+        sampled = self.policy.monitors[0]._stacks
+        self._sampled_lut = _set_flags(self.num_sets, sampled)
 
     def _epoch_left(self) -> int:
         """Accesses until the next repartition (``on_access`` fires it
@@ -801,12 +815,13 @@ class _UCPKernel(_SetBatchKernel):
         return interval - self.policy._accesses % interval
 
     def _epoch_end(self) -> None:
-        """Lookahead over the current curves, then UMON decay."""
+        """``policy.repartition()``: lookahead over the current curves
+        (PIPP also re-derives its streaming flags), then UMON decay."""
         self.policy.repartition()
 
     def _monitor(self, set_ids, tags, tids, lo, hi) -> None:
         """Count accesses ``[lo, hi)`` into the policy's epoch and feed
-        the sampled-set ones to their thread's UMON.
+        the sampled-set ones to their thread's UMON, set-grouped.
 
         UMON stacks are per (thread, set) and its counters are sums, so
         replaying each (set, thread) group in arrival order (one stable
@@ -857,6 +872,21 @@ class _UCPKernel(_SetBatchKernel):
             counts = np.bincount(bins, minlength=num_threads * ways)
             for monitor, row in zip(monitors, counts.reshape(num_threads, ways)):
                 monitor.position_hits += row
+
+
+class _UCPKernel(_UMONEpochs, _SetBatchKernel):
+    """UCP replay: UMON fed set-grouped, lookahead at the reference's
+    epochs (:class:`_UMONEpochs`), the quota rule on per-thread recency
+    queues.
+
+    The monitor is each thread's UMON, whose stacks are per sampled set;
+    the decision is the way allocation, re-derived every
+    ``repartition_interval`` accesses; replacement reads only the set's
+    owners and recency stamps under the allocation in force. The kernel
+    works on the policy's own ``_stamp``/``_clock`` rows, the monitors'
+    own stacks and counters and the cache's ``owner`` row, and keeps no
+    state across calls, so any engine can take over between slices.
+    """
 
     def _run_set(self, s, tag_seq, tid_seq) -> None:
         """Replay set ``s``'s subsequence under the current allocation.
@@ -959,6 +989,298 @@ class _UCPKernel(_SetBatchKernel):
         self.evictions += evictions
 
 
+class _OrderedKernel(_SetBatchKernel):
+    """Base of the arrival-order kernels.
+
+    Some policies consume state in *global* order: an RNG drawn on hits
+    or fills, a set-dueling PSEL moved by leader-set misses and read by
+    every follower fill. Grouping by set would reorder those draws, so
+    these kernels replay each resolve range in arrival order instead,
+    with every policy hook inlined on the policy's and the cache's own
+    rows. The speed comes from dropping the per-access hook calls, not
+    from batching. An ordered kernel still runs under :meth:`_drive`:
+    a stream-only monitor (PIPP's UMON) is fed set-grouped one epoch at
+    a time like any other kernel's, and only replacement is in order.
+
+    Subclasses implement ``_replay(sets, tag_seq, tid_seq)`` over plain
+    Python lists. It keeps ``fastpath._run_slice``'s hook order and
+    observer events, access for access, and writes everything back
+    before returning, so the kernel keeps no state across calls and any
+    engine can take over on the next slice. There is no set order to
+    permute: a ``set_order`` raises ``ValueError``.
+    """
+
+    def _drive(self, set_ids, tags, tids, lo, hi, set_order) -> None:
+        """Refuse a ``set_order`` before any state moves, then run the
+        base epoch driver."""
+        if set_order is not None:
+            raise ValueError(
+                f"{type(self.policy).__name__} runs in arrival order; "
+                "set_order does not apply"
+            )
+        super()._drive(set_ids, tags, tids, lo, hi, set_order)
+
+    def _resolve_range(self, set_ids, tags, tids, lo, hi, set_order) -> None:
+        """Replay ``[lo, hi)`` in arrival order, with no set grouping."""
+        self._replay(
+            set_ids[lo:hi].tolist(),
+            tags[lo:hi].tolist(),
+            repeat(self._tid0) if tids is None else tids[lo:hi].tolist(),
+        )
+
+
+class _RRIPDuelKernel(_OrderedKernel):
+    """DRRIP and TA-DRRIP: K SRRIP-vs-BRRIP set duels, in arrival order.
+
+    K is 1 for :class:`~repro.policies.rrip.DRRIPPolicy` and one per
+    thread for :class:`~repro.policies.ta_drrip.TADRRIPPolicy`; a fill
+    by thread ``tid`` votes and reads in duel ``tid % K``. Leader roles
+    are the policy's own monitors' role rows. Each call reads every
+    PSEL at its start and writes it back at its end. A fill records its
+    leader-set miss first, then inserts "long" (SRRIP) or, in BRRIP
+    mode, draws ``policy._rng.random()`` for "distant" versus "long",
+    so the draws stay in global fill order.
+    """
+
+    def __init__(self, cache) -> None:
+        super().__init__(cache)
+        policy = self.policy
+        self._sdms = (
+            policy._sdms if type(policy) is TADRRIPPolicy else [policy._sdm]
+        )
+        self._roles = [sdm._role for sdm in self._sdms]
+
+    def _replay(self, sets, tag_seq, tid_seq) -> None:
+        """Replay the accesses on the policy's RRPV rows.
+
+        Victim rule: with ``top = max(row)``, a full set whose ``top <
+        rrpv_max`` is aged by ``rrpv_max - top`` in one step, and the
+        victim is ``row.index(rrpv_max)``. This equals the reference
+        loop of aging one step at a time until some line reaches
+        ``rrpv_max``, because of the invariant that no RRPV ever exceeds
+        ``rrpv_max``: rows start at it, hits write 0, fills write
+        ``rrpv_max`` or ``rrpv_max - 1``, and the aging stops exactly
+        when the largest value reaches it. So the first way at
+        ``rrpv_max`` after aging is the first way the reference scan
+        accepts.
+        """
+        cache = self.cache
+        policy = self.policy
+        tags = cache.tags
+        valid = cache.valid
+        reused = cache.reused
+        owner = cache.owner
+        set_accesses = cache.set_accesses
+        interval_start = cache._interval_start
+        tag_index = cache._tag_index
+        rrpv = policy._rrpv
+        rrpv_max = policy.rrpv_max
+        long_rrpv = rrpv_max - 1
+        epsilon = policy.epsilon
+        draw = policy._rng.random
+        sdms = self._sdms
+        roles = self._roles
+        duels = len(sdms)
+        psels = [sdm.psel for sdm in sdms]
+        psel_max = sdms[0].psel_max  # every duel has the policy's psel_bits
+        psel_half = psel_max // 2
+        follower = SetDuelingMonitor.FOLLOWER
+        leader_a = SetDuelingMonitor.LEADER_A
+        observers = self.observers
+        ways = self.ways
+        num_sets = self.num_sets
+        set_shift = self.set_shift
+        t_hits = self._t_hits
+        evictions = 0
+        for s, tag, tid in zip(sets, tag_seq, tid_seq):
+            count = set_accesses[s] + 1
+            set_accesses[s] = count
+            index = tag_index[s]
+            way = index.get(tag)
+            if way is not None:
+                t_hits[tid] += 1
+                start_row = interval_start[s]
+                if observers:
+                    occupancy = count - start_row[way]
+                reused[s][way] = True
+                start_row[way] = count
+                rrpv[s][way] = 0  # hit promotion
+                if observers:
+                    address = (tag << set_shift) | s
+                    for observer in observers:
+                        observer.on_hit(s, address, occupancy)
+                continue
+            row = rrpv[s]
+            row_tags = tags[s]
+            filled = len(index)
+            if filled < ways:
+                way = filled  # lowest-numbered invalid way
+                valid[s][way] = True
+            else:
+                top = max(row)
+                if top < rrpv_max:
+                    age = rrpv_max - top
+                    row[:] = [value + age for value in row]
+                way = row.index(rrpv_max)
+                old_tag = row_tags[way]
+                evictions += 1
+                if observers:
+                    evicted_address = old_tag * num_sets + s
+                    occupancy = count - interval_start[s][way]
+                    was_reused = reused[s][way]
+                    for observer in observers:
+                        observer.on_evict(
+                            s, evicted_address, occupancy, was_reused
+                        )
+                del index[old_tag]
+            row_tags[way] = tag
+            reused[s][way] = False
+            owner[s][way] = tid
+            interval_start[s][way] = count
+            index[tag] = way
+            duel = tid % duels
+            role = roles[duel][s]
+            if role == follower:
+                if psels[duel] <= psel_half:  # SRRIP is winning
+                    row[way] = long_rrpv
+                else:
+                    row[way] = rrpv_max if draw() >= epsilon else long_rrpv
+            elif role == leader_a:  # a miss votes against SRRIP
+                if psels[duel] < psel_max:
+                    psels[duel] += 1
+                row[way] = long_rrpv
+            else:  # leader B: a miss votes against BRRIP
+                if psels[duel] > 0:
+                    psels[duel] -= 1
+                row[way] = rrpv_max if draw() >= epsilon else long_rrpv
+        for sdm, psel in zip(sdms, psels):
+            sdm.psel = psel
+        self.evictions += evictions
+
+
+class _PIPPKernel(_UMONEpochs, _OrderedKernel):
+    """PIPP: UMON fed set-grouped and lookahead at UCP's epochs
+    (:class:`_UMONEpochs`), promotion and insertion in arrival order.
+
+    The monitor pass also adds each thread's ``_interval_accesses``;
+    the epoch end re-derives the allocations and the streaming flags.
+    Replacement draws from the policy's RNG once per hit, in global hit
+    order, so it replays in arrival order on the policy's own ``_order``
+    rows.
+    """
+
+    def _monitor(self, set_ids, tags, tids, lo, hi) -> None:
+        """Add accesses ``[lo, hi)`` to each thread's
+        ``_interval_accesses`` (one ``np.bincount``), then run the
+        shared UMON pass."""
+        policy = self.policy
+        num_threads = policy.num_threads
+        counts = policy._interval_accesses
+        if tids is None:
+            counts[self._tid0 % num_threads] += hi - lo
+        else:
+            per_thread = np.bincount(
+                tids[lo:hi] % num_threads, minlength=num_threads
+            )
+            for thread, n in enumerate(per_thread.tolist()):
+                counts[thread] += n
+        super()._monitor(set_ids, tags, tids, lo, hi)
+
+    def _replay(self, sets, tag_seq, tid_seq) -> None:
+        """Replay the accesses on the policy's priority rows under the
+        allocation and streaming flags in force (they change only at an
+        epoch end, which never falls inside a call).
+
+        A hit draws once and, when the draw is under the thread's
+        promotion probability, swaps its way one slot up unless it is
+        already on top. A full set's victim is ``order[0]``. A fill
+        counts the thread's interval miss and moves its way to the
+        thread's insertion slot, capped below the top.
+        """
+        cache = self.cache
+        policy = self.policy
+        tags = cache.tags
+        valid = cache.valid
+        reused = cache.reused
+        owner = cache.owner
+        set_accesses = cache.set_accesses
+        interval_start = cache._interval_start
+        tag_index = cache._tag_index
+        order = policy._order
+        num_threads = policy.num_threads
+        threads = range(num_threads)
+        streaming = policy.streaming
+        promote_prob = [
+            policy.stream_promote_prob if streaming[t] else policy.p_prom
+            for t in threads
+        ]
+        top = self.ways - 1
+        insert_at = [
+            min(policy.p_stream if streaming[t] else policy.allocation[t], top)
+            for t in threads
+        ]
+        interval_misses = policy._interval_misses
+        draw = policy._rng.random
+        observers = self.observers
+        ways = self.ways
+        num_sets = self.num_sets
+        set_shift = self.set_shift
+        t_hits = self._t_hits
+        evictions = 0
+        for s, tag, tid in zip(sets, tag_seq, tid_seq):
+            count = set_accesses[s] + 1
+            set_accesses[s] = count
+            index = tag_index[s]
+            way = index.get(tag)
+            if way is not None:
+                t_hits[tid] += 1
+                start_row = interval_start[s]
+                if observers:
+                    occupancy = count - start_row[way]
+                reused[s][way] = True
+                start_row[way] = count
+                if draw() < promote_prob[tid % num_threads]:
+                    row = order[s]
+                    position = row.index(way)
+                    if position < top:
+                        row[position] = row[position + 1]
+                        row[position + 1] = way
+                if observers:
+                    address = (tag << set_shift) | s
+                    for observer in observers:
+                        observer.on_hit(s, address, occupancy)
+                continue
+            row = order[s]
+            row_tags = tags[s]
+            filled = len(index)
+            if filled < ways:
+                way = filled  # lowest-numbered invalid way
+                valid[s][way] = True
+            else:
+                way = row[0]
+                old_tag = row_tags[way]
+                evictions += 1
+                if observers:
+                    evicted_address = old_tag * num_sets + s
+                    occupancy = count - interval_start[s][way]
+                    was_reused = reused[s][way]
+                    for observer in observers:
+                        observer.on_evict(
+                            s, evicted_address, occupancy, was_reused
+                        )
+                del index[old_tag]
+            row_tags[way] = tag
+            reused[s][way] = False
+            owner[s][way] = tid
+            interval_start[s][way] = count
+            index[tag] = way
+            thread = tid % num_threads
+            interval_misses[thread] += 1
+            row.remove(way)
+            row.insert(insert_at[thread], way)
+        self.evictions += evictions
+
+
 #: Exact policy type -> kernel class. Subclasses deliberately do NOT
 #: inherit a kernel: a subclass may override any hook, which would break
 #: the bit-identical contract silently.
@@ -967,6 +1289,9 @@ _KERNELS: dict[type, type[_SetBatchKernel]] = {
     PDPPolicy: _PDPKernel,
     PDPartitionPolicy: _PDPKernel,
     UCPPolicy: _UCPKernel,
+    DRRIPPolicy: _RRIPDuelKernel,
+    TADRRIPPolicy: _RRIPDuelKernel,
+    PIPPPolicy: _PIPPKernel,
 }
 
 

@@ -24,6 +24,12 @@ bit-identical-stats contract already swept by ``test_conformance.py``):
   thread stats, every allocation, stamp, clock, owner and UMON counter,
   under any set order, chunked, windowed, and with engines switched
   between slices.
+- **The arrival-order kernels**: DRRIP, TA-DRRIP (4 and 16 threads) and
+  PIPP (4 and 16 threads) must match the fast path in thread stats,
+  RRPV rows, PSELs (saturating at both ends), RNG state, PIPP's
+  priority rows, allocations, streaming flags, interval counters and
+  UMONs, chunked, windowed and across engine switches; and they must
+  refuse a ``set_order``.
 """
 
 from __future__ import annotations
@@ -46,7 +52,9 @@ from repro.partitioning.pd_partition import PDPartitionPolicy
 from repro.partitioning.pipp import PIPPPolicy
 from repro.partitioning.ucp import UCPPolicy
 from repro.policies.base import make_policy
+from repro.policies.lip_bip_dip import DIPPolicy
 from repro.policies.rrip import DRRIPPolicy
+from repro.policies.ta_drrip import TADRRIPPolicy
 from repro.policies.lru import LRUPolicy
 from repro.sim import multi_core, single_core
 from repro.sim.multi_core import run_shared_llc
@@ -233,24 +241,24 @@ class TestFallbackSeam:
         METRICS.reset()
         METRICS.enable()
         try:
-            for policy in (DRRIPPolicy(), DRRIPPolicy(), LRUPolicy()):
+            for policy in (DIPPolicy(), DIPPolicy(), LRUPolicy()):
                 _tier(policy)
-            _tier(DRRIPPolicy(), "fast")
+            _tier(DIPPolicy(), "fast")
             counters = METRICS.snapshot()["counters"]
         finally:
             METRICS.enabled = was_enabled
             METRICS.reset()
         fallbacks = {k: v for k, v in counters.items() if ".fallback." in k}
-        assert fallbacks == {"columnar.fallback.DRRIPPolicy": 2}
+        assert fallbacks == {"columnar.fallback.DIPPolicy": 2}
 
     def test_vector_entry_points_refuse_a_policy_without_kernel(self):
         trace = _trace(length=500)
-        cache = SetAssociativeCache(GEOMETRY, DRRIPPolicy())
+        cache = SetAssociativeCache(GEOMETRY, DIPPolicy())
         with pytest.raises(ValueError, match="engine_tier"):
             run_trace_vector(cache, trace)
         assert cache.stats.accesses == 0
         mixed, completion = interleave_traces([_trace(length=300, seed=s) for s in (1, 2)])
-        cache = SetAssociativeCache(GEOMETRY, PIPPPolicy(num_threads=2))
+        cache = SetAssociativeCache(GEOMETRY, DIPPolicy())
         with pytest.raises(ValueError, match="engine_tier"):
             run_shared_trace_vector(cache, mixed, completion)
         assert cache.stats.accesses == 0
@@ -284,7 +292,7 @@ class TestFallbackSeam:
         assert calls == [engine]
 
     @pytest.mark.parametrize(
-        "policy, ran", [(DRRIPPolicy, "fast"), (LRUPolicy, "vector")]
+        "policy, ran", [(DIPPolicy, "fast"), (LRUPolicy, "vector")]
     )
     def test_manifest_records_the_tier_that_ran(self, tmp_path, policy, ran):
         run_llc(_trace(length=1_000), policy(), GEOMETRY, manifest_dir=tmp_path)
@@ -415,20 +423,28 @@ def _ucp_traces(cores: int, length: int) -> list[Trace]:
     ]
 
 
-def _ucp(cores: int, interval: int) -> UCPPolicy:
-    """A UCP policy that records every allocation ``repartition`` makes
-    (an instance attribute, so the exact type keeps its kernel)."""
-    policy = UCPPolicy(num_threads=cores, repartition_interval=interval)
+def _recording(policy, snapshot):
+    """``policy`` with a ``history`` that gets ``snapshot(policy)`` after
+    every ``repartition`` (an instance attribute, so the exact type keeps
+    its kernel)."""
     policy.history = []
     repartition = policy.repartition
 
     def recording():
-        allocation = repartition()
-        policy.history.append(list(allocation))
-        return allocation
+        result = repartition()
+        policy.history.append(snapshot(policy))
+        return result
 
     policy.repartition = recording
     return policy
+
+
+def _ucp(cores: int, interval: int) -> UCPPolicy:
+    """A UCP policy that records every allocation ``repartition`` makes."""
+    return _recording(
+        UCPPolicy(num_threads=cores, repartition_interval=interval),
+        lambda policy: list(policy.allocation),
+    )
 
 
 def _ucp_state(policy) -> tuple:
@@ -442,16 +458,21 @@ def _ucp_state(policy) -> tuple:
         [list(row) for row in policy._stamp],
         list(policy._clock),
         [list(row) for row in policy.cache.owner],
-        [
-            (
-                monitor.position_hits.tolist(),
-                monitor.accesses,
-                monitor.misses,
-                {s: list(stack) for s, stack in monitor._stacks.items()},
-            )
-            for monitor in policy.monitors
-        ],
+        _umon_state(policy.monitors),
     )
+
+
+def _umon_state(monitors) -> list[tuple]:
+    """Each UMON's counters and sampled-set stacks."""
+    return [
+        (
+            monitor.position_hits.tolist(),
+            monitor.accesses,
+            monitor.misses,
+            {s: list(stack) for s, stack in monitor._stacks.items()},
+        )
+        for monitor in monitors
+    ]
 
 
 def _thread_stats(result) -> list[tuple]:
@@ -564,3 +585,273 @@ class TestUCPKernel:
             totals = run(cache, trace, completion)
             runs.append((totals, _state_snapshot(cache), _ucp_state(policy)))
         assert runs[1] == runs[0]
+
+
+def _pipp(cores: int, theta_m: int) -> PIPPPolicy:
+    """PIPP at a 1,000-access epoch that records each epoch end's
+    allocation and streaming flags."""
+    return _recording(
+        PIPPPolicy(num_threads=cores, theta_m=theta_m, repartition_interval=1_000),
+        lambda policy: (list(policy.allocation), list(policy.streaming)),
+    )
+
+
+def _duels(policy) -> list:
+    """The policy's set-dueling monitors: one for DRRIP, one per thread
+    for TA-DRRIP."""
+    return policy._sdms if isinstance(policy, TADRRIPPolicy) else [policy._sdm]
+
+
+def _saturated_votes(policy) -> list[str]:
+    """Log each leader-set miss cast at a saturated PSEL: ``"max"`` for
+    a leader-A miss at ``psel_max``, ``"min"`` for a leader-B miss at 0.
+    Wraps ``record_miss`` per instance, which only the fast path calls."""
+    votes: list[str] = []
+    for sdm in _duels(policy):
+        record_miss = sdm.record_miss
+
+        def logging(set_index, sdm=sdm, record_miss=record_miss):
+            role = sdm.role(set_index)
+            if role == sdm.LEADER_A and sdm.psel == sdm.psel_max:
+                votes.append("max")
+            elif role == sdm.LEADER_B and sdm.psel == 0:
+                votes.append("min")
+            record_miss(set_index)
+
+        sdm.record_miss = logging
+    return votes
+
+
+def _ordered_state(policy) -> tuple:
+    """Everything an arrival-order run leaves behind: the cache rows and
+    the RNG state, then the RRPV rows and every PSEL (DRRIP, TA-DRRIP)
+    or the priority rows, allocation history, streaming flags, interval
+    counters and UMONs (PIPP)."""
+    cache = policy.cache
+    common = (
+        _state_snapshot(cache),
+        [list(row) for row in cache.owner],
+        [list(row) for row in cache._interval_start],
+        policy._rng.getstate(),
+    )
+    if isinstance(policy, PIPPPolicy):
+        return common + (
+            policy.history,
+            policy.allocation,
+            policy.streaming,
+            policy._accesses,
+            policy._interval_accesses,
+            policy._interval_misses,
+            [list(row) for row in policy._order],
+            _umon_state(policy.monitors),
+        )
+    return common + (
+        [list(row) for row in policy._rrpv],
+        [sdm.psel for sdm in _duels(policy)],
+    )
+
+
+#: Shared-LLC arrival-order policies, by name: (cores, theta_m) -> policy.
+ORDERED_SHARED = {
+    "ta-drrip-m1": lambda cores, theta_m: TADRRIPPolicy(
+        num_threads=cores, m_bits=1, psel_bits=2
+    ),
+    "ta-drrip-m3": lambda cores, theta_m: TADRRIPPolicy(
+        num_threads=cores, m_bits=3, psel_bits=2
+    ),
+    "pipp": lambda cores, theta_m: _pipp(cores, theta_m),
+}
+
+#: (cores, per-thread length, PIPP theta_m): each theta_m is low enough
+#: that threads turn streaming, and back, within the mix.
+ORDERED_MIXES = [(4, 3_000, 240), (16, 1_500, 16)]
+
+
+class TestOrderedKernels:
+    """DRRIP, TA-DRRIP and PIPP on the vector tier: every hook inlined
+    and replayed in arrival order, so each RNG draw and PSEL vote lands
+    where the fast path puts it; PIPP's UMON is fed set-grouped at
+    UCP's epochs."""
+
+    @pytest.mark.parametrize("m_bits, psel_bits", [(1, 2), (3, 2), (2, 10)])
+    def test_drrip_vector_matches_fast(self, m_bits, psel_bits):
+        trace = make_benchmark_trace("403.gcc", length=20_000, num_sets=64)
+        geometry = CacheGeometry(num_sets=64, ways=16)
+        assert _tier(DRRIPPolicy(), geometry=geometry) == "vector"
+        states = {}
+        for engine, run in (("fast", run_trace), ("vector", run_trace_vector)):
+            policy = DRRIPPolicy(m_bits=m_bits, psel_bits=psel_bits)
+            cache = SetAssociativeCache(geometry, policy)
+            votes = _saturated_votes(policy)
+            run(cache, trace)
+            states[engine] = _ordered_state(policy)
+            if engine == "fast" and psel_bits == 2:
+                # The PSEL saturates at both ends during the run.
+                assert {"max", "min"} <= set(votes)
+        assert states["vector"] == states["fast"]
+
+    @pytest.mark.parametrize("m_bits", [2, 3])
+    def test_drrip_ages_a_fully_promoted_set_in_one_step(self, m_bits):
+        """Rounds of four new lines per set, each touched three times:
+        by a round's end every line of a set is hit-promoted to 0, so
+        the next round's first miss must age the row by ``rrpv_max``
+        before a victim appears. The benchmark traces rarely get there."""
+        rng = random.Random(4)
+        sets, ways = GEOMETRY.num_sets, GEOMETRY.ways
+        addresses = []
+        for round_ in range(30):
+            lines = [
+                (round_ * ways + k) * sets + s for s in range(sets) for k in range(ways)
+            ]
+            touches = lines * 3
+            rng.shuffle(touches)
+            addresses.extend(touches)
+        trace = Trace(addresses)
+        states = {}
+        for engine, run in (("fast", run_trace), ("vector", run_trace_vector)):
+            policy = DRRIPPolicy(m_bits=m_bits, psel_bits=2)
+            cache = SetAssociativeCache(GEOMETRY, policy)
+            tops = []
+            if engine == "fast":  # the fast path calls the instance's hook
+                choose_victim = policy.choose_victim
+
+                def logging(set_index, access):
+                    tops.append(max(policy._rrpv[set_index]))
+                    return choose_victim(set_index, access)
+
+                policy.choose_victim = logging
+            run(cache, trace)
+            states[engine] = _ordered_state(policy)
+            if engine == "fast":
+                assert min(tops) == 0, "no eviction found a fully promoted row"
+        assert states["vector"] == states["fast"]
+
+    @pytest.mark.parametrize("cores, length, theta_m", ORDERED_MIXES)
+    @pytest.mark.parametrize("name", sorted(ORDERED_SHARED))
+    def test_shared_vector_matches_fast(self, name, cores, length, theta_m):
+        traces = _ucp_traces(cores, length)
+        geometry = CacheGeometry(num_sets=16 * cores, ways=16)
+        factory = ORDERED_SHARED[name]
+        assert _tier(factory(cores, theta_m), geometry=geometry) == "vector"
+        runs = {}
+        for engine in ("fast", "vector"):
+            policy = factory(cores, theta_m)
+            result = run_shared_llc(
+                traces, policy, geometry, singles=[1.0] * cores, engine=engine
+            )
+            runs[engine] = (_thread_stats(result), _ordered_state(policy))
+        if name == "pipp":
+            flags = {tuple(streaming) for _, streaming in policy.history}
+            assert any(any(f) for f in flags), "no thread ever streams"
+            assert len(flags) > 1, "the streaming flags never change"
+        assert runs["vector"] == runs["fast"]
+
+    @pytest.mark.parametrize("name", sorted(ORDERED_SHARED))
+    def test_shared_chunked_and_windowed_match_one_shot(self, name):
+        """Chunks of 3,001 cut PIPP's 1,000-access epochs mid-way;
+        windows of 2,500 cut both again and attach an observer. Stats
+        and state match the one-shot run, and the windows match the
+        fast path's."""
+        cores, length, theta_m = ORDERED_MIXES[0]
+        traces = _ucp_traces(cores, length)
+
+        def run(engine, **kwargs):
+            policy = ORDERED_SHARED[name](cores, theta_m)
+            result = run_shared_llc(
+                traces, policy, SHARED_GEOMETRY, singles=[1.0] * cores,
+                engine=engine, **kwargs,
+            )
+            return result, (_thread_stats(result), _ordered_state(policy))
+
+        _, want = run("vector")
+        _, chunked = run("vector", chunk_size=3_001)
+        assert chunked == want
+        windowed, state = run("vector", window_size=2_500)
+        assert state == want
+        fast_windowed, _ = run("fast", window_size=2_500)
+        assert windowed.extra["timeseries"] == fast_windowed.extra["timeseries"]
+
+    def test_drrip_chunked_windowed_and_observed_match_fast(self):
+        """Single core: 3,001-access chunks, 2,500-access windows and an
+        occupancy observer, against the fast path's run."""
+        trace = make_benchmark_trace("429.mcf", length=12_000, num_sets=64)
+        geometry = CacheGeometry(num_sets=64, ways=16)
+        stream = TraceStream(
+            lambda: (trace.slice(i, i + 3_001) for i in range(0, len(trace), 3_001)),
+            name=trace.name,
+        )
+        runs = {}
+        for engine in ("fast", "vector"):
+            policy = DRRIPPolicy(m_bits=3, psel_bits=2)
+            result = run_llc(
+                stream, policy, geometry, engine=engine, window_size=2_500,
+                track_occupancy=True,
+            )
+            runs[engine] = (
+                result.hits,
+                result.misses,
+                result.extra["timeseries"],
+                _ordered_state(policy),
+            )
+        assert runs["vector"] == runs["fast"]
+
+    @pytest.mark.parametrize("name", sorted(ORDERED_SHARED))
+    def test_engines_can_switch_between_slices(self, name):
+        """Vector, then fast, then vector on one cache: the kernel keeps
+        no state of its own, so the run equals one fast pass."""
+        cores, length, theta_m = ORDERED_MIXES[0]
+        mixed, completion = interleave_traces(_ucp_traces(cores, length))
+        cuts = [0, 4_003, 8_117, len(mixed)]
+        policy = ORDERED_SHARED[name](cores, theta_m)
+        cache = SetAssociativeCache(SHARED_GEOMETRY, policy)
+        totals = [[0] * cores for _ in range(4)]
+        engines = (run_shared_trace_vector, run_shared_trace, run_shared_trace_vector)
+        for run, lo, hi in zip(engines, cuts, cuts[1:]):
+            part = run(cache, mixed.slice(lo, hi), completion, position_offset=lo)
+            for total, counts in zip(totals, part):
+                for thread, count in enumerate(counts):
+                    total[thread] += count
+        reference_policy = ORDERED_SHARED[name](cores, theta_m)
+        reference = SetAssociativeCache(SHARED_GEOMETRY, reference_policy)
+        if name != "pipp":
+            votes = _saturated_votes(reference_policy)
+        want = run_shared_trace(reference, mixed, completion)
+        if name != "pipp":
+            # The 2-bit PSELs saturate at both ends.
+            assert {"max", "min"} <= set(votes)
+        assert totals == want
+        assert _ordered_state(policy) == _ordered_state(reference_policy)
+
+    def test_drrip_engines_can_switch_between_slices(self):
+        trace = make_benchmark_trace("450.soplex", length=9_000, num_sets=64)
+        geometry = CacheGeometry(num_sets=64, ways=16)
+        policy = DRRIPPolicy(psel_bits=2)
+        cache = SetAssociativeCache(geometry, policy)
+        cuts = [0, 2_999, 6_007, len(trace)]
+        for run, lo, hi in zip(
+            (run_trace_vector, run_trace, run_trace_vector), cuts, cuts[1:]
+        ):
+            run(cache, trace.slice(lo, hi))
+        reference_policy = DRRIPPolicy(psel_bits=2)
+        run_trace(SetAssociativeCache(geometry, reference_policy), trace)
+        assert _ordered_state(policy) == _ordered_state(reference_policy)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [DRRIPPolicy, lambda: TADRRIPPolicy(num_threads=2), lambda: _pipp(2, 16)],
+        ids=["drrip", "ta-drrip", "pipp"],
+    )
+    def test_set_order_is_refused_before_any_state_moves(self, factory):
+        mixed, completion = interleave_traces(
+            [_trace(length=1_500, seed=s) for s in (1, 2)]
+        )
+        policy = factory()
+        cache = SetAssociativeCache(GEOMETRY, policy)
+        before = _ordered_state(policy)
+        order = list(range(GEOMETRY.num_sets))
+        with pytest.raises(ValueError, match="arrival order"):
+            run_shared_trace_vector(cache, mixed, completion, set_order=order)
+        with pytest.raises(ValueError, match="arrival order"):
+            run_trace_vector(cache, mixed, set_order=order)
+        assert cache.stats.accesses == 0
+        assert _ordered_state(policy) == before

@@ -16,6 +16,7 @@ import pytest
 from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import CacheGeometry
 from repro.obs.spans import SPANS_FILENAME, read_spans, render_span_tree
+from repro.policies.lip_bip_dip import DIPPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.rrip import DRRIPPolicy
 from repro.policies.ta_drrip import TADRRIPPolicy
@@ -524,10 +525,10 @@ class TestWorkerTelemetry:
     def test_pooled_matrix_counters_reach_parent(self, trace):
         from repro.obs.metrics import METRICS
 
-        factories = {"lru": LRUPolicy, "drrip": DRRIPPolicy}
+        factories = {"lru": LRUPolicy, "dip": DIPPolicy}
         run_matrix(trace, factories, GEOMETRY, max_workers=2)
         # Under the default vector engine, LRU runs the columnar kernel
-        # and DRRIP falls back to the fast path; both tiers count, once.
+        # and DIP falls back to the fast path; both tiers count, once.
         accesses = METRICS.counters.get(
             "fastpath.accesses", 0
         ) + METRICS.counters.get("columnar.accesses", 0)

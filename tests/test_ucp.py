@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.experiments.fig12_partitioning import shared_geometry
 from repro.memory.cache import CacheGeometry, SetAssociativeCache
 from repro.partitioning.ucp import UCPPolicy, lookahead_partition
 from repro.types import Access
@@ -89,6 +90,22 @@ class TestUCPPolicy:
         policy.monitors[0].position_hits[:] = 1
         assert policy.repartition() == [3, 1]
         assert policy.monitors[0].position_hits.tolist() == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fig12_16_core_quota_is_static(self, seed):
+        """Fig. 12's 16-core LLC has 16 ways and every thread a 1-way
+        floor, so lookahead has no spare way to hand out: whatever the
+        UMON curves say, every repartition returns one way per thread.
+        The 16-core UCP row is a static even quota, not an adaptive
+        partition."""
+        geometry = shared_geometry(16)
+        policy = UCPPolicy(num_threads=16)
+        SetAssociativeCache(geometry, policy)
+        assert geometry.ways == 16 and policy.allocation == [1] * 16
+        rng = np.random.default_rng(seed)
+        for monitor in policy.monitors:
+            monitor.position_hits[:] = rng.integers(0, 1_000, geometry.ways)
+        assert policy.repartition() == [1] * 16
 
     def test_over_quota_thread_loses_own_lines(self):
         policy = UCPPolicy(num_threads=2, repartition_interval=10**9)
