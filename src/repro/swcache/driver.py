@@ -19,6 +19,8 @@ import os
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
+import numpy as np
+
 from repro.obs.manifest import FingerprintAccumulator, Manifest
 from repro.obs.metrics import METRICS
 from repro.obs.timeseries import WindowedRecorder, _WindowFeed
@@ -64,16 +66,14 @@ class ObjectCacheResult:
 
 
 def _simulate_slice(cache: ObjectCache, sub: ObjectTrace) -> None:
-    """Present one boundary-respecting trace slice to the cache."""
-    access = cache.access
-    columns = zip(
+    """Present one boundary-respecting trace slice to the cache, as one
+    :meth:`ObjectCache.replay` call."""
+    cache.replay(
         sub.keys.tolist(),
         sub.sizes.tolist(),
         sub.ops.tolist(),
-        sub.timestamps.tolist(),
+        sub.timestamps.astype(np.float64).tolist(),
     )
-    for key, size, op, timestamp in columns:
-        access(key, size, op, float(timestamp))
 
 
 def run_object_cache(

@@ -13,18 +13,25 @@ model therefore exposes two seams instead of the hardware
   miss before any eviction work; returning False bypasses the fill
   (the object is served but not cached), the TinyLFU-style frequency
   filter's decision point;
-- **eviction planning**
-  (:meth:`SoftwareCachePolicy.eviction_candidates`) — a lazy iterator
-  over victims in eviction-preference order. The cache takes victims
-  until the incoming object fits; if the iterator ends first (a
-  PDP-style policy refusing to sacrifice still-protected objects), the
-  fill is rejected *without evicting anything* — planning is
-  side-effect free until the plan is committed.
+- **eviction planning** (:meth:`SoftwareCachePolicy.victims`) — given
+  the bytes to free and the entry a PUT is growing (never a victim),
+  the policy returns the whole plan: a list of victims in
+  eviction-preference order whose sizes cover the bytes, or None to
+  refuse (a PDP-style policy that will not sacrifice still-protected
+  objects). A refused fill is bypassed *without evicting anything*,
+  and the policy's victim order is left as it was; the cache commits a
+  returned plan in full.
 
-TTL expiry is checked lazily at access time (and during victim scans):
-an object whose ``expires_at`` has passed counts as an ``expiration``,
-never as a hit or an eviction, so time-based and capacity-based
-removals stay separable in the statistics.
+Requests enter through :meth:`ObjectCache.replay`, the one request
+loop: it takes parallel ``(keys, sizes, ops, timestamps)`` columns (a
+trace slice), binds the policy's hooks once per call, and adds its
+request counters to :attr:`ObjectCache.stats` once per call.
+:meth:`ObjectCache.access` is a one-row ``replay``.
+
+TTL expiry is checked lazily at access time (and when a plan is
+committed): an object whose ``expires_at`` has passed counts as an
+``expiration``, never as a hit or an eviction, so time-based and
+capacity-based removals stay separable in the statistics.
 
 Statistics mirror the hardware :class:`repro.memory.stats.CacheStats`
 counter names (``accesses``/``hits``/``misses``/``bypasses``/
@@ -45,7 +52,7 @@ from __future__ import annotations
 
 import weakref
 from abc import ABC, abstractmethod
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.traces.objects import OP_DELETE, OP_GET, OP_HEAD, OP_PUT
@@ -143,9 +150,11 @@ class SoftwareCachePolicy(ABC):
     Subclasses see every request through :meth:`record_access` (hits,
     misses, and rejected fills alike — frequency filters and
     reuse-distance trackers need the full stream), decide admission in
-    :meth:`admit`, and order victims in :meth:`eviction_candidates`.
-    State per resident object lives either in the policy's own
-    structures or in :attr:`CacheEntry.pstate`.
+    :meth:`admit`, and plan victims in :meth:`victims`. State per
+    resident object lives either in the policy's own structures or in
+    :attr:`CacheEntry.pstate`. A subclass that keeps the base
+    :meth:`record_access` / :meth:`admit` costs nothing for them: the
+    cache skips the base no-ops.
     """
 
     #: Registry name; subclasses override.
@@ -201,16 +210,17 @@ class SoftwareCachePolicy(ABC):
         """One object left the cache (``reason`` is a ``REMOVE_*``)."""
 
     @abstractmethod
-    def eviction_candidates(self, now: float) -> Iterator[CacheEntry]:
-        """Victims in eviction-preference order, lazily.
+    def victims(
+        self, to_free: int, exclude: CacheEntry | None
+    ) -> list[CacheEntry] | None:
+        """The eviction plan that frees at least ``to_free`` bytes.
 
-        The cache consumes this iterator until the incoming object
-        fits, then removes exactly the consumed entries and closes the
-        iterator — so yielding must not mutate policy state
-        irrevocably (use a ``finally`` block to restore state for
-        yielded-but-not-removed entries, see the GDSF heap). Ending the
-        iteration early *refuses* the remaining bytes: the fill is
-        bypassed and nothing is evicted.
+        Returns resident entries in eviction-preference order, never
+        ``exclude`` (the entry a PUT is growing), whose sizes sum to at
+        least ``to_free``; the cache removes every one of them, calling
+        :meth:`on_remove` for each. Returns None to *refuse*: the fill
+        is bypassed, nothing is evicted, and the policy's victim order
+        must be exactly what it was before the call.
         """
 
 
@@ -224,9 +234,10 @@ class ObjectCache:
             (refreshed by PUT overwrites, not by read hits — the
             absolute-TTL model of object stores); None disables expiry.
 
-    Requests arrive through :meth:`access` as ``(key, size, op, now)``
-    rows — exactly the columns of an
-    :class:`repro.traces.objects.ObjectTrace`. ``observers`` follows the
+    Requests arrive through :meth:`replay` as parallel ``keys``/
+    ``sizes``/``ops``/``timestamps`` columns — exactly the columns of an
+    :class:`repro.traces.objects.ObjectTrace` — or one at a time through
+    :meth:`access`. ``observers`` follows the
     hardware cache's observer protocol (``on_hit``/``on_evict``/
     ``on_bypass``; an insertion has no event) with ``set_index=0``, which
     is how the windowed recorder sees eviction causes.
@@ -278,15 +289,30 @@ class ObjectCache:
 
     # -- the access path ---------------------------------------------------
 
-    def _expired(self, entry: CacheEntry, now: float) -> bool:
-        """Whether ``entry``'s TTL has passed at time ``now`` (an entry
-        expires *at* its deadline: ``now >= expires_at`` is stale)."""
-        return entry.expires_at is not None and now >= entry.expires_at
-
     def access(
         self, key: int, size: int, op: int = OP_GET, now: float | None = None
     ) -> bool:
         """Present one request; returns True on a cache hit.
+
+        A one-row :meth:`replay` (which documents the op semantics).
+        ``now`` is the request timestamp (TTL clock); defaults to the
+        logical access position for traces without timestamps.
+        """
+        stats = self.stats
+        hits = stats.hits
+        if now is None:
+            now = float(stats.accesses)
+        self.replay((key,), (size,), (op,), (now,))
+        return stats.hits != hits
+
+    def replay(
+        self,
+        keys: Iterable[int],
+        sizes: Iterable[int],
+        ops: Iterable[int],
+        timestamps: Iterable[float],
+    ) -> None:
+        """Present parallel request columns, one request per row.
 
         Op semantics (documented end-to-end in ``docs/SCENARIOS.md``):
 
@@ -299,75 +325,111 @@ class ObjectCache:
         - DELETE: always a miss counted as a bypass (nothing fills);
           invalidates the object if resident.
 
-        ``now`` is the request timestamp (TTL clock); defaults to the
-        logical access position for traces without timestamps.
+        ``timestamps`` are the request times (the TTL clock). This is
+        the cache's one request loop: the policy hooks are bound once
+        per call (a base-class no-op ``record_access``/``admit`` is not
+        called at all), and the request counters reach :attr:`stats`
+        once, when the call returns or raises. ``bytes_used`` stays
+        live throughout, for admission filters that read it.
         """
-        stats = self.stats
-        pos = stats.accesses
-        stats.accesses += 1
-        if now is None:
-            now = float(pos)
-        read = op == OP_GET or op == OP_HEAD
-        self.policy.record_access(key, size, now, pos)
-        entry = self._entries.get(key)
-        if entry is not None and self._expired(entry, now):
-            self._remove(entry, REMOVE_EXPIRED)
-            entry = None
-        if op == OP_DELETE:
-            # A DELETE is a miss that never fills — counted as a bypass
-            # so ``misses == fills + bypasses`` holds for every op mix.
-            stats.misses += 1
-            stats.bypasses += 1
-            for observer in self.observers:
-                observer.on_bypass(0, key)
-            if entry is not None:
-                self._remove(entry, REMOVE_INVALIDATED)
-            return False
-        if entry is not None:
-            stats.hits += 1
-            if read:
-                stats.bytes_requested += entry.size
-                stats.bytes_hit += entry.size
-            entry.hits += 1
-            entry.last_pos = pos
-            if op == OP_PUT:
-                stats.writes += 1
-                if not self._resize(entry, size, now):
-                    return True  # overwrite too large to keep cached
-                if self.ttl is not None:
-                    entry.expires_at = now + self.ttl
-            self.policy.on_hit(entry, now)
-            for observer in self.observers:
-                observer.on_hit(0, key, 0)
-            return True
-        stats.misses += 1
-        if read:
-            stats.bytes_requested += size
-            stats.bytes_missed += size
-        if op == OP_PUT:
-            stats.writes += 1
-        if (
-            size > self.capacity_bytes
-            or not self.policy.admit(key, size, now)
-            or not self._make_room(size, now)
-        ):
-            stats.bypasses += 1
-            for observer in self.observers:
-                observer.on_bypass(0, key)
-            return False
-        entry = CacheEntry(
-            key=key,
-            size=size,
-            inserted_pos=pos,
-            last_pos=pos,
-            expires_at=(now + self.ttl) if self.ttl is not None else None,
+        policy = self.policy
+        kind = type(policy)
+        record = (
+            None
+            if kind.record_access is SoftwareCachePolicy.record_access
+            else policy.record_access
         )
-        self._entries[key] = entry
-        self.bytes_used += size
-        stats.fills += 1
-        stats.bytes_admitted += size
-        self.policy.on_insert(entry, now)
-        return False
+        admit = None if kind.admit is SoftwareCachePolicy.admit else policy.admit
+        on_hit = policy.on_hit
+        on_insert = policy.on_insert
+        observers = self.observers
+        entries = self._entries
+        lookup = entries.get
+        capacity = self.capacity_bytes
+        ttl = self.ttl
+        stats = self.stats
+        start = stats.accesses
+        # ``pos`` advances at the top of each row, so a row that raises
+        # is still counted (as a miss, unless it already hit).
+        pos = start - 1
+        hits = bypasses = fills = writes = 0
+        requested = bytes_hit = admitted = 0
+        try:
+            for key, size, op, now in zip(keys, sizes, ops, timestamps):
+                pos += 1
+                if record is not None:
+                    record(key, size, now, pos)
+                entry = lookup(key)
+                if entry is not None:
+                    # An entry expires *at* its deadline.
+                    expires_at = entry.expires_at
+                    if expires_at is not None and now >= expires_at:
+                        self._remove(entry, REMOVE_EXPIRED)
+                        entry = None
+                if op == OP_DELETE:
+                    # A DELETE is a miss that never fills — counted as a
+                    # bypass so ``misses == fills + bypasses`` holds for
+                    # every op mix.
+                    bypasses += 1
+                    for observer in observers:
+                        observer.on_bypass(0, key)
+                    if entry is not None:
+                        self._remove(entry, REMOVE_INVALIDATED)
+                elif entry is not None:
+                    hits += 1
+                    entry.hits += 1
+                    entry.last_pos = pos
+                    if op == OP_GET or op == OP_HEAD:
+                        requested += entry.size
+                        bytes_hit += entry.size
+                    elif op == OP_PUT:
+                        writes += 1
+                        if size != entry.size and not self._resize(
+                            entry, size, now
+                        ):
+                            continue  # overwrite too large to keep cached
+                        if ttl is not None:
+                            entry.expires_at = now + ttl
+                    on_hit(entry, now)
+                    for observer in observers:
+                        observer.on_hit(0, key, 0)
+                else:
+                    if op == OP_GET or op == OP_HEAD:
+                        requested += size
+                    elif op == OP_PUT:
+                        writes += 1
+                    if (
+                        size > capacity
+                        or (admit is not None and not admit(key, size, now))
+                        or (
+                            self.bytes_used + size > capacity
+                            and not self._make_room(size, now)
+                        )
+                    ):
+                        bypasses += 1
+                        for observer in observers:
+                            observer.on_bypass(0, key)
+                        continue
+                    entry = CacheEntry(
+                        key, size, pos, pos, None if ttl is None else now + ttl
+                    )
+                    entries[key] = entry
+                    self.bytes_used += size
+                    fills += 1
+                    admitted += size
+                    on_insert(entry, now)
+        finally:
+            accesses = pos + 1 - start
+            stats.accesses += accesses
+            stats.hits += hits
+            stats.misses += accesses - hits
+            stats.bypasses += bypasses
+            stats.fills += fills
+            stats.writes += writes
+            stats.bytes_requested += requested
+            stats.bytes_hit += bytes_hit
+            stats.bytes_missed += requested - bytes_hit
+            stats.bytes_admitted += admitted
 
     # -- capacity management -----------------------------------------------
 
@@ -376,38 +438,35 @@ class ObjectCache:
     ) -> bool:
         """Free bytes until ``needed`` more fit; True on success.
 
-        Consumes the policy's eviction-candidate iterator, building the
-        victim plan first and committing it only once sufficient —
-        refusal (the iterator ending early) evicts nothing. Victims
-        whose TTL already passed count as expirations, not evictions.
+        Asks the policy for one victim plan and commits all of it; a
+        refused plan (None) evicts nothing. Victims whose TTL already
+        passed count as expirations, not evictions.
         """
-        if self.bytes_used + needed <= self.capacity_bytes:
+        to_free = self.bytes_used + needed - self.capacity_bytes
+        if to_free <= 0:
             return True
-        plan: list[CacheEntry] = []
-        freed = 0
-        fits = False
-        candidates = self.policy.eviction_candidates(now)
-        try:
-            for victim in candidates:
-                if victim is exclude:
-                    continue
-                plan.append(victim)
-                freed += victim.size
-                if self.bytes_used - freed + needed <= self.capacity_bytes:
-                    fits = True
-                    break
-            if not fits:
-                return False
-            for victim in plan:
-                reason = (
-                    REMOVE_EXPIRED
-                    if self._expired(victim, now)
-                    else REMOVE_EVICTED
-                )
-                self._remove(victim, reason)
-            return True
-        finally:
-            candidates.close()
+        plan = self.policy.victims(to_free, exclude)
+        if plan is None:
+            return False
+        entries = self._entries
+        stats = self.stats
+        on_remove = self.policy.on_remove
+        observers = self.observers
+        for victim in plan:
+            size = victim.size
+            del entries[victim.key]
+            self.bytes_used -= size
+            expires_at = victim.expires_at
+            if expires_at is not None and now >= expires_at:
+                stats.expirations += 1
+                on_remove(victim, REMOVE_EXPIRED)
+                continue
+            stats.evictions += 1
+            stats.bytes_evicted += size
+            for observer in observers:
+                observer.on_evict(0, victim.key, 0, victim.hits > 0)
+            on_remove(victim, REMOVE_EVICTED)
+        return True
 
     def _resize(self, entry: CacheEntry, new_size: int, now: float) -> bool:
         """Apply a PUT overwrite's size change; True while still cached.
@@ -418,15 +477,10 @@ class ObjectCache:
         invalidated instead — a cache must never exceed its byte
         budget to keep a stale size.
         """
-        if new_size == entry.size:
-            return True
         growth = new_size - entry.size
-        if growth < 0:
-            self.bytes_used += growth
-            entry.size = new_size
-            return True
-        if new_size > self.capacity_bytes or not self._make_room(
-            growth, now, exclude=entry
+        if growth > 0 and (
+            new_size > self.capacity_bytes
+            or not self._make_room(growth, now, exclude=entry)
         ):
             self._remove(entry, REMOVE_INVALIDATED)
             return False
@@ -435,19 +489,15 @@ class ObjectCache:
         return True
 
     def _remove(self, entry: CacheEntry, reason: str) -> None:
-        """Drop ``entry``, attributing the removal to ``reason``."""
+        """Drop ``entry`` outside a victim plan (an expired lookup, a
+        DELETE, a PUT overwrite that no longer fits), attributing the
+        removal to ``reason``."""
         del self._entries[entry.key]
         self.bytes_used -= entry.size
-        stats = self.stats
-        if reason == REMOVE_EVICTED:
-            stats.evictions += 1
-            stats.bytes_evicted += entry.size
-            for observer in self.observers:
-                observer.on_evict(0, entry.key, 0, entry.hits > 0)
-        elif reason == REMOVE_EXPIRED:
-            stats.expirations += 1
+        if reason == REMOVE_EXPIRED:
+            self.stats.expirations += 1
         else:
-            stats.invalidations += 1
+            self.stats.invalidations += 1
         self.policy.on_remove(entry, reason)
 
 

@@ -1,7 +1,9 @@
 """Software-cache policy families: size-aware LRU, GDSF, TinyLFU, PDP.
 
 Four policies exercise the two seams of
-:class:`repro.swcache.model.ObjectCache` in increasing sophistication:
+:class:`repro.swcache.model.ObjectCache` (admission and the
+:meth:`~repro.swcache.model.SoftwareCachePolicy.victims` plan) in
+increasing sophistication:
 
 - ``size-lru`` (:class:`SizeAwareLRUPolicy`) — the baseline: admit
   everything, evict in recency order until the incoming object fits.
@@ -28,7 +30,6 @@ Four policies exercise the two seams of
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterator
 import heapq
 
 import numpy as np
@@ -63,9 +64,19 @@ class SizeAwareLRUPolicy(SoftwareCachePolicy):
         """Forget the departed object."""
         self._lru.pop(entry.key, None)
 
-    def eviction_candidates(self, now: float) -> Iterator[CacheEntry]:
-        """All resident objects, least recently used first."""
-        yield from self._lru.values()
+    def victims(
+        self, to_free: int, exclude: CacheEntry | None
+    ) -> list[CacheEntry] | None:
+        """The least recently used objects that free ``to_free`` bytes."""
+        plan = []
+        freed = 0
+        for entry in self._lru.values():
+            if entry is not exclude:
+                plan.append(entry)
+                freed += entry.size
+                if freed >= to_free:
+                    return plan
+        return None
 
 
 class GDSFPolicy(SoftwareCachePolicy):
@@ -79,10 +90,10 @@ class GDSFPolicy(SoftwareCachePolicy):
     frequency to earn the same priority, which is what lifts the
     *object* hit ratio of web/CDN caches over plain LRU.
 
-    The victim order comes from a lazy min-heap: stale heap items
-    (priority changed, or object since removed) are skipped on pop, and
-    items popped for a fill plan that was refused are pushed back when
-    the candidate iterator closes.
+    The victim order comes from a lazy min-heap of
+    ``(priority, seq, entry)`` items, ``seq`` a per-push stamp kept in
+    ``pstate`` as ``(priority, seq)``: stale items (repriced, or the
+    object since removed) are skipped on pop.
     """
 
     name = "gdsf"
@@ -93,51 +104,58 @@ class GDSFPolicy(SoftwareCachePolicy):
         self._clock = 0.0
         self._seq = 0
 
-    def _priority(self, entry: CacheEntry) -> float:
-        """The GDSF priority of ``entry`` at the current clock."""
-        return self._clock + (entry.hits + 1) / max(1, entry.size)
+    def _push(self, entry: CacheEntry, now: float | None = None) -> None:
+        """(Re)insert ``entry`` into the heap at its priority at the
+        current clock, stamping ``pstate`` so older heap items become
+        stale: a new object is priced, a hit object repriced (its
+        frequency, and maybe its size, changed)."""
+        self._seq = seq = self._seq + 1
+        size = entry.size
+        priority = self._clock + (entry.hits + 1) / (size if size > 1 else 1)
+        entry.pstate = (priority, seq)
+        heapq.heappush(self._heap, (priority, seq, entry))
 
-    def _push(self, entry: CacheEntry) -> None:
-        """(Re)insert ``entry`` into the heap at its current priority,
-        stamping ``pstate`` so older heap items become stale."""
-        self._seq += 1
-        item = (self._priority(entry), self._seq, entry)
-        entry.pstate = (item[0], item[1])
-        heapq.heappush(self._heap, item)
-
-    def on_hit(self, entry: CacheEntry, now: float) -> None:
-        """Reprice the object: its frequency (and maybe size) changed."""
-        self._push(entry)
-
-    def on_insert(self, entry: CacheEntry, now: float) -> None:
-        """Price the new object at the current inflation clock."""
-        self._push(entry)
+    on_hit = on_insert = _push
 
     def on_remove(self, entry: CacheEntry, reason: str) -> None:
         """Invalidate the object's heap items (lazily skipped on pop)."""
         entry.pstate = None
 
-    def eviction_candidates(self, now: float) -> Iterator[CacheEntry]:
-        """Resident objects in ascending priority; advances the clock.
+    def victims(
+        self, to_free: int, exclude: CacheEntry | None
+    ) -> list[CacheEntry] | None:
+        """The lowest-priority objects that free ``to_free`` bytes;
+        advances the clock to the last victim's priority.
 
-        Items popped for a plan that is then refused are re-pushed in
-        the ``finally`` block (the iterator is closed without their
-        entries having been removed), so a refusal leaves the heap
-        semantically unchanged.
+        ``exclude``'s item goes back on the heap. The heap holds every
+        resident object, so the plan is only refused (every popped item
+        pushed back, the clock untouched) when the resident bytes
+        cannot cover ``to_free``.
         """
-        popped: list[tuple[float, int, CacheEntry]] = []
-        try:
-            while self._heap:
-                priority, seq, entry = heapq.heappop(self._heap)
-                if entry.pstate != (priority, seq):
-                    continue  # stale: repriced or already removed
-                popped.append((priority, seq, entry))
+        heap = self._heap
+        plan = []
+        freed = 0
+        skipped = None
+        while heap:
+            item = heapq.heappop(heap)
+            priority, seq, entry = item
+            if entry.pstate != (priority, seq):
+                continue  # stale: repriced or already removed
+            if entry is exclude:
+                skipped = item
+                continue
+            plan.append(entry)
+            freed += entry.size
+            if freed >= to_free:
                 self._clock = priority
-                yield entry
-        finally:
-            for priority, seq, entry in popped:
-                if entry.pstate == (priority, seq):
-                    heapq.heappush(self._heap, (priority, seq, entry))
+                if skipped is not None:
+                    heapq.heappush(heap, skipped)
+                return plan
+        if skipped is not None:
+            heapq.heappush(heap, skipped)
+        for entry in plan:
+            heapq.heappush(heap, (*entry.pstate, entry))
+        return None
 
 
 #: ``_HALVE[x] == x >> 1``: the byte-translation table that halves every
@@ -268,13 +286,14 @@ class PDPProtectionPolicy(SoftwareCachePolicy):
 
     - every request advances an access clock; a bounded sampler (the
       last-seen position of up to ``sample_keys`` keys, FIFO-evicted)
-      yields reuse distances in accesses, binned into an RDD histogram
-      of ``bins`` bins of width ``max_pd / bins``;
-    - every ``recompute_interval`` requests the protecting distance is
-      recomputed with the shared :func:`find_best_pd` E(d_p) model,
-      with ``d_e`` set to the resident object count (the role cache
-      associativity plays in hardware), then the histogram resets so
-      the PD tracks phase changes;
+      yields reuse distances in accesses, kept while below ``max_pd``;
+    - every ``recompute_interval`` requests those distances are binned
+      into an RDD histogram of ``bins`` bins of width
+      ``max_pd / bins`` and the protecting distance is recomputed with
+      the shared :func:`find_best_pd` E(d_p) model, with ``d_e`` set
+      to the resident object count (the role cache associativity
+      plays in hardware); then the samples reset so the PD tracks
+      phase changes;
     - an object is *protected* until its insertion/last-hit position
       plus the current PD. Victims are the unprotected objects in LRU
       order; when those do not free enough bytes, a ``bypass=True``
@@ -290,7 +309,9 @@ class PDPProtectionPolicy(SoftwareCachePolicy):
     item whose protection has ended to the *unprotected* heap as
     ``(p, entry)`` — ``p`` orders it exactly as recency does. An item
     whose ``p`` no longer matches ``entry.pstate`` (touched again, or
-    removed: ``pstate`` is None) is stale and dropped when popped.
+    removed: ``pstate`` is None) is stale and dropped when popped. A
+    refused plan pushes its popped items back, so the next search sees
+    the same order.
 
     Exposes ``current_pd`` and ``protected_count`` so a
     :class:`repro.obs.timeseries.WindowedRecorder` records the PD
@@ -321,8 +342,7 @@ class PDPProtectionPolicy(SoftwareCachePolicy):
         self.bypass = bypass
         self._pd = initial_pd if initial_pd is not None else self.max_pd // 8
         self._pd = max(self.step, self._pd)
-        self._rdd = np.zeros(bins, dtype=np.int64)
-        self._rdd_total = 0
+        self._distances: list[int] = []
         self._since_recompute = 0
         self._last_seen: OrderedDict[int, int] = OrderedDict()
         self._pos = 0
@@ -353,45 +373,52 @@ class PDPProtectionPolicy(SoftwareCachePolicy):
     def record_access(self, key: int, size: int, now: float, pos: int) -> None:
         """Sample the reuse distance and periodically recompute the PD."""
         self._pos = pos
-        last = self._last_seen.pop(key, None)
+        last_seen = self._last_seen
+        last = last_seen.pop(key, None)
         if last is not None:
             distance = pos - last
             if distance < self.max_pd:
-                self._rdd[distance // self.step] += 1
-        self._last_seen[key] = pos
-        if len(self._last_seen) > self.sample_keys:
-            self._last_seen.popitem(last=False)
-        self._rdd_total += 1
+                self._distances.append(distance)
+        last_seen[key] = pos
+        if len(last_seen) > self.sample_keys:
+            last_seen.popitem(last=False)
         self._since_recompute += 1
         if self._since_recompute >= self.recompute_interval:
             self._recompute()
 
     def _recompute(self) -> None:
-        """Re-run the E(d_p) search over the sampled RDD and reset it."""
+        """Bin the sampled distances into the RDD, re-run the E(d_p)
+        search over it, and reset the samples."""
+        rdd = np.bincount(
+            np.asarray(self._distances, dtype=np.int64) // self.step,
+            minlength=self.bins,
+        )
         cache = self.cache
         d_e = float(max(1, len(cache) if cache is not None else 1))
         self._pd = find_best_pd(
-            self._rdd,
-            self._rdd_total,
+            rdd,
+            self._since_recompute,
             step=self.step,
             d_e=d_e,
             min_pd=self.step,
             default_pd=self._pd,
         )
         self.pd_history.append((self._pos, self._pd))
-        self._rdd[:] = 0
-        self._rdd_total = 0
+        self._distances = []
         self._since_recompute = 0
 
-    def _protect(self, entry: CacheEntry) -> None:
+    def _protect(self, entry: CacheEntry, now: float | None = None) -> None:
         """Grant ``entry`` protection for the current PD: stamp its
         ``(protect_until, position)`` and push it on the protected heap
-        (any older heap item of the entry becomes stale)."""
+        (any older heap item of the entry becomes stale). A new object
+        is protected exactly as a reused one, whose new position also
+        refreshes its recency: it sorts after every other one."""
         pos = self._pos
         protect_until = pos + self._pd
         entry.pstate = (protect_until, pos)
-        heapq.heappush(self._protected, (protect_until, pos, entry))
-        if len(self._protected) > self._compact_at:
+        protected = self._protected
+        heapq.heappush(protected, (protect_until, pos, entry))
+        if len(protected) > self._compact_at:
             self._compact()
 
     def _compact(self) -> None:
@@ -407,47 +434,49 @@ class PDPProtectionPolicy(SoftwareCachePolicy):
             heapq.heapify(heap)
         self._compact_at = max(_MIN_COMPACT, 2 * len(self._protected))
 
-    def on_hit(self, entry: CacheEntry, now: float) -> None:
-        """Re-protect the reused object (which also refreshes its
-        recency: its new position sorts after every other one)."""
-        self._protect(entry)
-
-    def on_insert(self, entry: CacheEntry, now: float) -> None:
-        """Protect the new object."""
-        self._protect(entry)
+    on_hit = on_insert = _protect
 
     def on_remove(self, entry: CacheEntry, reason: str) -> None:
         """Invalidate the object's heap items (lazily skipped on pop)."""
         entry.pstate = None
 
-    def eviction_candidates(self, now: float) -> Iterator[CacheEntry]:
+    def victims(
+        self, to_free: int, exclude: CacheEntry | None
+    ) -> list[CacheEntry] | None:
         """Unprotected objects in LRU order; then, only for a
         non-bypass policy, protected objects closest to losing
-        protection (ties in LRU order). A ``bypass=True`` iterator
-        ending early makes the cache refuse the fill — nothing
-        protected is ever evicted.
+        protection (ties in LRU order) — as many as free ``to_free``
+        bytes.
 
-        Items popped but not evicted (a refused plan, or the entry a
-        PUT is growing) are pushed back in the ``finally`` block, the
-        way :class:`GDSFPolicy` restores its heap."""
+        A ``bypass=True`` policy refuses (None) when the unprotected
+        objects do not cover ``to_free``: nothing protected is ever
+        evicted, and every popped item is pushed back. ``exclude``'s
+        item is pushed back either way."""
         protected = self._protected
         unprotected = self._unprotected
-        while protected and protected[0][0] <= self._pos:
+        pos = self._pos
+        while protected and protected[0][0] <= pos:
             item = heapq.heappop(protected)
             if _live(item):
                 heapq.heappush(unprotected, item[1:])
         popped: list[tuple[list, tuple]] = []
-        try:
-            for heap in (unprotected,) if self.bypass else (unprotected, protected):
-                while heap:
-                    item = heapq.heappop(heap)
-                    if _live(item):
-                        popped.append((heap, item))
-                        yield item[-1]
-        finally:
-            for heap, item in popped:
-                if _live(item):
-                    heapq.heappush(heap, item)
+        plan = []
+        freed = 0
+        for heap in (unprotected,) if self.bypass else (unprotected, protected):
+            while heap and freed < to_free:
+                item = heapq.heappop(heap)
+                entry = item[-1]
+                state = entry.pstate  # _live(item), inlined
+                if state is not None and state[1] == item[-2]:
+                    popped.append((heap, item))
+                    if entry is not exclude:
+                        plan.append(entry)
+                        freed += entry.size
+        refused = freed < to_free
+        for heap, item in popped:
+            if refused or item[-1] is exclude:
+                heapq.heappush(heap, item)
+        return None if refused else plan
 
 
 #: Registry name -> policy class (the ``--policies`` option vocabulary).

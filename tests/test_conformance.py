@@ -231,9 +231,11 @@ def _assert_shared_conformant(policy_name: str, traces: list[Trace],
                               geometry: CacheGeometry, chunk_size: int) -> None:
     """Per-thread frozen statistics must agree across every path —
     including per-window shares of the recorded time series and, for the
-    PDP family, the PD history. Under the vector engine LRU and PD
-    partitioning run set-batched between freeze cuts, and every other
-    policy proves the fast-path fallback."""
+    PDP family, the PD history. Under the vector engine a policy with a
+    registered kernel runs it between freeze cuts — LRU, PDP, PD
+    partitioning and UCP set-batched; DRRIP, TA-DRRIP and PIPP in
+    arrival order — and every other policy proves the fast-path
+    fallback."""
     total = sum(len(t) for t in traces)
     window_size = max(64, total // 5)
     singles = [1.0] * len(traces)  # skip baselines: not under test

@@ -137,6 +137,16 @@ def test_ttl_expiry_is_lazy_and_counts_as_expiration():
     assert 1 in cache and cache.stats.fills == 2
 
 
+def test_expired_victim_counts_as_expiration():
+    cache = ObjectCache(200, SizeAwareLRUPolicy(), ttl=10.0)
+    cache.access(1, 100, OP_GET, now=0.0)
+    cache.access(2, 100, OP_GET, now=5.0)
+    cache.access(3, 100, OP_GET, now=12.0)  # LRU victim 1 expired at 10
+    assert 1 not in cache and 2 in cache and 3 in cache
+    assert cache.stats.expirations == 1
+    assert cache.stats.evictions == 0 and cache.stats.bytes_evicted == 0
+
+
 def test_put_refreshes_ttl_but_get_does_not():
     cache = ObjectCache(1000, SizeAwareLRUPolicy(), ttl=10.0)
     cache.access(1, 100, OP_PUT, now=0.0)
@@ -236,21 +246,6 @@ def test_gdsf_prefers_evicting_large_cold_objects():
     assert 1 not in cache
 
 
-def test_gdsf_refused_plan_restores_heap():
-    """A fill too large for the budget must leave the GDSF heap intact:
-    popped-but-unremoved candidates are re-pushed on iterator close and
-    remain evictable later."""
-    cache = ObjectCache(100, GDSFPolicy())
-    cache.access(1, 40)
-    cache.access(2, 40)
-    cache.access(3, 500)  # impossible fill: plan refused, no evictions
-    assert cache.stats.bypasses == 1 and cache.stats.evictions == 0
-    cache.access(4, 90)  # now both 1 and 2 must be evictable
-    assert 4 in cache
-    assert cache.stats.evictions == 2
-    assert cache.bytes_used == 90
-
-
 def test_tinylfu_rejects_one_hit_wonders():
     policy = TinyLFUAdmissionPolicy(sketch_width=1 << 10)
     cache = ObjectCache(300, policy)
@@ -332,7 +327,118 @@ def test_policies_are_single_use():
         ObjectCache(100, policy)
 
 
-# -- PDP victim order: heap index against the LRU scan ---------------------
+# -- victim plans: refusal and the growing object -------------------------
+
+
+class _EvictionLog:
+    """Cache observer that lists evicted keys in eviction order."""
+
+    def __init__(self):
+        self.keys = []
+
+    def on_hit(self, set_index, key, occupancy):
+        pass
+
+    def on_bypass(self, set_index, key):
+        pass
+
+    def on_evict(self, set_index, key, occupancy, was_reused):
+        self.keys.append(key)
+
+
+def _pdp_with_unprotected_head():
+    """A full 600-byte PDP cache (PD 8, bypass) at position 10, where
+    keys 0-2 have lost protection (300 bytes) and keys 3-5 have not."""
+    policy = PDPProtectionPolicy(
+        max_pd=64, bins=8, recompute_interval=1 << 30, initial_pd=8
+    )
+    cache = ObjectCache(600, policy)
+    log = _EvictionLog()
+    cache.observers.append(log)
+    for key in range(6):
+        cache.access(key, 100, OP_GET, float(key))
+    for i in range(4):
+        cache.access(5, 100, OP_GET, float(6 + i))  # keep key 5 protected
+    return policy, cache, log
+
+
+def test_pdp_refused_plan_leaves_victim_order_unchanged():
+    """A refused plan pops the unprotected objects and pushes them all
+    back: the next plan evicts exactly what it would have without the
+    refusal."""
+    refused_policy, refused, refused_log = _pdp_with_unprotected_head()
+    plain_policy, plain, plain_log = _pdp_with_unprotected_head()
+    # 400 bytes needed, 300 unprotected: refused. The twin sees a DELETE
+    # of the same absent key instead (same position, no plan).
+    assert not refused.access(99, 400, OP_GET, 10.0)
+    assert not plain.access(99, 0, OP_DELETE, 10.0)
+    assert refused.stats.bypasses == 1 and refused.stats.evictions == 0
+    assert sorted(e.key for e in refused.entries()) == list(range(6))
+    assert refused_policy._unprotected  # the refusal popped and restored
+    for cache in (refused, plain):
+        cache.access(98, 250, OP_GET, 11.0)
+    assert refused_log.keys == plain_log.keys == [0, 1, 2]
+    assert refused.stats.evictions == plain.stats.evictions == 3
+    assert sorted(e.key for e in refused.entries()) == sorted(
+        e.key for e in plain.entries()
+    )
+    assert refused_policy.protected_count() == plain_policy.protected_count()
+
+
+def _first_candidate_cache(policy_name):
+    """A full 300-byte cache holding keys 1, 2, 3 (100 bytes each, in
+    that order), key 1 every policy's first victim candidate. The
+    DELETEs of absent key 4 end PDP's protection (PD 8) and make key 4
+    hot in TinyLFU's sketch."""
+    kwargs = (
+        {"max_pd": 64, "bins": 8, "recompute_interval": 1 << 30, "initial_pd": 8}
+        if policy_name == "pdp"
+        else {}
+    )
+    cache = ObjectCache(300, make_software_policy(policy_name, **kwargs))
+    log = _EvictionLog()
+    cache.observers.append(log)
+    for key in (1, 2, 3):
+        cache.access(key, 100, OP_PUT)
+    for _ in range(8):
+        cache.access(4, 0, OP_DELETE)
+    return cache, log
+
+
+@pytest.mark.parametrize("policy_name", sorted(SOFTWARE_POLICIES))
+def test_put_growth_keeps_the_growing_object_when_it_is_first(policy_name):
+    # Key 1 really is the first candidate: a plain fill evicts it.
+    twin, twin_log = _first_candidate_cache(policy_name)
+    twin.access(4, 100)
+    assert twin_log.keys == [1]
+    cache, log = _first_candidate_cache(policy_name)
+    assert cache.access(1, 200, OP_PUT)  # grows by 100: the plan skips key 1
+    assert log.keys == [2]
+    assert cache.get_entry(1).size == 200 and cache.bytes_used == 300
+    assert cache.stats.invalidations == 0
+    for _ in range(8):
+        cache.access(4, 0, OP_DELETE)
+    # The skipped object went back into the victim order: a full-budget
+    # fill evicts it too.
+    cache.access(4, 300)
+    assert 4 in cache and 1 not in cache
+    assert log.keys == [2, 3, 1]
+    assert cache.bytes_used == 300
+
+
+@pytest.mark.parametrize("policy_name", sorted(SOFTWARE_POLICIES))
+def test_committed_plan_keeps_the_excluded_object_in_order(policy_name):
+    """The victim contract without the PUT's repricing on top: after a
+    committed plan that skipped ``exclude``, the next plan still finds
+    it first."""
+    cache, log = _first_candidate_cache(policy_name)
+    first = cache.get_entry(1)
+    assert cache._make_room(100, 0.0, exclude=first)
+    assert log.keys == [2]
+    assert [entry.key for entry in cache.policy.victims(200, None)] == [1, 3]
+
+
+# -- heap victim order against full-scan oracles ---------------------------
 
 
 class _LRUScanPDP(PDPProtectionPolicy):
@@ -342,12 +448,13 @@ class _LRUScanPDP(PDPProtectionPolicy):
     search, skipping protected objects; a ``bypass=False`` policy then
     evicts protected objects by protect-until position (a stable sort,
     so ties stay in LRU order). The differential oracle for the
-    shipped heap-indexed search.
+    shipped heap-indexed search; ``scans`` counts its searches.
     """
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
         self._lru: OrderedDict[int, object] = OrderedDict()
+        self.scans = 0
 
     def on_hit(self, entry, now):
         super().on_hit(entry, now)
@@ -366,20 +473,86 @@ class _LRUScanPDP(PDPProtectionPolicy):
             1 for entry in self._lru.values() if entry.pstate[0] > self._pos
         )
 
-    def eviction_candidates(self, now):
+    def victims(self, to_free, exclude):
+        self.scans += 1
+        unprotected = []
         protected = []
         for entry in self._lru.values():
+            if entry is exclude:
+                continue
             if entry.pstate[0] > self._pos:
                 protected.append(entry)
             else:
-                yield entry
-        if self.bypass:
-            return
-        protected.sort(key=lambda entry: entry.pstate[0])
-        yield from protected
+                unprotected.append(entry)
+        candidates = unprotected
+        if not self.bypass:
+            protected.sort(key=lambda entry: entry.pstate[0])
+            candidates += protected
+        plan = []
+        freed = 0
+        for entry in candidates:
+            if freed >= to_free:
+                break
+            plan.append(entry)
+            freed += entry.size
+        return plan if freed >= to_free else None
 
 
-def _replay_pdp(policy, requests, ttl):
+class _ScanGDSF(GDSFPolicy):
+    """GDSF with a full-scan victim search and no heap.
+
+    Prices objects as the shipped policy does (``pstate`` is
+    ``(priority, seq)``) and takes victims in ascending
+    ``(priority, seq)`` over every resident object; the clock ends at
+    the last victim's priority. The differential oracle for the lazy
+    heap; ``scans`` counts its searches.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.scans = 0
+
+    def on_insert(self, entry, now):
+        self._seq += 1
+        priority = self._clock + (entry.hits + 1) / max(1, entry.size)
+        entry.pstate = (priority, self._seq)
+
+    on_hit = on_insert
+
+    def victims(self, to_free, exclude):
+        self.scans += 1
+        ranked = sorted(
+            (entry for entry in self.cache.entries() if entry is not exclude),
+            key=lambda entry: entry.pstate,
+        )
+        plan = []
+        freed = 0
+        for entry in ranked:
+            if freed >= to_free:
+                break
+            plan.append(entry)
+            freed += entry.size
+        if freed < to_free:
+            return None
+        self._clock = plan[-1].pstate[0]
+        return plan
+
+
+def _mixed_requests(seed, n=6000):
+    """A seeded GET/PUT/DELETE request mix: a Zipf-ish key mix (a hot
+    head that earns protection and a long tail that forces victim
+    searches) with random sizes, so PUTs also grow resident objects."""
+    rng = np.random.default_rng(seed)
+    requests = []
+    for i in range(n):
+        draw = rng.random()
+        op = OP_GET if draw < 0.75 else OP_PUT if draw < 0.95 else OP_DELETE
+        key = int(rng.zipf(1.3)) % 400
+        requests.append((key, int(rng.integers(16, 700)), op, float(i)))
+    return requests
+
+
+def _replay_requests(policy, requests, ttl):
     """Replay ``requests`` into a 4 KiB cache; returns the cache, the
     per-request hit flags, and how many PUTs grew a resident object
     past the free budget (the ``_make_room(exclude=entry)`` path)."""
@@ -414,21 +587,14 @@ def test_pdp_heap_victims_match_lru_scan(seed, bypass, ttl, monkeypatch):
         real_compact(policy)
 
     monkeypatch.setattr(PDPProtectionPolicy, "_compact", counting_compact)
-    rng = np.random.default_rng(seed)
-    requests = []
-    for i in range(6000):
-        draw = rng.random()
-        op = OP_GET if draw < 0.75 else OP_PUT if draw < 0.95 else OP_DELETE
-        # A Zipf-ish key mix: a hot head that earns protection and a
-        # long tail that forces victim searches.
-        key = int(rng.zipf(1.3)) % 400
-        requests.append((key, int(rng.integers(16, 700)), op, float(i)))
+    requests = _mixed_requests(seed)
     kwargs = dict(max_pd=512, bins=32, recompute_interval=64, bypass=bypass)
     shipped = PDPProtectionPolicy(**kwargs)
     reference = _LRUScanPDP(**kwargs)
-    cache, hits, growths = _replay_pdp(shipped, requests, ttl)
-    ref_cache, ref_hits, _ = _replay_pdp(reference, requests, ttl)
+    cache, hits, growths = _replay_requests(shipped, requests, ttl)
+    ref_cache, ref_hits, _ = _replay_requests(reference, requests, ttl)
     assert growths > 0
+    assert reference.scans > 0  # the oracle really planned the victims
     assert hits == ref_hits
     assert cache.stats == ref_cache.stats
     assert cache.stats.evictions > 0
@@ -443,6 +609,96 @@ def test_pdp_heap_victims_match_lru_scan(seed, bypass, ttl, monkeypatch):
     assert sorted(e.key for e in cache.entries()) == sorted(
         e.key for e in ref_cache.entries()
     )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("ttl", [None, 300.0])
+def test_gdsf_heap_victims_match_full_scan(seed, ttl):
+    requests = _mixed_requests(seed)
+    shipped = GDSFPolicy()
+    reference = _ScanGDSF()
+    cache, hits, growths = _replay_requests(shipped, requests, ttl)
+    ref_cache, ref_hits, _ = _replay_requests(reference, requests, ttl)
+    assert growths > 0
+    assert reference.scans > 0
+    assert hits == ref_hits
+    assert cache.stats == ref_cache.stats
+    assert cache.stats.evictions > 0
+    assert sorted(e.key for e in cache.entries()) == sorted(
+        e.key for e in ref_cache.entries()
+    )
+    assert shipped._clock == reference._clock > 0
+
+
+def _watched(cache, keys, flags):
+    """Yield ``keys`` to :meth:`ObjectCache.replay`, appending each
+    row's hit flag to ``flags`` once the row is done (when the next key
+    is pulled, or the column ends).
+
+    A row hit exactly when the entry resident at its start had its
+    ``hits`` counter raised: a stale, deleted or absent object's is
+    not."""
+    pending = None
+    for key in keys:
+        if pending is not None:
+            entry, before = pending
+            flags.append(entry is not None and entry.hits != before)
+        entry = cache.get_entry(key)
+        pending = (entry, entry.hits if entry is not None else 0)
+        yield key
+    if pending is not None:
+        entry, before = pending
+        flags.append(entry is not None and entry.hits != before)
+
+
+def _small_policy(name):
+    """A policy whose PD recomputes often on a 6000-request stream."""
+    kwargs = (
+        {"max_pd": 512, "bins": 32, "recompute_interval": 64}
+        if name == "pdp"
+        else {}
+    )
+    return make_software_policy(name, **kwargs)
+
+
+@pytest.mark.parametrize("policy_name", sorted(SOFTWARE_POLICIES))
+@pytest.mark.parametrize("ttl", [None, 300.0])
+def test_one_replay_equals_per_request_access(policy_name, ttl):
+    requests = _mixed_requests(5)
+    per_request, hits, growths = _replay_requests(
+        _small_policy(policy_name), requests, ttl
+    )
+    assert growths > 0
+    batched = ObjectCache(4096, _small_policy(policy_name), ttl=ttl)
+    keys, sizes, ops, timestamps = map(list, zip(*requests))
+    flags = []
+    batched.replay(_watched(batched, keys, flags), sizes, ops, timestamps)
+    assert flags == hits
+    assert batched.stats == per_request.stats
+    assert batched.stats.hits > 0 and batched.stats.evictions > 0
+    assert getattr(batched.policy, "pd_history", None) == getattr(
+        per_request.policy, "pd_history", None
+    )
+    assert sorted(e.key for e in batched.entries()) == sorted(
+        e.key for e in per_request.entries()
+    )
+    assert batched.bytes_used == per_request.bytes_used
+
+
+@pytest.mark.parametrize("policy_name", sorted(SOFTWARE_POLICIES))
+def test_windowed_run_equals_unwindowed_run(policy_name):
+    """Window boundaries cut ``replay`` slices mid-chunk; the counters
+    flushed per slice must add up to the one-slice-per-chunk run."""
+    requests = _mixed_requests(6, n=5000)
+    keys, sizes, ops, timestamps = map(list, zip(*requests))
+    trace = ObjectTrace(keys, sizes, ops=ops, timestamps=timestamps)
+    whole = run_object_cache(trace, _small_policy(policy_name), 4096, ttl=300.0)
+    windowed = run_object_cache(
+        trace, _small_policy(policy_name), 4096, ttl=300.0, window_size=997
+    )
+    assert len(windows_from_payload(windowed.extra["timeseries"])) == 6
+    assert windowed.stats == whole.stats
+    assert windowed.extra.get("pd_history") == whole.extra.get("pd_history")
 
 
 def test_pdp_heaps_stay_bounded_when_the_cache_never_evicts():
